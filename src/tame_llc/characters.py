@@ -26,12 +26,14 @@ from .intlinalg import (
 )
 from .ring_model import (
     Elt,
+    GaloisRing,
     Model,
     UnitGroupPresentation,
     find_beta,
     kernel_of_norm,
+    residue_generator,
 )
-from .tame_galois import GAL_ID, GalElt, TameParams, order_two_set
+from .tame_galois import GAL_ID, GalElt, order_two_set
 
 LITERAL_GAUSS_THRESHOLD = 20000
 
@@ -88,9 +90,6 @@ class MultCharacter:
             None if self.value_at_uniformizer is None
             else self.value_at_uniformizer.inv(),
         )
-
-    def is_trivial_on_units(self) -> bool:
-        return all(a == 0 for a in self.exps)
 
     @classmethod
     def trivial(cls, orders: Sequence[int]) -> "MultCharacter":
@@ -291,9 +290,6 @@ class CharacterSystem:
             self._build_chi_data()
         return self._c_records
 
-    def c_at_minus_one(self) -> Cyclotomic:
-        return self.c_char().value_on_coords(self.minus_one_coords())
-
     # -- extension to the full unit group and twists ------------------------
 
     @property
@@ -348,11 +344,6 @@ class CharacterSystem:
             assert fr.denominator == 1, "character does not factor through level"
             exps.append(int(fr) % d)
         return MultCharacter(tuple(Uk.orders), tuple(exps))
-
-
-def extend_theta(M: Model, beta: Optional[Elt] = None) -> CharacterSystem:
-    """Build the character system (U, U-bar, beta, theta) for a model."""
-    return CharacterSystem(M, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +463,8 @@ def _critical_point(sys, chi, psi, lev, l1, l2, k):
         prec = -(-(l1 - i) // P.e)
         if prec <= 0:
             continue
-        for s in range(P.f):
-            gr_unit = tuple(1 if t == s else 0 for t in range(P.f))
-            m = M.mul(M.from_gr(gr_unit), M.pow(M.pi(), i))
-            basis.append((m, P.p ** prec))
+        for s in range(M.gr.d):
+            basis.append((M.monomial(s, i), P.p ** prec))
     targets = []
     vs = []
     for g, _ in test_gens:
@@ -551,27 +540,9 @@ def _gauss_stationary(sys, chi, chik, Uk, psi, lev, k) -> HalfPowerScalar:
 
 def quadratic_gauss_sum_field(p: int, d: int) -> HalfPowerScalar:
     """Literal normalized quadratic Gauss sum over the field F_{p^d}."""
-    from .ring_model import GaloisRing
-
     gf = GaloisRing(p, 1, d)
     q = p ** d
-    # find a multiplicative generator
-    gen = None
-    from .ring_model import _prime_divisors
-    for code in range(1, q):
-        coeffs = []
-        cc = code
-        for _ in range(d):
-            coeffs.append(cc % p)
-            cc //= p
-        cand = tuple(coeffs)
-        if all(
-            gf.pow(cand, (q - 1) // ell) != gf.one
-            for ell in _prime_divisors(q - 1)
-        ):
-            gen = cand
-            break
-    assert gen is not None
+    gen = residue_generator(gf)
     buckets: Dict[int, int] = {}
     N = lcm(2, p)
     cur = gf.one

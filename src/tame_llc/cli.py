@@ -54,14 +54,18 @@ class Plan:
 
 
 def _parse_int_list(text: str) -> List[int]:
-    """Accepts '3,5' and '2..4' forms."""
+    """Accepts '3,5' and '2..4' forms; raises ValueError on anything else,
+    including an empty range such as '5..2'."""
     out: List[int] = []
     for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.partition("..")
+        try:
+            values = range(int(lo), int(hi) + 1) if dots else [int(part)]
+        except ValueError:
+            raise ValueError(f"{part!r} is neither an integer nor lo..hi") from None
+        if not values:
+            raise ValueError(f"{part!r} is an empty range")
+        out.extend(values)
     return out
 
 
@@ -118,9 +122,11 @@ def parse_args(argv: Sequence[str]) -> Plan:
         return Plan(command="factors", params=_validated(ns),
                     out=ns.out, fmt=ns.fmt, timing=ns.timing)
     if ns.command == "sweep":
-        q_values = _parse_int_list(ns.q)
-        r_values = _parse_int_list(ns.r)
-        if not q_values or not r_values:
+        try:
+            q_values = _parse_int_list(ns.q)
+            r_values = _parse_int_list(ns.r)
+        except ValueError as ex:
+            print(f"invalid box: {ex}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
         return Plan(
             command="sweep", q_values=q_values, max_n=ns.max_n,
@@ -273,6 +279,9 @@ def execute_plan(plan: Plan) -> int:
                 plan.q_values, plan.max_n, plan.r_values,
                 include_root_number=plan.include_root_number,
             )
+            if not reports:
+                print("no valid tuple in the box", file=sys.stderr)
+                return EXIT_USAGE
         elif plan.command == "selftest":
             reports = _selftest_reports()
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .exactnum import Cyclotomic
 from .llc_parameters import (
@@ -20,8 +20,8 @@ from .llc_parameters import (
     centralizer_order,
 )
 from .local_factors import principal_triple
-from .ring_model import Model, TooLarge, build_model, regular_rep_matrix
-from .tame_galois import InvalidParams, TameParams, norm_index, validate_params
+from .ring_model import TooLarge, build_model, regular_rep_matrix
+from .tame_galois import InvalidParams, TameParams, norm_index
 
 PAPER_TYPO_NOTES = [
     "dimension product: the source's (1-k^-k) factor is read as (1-q^-k), "

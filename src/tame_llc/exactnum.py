@@ -251,21 +251,6 @@ class Cyclotomic:
         parts = ["%s*z^%d" % (c, k) for k, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
-    def to_complex(self) -> complex:
-        """Debugging embedding only; never used in verification paths."""
-        out = 0j
-        for k, c in self.coeffs.items():
-            out += float(c) * complex(
-                math.cos(2 * math.pi * k / self.order),
-                math.sin(2 * math.pi * k / self.order),
-            )
-        return out
-
-
-def cyc_canonicalize(x: Cyclotomic) -> Cyclotomic:
-    """Identity on the canonical representation (kept as an explicit surface)."""
-    return Cyclotomic(x.order, dict(x.coeffs))
-
 
 def cyc_conj_norm(x: Cyclotomic) -> Cyclotomic:
     """x * conj(x); equals 1 for any root of unity."""

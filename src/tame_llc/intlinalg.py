@@ -13,8 +13,13 @@ from typing import List, Optional, Sequence, Tuple
 Matrix = List[List[int]]
 
 
+def diag(d: Sequence[int]) -> Matrix:
+    """The square diagonal matrix with diagonal d."""
+    return [[d[i] if j == i else 0 for j in range(len(d))] for i in range(len(d))]
+
+
 def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return diag([1] * n)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -248,8 +253,7 @@ class SubgroupPresentation:
     def __init__(self, ambient_orders: Sequence[int], gen_rows: Sequence[Sequence[int]]):
         self.ambient_orders = list(ambient_orders)
         s = len(self.ambient_orders)
-        d_rows = [[self.ambient_orders[i] if j == i else 0 for j in range(s)] for i in range(s)]
-        lattice_rows = [list(g) for g in gen_rows] + d_rows
+        lattice_rows = [list(g) for g in gen_rows] + diag(self.ambient_orders)
         h, _ = hnf_row(lattice_rows)
         basis_m = [r for r in h if any(r)]
         if len(basis_m) != s:
@@ -258,8 +262,7 @@ class SubgroupPresentation:
         # relation lattice of the generators y -> y*M mod diag(d):
         # rows of diag(d)*M^{-1}, integral because diag(d) sits inside the lattice
         rel = []
-        for i in range(s):
-            target = [self.ambient_orders[i] if j == i else 0 for j in range(s)]
+        for target in diag(self.ambient_orders):
             y = solve_left(basis_m, target)
             assert y is not None, "diag(d) must lie in the subgroup lattice"
             rel.append(y)
@@ -285,8 +288,7 @@ class SubgroupPresentation:
     def coords(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of ambient element x in the subgroup basis, or None."""
         s = len(self.ambient_orders)
-        d_rows = [[self.ambient_orders[i] if j == i else 0 for j in range(s)] for i in range(s)]
-        y = solve_left(self._m + d_rows, list(x))
+        y = solve_left(self._m + diag(self.ambient_orders), list(x))
         if y is None:
             return None
         w = vec_mat(y[:s], self._v)
@@ -309,15 +311,9 @@ def kernel_subgroup(
     destination coordinates.
     """
     s = len(src_orders)
-    t = len(dst_orders)
-    if t == 0:
-        return SubgroupPresentation(
-            list(src_orders),
-            [[1 if j == i else 0 for j in range(s)] for i in range(s)],
-        )
-    stacked = [list(r) for r in map_rows] + [
-        [dst_orders[j] if jj == j else 0 for j in range(t)] for jj in range(t)
-    ]
+    if not dst_orders:
+        return SubgroupPresentation(list(src_orders), identity_matrix(s))
+    stacked = [list(r) for r in map_rows] + diag(dst_orders)
     ker = left_kernel_basis(stacked)
     gen_rows = [row[:s] for row in ker]
     return SubgroupPresentation(list(src_orders), gen_rows)
@@ -329,8 +325,7 @@ def intersect_subgroups(
     rows2: Sequence[Sequence[int]],
 ) -> SubgroupPresentation:
     """Intersection of two subgroups given by generator rows."""
-    s = len(ambient_orders)
-    d_rows = [[ambient_orders[i] if j == i else 0 for j in range(s)] for i in range(s)]
+    d_rows = diag(ambient_orders)
     a = [list(r) for r in rows1] + d_rows
     b = [list(r) for r in rows2] + d_rows
     ha, _ = hnf_row(a)
@@ -341,32 +336,6 @@ def intersect_subgroups(
     ker = left_kernel_basis(stacked)
     gen_rows = [vec_mat(row[: len(ha)], ha) for row in ker]
     return SubgroupPresentation(list(ambient_orders), gen_rows)
-
-
-class AbCharacter:
-    """A character of (+) Z/d_i given by exponents: value on e_i is
-    zeta_{d_i}^{w_i}.  Used through fractions exp/ord rather than Cyclotomic
-    to stay independent of the numeric layer."""
-
-    def __init__(self, orders: Sequence[int], exps: Sequence[int]):
-        self.orders = list(orders)
-        self.exps = [w % d for w, d in zip(exps, orders)]
-
-    def exponent_of(self, x: Sequence[int]) -> Tuple[int, int]:
-        """Returns (num, den) with value = exp(2*pi*i*num/den), reduced."""
-        from math import gcd
-        num, den = 0, 1
-        for w, d, c in zip(self.exps, self.orders, x):
-            if w and c:
-                # add w*c/d
-                num = num * d + w * c * den
-                den *= d
-                g = gcd(num, den) or 1
-                num //= g
-                den //= g
-        num %= den
-        g = gcd(num, den) or 1
-        return num // g, den // g
 
 
 def extend_character(
@@ -384,7 +353,7 @@ def extend_character(
     Raises ValueError if the prescribed values are inconsistent (not an
     actual character of the subgroup).
     """
-    from math import gcd, lcm
+    from math import lcm
 
     d = list(ambient_orders)
     s = len(d)
@@ -400,8 +369,7 @@ def extend_character(
     # solve a_mat * w == rhs (mod big), w over Z.
     # Transpose to row form: find w with w * A^T = rhs + big*t.
     at = [[a_mat[j][i] for j in range(k)] for i in range(s)]  # s x k
-    big_rows = [[big if jj == j else 0 for jj in range(k)] for j in range(k)]
-    stacked = at + big_rows  # (s+k) x k
+    stacked = at + diag([big] * k)  # (s+k) x k
     y = solve_left(stacked, rhs)
     if y is None:
         raise ValueError("prescribed values are not a character of the subgroup")
@@ -410,7 +378,7 @@ def extend_character(
     hom = left_kernel_basis(stacked)
     hom_w = [row[:s] for row in hom]
     # the lattice also contains d_i * e_i (changing w_i by d_i changes nothing)
-    hom_w += [[d[i] if j == i else 0 for j in range(s)] for i in range(s)]
+    hom_w += diag(d)
     h, _ = hnf_row(hom_w)
     h = [r for r in h if any(r)]
     assert len(h) == s

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc
 from .local_factors import LocalFactorTriple, induced_factor, lambda_tame
@@ -61,10 +61,6 @@ class SymbolicUnit:
         return SymbolicUnit(
             self.coef * other.coef, tuple(sorted(acc.items(), key=repr))
         )
-
-    @property
-    def is_concrete(self) -> bool:
-        return not self.symbols
 
     def value(self) -> Cyclotomic:
         if self.symbols:
@@ -348,7 +344,7 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
 
 def adjoint_triple(sys) -> LocalFactorTriple:
     """The full (L, a, eps) of Ad of phi assembled from the decomposition."""
-    from .local_factors import AbelianCharData, eps_abelian, trivial_triple
+    from .local_factors import AbelianCharData, eps_abelian
 
     P = sys.P
     dec = adjoint_decompose(P)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc, cyc_conj_norm
-from .ring_model import GaloisRing, _prime_divisors
+from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc
+from .ring_model import GaloisRing, residue_generator
 
 
 class BruteForceUnsupported(ValueError):
@@ -146,12 +146,6 @@ def eps_abelian(chi: AbelianCharData) -> LocalFactorTriple:
     return LocalFactorTriple(q, eps, chi.cond, (Cyclotomic.one(),))
 
 
-def eps_twisted_by_power(t: LocalFactorTriple, two_s: int) -> HalfPowerScalar:
-    """eps of the |.|^s-twist, s = two_s/2: the conductor is unchanged and
-    eps picks up q^{-s*a}."""
-    return HalfPowerScalar(t.eps.coef, t.eps.half_exp - two_s * t.a, t.q)
-
-
 def gamma_at_zero_abs(t: LocalFactorTriple) -> Fraction:
     """|gamma(0)| = |eps| * L(1)/L(0) for a triple with rational L.
 
@@ -177,29 +171,6 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # lambda factors of tame extensions
 # ---------------------------------------------------------------------------
-
-def _field_generator(gf: GaloisRing) -> Tuple[Tuple[int, ...], dict]:
-    """A multiplicative generator of the residue field and its log table."""
-    q = gf.p ** gf.d
-    for code in range(1, q):
-        coeffs = []
-        cc = code
-        for _ in range(gf.d):
-            coeffs.append(cc % gf.p)
-            cc //= gf.p
-        cand = tuple(coeffs)
-        if all(
-            gf.pow(cand, (q - 1) // ell) != gf.one
-            for ell in _prime_divisors(q - 1)
-        ):
-            log = {}
-            cur = gf.one
-            for k in range(q - 1):
-                log[cur] = k
-                cur = gf.mul(cur, cand)
-            return cand, log
-    raise AssertionError("no generator found")
-
 
 def quadratic_gauss_root(p: int, d: int) -> Cyclotomic:
     """The normalized quadratic Gauss sum of F_{p^d} as a modulus-one value."""
@@ -234,7 +205,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
             f"e = {e} does not divide Q - 1 = {Q - 1}: extension is not cyclic"
         )
     gf = GaloisRing(p, 1, d)
-    gen, log = _field_generator(gf)
+    gen = residue_generator(gf)
     u0 = gf.pow(gen, u0_log)
     u0inv = gf.inv(u0)
     out = HalfPowerScalar.one(Q)

@@ -15,18 +15,18 @@ brute forcing and Gauss sums.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .exactnum import _factorize
 from .intlinalg import (
+    Matrix,
     SubgroupPresentation,
     invert_unimodular,
     smith_normal_form,
 )
-from .tame_galois import GAL_ID, GalElt, TameParams, gal_elements, gal_inv
+from .tame_galois import GalElt, TameParams, gal_elements
 
 GRElt = Tuple[int, ...]
 
@@ -109,18 +109,7 @@ def _fp_irreducible(h, p):
     xq = _fp_poly_powmod(x, p ** d, h, p)
     if xq != x[:d] + [0] * (d - len(x)):
         return False
-    dd = d
-    primes = []
-    k = 2
-    while k * k <= dd:
-        if dd % k == 0:
-            primes.append(k)
-            while dd % k == 0:
-                dd //= k
-        k += 1
-    if dd > 1:
-        primes.append(dd)
-    for ell in primes:
+    for ell in _factorize(d):
         xe = _fp_poly_powmod(x, p ** (d // ell), h, p)
         diff = [(xe[i] - (x + [0] * d)[i]) % p for i in range(d)]
         if any(diff):
@@ -132,18 +121,22 @@ def _fp_irreducible(h, p):
     return True
 
 
+def _base_p_digits(code: int, p: int, d: int) -> List[int]:
+    """The d lowest base-p digits of code, least significant first."""
+    digits = []
+    for _ in range(d):
+        digits.append(code % p)
+        code //= p
+    return digits
+
+
 def _least_irreducible(p: int, d: int) -> List[int]:
     """Lexicographically least monic irreducible of degree d over F_p.
 
     Coefficient tuples (c_0, ..., c_{d-1}) are ordered as base-p counters.
     """
     for code in range(p ** d):
-        coeffs = []
-        cc = code
-        for _ in range(d):
-            coeffs.append(cc % p)
-            cc //= p
-        h = coeffs + [1]
+        h = _base_p_digits(code, p, d) + [1]
         if _fp_irreducible(h, p):
             return h
     raise AssertionError("no irreducible polynomial found")
@@ -325,6 +318,19 @@ class GaloisRing:
         return acc[0]
 
 
+def residue_generator(gr: GaloisRing) -> GRElt:
+    """The least element (as a base-p counter) whose residue generates
+    the multiplicative group of the residue field F_{p^d}."""
+    order = gr.p ** gr.d - 1
+    one = gr.residue(gr.one)
+    primes = list(_factorize(order))
+    for code in range(1, order + 1):
+        cand = tuple(_base_p_digits(code, gr.p, gr.d))
+        if all(gr.residue(gr.pow(cand, order // ell)) != one for ell in primes):
+            return cand
+    raise AssertionError("no residue field generator found")
+
+
 # ---------------------------------------------------------------------------
 # the tame model
 # ---------------------------------------------------------------------------
@@ -370,6 +376,14 @@ class Model:
 
     def from_int(self, c: int) -> Elt:
         return self.from_gr(self.gr.from_int(c))
+
+    def monomial(self, b: int, i: int) -> Elt:
+        """x^b p^k pi^j for i = ke + j: the b-th additive generator of
+        pi^i R / pi^{i+1} R (equal to x^b pi^i when i < e)."""
+        k, j = divmod(i, self.e)
+        out = [self.gr.zero] * self.e
+        out[j] = tuple(self.P.p ** k if t == b else 0 for t in range(self.gr.d))
+        return tuple(out)
 
     def pi(self) -> Elt:
         if self.e == 1:
@@ -498,14 +512,10 @@ class Model:
     def trace_functional(self) -> Callable[[Elt], int]:
         """x -> T_{F/Q_p}(T_{K/F}(x)) mod p^r as a precomputed linear map."""
         if self._trace_vec is None:
-            vec = []
-            d = self.gr.d
-            for i in range(self.e):
-                for b in range(d):
-                    basis = [self.gr.zero] * self.e
-                    basis[i] = tuple(1 if bb == b else 0 for bb in range(d))
-                    vec.append(self.psi_exponent(self.trace_K_F(tuple(basis))))
-            self._trace_vec = vec
+            self._trace_vec = [
+                self.psi_exponent(self.trace_K_F(self.monomial(b, i)))
+                for i in range(self.e) for b in range(self.gr.d)
+            ]
         vec = self._trace_vec
         mod = self.gr.mod
         d = self.gr.d
@@ -527,26 +537,8 @@ def build_model(P: TameParams) -> Model:
     """Deterministic lexicographic search for a consistent (c, zeta_e, t)."""
     gr = GaloisRing(P.p, P.r, P.a * P.f)
     qK = P.q_K
-    # Teichmuller generator: least residue (as a base-p counter) of order qK-1
-    tau = None
-    for code in range(1, P.p ** gr.d):
-        coeffs = []
-        cc = code
-        for _ in range(gr.d):
-            coeffs.append(cc % P.p)
-            cc //= P.p
-        cand = tuple(coeffs)
-        # multiplicative order in the residue field
-        ok = True
-        for ell in _prime_divisors(qK - 1):
-            if gr.residue(gr.pow(cand, (qK - 1) // ell)) == gr.residue(gr.one):
-                ok = False
-                break
-        if ok:
-            tau = gr.teichmuller(cand)
-            break
-    if tau is None:
-        raise NoConsistentModel("no residue field generator found")
+    # Teichmuller generator of order qK - 1
+    tau = gr.teichmuller(residue_generator(gr))
     res_log: Dict[GRElt, int] = {}
     cur = gr.one
     for k in range(qK - 1):
@@ -583,26 +575,12 @@ def build_model(P: TameParams) -> Model:
     raise NoConsistentModel(f"no (c, zeta, t) for {P}")
 
 
-def _prime_divisors(n: int) -> List[int]:
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _verify_model(M: Model):
     P = M.P
     gr = M.gr
     # zeta_e has exact order e
     assert gr.pow(M.zeta, P.e) == gr.one
-    for ell in _prime_divisors(P.e):
+    for ell in _factorize(P.e):
         assert gr.pow(M.zeta, P.e // ell) != gr.one, "zeta order too small"
     pi = M.pi()
     # pi^e = c p
@@ -623,13 +601,50 @@ def _verify_model(M: Model):
 # unit group presentations
 # ---------------------------------------------------------------------------
 
-class UnitGroupPresentation:
+class _UnitGroupSNF:
+    """Invariant-factor machinery shared by the unit-group presentations.
+
+    A subclass sets self.M and self.gens (a torsion generator first, then
+    one-units) and provides _raw_dlog, the exponents of an element in
+    self.gens.  The relation lattice has determinant equal to the group
+    order, so it is the full lattice and Smith normal form yields the group
+    structure.
+    """
+
+    def _present(self, torsion_order: int, power: Callable) -> Matrix:
+        """Smith normal form of the relations gens[0]^torsion_order = 1 and
+        gens[i]^p = (its raw dlog); returns the column transform V."""
+        g = len(self.gens)
+        p = self.M.P.p
+        rows: List[List[int]] = [[torsion_order] + [0] * (g - 1)]
+        for idx in range(1, g):
+            row = [-x for x in self._raw_dlog(power(self.gens[idx], p))]
+            row[idx] += p
+            rows.append(row)
+        s, _, v = smith_normal_form(rows)
+        self._v = v
+        self.all_orders = [s[i][i] for i in range(g)]
+        self._keep = [i for i in range(g) if self.all_orders[i] != 1]
+        self.orders = [self.all_orders[i] for i in self._keep]
+        return v
+
+    def order(self) -> int:
+        return prod(self.orders)
+
+    def _coords(self, w: Sequence[int]) -> List[int]:
+        """Invariant-factor coordinates of the raw exponents w."""
+        return [
+            sum(wi * self._v[i][j] for i, wi in enumerate(w)) % self.all_orders[j]
+            for j in self._keep
+        ]
+
+
+class UnitGroupPresentation(_UnitGroupSNF):
     """Invariant-factor presentation of (R/pi^N)^x with exact discrete logs.
 
     Generators: the Teichmuller generator tau, then the one-units
-    1 + x^b pi^i for each level 1 <= i < N and monomial basis index b.
-    The relation lattice has determinant equal to the group order, so it
-    is the full lattice and Smith normal form yields the group structure.
+    1 + x^b p^k pi^j for each level 1 <= i = ke + j < N and monomial basis
+    index b.
     """
 
     def __init__(self, M: Model, N: int):
@@ -637,38 +652,14 @@ class UnitGroupPresentation:
             raise ValueError("level out of range")
         self.M = M
         self.N = N
-        gr = M.gr
-        d = gr.d
         gens: List[Elt] = [M.from_gr(M.tau)]
         self.levels: List[Tuple[int, int]] = [(0, 0)]
         for i in range(1, N):
-            for b in range(d):
-                mono = tuple(1 if bb == b else 0 for bb in range(d))
-                one_unit = list(M.zero())
-                one_unit[0] = gr.one
-                k, ii = divmod(i, M.e)
-                one_unit[ii] = gr.add(
-                    one_unit[ii], gr.scalar(M.P.p ** k, mono)
-                ) if ii == 0 else gr.scalar(M.P.p ** k, mono)
-                gens.append(tuple(one_unit))
+            for b in range(M.gr.d):
+                gens.append(M.add(M.one(), M.monomial(b, i)))
                 self.levels.append((i, b))
         self.gens = gens
-        g = len(gens)
-        qK = M.P.q_K
-        rows: List[List[int]] = []
-        rows.append([qK - 1] + [0] * (g - 1))
-        for idx in range(1, g):
-            w = self._raw_dlog(M.pow(gens[idx], M.P.p))
-            row = [-x for x in w]
-            row[idx] += M.P.p
-            rows.append(row)
-        s, u, v = smith_normal_form(rows)
-        self._v = v
-        vinv = invert_unimodular(v)
-        diag = [s[i][i] for i in range(g)]
-        self.all_orders = diag
-        self._keep = [i for i in range(g) if diag[i] != 1]
-        self.orders = [diag[i] for i in self._keep]
+        vinv = invert_unimodular(self._present(M.P.q_K - 1, M.pow))
         # generators of the invariant-factor coordinates
         self.inv_gens: List[Elt] = []
         for k in self._keep:
@@ -677,12 +668,6 @@ class UnitGroupPresentation:
                 if ex:
                     h = M.mul(h, M.pow(gens[jj], ex))
             self.inv_gens.append(h)
-
-    def order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
 
     # -- discrete logs -------------------------------------------------------
 
@@ -721,14 +706,7 @@ class UnitGroupPresentation:
 
     def dlog(self, x: Elt) -> List[int]:
         """Coordinates of x in the invariant-factor basis."""
-        w = self._raw_dlog(x)
-        full = [0] * len(self.all_orders)
-        for j in range(len(full)):
-            acc = 0
-            for i, wi in enumerate(w):
-                acc += wi * self._v[i][j]
-            full[j] = acc % self.all_orders[j]
-        return [full[k] for k in self._keep]
+        return self._coords(self._raw_dlog(x))
 
     def element_from_coords(self, coords: Sequence[int]) -> Elt:
         out = self.M.one()
@@ -764,12 +742,10 @@ class UnitGroupPresentation:
         return [self.dlog(self.M.galois_act(g, h)) for h in self.inv_gens]
 
 
-class BaseUnitPresentation:
-    """Units of the F-subring GR(p^r, a) sitting inside the big model ring.
-
-    Same invariant-factor machinery as UnitGroupPresentation, with p-levels
-    and residue basis the powers of the Teichmuller generator of F_q.
-    """
+class BaseUnitPresentation(_UnitGroupSNF):
+    """Units of the F-subring GR(p^r, a) sitting inside the big model ring,
+    with p-levels and residue basis the powers of the Teichmuller generator
+    of F_q; the arithmetic is that of the Galois ring."""
 
     def __init__(self, M: Model):
         self.M = M
@@ -794,63 +770,7 @@ class BaseUnitPresentation:
                     gr.add(gr.one, gr.scalar(P.p ** i, gr.pow(self.tauF, b)))
                 )
         self.gens = gens
-        g = len(gens)
-        rows: List[List[int]] = [[q - 1] + [0] * (g - 1)]
-        for idx in range(1, g):
-            w = self._raw_dlog(gr.pow(gens[idx], P.p))
-            row = [-x for x in w]
-            row[idx] += P.p
-            rows.append(row)
-        s, u, v = smith_normal_form(rows)
-        self._v = v
-        diag = [s[i][i] for i in range(g)]
-        self.all_orders = diag
-        self._keep = [i for i in range(g) if diag[i] != 1]
-        self.orders = [diag[i] for i in self._keep]
-
-    def order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
-    def _solve_res(self, v: GRElt) -> List[int]:
-        """Write a residue of F_q as an F_p-combination of the residue basis."""
-        gr = self.M.gr
-        p = self.M.P.p
-        # tiny dense solve over F_p in the big residue coordinates
-        cols = [list(b) for b in self.res_basis]
-        target = list(v)
-        ncols = len(cols)
-        nrows = len(target)
-        aug = [[cols[c][rr] for c in range(ncols)] + [target[rr]]
-               for rr in range(nrows)]
-        sol = [0] * ncols
-        rr = 0
-        pivots = []
-        for c in range(ncols):
-            piv = None
-            for r2 in range(rr, nrows):
-                if aug[r2][c] % p:
-                    piv = r2
-                    break
-            if piv is None:
-                continue
-            aug[rr], aug[piv] = aug[piv], aug[rr]
-            inv = pow(aug[rr][c], -1, p)
-            aug[rr] = [(x * inv) % p for x in aug[rr]]
-            for r2 in range(nrows):
-                if r2 != rr and aug[r2][c] % p:
-                    fac = aug[r2][c]
-                    aug[r2] = [(x - fac * y) % p for x, y in zip(aug[r2], aug[rr])]
-            pivots.append(c)
-            rr += 1
-        for k, c in enumerate(pivots):
-            sol[c] = aug[k][ncols]
-        # consistency
-        for r2 in range(rr, nrows):
-            assert aug[r2][ncols] % p == 0, "residue not in F_q"
-        return sol
+        self._present(q - 1, gr.pow)
 
     def _raw_dlog(self, x: GRElt) -> List[int]:
         gr = self.M.gr
@@ -864,9 +784,15 @@ class BaseUnitPresentation:
             assert all(a % P.p ** i == 0 for a in diff)
             vres = tuple((a // P.p ** i) % P.p for a in diff)
             if any(vres):
-                sol = self._solve_res(vres)
+                # write the residue as an F_p-combination of the residue basis
+                aug = [[col[t] for col in self.res_basis] + [vres[t]]
+                       for t in range(gr.d)]
+                aug, pivots = _fp_echelon(aug, P.p, P.a)
+                assert all(row[-1] % P.p == 0 for row in aug[len(pivots):]), \
+                    "residue not in F_q"
                 base = 1 + (i - 1) * P.a
-                for b, cb in enumerate(sol):
+                for row, b in zip(aug, pivots):
+                    cb = row[-1]
                     if cb:
                         w[base + b] = cb
                         cur = gr.mul(
@@ -876,14 +802,8 @@ class BaseUnitPresentation:
         return w
 
     def dlog(self, x: GRElt) -> List[int]:
-        w = self._raw_dlog(x)
-        full = [0] * len(self.all_orders)
-        for j in range(len(full)):
-            acc = 0
-            for i, wi in enumerate(w):
-                acc += wi * self._v[i][j]
-            full[j] = acc % self.all_orders[j]
-        return [full[k] for k in self._keep]
+        """Coordinates of x in the invariant-factor basis."""
+        return self._coords(self._raw_dlog(x))
 
 
 def kernel_of_norm(M: Model, U: UnitGroupPresentation) -> SubgroupPresentation:
@@ -920,13 +840,9 @@ def find_beta(M: Model) -> Elt:
     return beta
 
 
-def _flatten_res(M: Model, x: Elt) -> List[int]:
-    """Residue of x as an F_p-vector of length e*d."""
-    p = M.P.p
-    out = []
-    for c in x:
-        out.extend(a % p for a in c)
-    return out
+def _flatten(x: Elt, mod: int) -> List[int]:
+    """x mod `mod` as a vector of length e*d."""
+    return [a % mod for c in x for a in c]
 
 
 def _is_generator(M: Model, beta: Elt) -> bool:
@@ -940,23 +856,23 @@ def _is_generator(M: Model, beta: Elt) -> bool:
     for k in range(P.n):
         opow = M.one()
         for c in range(P.a):
-            vecs.append(_flatten_res(M, M.mul(opow, bpow)))
+            vecs.append(_flatten(M.mul(opow, bpow), P.p))
             opow = M.mul(opow, omega)
         bpow = M.mul(bpow, beta)
-    return _fp_rank(vecs, P.p) == len(vecs[0])
+    ncols = len(vecs[0])
+    return len(_fp_echelon(vecs, P.p, ncols)[1]) == ncols
 
 
-def _fp_rank(rows: List[List[int]], p: int) -> int:
+def _fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
+    """Reduced row echelon form over F_p, pivoting in the first ncols columns.
+
+    Returns (reduced rows, pivot columns); the rank is the number of pivots.
+    """
     rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0])
-    rr = 0
+    pivots: List[int] = []
     for c in range(ncols):
-        piv = None
-        for r2 in range(rr, len(rows)):
-            if rows[r2][c] % p:
-                piv = r2
-                break
+        rr = len(pivots)
+        piv = next((r2 for r2 in range(rr, len(rows)) if rows[r2][c] % p), None)
         if piv is None:
             continue
         rows[rr], rows[piv] = rows[piv], rows[rr]
@@ -966,9 +882,8 @@ def _fp_rank(rows: List[List[int]], p: int) -> int:
             if r2 != rr and rows[r2][c] % p:
                 fac = rows[r2][c]
                 rows[r2] = [(x - fac * y) % p for x, y in zip(rows[r2], rows[rr])]
-        rank += 1
-        rr += 1
-    return rank
+        pivots.append(c)
+    return rows, pivots
 
 
 def regular_rep_matrix(M: Model, beta: Elt, level: int) -> List[List[int]]:
@@ -980,23 +895,12 @@ def regular_rep_matrix(M: Model, beta: Elt, level: int) -> List[List[int]]:
     P = M.P
     if P.a != 1:
         raise TooLarge("regular representation matrix needs a = 1")
-    mod = P.p ** level
     n = P.n
-    d = M.gr.d
-
-    def flatten(x: Elt) -> List[int]:
-        out = []
-        for c in x:
-            out.extend(a % mod for a in c)
-        return out
-
-    cols = []
     # basis of R over Z/p^r: x^b pi^i flattens to the standard basis
-    for i in range(P.e):
-        for b in range(d):
-            basis = [M.gr.zero] * P.e
-            basis[i] = tuple(1 if bb == b else 0 for bb in range(d))
-            cols.append(flatten(M.mul(tuple(basis), beta)))
+    cols = [
+        _flatten(M.mul(M.monomial(b, i), beta), P.p ** level)
+        for i in range(P.e) for b in range(M.gr.d)
+    ]
     # matrix with column j = image of basis j (n x n, row-major)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
@@ -1096,33 +1000,6 @@ def symplectic_check(M: Model, beta: Elt) -> Tuple[bool, int]:
     for i in range(len(basis)):
         if gram[i][i] % p:
             return False, -1
-    rank = _fp_rank_square(gram, p)
+    rank = len(_fp_echelon(gram, p, len(gram))[1])
     return rank == n * (n - 1), rank
 
-
-def _fp_rank_square(rows, p):
-    return _fp_rank([list(r) for r in rows], p)
-
-
-# ---------------------------------------------------------------------------
-# optional model-table cache
-# ---------------------------------------------------------------------------
-
-def dump_model_cache(M: Model) -> Optional[str]:
-    """Write Teichmuller log and model constants to TAME_LLC_CACHE if set."""
-    cache_dir = os.environ.get("TAME_LLC_CACHE")
-    if not cache_dir:
-        return None
-    os.makedirs(cache_dir, exist_ok=True)
-    P = M.P
-    key = hashlib.sha256(
-        repr((P.p, P.a, P.e, P.f, P.m, P.r)).encode()
-    ).hexdigest()[:16]
-    path = os.path.join(cache_dir, f"model-{key}.txt")
-    with open(path, "w") as fh:
-        fh.write(f"params p={P.p} a={P.a} e={P.e} f={P.f} m={P.m} r={P.r}\n")
-        fh.write(f"h {' '.join(map(str, M.gr.h))}\n")
-        fh.write(f"c_exp {M.c_exp}\nzeta_exp {M.zeta_exp}\nt_exp {M.t_exp}\n")
-        for res, k in sorted(M.tau_res_log.items()):
-            fh.write(f"log {' '.join(map(str, res))} -> {k}\n")
-    return path

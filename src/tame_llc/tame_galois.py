@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
+from .exactnum import _factorize
 from .intlinalg import smith_normal_form
 
 
@@ -22,17 +22,6 @@ class InvalidParams(ValueError):
 
 class OutOfRange(ValueError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ class TameParams:
 
 def validate_params(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParams:
     """Check all tameness constraints; raise InvalidParams naming the violation."""
-    if not _is_prime(p) or p == 2:
+    if _factorize(p) != {p: 1} or p == 2:
         raise InvalidParams(f"p = {p} must be an odd prime")
     if a < 1:
         raise InvalidParams(f"a = {a} must be positive")
@@ -111,16 +100,10 @@ def validate_params(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParam
 
 def params_from_q(q: int, e: int, f: int, m: int, r: int) -> TameParams:
     """Convenience wrapper: factor q = p^a and validate."""
-    p = 2
-    while q % p != 0:
-        p += 1
-    a = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
-        a += 1
-    if qq != 1:
+    factors = _factorize(q)
+    if len(factors) != 1:
         raise InvalidParams(f"q = {q} is not a prime power")
+    (p, a), = factors.items()
     return validate_params(p, a, e, f, m, r)
 
 

@@ -2,8 +2,10 @@
 exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -97,3 +99,54 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     code = cli.main([])
     capsys.readouterr()
     assert code == cli.EXIT_USAGE
+
+
+def test_parse_int_list_rejects_malformed_parts():
+    for text in ("3,x", "", "3,,5", "1..2..3", "5..2"):
+        with pytest.raises(ValueError):
+            cli._parse_int_list(text)
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-3", "6", "12"])
+def test_q_that_is_not_a_prime_power_exits_usage(q, capsys):
+    code, _, err = run(["verify", "formal-degree", "--q", q, "--e", "1",
+                        "--f", "2", "--r", "2"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "not a prime power" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--q", "3,x", "--r", "2"], "'x' is neither an integer nor lo..hi"),
+    (["--q", "3", "--r", "5..2"], "'5..2' is an empty range"),
+    (["--q", "3", "--max-n", "1", "--r", "2"], "no valid tuple in the box"),
+    (["--q", "1", "--r", "2"], "no valid tuple in the box"),
+])
+def test_bad_or_empty_sweep_box_exits_usage(argv, reason, capsys):
+    code, out, err = run(["sweep"] + argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and reason in err
+
+
+@pytest.mark.parametrize("tup", [(9, 1, 2, 0, 3), (9, 2, 1, 1, 4)])
+def test_root_number_ok_for_q9(tup, capsys):
+    q, e, f, m, r = (str(x) for x in tup)
+    code, out, _ = run(["verify", "root-number", "--q", q, "--e", e, "--f", f,
+                        "--m", m, "--r", r, "--format", "json"], capsys)
+    assert code == cli.EXIT_OK
+    check = json.loads(out)["checks"][0]
+    vals = check["method_values"]
+    assert check["status"] == "OK"
+    assert vals["closed"] == vals["assembled"] == vals["theta_at_eps"]
+
+
+def test_root_number_survey_script_runs(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "root_number_survey.py"
+    spec = importlib.util.spec_from_file_location("root_number_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    code = survey.main(["--q", "3", "--max-n", "2", "--r", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "(q=3, e=1, f=2, m=0, r=3)" in out and "  OK  " in out
+    assert out.rstrip().endswith("1 tuples, 0 failures")

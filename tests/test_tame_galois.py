@@ -57,6 +57,12 @@ def test_invalid_parameters_are_rejected(p, a, e, f, m, r):
         validate_params(p, a, e, f, m, r)
 
 
+@pytest.mark.parametrize("q", [0, 1, -3, 6, 12])
+def test_q_that_is_not_a_prime_power_is_rejected(q):
+    with pytest.raises(InvalidParams, match="not a prime power"):
+        params_from_q(q, 1, 2, 0, 2)
+
+
 @given(st.sampled_from(POOL), st.data())
 @settings(max_examples=60)
 def test_group_law(P, data):
