@@ -205,11 +205,11 @@ def _emit(reports: List[ConjectureReport], plan: Plan, timing_ms: int) -> None:
 
 def _factors_report(P: TameParams) -> ConjectureReport:
     rep = ConjectureReport(P)
+    L = {m: adjoint_L(P, m) for m in ("closed", "decomposition", "matrix")}
     rep.checks.append(CheckResult(
         "adjoint_L",
-        {m: adjoint_L(P, m).to_text() for m in ("closed", "decomposition", "matrix")},
-        "OK" if adjoint_L(P, "closed") == adjoint_L(P, "decomposition")
-        == adjoint_L(P, "matrix") else "FAIL",
+        {m: v.to_text() for m, v in L.items()},
+        "OK" if L["closed"] == L["decomposition"] == L["matrix"] else "FAIL",
     ))
     c1 = adjoint_conductor(P, "filtration")
     c2 = adjoint_conductor(P, "additivity")
@@ -222,10 +222,11 @@ def _factors_report(P: TameParams) -> ConjectureReport:
         "gamma0_abs", {"value": str(adjoint_gamma0_abs(P))}, "OK"))
     rep.checks.append(CheckResult(
         "centralizer_order", {"value": str(centralizer_order(P))}, "OK"))
+    closed, index = dim_delta(P, "closed"), dim_delta(P, "index")
     rep.checks.append(CheckResult(
         "dim_delta",
-        {"closed": str(dim_delta(P, "closed")), "index": str(dim_delta(P, "index"))},
-        "OK" if dim_delta(P, "closed") == dim_delta(P, "index") else "FAIL",
+        {"closed": str(closed), "index": str(index)},
+        "OK" if closed == index else "FAIL",
     ))
     return rep
 

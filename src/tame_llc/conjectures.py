@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, VerificationError
 from .llc_parameters import (
     RingModelRequired,
     adjoint_gamma0_abs,
@@ -137,7 +137,8 @@ def formal_degree_EP(P: TameParams) -> Fraction:
         * (1 - Fraction(1, q ** n))
         / (norm_index(P) * (1 - Fraction(1, q ** P.f)))
     )
-    assert out == closed
+    if out != closed:
+        raise VerificationError(f"formal degree {out} differs from its closed form {closed}")
     return out
 
 
@@ -239,16 +240,12 @@ def sweep_report(
     for P in valid_tuples(q_values, max_n, r_values):
         rep = ConjectureReport(P)
         rep.checks.append(verify_formal_degree(P))
+        closed, index = dim_delta(P, "closed"), dim_delta(P, "index")
         rep.checks.append(
             CheckResult(
                 "dim_delta",
-                {
-                    "closed": str(dim_delta(P, "closed")),
-                    "index": str(dim_delta(P, "index")),
-                },
-                "OK" if dim_delta(P, "closed") == dim_delta(P, "index")
-                and dim_delta(P, "closed").denominator == 1
-                else "FAIL",
+                {"closed": str(closed), "index": str(index)},
+                "OK" if closed == index and closed.denominator == 1 else "FAIL",
             )
         )
         if include_root_number:

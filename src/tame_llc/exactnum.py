@@ -19,6 +19,10 @@ class PoleAtPoint(ArithmeticError):
     """Raised when a rational function is evaluated at a pole."""
 
 
+class VerificationError(ArithmeticError):
+    """Raised when two computations that must agree do not."""
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic numbers
 # ---------------------------------------------------------------------------

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc
-from .local_factors import LocalFactorTriple, induced_factor, lambda_tame
+from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc, VerificationError
+from .intlinalg import mat_mul
+from .local_factors import (
+    AbelianCharData,
+    LocalFactorTriple,
+    eps_abelian,
+    gamma_at_zero_abs,
+    induced_factor,
+    model_lambda,
+)
 from .tame_galois import (
     GAL_ID,
     GalElt,
@@ -228,34 +236,19 @@ def adjoint_L(P: TameParams, method: str = "closed") -> RatFunc:
             den.append(c.rational_value())
         return RatFunc([Fraction(1)], den)
     if method == "matrix":
+        # det(1 - u M) = 1 + c_1 u + ... + c_k u^k, where det(x - M) =
+        # x^k + c_1 x^{k-1} + ... + c_k, by Faddeev-LeVerrier over Z:
+        # B_j = M B_{j-1} + c_{j-1} I and c_j = -tr(M B_j) / j, exactly
         m = frobenius_matrix(f)
         size = f - 1
-        # det(1 - u M) by Gaussian elimination over the rational-function field
-        rows = [
-            [
-                RatFunc.constant(1 if i == j else 0) - RatFunc.monomial(m[i][j], 1)
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        det = RatFunc.one()
-        for col in range(size):
-            piv = next(
-                (r for r in range(col, size) if rows[r][col].num), None
-            )
-            if piv is None:
-                det = RatFunc.constant(0)
-                break
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = det * Fraction(-1)
-            det = det * rows[col][col]
-            inv = rows[col][col].inv()
-            for r in range(col + 1, size):
-                fac = rows[r][col] * inv
-                for c in range(col, size):
-                    rows[r][c] = rows[r][c] - fac * rows[col][c]
-        return det.inv()
+        den = [1]
+        mb = [[0] * size for _ in range(size)]  # M B_0 = 0
+        for j in range(1, size + 1):
+            for i in range(size):
+                mb[i][i] += den[-1]
+            mb = mat_mul(m, mb)
+            den.append(-sum(mb[i][i] for i in range(size)) // j)
+        return RatFunc([1], den)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -273,7 +266,8 @@ def twist_conductor_predicted(P: TameParams, gamma: GalElt) -> int:
 def adjoint_conductor(P: TameParams, method: str = "filtration") -> int:
     if method == "filtration":
         total = weighted_conductor_sum(P)
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise VerificationError(f"filtration conductor {total} is not an integer")
         return int(total)
     if method == "additivity":
         f, e = P.f, P.e
@@ -290,35 +284,19 @@ def adjoint_conductor(P: TameParams, method: str = "filtration") -> int:
 # gamma at zero and the root number
 # ---------------------------------------------------------------------------
 
-def adjoint_gamma0(P: TameParams) -> Tuple[HalfPowerScalar, Fraction]:
-    """(|eps| at 0 as q^{rn(n-1)/2}, L(1)/L(0)); the product is |gamma(0)|."""
-    n = P.n
-    eps_abs = HalfPowerScalar.q_half_power(P.q, P.r * n * (n - 1))
-    ratio = Fraction(P.f) * (1 - Fraction(1, P.q)) / (1 - Fraction(1, P.q ** P.f))
-    return eps_abs, ratio
-
-
 def adjoint_gamma0_abs(P: TameParams) -> Fraction:
-    eps_abs, ratio = adjoint_gamma0(P)
-    assert eps_abs.half_exp % 2 == 0
-    return P.q ** (eps_abs.half_exp // 2) * ratio
-
-
-def model_lambda(sys) -> Cyclotomic:
-    """lambda(K/F, psi) evaluated on the ring model's uniformizer data."""
-    P = sys.P
-    u0_log = (
-        sys.M.zeta_exp * (P.e * (P.e - 1) // 2) + sys.M.c_exp
-    ) % (P.q_K - 1)
-    return lambda_tame(P.p, P.a * P.f, P.e, u0_log, method="closed")
+    """|gamma(0, Ad phi)| from the matrix L-factor and the filtration conductor."""
+    return gamma_at_zero_abs(
+        P.q, adjoint_conductor(P, "filtration"), adjoint_L(P, "matrix")
+    )
 
 
 def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
     """w(Ad of phi), by the closed formula or assembled from Gauss sums.
 
     closed: vartheta((-1)^{n-1}) times (-1)^{(q-1)f/2} for e even (1 for e
-    odd).  assembled: lambda(K/F)^n times the product of the root numbers of
-    the induced twist pieces.
+    odd).  assembled: the root number of adjoint_triple, i.e. lambda(K/F)^n
+    times the product of the root numbers of the induced twist pieces.
     """
     P = sys.P
     n = P.n
@@ -332,20 +310,12 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
             val = val * sign
         return val
     if method == "assembled":
-        lam = model_lambda(sys)
-        w = lam  # the Ind_K^F 1 - 1 piece
-        for g in gal_elements(P):
-            if g == GAL_ID:
-                continue
-            w = w * induced_factor(sys, g, lam).root_number()
-        return w
+        return adjoint_triple(sys).root_number()
     raise ValueError(f"unknown method {method!r}")
 
 
 def adjoint_triple(sys) -> LocalFactorTriple:
     """The full (L, a, eps) of Ad of phi assembled from the decomposition."""
-    from .local_factors import AbelianCharData, eps_abelian
-
     P = sys.P
     dec = adjoint_decompose(P)
     lam = model_lambda(sys)
@@ -374,7 +344,9 @@ def adjoint_triple(sys) -> LocalFactorTriple:
 def centralizer_order(P: TameParams) -> int:
     """|A_phi| = (O_F^x : N(O_K^x)) * f, realized as |Gamma^ab|."""
     out = abelianization_order(P)
-    assert out == norm_index(P) * P.f
+    expected = norm_index(P) * P.f
+    if out != expected:
+        raise VerificationError(f"|Gamma^ab| = {out} but norm index * f = {expected}")
     return out
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc
+from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc, VerificationError, ratfunc_eval
 from .ring_model import GaloisRing, residue_generator
 
 
@@ -146,17 +146,14 @@ def eps_abelian(chi: AbelianCharData) -> LocalFactorTriple:
     return LocalFactorTriple(q, eps, chi.cond, (Cyclotomic.one(),))
 
 
-def gamma_at_zero_abs(t: LocalFactorTriple) -> Fraction:
-    """|gamma(0)| = |eps| * L(1)/L(0) for a triple with rational L.
+def gamma_at_zero_abs(q: int, a: int, L: RatFunc) -> Fraction:
+    """|gamma(0)| = |eps| * L(1)/L(0) for conductor a and rational L in u = q^{-s}.
 
     |eps| = q^{a/2} is rational only for even a, so the square is computed
     first and its exact square root extracted at the end.
     """
-    from .exactnum import ratfunc_eval
-    num = ratfunc_eval(t.L, Fraction(1, t.q))
-    den = ratfunc_eval(t.L, Fraction(1))
-    val2 = t.q ** t.a * (num / den) ** 2
-    return _fraction_sqrt(val2)
+    ratio = ratfunc_eval(L, Fraction(1, q)) / ratfunc_eval(L, Fraction(1))
+    return _fraction_sqrt(q ** a * ratio ** 2)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
@@ -241,6 +238,15 @@ def lambda_chain(p: int, d_base: int, e: int, f: int, u0_log_K0: int) -> Tuple[C
     return lhs, rhs
 
 
+def model_lambda(sys) -> Cyclotomic:
+    """lambda(K/F, psi) evaluated on the ring model's uniformizer data."""
+    P = sys.P
+    u0_log = (
+        sys.M.zeta_exp * (P.e * (P.e - 1) // 2) + sys.M.c_exp
+    ) % (P.q_K - 1)
+    return lambda_tame(P.p, P.a * P.f, P.e, u0_log, method="closed")
+
+
 # ---------------------------------------------------------------------------
 # induced characters
 # ---------------------------------------------------------------------------
@@ -261,10 +267,7 @@ def induced_factor(sys, gamma, lam: Optional[Cyclotomic] = None) -> LocalFactorT
     k = conductor_bruteforce(sys, tw)
     a = P.f * (P.e - 1) + P.f * k
     if lam is None:
-        lam = lambda_tame(
-            P.p, P.a * P.f, P.e,
-            (sys.M.zeta_exp * (P.e * (P.e - 1) // 2) + sys.M.c_exp) % (P.q_K - 1),
-        )
+        lam = model_lambda(sys)
     if k == 0:
         # restriction to units trivial: the L-factor lives in u_K = u^f
         val = tw.value_at_uniformizer
@@ -312,7 +315,8 @@ def principal_triple(n: int, q: int) -> PrincipalData:
             rows.append([img[r][c] for r in range(n) for c in range(n)])
     from .intlinalg import hnf_row, left_kernel_basis
     ker = left_kernel_basis(rows)
-    assert len(ker) == n, "regular nilpotent centralizer must have dimension n"
+    if len(ker) != n:
+        raise VerificationError("regular nilpotent centralizer must have dimension n")
     # the kernel must be exactly span(N_0^0, ..., N_0^{n-1}); compare lattices
     powers = []
     pw = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -322,14 +326,16 @@ def principal_triple(n: int, q: int) -> PrincipalData:
               for i in range(n)]
     ker_h = [r for r in hnf_row([list(v) for v in ker])[0] if any(r)]
     pow_h = [r for r in hnf_row(powers)[0] if any(r)]
-    assert ker_h == pow_h, "centralizer is not the span of the powers of N_0"
+    if ker_h != pow_h:
+        raise VerificationError("centralizer is not the span of the powers of N_0")
     # adjoint Frobenius acts on E_ij by q^{j-i}, hence on N_0^k by q^{-k}
     # (every entry of N_0^k sits on the diagonal j - i = k)
     for k, vec in enumerate(powers):
         for idx, c in enumerate(vec):
             if c:
                 i, j = divmod(idx, n)
-                assert j - i == k
+                if j - i != k:
+                    raise VerificationError(f"N_0^{k} has an entry off its diagonal")
     ad_exps = tuple(range(1, n))
     # L from the eigenvalues q^{-k}
     poly = (Cyclotomic.one(),)
@@ -339,12 +345,7 @@ def principal_triple(n: int, q: int) -> PrincipalData:
     a = n * (n - 1)
     eps = HalfPowerScalar.q_half_power(q, a)
     triple = LocalFactorTriple(q, eps, a, poly)
-    gamma0 = Fraction(q ** (n * (n - 1) // 2)) * (1 - Fraction(1, q)) / (1 - Fraction(1, q ** n))
-    # cross-check gamma0 against eps * L(1)/L(0)
-    from .exactnum import ratfunc_eval
-    ratio = ratfunc_eval(triple.L, Fraction(1, q)) / ratfunc_eval(triple.L, Fraction(1))
-    assert gamma0 == q ** (n * (n - 1) // 2) * ratio
-    return PrincipalData(triple, gamma0, ad_exps)
+    return PrincipalData(triple, gamma_at_zero_abs(q, a, triple.L), ad_exps)
 
 
 # ---------------------------------------------------------------------------

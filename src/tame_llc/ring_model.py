@@ -723,16 +723,13 @@ class UnitGroupPresentation(_UnitGroupSNF):
         elt = self.M.one()
         yield tuple(coords), elt
         total = self.order()
-        # odometer enumeration with incremental multiplication
         count = 1
-        cache_pows = self.inv_gens
         while count < total:
             k = 0
             while coords[k] == orders[k] - 1:
                 coords[k] = 0
                 k += 1
             coords[k] += 1
-            # recompute from scratch for carry positions (cheap: few carries)
             elt = self.element_from_coords(coords)
             yield tuple(coords), elt
             count += 1

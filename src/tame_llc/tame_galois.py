@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from .exactnum import _factorize
+from .exactnum import VerificationError, _factorize
 from .intlinalg import smith_normal_form
 
 
@@ -219,12 +219,12 @@ def order_two_set(P: TameParams) -> OrderTwoData:
 
 
 def commutator_subgroup(P: TameParams) -> FrozenSet[GalElt]:
-    els = gal_elements(P)
+    inv = {g: gal_inv(g, P) for g in gal_elements(P)}
     gens = set()
-    for g in els:
-        for h in els:
+    for g in inv:
+        for h in inv:
             c = gal_mul(
-                gal_mul(g, h, P), gal_mul(gal_inv(g, P), gal_inv(h, P), P), P
+                gal_mul(g, h, P), gal_mul(inv[g], inv[h], P), P
             )
             gens.add(c)
     # close under multiplication
@@ -263,7 +263,8 @@ def abelianization_order(P: TameParams) -> int:
 def norm_index(P: TameParams) -> int:
     """(O_F^x : N_{K/F}(O_K^x)) = |Gamma^ab| / f, via the commutator quotient."""
     ab = P.n // len(commutator_subgroup(P))
-    assert ab % P.f == 0
+    if ab % P.f:
+        raise VerificationError(f"|Gamma^ab| = {ab} is not a multiple of f = {P.f}")
     return ab // P.f
 
 

@@ -78,6 +78,12 @@ def test_adjoint_l_factor_three_ways():
     assert seen_f >= {1, 2, 3, 4, 6}
     P = params_from_q(7, 1, 6, 0, 2)
     assert adjoint_L(P, "closed") == adjoint_L(P, "matrix")
+    # the formal-degree box reaches f = 8; cover the matrix route past it
+    for f in range(2, 13):
+        P = params_from_q(13, 1, f, 0, 2)
+        closed = adjoint_L(P, "closed")
+        assert closed == adjoint_L(P, "decomposition"), P
+        assert closed == adjoint_L(P, "matrix"), P
 
 
 # 4. Gauss sum laws: modulus one for primitive characters, and the

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tame_llc import llc_parameters
 from tame_llc.conjectures import (
     dim_delta,
     formal_degree_EP,
@@ -13,6 +14,7 @@ from tame_llc.conjectures import (
     verify_formal_degree,
     verify_root_number,
 )
+from tame_llc.exactnum import RatFunc
 from tame_llc.tame_galois import params_from_q
 
 
@@ -74,3 +76,15 @@ def test_sweep_report_is_green_on_a_small_box():
     assert all(rep.ok for rep in reports)
     payload = reports[0].to_json_dict()
     assert set(payload) == {"params", "checks", "paper_typo_notes"}
+
+
+@pytest.mark.parametrize("name,perturb", [
+    ("adjoint_L", lambda orig: lambda P, method="closed": orig(P, method) * RatFunc([1, 1])),
+    ("adjoint_conductor", lambda orig: lambda P, method="filtration": orig(P, method) + 2),
+], ids=["adjoint_L", "adjoint_conductor"])
+def test_formal_degree_reads_the_computed_factors(monkeypatch, name, perturb):
+    # a wrong L-factor or conductor of Ad(phi) must turn the identity to FAIL
+    monkeypatch.setattr(llc_parameters, name, perturb(getattr(llc_parameters, name)))
+    box = valid_tuples([3, 5], 4, [2, 3])
+    assert box
+    assert all(verify_formal_degree(P).status == "FAIL" for P in box)

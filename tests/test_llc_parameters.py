@@ -2,6 +2,10 @@
 gamma at zero, centralizer and root number."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -63,6 +67,27 @@ def test_adjoint_gamma_at_zero(P, expected):
 @pytest.mark.parametrize("P", BOX)
 def test_centralizer_order_closed_form(P):
     assert centralizer_order(P) == math.gcd(P.e, P.q - 1) * P.f
+
+
+def test_centralizer_check_survives_python_O():
+    # under -O every assert vanishes; the cross-check must still raise
+    code = textwrap.dedent("""
+        from tame_llc import llc_parameters
+        from tame_llc.exactnum import VerificationError
+        from tame_llc.tame_galois import params_from_q
+        assert False, "asserts are on"
+        orig = llc_parameters.abelianization_order
+        llc_parameters.abelianization_order = lambda P: orig(P) + 1
+        try:
+            llc_parameters.centralizer_order(params_from_q(3, 2, 1, 0, 2))
+        except VerificationError:
+            print("raised")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
 
 
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 2), (3, 1, 2, 0, 2),

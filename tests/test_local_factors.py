@@ -128,7 +128,7 @@ def test_principal_adjoint_structure(n, q):
 def test_principal_gamma_zero_against_eps_l_ratio():
     # gamma(0) = eps * L(1)/L(0) evaluated exactly, for n = 3
     data = principal_triple(3, 5)
-    assert gamma_at_zero_abs(data.triple) == data.gamma0
+    assert gamma_at_zero_abs(data.triple.q, data.triple.a, data.triple.L) == data.gamma0
 
 
 # -- symmetric power pairing ------------------------------------------------
