@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar
+from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError
 from .intlinalg import (
     SubgroupPresentation,
     extend_character,
@@ -71,6 +71,11 @@ class MultCharacter:
             if w and c:
                 acc += Fraction(w * c, d)
         return acc % 1
+
+    def scaled_exps(self, N: int) -> Tuple[int, ...]:
+        """Exponents over the common denominator N (a multiple of every
+        order): the value on coords is zeta_N^{sum of exps times coords}."""
+        return tuple(w * (N // d) for w, d in zip(self.exps, self.orders))
 
     def value_on_coords(self, coords: Sequence[int]) -> Cyclotomic:
         fr = self.fraction_on_coords(coords)
@@ -183,7 +188,8 @@ class CharacterSystem:
             fracs = []
             for b in H.basis:
                 coords = self.Ubar.coords(b)
-                assert coords is not None, "H must sit inside U-bar"
+                if coords is None:
+                    raise VerificationError("H must sit inside U-bar")
                 rows_sub.append(coords)
                 elt = self.U.element_from_coords(b)
                 fracs.append(chi_beta_fraction(self.M, self.beta, elt))
@@ -327,7 +333,8 @@ class CharacterSystem:
             z = M.mul(h, M.inv(M.galois_act(gamma, h)))
             fr = self.vartheta_fraction(z)
             ex = fr * d
-            assert ex.denominator == 1, "twist is not a character of U"
+            if ex.denominator != 1:
+                raise VerificationError("twist is not a character of U")
             exps.append(int(ex) % d)
         u = M.pi_multiplier(gamma)
         uinv = M.inv(M.from_gr(u))
@@ -341,7 +348,8 @@ class CharacterSystem:
         exps = []
         for h, d in zip(Uk.inv_gens, Uk.orders):
             fr = chi.fraction_on_coords(self.U.dlog(h)) * d
-            assert fr.denominator == 1, "character does not factor through level"
+            if fr.denominator != 1:
+                raise VerificationError("character does not factor through level")
             exps.append(int(fr) % d)
         return MultCharacter(tuple(Uk.orders), tuple(exps))
 
@@ -431,10 +439,11 @@ def _gauss_literal(sys, chik, Uk, psi, lev, k) -> HalfPowerScalar:
     plev = P.p ** lev
     char_den = lcm(*(list(chik.orders) + [1]))
     N = lcm(char_den, plev)
+    wts = chik.scaled_exps(N)
+    step = N // plev
     buckets: Dict[int, int] = {}
     for coords, elt in Uk.enumerate():
-        fr = -chik.fraction_on_coords(coords) + Fraction(psi(elt), plev)
-        key = int((fr % 1) * N)
+        key = (psi(elt) * step - sum(w * c for w, c in zip(wts, coords))) % N
         buckets[key] = buckets.get(key, 0) + 1
     coeffs = {key: Fraction(v) for key, v in buckets.items()}
     total = Cyclotomic(N, coeffs)
@@ -501,7 +510,8 @@ def _critical_point(sys, chi, psi, lev, l1, l2, k):
     b = M.zero()
     for c, (m, prec) in zip(sol, basis):
         b = M.add(b, M.mul(M.from_int(c % prec), m))
-    assert M.is_unit(b), "critical point must be a unit"
+    if not M.is_unit(b):
+        raise VerificationError("critical point must be a unit")
     return b
 
 
@@ -524,14 +534,18 @@ def _gauss_stationary(sys, chi, chik, Uk, psi, lev, k) -> HalfPowerScalar:
     terms: Dict[int, int] = {}
     plev = P.p ** lev
     N = lcm(plev, *(list(chik.orders) + [2]))
-    residues = [M.zero()] + [
-        M.from_gr(M.gr.pow(M.tau, j)) for j in range(qK - 1)
-    ]
+    wts = chik.scaled_exps(N)
+    step = N // plev
+    residues = [M.zero()]
+    tau_j = M.gr.one
+    for _ in range(qK - 1):
+        residues.append(M.from_gr(tau_j))
+        tau_j = M.gr.mul(tau_j, M.tau)
     for w in residues:
         one_plus = M.add(M.one(), M.mul(w, pi_l1))
-        fr = -chik.fraction_on_coords(Uk.dlog(one_plus))
-        fr += Fraction(psi(M.mul(M.mul(b, w), pi_l1)), plev)
-        key = int((fr % 1) * N)
+        coords = Uk.dlog(one_plus)
+        key = (psi(M.mul(M.mul(b, w), pi_l1)) * step
+               - sum(a * c for a, c in zip(wts, coords))) % N
         terms[key] = terms.get(key, 0) + 1
     tail = Cyclotomic(N, {key: Fraction(v) for key, v in terms.items()})
     return (HalfPowerScalar(head, 0, qK)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import _factorize
+from .exactnum import VerificationError, _factorize
 from .intlinalg import (
     Matrix,
     SubgroupPresentation,
@@ -357,6 +357,7 @@ class Model:
         self.c = self.gr.pow(self.tau, self.c_exp)
         self.zeta = self.gr.pow(self.tau, self.zeta_exp)
         self.t = self.gr.pow(self.tau, self.t_exp)
+        self._cp = self.gr.scalar(self.P.p, self.c)  # pi^e = c p
         self._trace_vec: Optional[List[int]] = None
 
     # -- element construction ----------------------------------------------
@@ -405,19 +406,25 @@ class Model:
         return tuple(self.gr.neg(a) for a in x)
 
     def mul(self, x: Elt, y: Elt) -> Elt:
-        e = self.e
-        cp = self.gr.scalar(self.P.p, self.c)
-        acc = [self.gr.zero] * e
+        gr = self.gr
+        e = self.P.e
+        if e == 1:
+            return (gr.mul(x[0], y[0]),)
+        zero = gr.zero
+        cp = self._cp
+        acc = [zero] * e
         for i, xi in enumerate(x):
-            if xi == self.gr.zero:
+            if xi == zero:
                 continue
             for j, yj in enumerate(y):
-                prod = self.gr.mul(xi, yj)
+                if yj == zero:
+                    continue
+                prod = gr.mul(xi, yj)
                 k = i + j
                 if k >= e:
-                    prod = self.gr.mul(prod, cp)
+                    prod = gr.mul(prod, cp)
                     k -= e
-                acc[k] = self.gr.add(acc[k], prod)
+                acc[k] = gr.add(acc[k], prod)
         return tuple(acc)
 
     def pow(self, x: Elt, n: int) -> Elt:
@@ -489,15 +496,17 @@ class Model:
         acc = self.zero()
         for g in gal_elements(self.P):
             acc = self.add(acc, self.galois_act(g, x))
-        assert all(c == self.gr.zero for c in acc[1:]), "trace not in F"
-        assert self.gr.frobenius(acc[0], self.P.a) == acc[0], "trace not in F"
+        if (any(c != self.gr.zero for c in acc[1:])
+                or self.gr.frobenius(acc[0], self.P.a) != acc[0]):
+            raise VerificationError("trace not in F")
         return acc[0]
 
     def norm_K_F(self, x: Elt) -> GRElt:
         acc = self.one()
         for g in gal_elements(self.P):
             acc = self.mul(acc, self.galois_act(g, x))
-        assert all(c == self.gr.zero for c in acc[1:]), "norm not in F"
+        if any(c != self.gr.zero for c in acc[1:]):
+            raise VerificationError("norm not in F")
         return acc[0]
 
     def psi_exponent(self, z: GRElt) -> int:
@@ -616,6 +625,7 @@ class _UnitGroupSNF:
         gens[i]^p = (its raw dlog); returns the column transform V."""
         g = len(self.gens)
         p = self.M.P.p
+        self._inv_pows: Dict[int, list] = {}  # filled by _inverse_power
         rows: List[List[int]] = [[torsion_order] + [0] * (g - 1)]
         for idx in range(1, g):
             row = [-x for x in self._raw_dlog(power(self.gens[idx], p))]
@@ -630,6 +640,20 @@ class _UnitGroupSNF:
 
     def order(self) -> int:
         return prod(self.orders)
+
+    def _inverse_power(self, idx: int, c: int, inv: Callable, mul: Callable):
+        """gens[idx]^{-c} for a dlog digit 1 <= c < p.
+
+        The table of the p - 1 inverse powers of a generator is built on
+        first use from one inversion, so a digit costs one multiplication.
+        """
+        table = self._inv_pows.get(idx)
+        if table is None:
+            table = [inv(self.gens[idx])]
+            for _ in range(self.M.P.p - 2):
+                table.append(mul(table[-1], table[0]))
+            self._inv_pows[idx] = table
+        return table[c - 1]
 
     def _coords(self, w: Sequence[int]) -> List[int]:
         """Invariant-factor coordinates of the raw exponents w."""
@@ -675,29 +699,42 @@ class UnitGroupPresentation(_UnitGroupSNF):
         return self.M.tau_res_log[self.M.gr.residue(x[0])]
 
     def _raw_dlog(self, x: Elt) -> List[int]:
+        """Exponents of x in self.gens, one digit per generator.
+
+        The Teichmuller digit k0 is divided out by tau^{L - k0}, L = q_K - 1
+        the exact order of tau; each one-unit digit c by gens[idx]^{-c} from
+        _inverse_power.  So no digit inverts anything.
+        """
         M = self.M
         gr = M.gr
-        assert M.is_unit(x)
+        p = M.P.p
+        if not M.is_unit(x):
+            raise VerificationError("dlog of a non-unit")
         w = [0] * len(self.gens)
         k0 = self._residue_log(x)
         w[0] = k0
-        cur = M.mul(x, M.pow(self.gens[0], -k0))
+        cur = x
+        if k0:
+            t = gr.pow(M.tau, M.P.q_K - 1 - k0)
+            cur = tuple(gr.mul(a, t) for a in x)
         for i in range(1, self.N):
             # cur = 1 + v pi^i mod pi^{i+1}; read off v's residue coefficients
             k, ii = divmod(i, M.e)
             coeff = cur[ii]
             if ii == 0:
                 coeff = gr.sub(coeff, gr.one)
-            assert all(a % M.P.p ** k == 0 for a in coeff)
-            vres = tuple((a // (M.P.p ** k)) % M.P.p for a in coeff)
+            pk = p ** k
+            if any(a % pk for a in coeff):
+                raise VerificationError(f"dlog: level {i} digit not divisible by p^{k}")
             base = 1 + (i - 1) * gr.d
-            for b in range(gr.d):
-                cb = vres[b]
+            for b, a in enumerate(coeff):
+                cb = (a // pk) % p
                 if cb:
                     w[base + b] = cb
-                    cur = M.mul(cur, M.pow(self.gens[base + b], -cb))
-        # cur must now be 1 mod pi^N
-        assert self._is_one_mod(cur), "dlog failed to terminate"
+                    inv_pow = self._inverse_power(base + b, cb, M.inv, M.mul)
+                    cur = M.mul(cur, inv_pow)
+        if not self._is_one_mod(cur):
+            raise VerificationError("dlog failed to terminate")
         return w
 
     def _is_one_mod(self, x: Elt) -> bool:
@@ -716,23 +753,36 @@ class UnitGroupPresentation(_UnitGroupSNF):
         return out
 
     def enumerate(self):
-        """Yield (coords, element) over the whole group."""
+        """Yield (coords, element) over the whole group, in odometer order.
+
+        A carry into coordinate k turns coords[j] from orders[j] - 1 to 0 for
+        every j < k, which is one more factor h_j since h_j = inv_gens[j] has
+        order orders[j] modulo pi^N; so each step multiplies by
+        h_0 h_1 ... h_k, one multiplication.  Each element agrees with
+        element_from_coords(coords) modulo pi^N.  Once the last element is
+        out, the next step must close the cycle at 1, or VerificationError
+        is raised.
+        """
+        M = self.M
         orders = self.orders
-        s = len(orders)
-        coords = [0] * s
-        elt = self.M.one()
+        steps = []
+        acc = M.one()
+        for h in self.inv_gens:
+            acc = M.mul(acc, h)
+            steps.append(acc)
+        coords = [0] * len(orders)
+        elt = M.one()
         yield tuple(coords), elt
-        total = self.order()
-        count = 1
-        while count < total:
+        for _ in range(self.order() - 1):
             k = 0
             while coords[k] == orders[k] - 1:
                 coords[k] = 0
                 k += 1
             coords[k] += 1
-            elt = self.element_from_coords(coords)
+            elt = M.mul(elt, steps[k])
             yield tuple(coords), elt
-            count += 1
+        if not self._is_one_mod(M.mul(elt, steps[-1])):
+            raise VerificationError("unit-group enumeration did not close up")
 
     def act_matrix(self, g: GalElt) -> List[List[int]]:
         """Matrix of the Galois action of g in invariant coordinates."""
@@ -770,32 +820,36 @@ class BaseUnitPresentation(_UnitGroupSNF):
         self._present(q - 1, gr.pow)
 
     def _raw_dlog(self, x: GRElt) -> List[int]:
+        """Exponents of x in self.gens, with the Newton-free digit steps of
+        UnitGroupPresentation._raw_dlog (tauF has exact order q - 1)."""
         gr = self.M.gr
         P = self.M.P
         w = [0] * len(self.gens)
         k0 = self.res_log[gr.residue(x)]
         w[0] = k0
-        cur = gr.mul(x, gr.inv(gr.pow(self.tauF, k0))) if k0 else x
+        cur = gr.mul(x, gr.pow(self.tauF, P.q - 1 - k0)) if k0 else x
         for i in range(1, P.r):
             diff = gr.sub(cur, gr.one)
-            assert all(a % P.p ** i == 0 for a in diff)
-            vres = tuple((a // P.p ** i) % P.p for a in diff)
+            pk = P.p ** i
+            if any(a % pk for a in diff):
+                raise VerificationError(f"dlog: p-level {i} digit not divisible by p^{i}")
+            vres = tuple((a // pk) % P.p for a in diff)
             if any(vres):
                 # write the residue as an F_p-combination of the residue basis
                 aug = [[col[t] for col in self.res_basis] + [vres[t]]
                        for t in range(gr.d)]
                 aug, pivots = _fp_echelon(aug, P.p, P.a)
-                assert all(row[-1] % P.p == 0 for row in aug[len(pivots):]), \
-                    "residue not in F_q"
+                if any(row[-1] % P.p for row in aug[len(pivots):]):
+                    raise VerificationError("residue not in F_q")
                 base = 1 + (i - 1) * P.a
                 for row, b in zip(aug, pivots):
                     cb = row[-1]
                     if cb:
                         w[base + b] = cb
-                        cur = gr.mul(
-                            cur, gr.inv(gr.pow(self.gens[base + b], cb))
-                        )
-        assert all(a % gr.mod == 0 for a in gr.sub(cur, gr.one)), "dlog failed"
+                        inv_pow = self._inverse_power(base + b, cb, gr.inv, gr.mul)
+                        cur = gr.mul(cur, inv_pow)
+        if any(gr.sub(cur, gr.one)):
+            raise VerificationError("dlog failed")
         return w
 
     def dlog(self, x: GRElt) -> List[int]:

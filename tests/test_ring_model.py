@@ -1,12 +1,20 @@
 """The explicit ring model R = coefficient ring with a tame uniformizer pi,
 its Galois action, and unit-group presentations."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tame_llc.ring_model import (
+    BaseUnitPresentation,
     GaloisRing,
+    Model,
     UnitGroupPresentation,
     build_model,
     centralizer_bruteforce,
@@ -175,3 +183,96 @@ def test_symplectic_pairing_is_nondegenerate(tup):
     M = build_model(params_from_q(*tup))
     ok, rank = symplectic_check(M, find_beta(M))
     assert ok
+
+
+@pytest.mark.parametrize("tup", [(3, 1, 2, 0, 3), (3, 2, 1, 0, 4)])
+def test_enumerate_yields_each_unit_once(tup):
+    P = params_from_q(*tup)
+    M = build_model(P)
+    for N in range(1, P.e * P.r + 1):
+        U = UnitGroupPresentation(M, N)
+        seen = set()
+        for coords, elt in U.enumerate():
+            assert coords not in seen
+            seen.add(coords)
+            # the incremental product is element_from_coords modulo pi^N
+            assert M.pi_valuation(M.sub(elt, U.element_from_coords(coords))) >= N
+            assert U.dlog(elt) == list(coords)
+        assert len(seen) == U.order()
+
+
+@given(st.sampled_from([(3, 2, 1, 0, 4), (3, 1, 2, 0, 3), (9, 2, 2, 0, 3),
+                        (5, 2, 1, 0, 3)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_base_unit_dlog_round_trip(tup, data):
+    M = build_model(params_from_q(*tup))
+    B = BaseUnitPresentation(M)
+    gr = M.gr
+    exps = [data.draw(st.integers(-50, 50)) for _ in B.gens]
+    x = gr.one
+    for g, ex in zip(B.gens, exps):
+        x = gr.mul(x, gr.pow(g, ex))
+    assert B.dlog(x) == B._coords(exps)
+
+
+def _random_units(M, count, seed):
+    rng = random.Random(seed)
+    mod = M.gr.mod
+    units = []
+    while len(units) < count:
+        x = tuple(tuple(rng.randrange(mod) for _ in range(M.gr.d))
+                  for _ in range(M.e))
+        if M.is_unit(x):
+            units.append(x)
+    return units
+
+
+def test_dlog_inverts_once_per_generator(monkeypatch):
+    # deterministic counters of the dlog hot path, never wall time
+    M = build_model(params_from_q(3, 2, 1, 0, 4))
+    U = UnitGroupPresentation(M, 8)
+    B = BaseUnitPresentation(M)
+    units = _random_units(M, 200, seed=4)
+    calls = {"Model.inv": 0, "GaloisRing.inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Model, "inv", counted("Model.inv", Model.inv))
+    monkeypatch.setattr(GaloisRing, "inv", counted("GaloisRing.inv", GaloisRing.inv))
+    one_units = len(U.gens) - 1
+    logs = [U.dlog(x) for x in units]
+    assert calls["Model.inv"] <= one_units
+    assert calls["GaloisRing.inv"] <= calls["Model.inv"]
+    # with the tables built, no digit inverts anything
+    calls.update({"Model.inv": 0, "GaloisRing.inv": 0})
+    assert [U.dlog(x) for x in units] == logs
+    assert calls == {"Model.inv": 0, "GaloisRing.inv": 0}
+    for x in units:
+        B.dlog(M.norm_K_F(x))
+    assert calls["GaloisRing.inv"] <= len(B.gens) - 1
+
+
+def test_dlog_check_survives_python_O():
+    # under -O every assert vanishes; the termination check must still raise
+    code = textwrap.dedent("""
+        from tame_llc.exactnum import VerificationError
+        from tame_llc.ring_model import UnitGroupPresentation, build_model
+        from tame_llc.tame_galois import params_from_q
+        assert False, "asserts are on"
+        M = build_model(params_from_q(3, 1, 2, 0, 3))
+        U = UnitGroupPresentation(M, 3)
+        U._is_one_mod = lambda x: False
+        try:
+            U.dlog(M.add(M.one(), M.pi()))
+        except VerificationError:
+            print("raised")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
