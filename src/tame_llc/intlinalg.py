@@ -3,12 +3,17 @@ transforms, integer linear solving, and finite-abelian-group plumbing
 (subgroup presentations, homomorphism kernels, character extension).
 
 All matrices here are tiny (at most a few dozen rows), so the classical
-cubic algorithms with exact big integers are more than enough.
+cubic algorithms with exact big integers suffice, provided each Euclid step
+divides by the smallest entry of its column: dividing always by the row in
+the pivot slot lets the transforms of the chi-data systems grow to millions
+of bits.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
+
+from .exactnum import VerificationError
 
 Matrix = List[List[int]]
 
@@ -65,25 +70,25 @@ def hnf_row(mat: Matrix) -> Tuple[Matrix, Matrix]:
     u = identity_matrix(n)
     row = 0
     for col in range(m):
-        # find a pivot
-        piv = None
-        for i in range(row, n):
-            if h[i][col]:
-                piv = i
+        # Euclid on the whole column: move the smallest nonzero |entry| to
+        # the pivot slot and reduce every row below by it, until the pivot
+        # is alone.  Dividing by the smallest entry keeps H and U small.
+        while True:
+            live = [i for i in range(row, n) if h[i][col]]
+            if not live:
                 break
-        if piv is None:
-            continue
-        h[row], h[piv] = h[piv], h[row]
-        u[row], u[piv] = u[piv], u[row]
-        # eliminate below via euclid
-        for i in range(row + 1, n):
-            while h[i][col]:
-                q = h[row][col] // h[i][col]
+            piv = min(live, key=lambda i: abs(h[i][col]))
+            h[row], h[piv] = h[piv], h[row]
+            u[row], u[piv] = u[piv], u[row]
+            if len(live) == 1:
+                break
+            for i in range(row + 1, n):
+                q = h[i][col] // h[row][col]
                 if q:
-                    h[row] = [x - q * y for x, y in zip(h[row], h[i])]
-                    u[row] = [x - q * y for x, y in zip(u[row], u[i])]
-                h[row], h[i] = h[i], h[row]
-                u[row], u[i] = u[i], u[row]
+                    h[i] = [x - q * y for x, y in zip(h[i], h[row])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[row])]
+        if not live:
+            continue
         if h[row][col] < 0:
             h[row] = [-x for x in h[row]]
             u[row] = [-x for x in u[row]]
@@ -264,7 +269,8 @@ class SubgroupPresentation:
         rel = []
         for target in diag(self.ambient_orders):
             y = solve_left(basis_m, target)
-            assert y is not None, "diag(d) must lie in the subgroup lattice"
+            if y is None:
+                raise VerificationError("diag(d) must lie in the subgroup lattice")
             rel.append(y)
         snf, _, v = smith_normal_form(rel)
         vinv = invert_unimodular(v)
@@ -381,6 +387,7 @@ def extend_character(
     hom_w += diag(d)
     h, _ = hnf_row(hom_w)
     h = [r for r in h if any(r)]
-    assert len(h) == s
+    if len(h) != s:
+        raise VerificationError("solution lattice of a character extension is not full rank")
     w = reduce_mod_lattice(h, w)
     return [w[i] % d[i] for i in range(s)]

@@ -684,11 +684,17 @@ class UnitGroupPresentation(_UnitGroupSNF):
                 self.levels.append((i, b))
         self.gens = gens
         vinv = invert_unimodular(self._present(M.P.q_K - 1, M.pow))
-        # generators of the invariant-factor coordinates
+        # generators of the invariant-factor coordinates.  The exponents are
+        # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
+        # so each h is the same element as with the raw exponents: tau has
+        # exact order q_K - 1, and for v(y) >= 1, (1+y)^p - 1 has valuation
+        # >= v(y) + 1 (v(p) = e >= 1), so (1+y)^{p^{er-1}} = 1.
+        one_unit_exp = M.P.p ** (M.e * M.P.r - 1)
         self.inv_gens: List[Elt] = []
         for k in self._keep:
             h = M.one()
             for jj, ex in enumerate(vinv[k]):
+                ex %= M.P.q_K - 1 if jj == 0 else one_unit_exp
                 if ex:
                     h = M.mul(h, M.pow(gens[jj], ex))
             self.inv_gens.append(h)

@@ -66,6 +66,26 @@ def test_twist_conductors_match_prediction(tup):
         assert conductor_bruteforce(sys, tw) == twist_conductor_predicted(P, gamma)
 
 
+def test_chi_data_hnf_entries_stay_small(monkeypatch):
+    # the largest bit length of any H or U that hnf_row returns while the
+    # chi-data is built: a deterministic counter, never wall time
+    from tame_llc import intlinalg
+
+    inner = intlinalg.hnf_row
+    largest = [0]
+
+    def measured(mat):
+        h, u = inner(mat)
+        bits = [abs(x).bit_length() for row in h + u for x in row]
+        largest[0] = max([largest[0]] + bits)
+        return h, u
+
+    monkeypatch.setattr(intlinalg, "hnf_row", measured)
+    for tup in [(9, 2, 2, 0, 4), (3, 2, 2, 0, 8)]:
+        CharacterSystem(build_model(params_from_q(*tup))).c_char()
+    assert 0 < largest[0] <= 1000
+
+
 def test_gauss_sum_methods_agree(sys_ramified, sys_unramified):
     for sys in (sys_ramified, sys_unramified):
         P = sys.P

@@ -57,6 +57,61 @@ def test_hnf_transform_reproduces_the_form(mat):
     assert mat_mul(t, mat) == h
 
 
+tall_matrices = st.integers(1, 8).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-50, 50), min_size=m, max_size=m),
+            min_size=n, max_size=n,
+        )
+    )
+)
+
+
+def _hnf_slot_euclid(mat):
+    """H by Euclid steps that always divide by the row in the pivot slot:
+    a second elimination order, for reference on small matrices only (its
+    intermediate entries blow up on large ones)."""
+    h = [list(r) for r in mat]
+    n, m = len(h), len(h[0])
+    row = 0
+    for col in range(m):
+        piv = next((i for i in range(row, n) if h[i][col]), None)
+        if piv is None:
+            continue
+        h[row], h[piv] = h[piv], h[row]
+        for i in range(row + 1, n):
+            while h[i][col]:
+                q = h[row][col] // h[i][col]
+                h[row] = [x - q * y for x, y in zip(h[row], h[i])]
+                h[row], h[i] = h[i], h[row]
+        if h[row][col] < 0:
+            h[row] = [-x for x in h[row]]
+        for i in range(row):
+            q = h[i][col] // h[row][col]
+            h[i] = [x - q * y for x, y in zip(h[i], h[row])]
+        row += 1
+        if row == n:
+            break
+    return h
+
+
+@given(st.one_of(small_matrices, tall_matrices))
+def test_hnf_is_the_canonical_form(mat):
+    h, u = hnf_row(mat)
+    assert mat_mul(u, mat) == h
+    assert mat_mul(invert_unimodular(u), u) == identity_matrix(len(mat))
+    nonzero = [r for r in h if any(r)]
+    # zero rows last, then echelon form with positive, reduced pivots
+    assert h[: len(nonzero)] == nonzero
+    pivots = [next(j for j, x in enumerate(r) if x) for r in nonzero]
+    assert pivots == sorted(set(pivots))
+    for i, j in enumerate(pivots):
+        assert h[i][j] > 0
+        assert all(0 <= h[k][j] < h[i][j] for k in range(i))
+    # the HNF is unique, so any correct elimination order gives the same H
+    assert h == _hnf_slot_euclid(mat)
+
+
 @given(small_matrices)
 def test_left_kernel_annihilates(mat):
     for row in left_kernel_basis(mat):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tame_llc.intlinalg import invert_unimodular
 from tame_llc.ring_model import (
     BaseUnitPresentation,
     GaloisRing,
@@ -199,6 +200,28 @@ def test_enumerate_yields_each_unit_once(tup):
             assert M.pi_valuation(M.sub(elt, U.element_from_coords(coords))) >= N
             assert U.dlog(elt) == list(coords)
         assert len(seen) == U.order()
+
+
+@pytest.mark.parametrize("tup", [(3, 2, 1, 0, 4), (3, 4, 2, 0, 3),
+                                 (5, 2, 2, 1, 5), (7, 3, 1, 0, 3)])
+def test_invariant_generators_match_raw_exponents(tup):
+    # inv_gens reduces its exponents by orders that hold exactly in the
+    # model ring, so every generator is the one the raw exponents give
+    P = params_from_q(*tup)
+    M = build_model(P)
+    top = P.e * P.r
+    for N in range(1, top + 1):
+        U = UnitGroupPresentation(M, N)
+        vinv = invert_unimodular(U._v)
+        raw = []
+        for k in U._keep:
+            h = M.one()
+            for g, ex in zip(U.gens, vinv[k]):
+                h = M.mul(h, M.pow(g, ex))
+            raw.append(h)
+        assert U.inv_gens == raw
+        for g in U.gens[1:]:
+            assert M.pow(g, P.p ** (top - 1)) == M.one()
 
 
 @given(st.sampled_from([(3, 2, 1, 0, 4), (3, 1, 2, 0, 3), (9, 2, 2, 0, 3),
