@@ -50,13 +50,6 @@ class ExtensionObstruction(RuntimeError):
     pass
 
 
-def additive_char_value(p: int, k: int, x: int) -> Cyclotomic:
-    """zeta_{p^k}^x: the level-k additive character of Z/p^k."""
-    if k == 0:
-        return Cyclotomic.one()
-    return Cyclotomic.root_of_unity(p ** k, x % p ** k)
-
-
 @dataclass(frozen=True)
 class MultCharacter:
     """Character of (+) Z/d_i by exponents: value on e_i is zeta_{d_i}^{w_i}."""
@@ -105,22 +98,9 @@ class MultCharacter:
 # theta: extension of chi_beta from the congruence subgroup to U-bar
 # ---------------------------------------------------------------------------
 
-def chi_beta(M: Model, beta: Elt, x: Elt) -> Cyclotomic:
-    """psi(varpi_F^{-l'} T_{K/F}(y beta)) for x = 1 + varpi_F^l y."""
-    P = M.P
-    l = P.level_l
-    lp = P.level_l_prime
-    diff = M.sub(x, M.one())
-    if M.pi_valuation(diff) < P.e * l:
-        raise NotInSubgroup("x is not in 1 + p^l O_K")
-    pl = P.p ** l
-    y = tuple(tuple(a // pl for a in c) for c in diff)
-    tracef = M.trace_functional()
-    val = tracef(M.mul(y, beta))
-    return additive_char_value(P.p, lp, val)
-
-
 def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Tuple[int, int]:
+    """chi_beta(x) = psi(varpi_F^{-l'} T_{K/F}(y beta)) for x = 1 + varpi_F^l y,
+    as a reduced fraction (num, den) of a full turn."""
     P = M.P
     l, lp = P.level_l, P.level_l_prime
     diff = M.sub(x, M.one())
@@ -146,6 +126,7 @@ class CharacterSystem:
         self.M = M
         self.P = M.P
         self.U = UnitGroupPresentation(M, M.P.e * M.P.r)
+        self._unit_groups = {self.U.N: self.U}  # level -> presentation
         self.Ubar = kernel_of_norm(M, self.U)
         self.beta = find_beta(M) if beta is None else beta
         self._theta: Optional[MultCharacter] = None
@@ -155,6 +136,13 @@ class CharacterSystem:
         self._minus_one_coords: Optional[List[int]] = None
 
     # -- coordinates ---------------------------------------------------------
+
+    def unit_group(self, k: int) -> UnitGroupPresentation:
+        """The presentation of (R/pi^k)^x, built once per level."""
+        Uk = self._unit_groups.get(k)
+        if Uk is None:
+            Uk = self._unit_groups[k] = UnitGroupPresentation(self.M, k)
+        return Uk
 
     def ubar_coords(self, x: Elt) -> List[int]:
         w = self.U.dlog(x)
@@ -245,7 +233,7 @@ class CharacterSystem:
                 rows.append(list(b))
                 if ramified:
                     elt = U.element_from_coords(b)
-                    k = M.tau_res_log[M.gr.residue(elt[0])]
+                    k = M.residue_log(elt[0])
                     fracs.append((k % 2, 2) if k % 2 else (0, 1))
                 else:
                     fracs.append((0, 1))
@@ -421,7 +409,7 @@ def gauss_sum(
     if k == 0:
         return HalfPowerScalar.one(qK)
     lev, psi = _psi_K_data(M, k, sign)
-    Uk = UnitGroupPresentation(M, k)
+    Uk = sys.unit_group(k)
     chik = sys.restrict_to_level(chi, Uk)
     if method == "auto":
         method = "literal" if Uk.order() <= LITERAL_GAUSS_THRESHOLD else "stationary"

@@ -9,8 +9,8 @@ a deterministic lexicographic search over the consistency congruences.
 
 Unit groups of the quotients R / pi^N are presented by generators and a
 relation lattice in Smith normal form, which gives exact discrete
-logarithms; this is the engine behind character extension, conductor
-brute forcing and Gauss sums.
+logarithms; this one engine is behind the norm kernel, character
+extension, conductor brute forcing and Gauss sums.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
 from .intlinalg import (
-    Matrix,
     SubgroupPresentation,
     invert_unimodular,
+    kernel_subgroup,
     smith_normal_form,
 )
-from .tame_galois import GalElt, TameParams, gal_elements
+from .tame_galois import GalElt, TameParams, gal_elements, gal_mul
 
 GRElt = Tuple[int, ...]
 
@@ -273,7 +273,8 @@ class GaloisRing:
             t = self.teichmuller(cur)
             out.append(t)
             diff = self.sub(cur, t)
-            assert all(a % self.p == 0 for a in diff)
+            if any(a % self.p for a in diff):
+                raise VerificationError("Teichmuller digit is not congruent mod p")
             cur = tuple(a // self.p for a in diff)
         return out
 
@@ -314,7 +315,8 @@ class GaloisRing:
         for _ in range(self.d):
             acc = self.add(acc, cur)
             cur = self.frobenius(cur)
-        assert all(a == 0 for a in acc[1:]), "trace did not land in Z/p^r"
+        if any(acc[1:]):
+            raise VerificationError("trace did not land in Z/p^r")
         return acc[0]
 
 
@@ -441,6 +443,10 @@ class Model:
 
     def is_unit(self, x: Elt) -> bool:
         return self.gr.is_unit(x[0])
+
+    def residue_log(self, x: GRElt) -> int:
+        """The exponent k with x = tau^k mod p, for a unit x of GR."""
+        return self.tau_res_log[self.gr.residue(x)]
 
     def inv(self, x: Elt) -> Elt:
         if not self.is_unit(x):
@@ -588,87 +594,40 @@ def _verify_model(M: Model):
     P = M.P
     gr = M.gr
     # zeta_e has exact order e
-    assert gr.pow(M.zeta, P.e) == gr.one
+    if gr.pow(M.zeta, P.e) != gr.one:
+        raise VerificationError("zeta^e is not 1")
     for ell in _factorize(P.e):
-        assert gr.pow(M.zeta, P.e // ell) != gr.one, "zeta order too small"
+        if gr.pow(M.zeta, P.e // ell) == gr.one:
+            raise VerificationError("zeta order too small")
     pi = M.pi()
     # pi^e = c p
-    assert M.pow(pi, P.e) == M.from_gr(gr.scalar(P.p, M.c))
+    if M.pow(pi, P.e) != M.from_gr(gr.scalar(P.p, M.c)):
+        raise VerificationError("pi^e is not c p")
     # group homomorphism property on a generating pair, applied to pi and
     # the coefficient generator
     samples = [pi, M.from_gr(gr.gen), M.from_gr(M.tau)]
     for g1 in (GalElt(1 % P.e, 0), GalElt(0, 1 % P.f)):
         for g2 in (GalElt(1 % P.e, 0), GalElt(0, 1 % P.f)):
-            from .tame_galois import gal_mul
             g12 = gal_mul(g1, g2, P)
             for x in samples:
                 lhs = M.galois_act(g1, M.galois_act(g2, x))
-                assert lhs == M.galois_act(g12, x), "action not a homomorphism"
+                if lhs != M.galois_act(g12, x):
+                    raise VerificationError("action not a homomorphism")
 
 
 # ---------------------------------------------------------------------------
 # unit group presentations
 # ---------------------------------------------------------------------------
 
-class _UnitGroupSNF:
-    """Invariant-factor machinery shared by the unit-group presentations.
-
-    A subclass sets self.M and self.gens (a torsion generator first, then
-    one-units) and provides _raw_dlog, the exponents of an element in
-    self.gens.  The relation lattice has determinant equal to the group
-    order, so it is the full lattice and Smith normal form yields the group
-    structure.
-    """
-
-    def _present(self, torsion_order: int, power: Callable) -> Matrix:
-        """Smith normal form of the relations gens[0]^torsion_order = 1 and
-        gens[i]^p = (its raw dlog); returns the column transform V."""
-        g = len(self.gens)
-        p = self.M.P.p
-        self._inv_pows: Dict[int, list] = {}  # filled by _inverse_power
-        rows: List[List[int]] = [[torsion_order] + [0] * (g - 1)]
-        for idx in range(1, g):
-            row = [-x for x in self._raw_dlog(power(self.gens[idx], p))]
-            row[idx] += p
-            rows.append(row)
-        s, _, v = smith_normal_form(rows)
-        self._v = v
-        self.all_orders = [s[i][i] for i in range(g)]
-        self._keep = [i for i in range(g) if self.all_orders[i] != 1]
-        self.orders = [self.all_orders[i] for i in self._keep]
-        return v
-
-    def order(self) -> int:
-        return prod(self.orders)
-
-    def _inverse_power(self, idx: int, c: int, inv: Callable, mul: Callable):
-        """gens[idx]^{-c} for a dlog digit 1 <= c < p.
-
-        The table of the p - 1 inverse powers of a generator is built on
-        first use from one inversion, so a digit costs one multiplication.
-        """
-        table = self._inv_pows.get(idx)
-        if table is None:
-            table = [inv(self.gens[idx])]
-            for _ in range(self.M.P.p - 2):
-                table.append(mul(table[-1], table[0]))
-            self._inv_pows[idx] = table
-        return table[c - 1]
-
-    def _coords(self, w: Sequence[int]) -> List[int]:
-        """Invariant-factor coordinates of the raw exponents w."""
-        return [
-            sum(wi * self._v[i][j] for i, wi in enumerate(w)) % self.all_orders[j]
-            for j in self._keep
-        ]
-
-
-class UnitGroupPresentation(_UnitGroupSNF):
+class UnitGroupPresentation:
     """Invariant-factor presentation of (R/pi^N)^x with exact discrete logs.
 
     Generators: the Teichmuller generator tau, then the one-units
     1 + x^b p^k pi^j for each level 1 <= i = ke + j < N and monomial basis
-    index b.
+    index b.  The relation lattice (tau^{q_K - 1} = 1 and each one-unit's
+    p-th power written in the generators) has determinant equal to the
+    group order, so it is the full lattice and Smith normal form yields the
+    group structure.
     """
 
     def __init__(self, M: Model, N: int):
@@ -683,7 +642,19 @@ class UnitGroupPresentation(_UnitGroupSNF):
                 gens.append(M.add(M.one(), M.monomial(b, i)))
                 self.levels.append((i, b))
         self.gens = gens
-        vinv = invert_unimodular(self._present(M.P.q_K - 1, M.pow))
+        self._inv_pows: Dict[int, List[Elt]] = {}  # filled by _inverse_power
+        # relations: tau^{q_K - 1} = 1, and gens[i]^p written in the gens
+        p = M.P.p
+        rows: List[List[int]] = [[M.P.q_K - 1] + [0] * (len(gens) - 1)]
+        for idx in range(1, len(gens)):
+            row = [-x for x in self._raw_dlog(M.pow(gens[idx], p))]
+            row[idx] += p
+            rows.append(row)
+        s, _, self._v = smith_normal_form(rows)
+        self.all_orders = [s[i][i] for i in range(len(gens))]
+        self._keep = [i for i, d in enumerate(self.all_orders) if d != 1]
+        self.orders = [self.all_orders[i] for i in self._keep]
+        vinv = invert_unimodular(self._v)
         # generators of the invariant-factor coordinates.  The exponents are
         # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
         # so each h is the same element as with the raw exponents: tau has
@@ -699,10 +670,32 @@ class UnitGroupPresentation(_UnitGroupSNF):
                     h = M.mul(h, M.pow(gens[jj], ex))
             self.inv_gens.append(h)
 
+    def order(self) -> int:
+        return prod(self.orders)
+
     # -- discrete logs -------------------------------------------------------
 
-    def _residue_log(self, x: Elt) -> int:
-        return self.M.tau_res_log[self.M.gr.residue(x[0])]
+    def _inverse_power(self, idx: int, c: int) -> Elt:
+        """gens[idx]^{-c} for a dlog digit 1 <= c < p.
+
+        The table of the p - 1 inverse powers of a generator is built on
+        first use from one inversion, so a digit costs one multiplication.
+        """
+        table = self._inv_pows.get(idx)
+        if table is None:
+            M = self.M
+            table = [M.inv(self.gens[idx])]
+            for _ in range(M.P.p - 2):
+                table.append(M.mul(table[-1], table[0]))
+            self._inv_pows[idx] = table
+        return table[c - 1]
+
+    def _coords(self, w: Sequence[int]) -> List[int]:
+        """Invariant-factor coordinates of the raw exponents w."""
+        return [
+            sum(wi * self._v[i][j] for i, wi in enumerate(w)) % self.all_orders[j]
+            for j in self._keep
+        ]
 
     def _raw_dlog(self, x: Elt) -> List[int]:
         """Exponents of x in self.gens, one digit per generator.
@@ -717,7 +710,7 @@ class UnitGroupPresentation(_UnitGroupSNF):
         if not M.is_unit(x):
             raise VerificationError("dlog of a non-unit")
         w = [0] * len(self.gens)
-        k0 = self._residue_log(x)
+        k0 = M.residue_log(x[0])
         w[0] = k0
         cur = x
         if k0:
@@ -737,7 +730,7 @@ class UnitGroupPresentation(_UnitGroupSNF):
                 cb = (a // pk) % p
                 if cb:
                     w[base + b] = cb
-                    inv_pow = self._inverse_power(base + b, cb, M.inv, M.mul)
+                    inv_pow = self._inverse_power(base + b, cb)
                     cur = M.mul(cur, inv_pow)
         if not self._is_one_mod(cur):
             raise VerificationError("dlog failed to terminate")
@@ -795,81 +788,15 @@ class UnitGroupPresentation(_UnitGroupSNF):
         return [self.dlog(self.M.galois_act(g, h)) for h in self.inv_gens]
 
 
-class BaseUnitPresentation(_UnitGroupSNF):
-    """Units of the F-subring GR(p^r, a) sitting inside the big model ring,
-    with p-levels and residue basis the powers of the Teichmuller generator
-    of F_q; the arithmetic is that of the Galois ring."""
-
-    def __init__(self, M: Model):
-        self.M = M
-        gr = M.gr
-        P = M.P
-        q, qK = P.q, P.q_K
-        self.tauF = gr.pow(M.tau, (qK - 1) // (q - 1))
-        # residue log table for F_q^* inside the big residue field
-        self.res_log: Dict[GRElt, int] = {}
-        cur = gr.one
-        for k in range(q - 1):
-            self.res_log[gr.residue(cur)] = k
-            cur = gr.mul(cur, self.tauF)
-        # residue basis of F_q over F_p: powers of tauF
-        self.res_basis = [
-            gr.residue(gr.pow(self.tauF, b)) for b in range(P.a)
-        ]
-        gens: List[GRElt] = [self.tauF]
-        for i in range(1, P.r):
-            for b in range(P.a):
-                gens.append(
-                    gr.add(gr.one, gr.scalar(P.p ** i, gr.pow(self.tauF, b)))
-                )
-        self.gens = gens
-        self._present(q - 1, gr.pow)
-
-    def _raw_dlog(self, x: GRElt) -> List[int]:
-        """Exponents of x in self.gens, with the Newton-free digit steps of
-        UnitGroupPresentation._raw_dlog (tauF has exact order q - 1)."""
-        gr = self.M.gr
-        P = self.M.P
-        w = [0] * len(self.gens)
-        k0 = self.res_log[gr.residue(x)]
-        w[0] = k0
-        cur = gr.mul(x, gr.pow(self.tauF, P.q - 1 - k0)) if k0 else x
-        for i in range(1, P.r):
-            diff = gr.sub(cur, gr.one)
-            pk = P.p ** i
-            if any(a % pk for a in diff):
-                raise VerificationError(f"dlog: p-level {i} digit not divisible by p^{i}")
-            vres = tuple((a // pk) % P.p for a in diff)
-            if any(vres):
-                # write the residue as an F_p-combination of the residue basis
-                aug = [[col[t] for col in self.res_basis] + [vres[t]]
-                       for t in range(gr.d)]
-                aug, pivots = _fp_echelon(aug, P.p, P.a)
-                if any(row[-1] % P.p for row in aug[len(pivots):]):
-                    raise VerificationError("residue not in F_q")
-                base = 1 + (i - 1) * P.a
-                for row, b in zip(aug, pivots):
-                    cb = row[-1]
-                    if cb:
-                        w[base + b] = cb
-                        inv_pow = self._inverse_power(base + b, cb, gr.inv, gr.mul)
-                        cur = gr.mul(cur, inv_pow)
-        if any(gr.sub(cur, gr.one)):
-            raise VerificationError("dlog failed")
-        return w
-
-    def dlog(self, x: GRElt) -> List[int]:
-        """Coordinates of x in the invariant-factor basis."""
-        return self._coords(self._raw_dlog(x))
-
-
 def kernel_of_norm(M: Model, U: UnitGroupPresentation) -> SubgroupPresentation:
-    """The subgroup U-bar = ker(N_{K/F}) of the full unit group U(er)."""
-    from .intlinalg import kernel_subgroup
-    B = BaseUnitPresentation(M)
-    # matrix of the norm map in invariant coordinates
-    rows = [B.dlog(M.norm_K_F(h)) for h in U.inv_gens]
-    return kernel_subgroup(list(U.orders), rows, list(B.orders))
+    """The subgroup U-bar = ker(N_{K/F}) of the full unit group U(er).
+
+    The norm lands in O_F/p^r, which embeds in the model ring because
+    p_K^{er} meets O_F in p^r O_F; so U itself reads the norm, and its
+    kernel as a map U -> U is ker(N_{K/F}).
+    """
+    rows = [U.dlog(M.from_gr(M.norm_K_F(h))) for h in U.inv_gens]
+    return kernel_subgroup(list(U.orders), rows, list(U.orders))
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +818,8 @@ def find_beta(M: Model) -> Elt:
         beta = M.sub(tau_elt, corr)
         if P.e > 1:
             beta = M.add(beta, M.pi())
-    assert M.trace_K_F(beta) == gr.zero, "beta has nonzero trace"
+    if M.trace_K_F(beta) != gr.zero:
+        raise VerificationError("beta has nonzero trace")
     if not _is_generator(M, beta):
         raise NoGenerator(f"search produced a non-generator for {P}")
     return beta

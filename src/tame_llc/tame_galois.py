@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .exactnum import VerificationError, _factorize
@@ -218,7 +219,10 @@ def order_two_set(P: TameParams) -> OrderTwoData:
     )
 
 
+@lru_cache(maxsize=1)
 def commutator_subgroup(P: TameParams) -> FrozenSet[GalElt]:
+    """[Gamma, Gamma]; the last tuple's subgroup is kept, so the norm_index
+    calls of one request build it once."""
     inv = {g: gal_inv(g, P) for g in gal_elements(P)}
     gens = set()
     for g in inv:

@@ -129,13 +129,13 @@ def test_twist_root_number_against_value_at_minus_one(sys_ramified, sys_unramifi
 
 
 # 6. root number identity on every supported ring-model tuple with
-#    n <= 4, q <= 7, 3 <= r <= 4
+#    n <= 4, q <= 9, 3 <= r <= 4; the q = 9 tuples are the a = 2 cases
 def test_root_number_identity_supported_box():
     tuples = [
-        P for P in valid_tuples([3, 5, 7], 4, [3, 4])
+        P for P in valid_tuples([3, 5, 7, 9], 4, [3, 4])
         if root_number_supported(P) is None
     ]
-    assert len(tuples) == 28
+    assert len(tuples) == 36
     for P in tuples:
         assert verify_root_number(P).status == "OK", P
 

@@ -5,15 +5,16 @@ import pytest
 
 from tame_llc.characters import (
     CharacterSystem,
-    chi_beta,
+    chi_beta_fraction,
     conductor_bruteforce,
     gauss_sum,
     quadratic_gauss_sum_field,
     regularity_check,
 )
+from tame_llc.conjectures import verify_root_number
 from tame_llc.exactnum import Cyclotomic, HalfPowerScalar
 from tame_llc.llc_parameters import twist_conductor_predicted
-from tame_llc.ring_model import build_model
+from tame_llc.ring_model import UnitGroupPresentation, build_model
 from tame_llc.tame_galois import GAL_ID, order_two_set, params_from_q
 
 
@@ -27,7 +28,28 @@ def test_theta_extends_chi_beta(sys_ramified, sys_unramified):
         H = sys.congruence_subgroup()
         for b in H.basis:
             elt = sys.U.element_from_coords(list(b))
-            assert sys.theta_of(elt) == chi_beta(M, sys.beta, elt)
+            num, den = chi_beta_fraction(M, sys.beta, elt)
+            assert sys.theta_of(elt) == Cyclotomic.root_of_unity(den, num)
+
+
+@pytest.mark.parametrize("tup", [(3, 1, 4, 0, 3), (3, 2, 2, 0, 4)])
+def test_root_number_builds_each_level_once(tup, monkeypatch):
+    # at e = 1 the twist Gauss sums sit at level e r, the level of U itself;
+    # at (3, 2, 2, 0, 4) two of them share level 7
+    P = params_from_q(*tup)
+    sys = CharacterSystem(build_model(P))
+    built = []
+    init = UnitGroupPresentation.__init__
+
+    def counted(self, M, N):
+        built.append(N)
+        init(self, M, N)
+
+    monkeypatch.setattr(UnitGroupPresentation, "__init__", counted)
+    assert verify_root_number(P, sys).status == "OK"
+    assert len(built) == len(set(built))
+    assert P.e * P.r not in built
+    assert sys.unit_group(P.e * P.r) is sys.U
 
 
 def test_theta_is_multiplicative_on_norm_one_units(sys_ramified):

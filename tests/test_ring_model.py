@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tame_llc.conjectures import valid_tuples
 from tame_llc.intlinalg import invert_unimodular
 from tame_llc.ring_model import (
-    BaseUnitPresentation,
     GaloisRing,
     Model,
     UnitGroupPresentation,
@@ -24,7 +24,7 @@ from tame_llc.ring_model import (
     regular_rep_matrix,
     symplectic_check,
 )
-from tame_llc.tame_galois import GalElt, gal_elements, params_from_q
+from tame_llc.tame_galois import GalElt, gal_elements, norm_index, params_from_q
 
 RINGS = [(3, 2, 1), (3, 2, 2), (5, 2, 1), (5, 3, 2), (7, 2, 2), (3, 4, 3)]
 
@@ -168,6 +168,19 @@ def test_norm_one_subgroup_members_have_norm_one(model):
         assert M.norm_K_F(x) == M.gr.one
 
 
+def test_norm_kernel_is_the_whole_kernel():
+    # U / U-bar is the norm image, of index norm_index(P) in the
+    # (q - 1) q^{r-1} units of O_F / p^r; a = 2 (q = 9) is included
+    tuples = [P for P in valid_tuples([3, 5, 7, 9], 4, [2, 3, 4]) if P.q_K <= 2000]
+    assert len(tuples) == 105
+    for P in tuples:
+        M = build_model(P)
+        U = UnitGroupPresentation(M, P.e * P.r)
+        Ubar = kernel_of_norm(M, U)
+        assert (Ubar.order * (P.q - 1) * P.q ** (P.r - 1)
+                == U.order() * norm_index(P)), P
+
+
 def test_beta_generates_and_is_regular(model):
     M = model
     beta = find_beta(M)
@@ -224,20 +237,6 @@ def test_invariant_generators_match_raw_exponents(tup):
             assert M.pow(g, P.p ** (top - 1)) == M.one()
 
 
-@given(st.sampled_from([(3, 2, 1, 0, 4), (3, 1, 2, 0, 3), (9, 2, 2, 0, 3),
-                        (5, 2, 1, 0, 3)]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_base_unit_dlog_round_trip(tup, data):
-    M = build_model(params_from_q(*tup))
-    B = BaseUnitPresentation(M)
-    gr = M.gr
-    exps = [data.draw(st.integers(-50, 50)) for _ in B.gens]
-    x = gr.one
-    for g, ex in zip(B.gens, exps):
-        x = gr.mul(x, gr.pow(g, ex))
-    assert B.dlog(x) == B._coords(exps)
-
-
 def _random_units(M, count, seed):
     rng = random.Random(seed)
     mod = M.gr.mod
@@ -254,7 +253,6 @@ def test_dlog_inverts_once_per_generator(monkeypatch):
     # deterministic counters of the dlog hot path, never wall time
     M = build_model(params_from_q(3, 2, 1, 0, 4))
     U = UnitGroupPresentation(M, 8)
-    B = BaseUnitPresentation(M)
     units = _random_units(M, 200, seed=4)
     calls = {"Model.inv": 0, "GaloisRing.inv": 0}
 
@@ -274,9 +272,6 @@ def test_dlog_inverts_once_per_generator(monkeypatch):
     calls.update({"Model.inv": 0, "GaloisRing.inv": 0})
     assert [U.dlog(x) for x in units] == logs
     assert calls == {"Model.inv": 0, "GaloisRing.inv": 0}
-    for x in units:
-        B.dlog(M.norm_K_F(x))
-    assert calls["GaloisRing.inv"] <= len(B.gens) - 1
 
 
 def test_dlog_check_survives_python_O():
@@ -299,3 +294,47 @@ def test_dlog_check_survives_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised\n"
+
+
+def test_model_checks_survive_python_O():
+    # the model, beta and Galois-ring checks raise VerificationError, which
+    # -O does not remove
+    code = textwrap.dedent("""
+        from tame_llc.exactnum import VerificationError
+        from tame_llc.ring_model import _verify_model, build_model, find_beta
+        from tame_llc.tame_galois import params_from_q
+        assert False, "asserts are on"
+
+        def raises(name, fn):
+            try:
+                fn()
+            except VerificationError:
+                print(name)
+
+        M = build_model(params_from_q(3, 2, 2, 0, 4))
+        gr = M.gr
+        zeta, c, t = M.zeta, M.c, M.t
+        M.zeta = gr.from_int(2)
+        raises("zeta^e", lambda: _verify_model(M))
+        M.zeta = gr.one
+        raises("zeta order", lambda: _verify_model(M))
+        M.zeta, M.c = zeta, gr.from_int(2)
+        raises("pi^e", lambda: _verify_model(M))
+        M.c, M.t = c, gr.from_int(2)
+        raises("homomorphism", lambda: _verify_model(M))
+        M.t = t
+        _verify_model(M)
+        M.trace_K_F = lambda x: gr.one
+        raises("beta trace", lambda: find_beta(M))
+        gr.teichmuller = lambda x: gr.zero
+        raises("digits", lambda: gr.digits(gr.one))
+        gr.frobenius = lambda x, k=1: x
+        raises("trace", lambda: gr.trace_abs(gr.gen))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:-1] == [
+        "zeta^e", "zeta order", "pi^e", "homomorphism", "beta trace",
+        "digits", "trace"]
