@@ -4,9 +4,11 @@ Gauss sums.
 All multiplicative characters are stored as exponent vectors against the
 invariant-factor generators of a unit-group presentation, so values are
 exact fractions of a full turn and only become Cyclotomic numbers at the
-edges.  Gauss sums have a literal-summation path (used whenever the unit
-group is small enough) and a stationary-phase path for high conductor,
-and the two are compared in the tests.
+edges.  There is one presentation, U at level e*r: a character trivial on
+1 + pi^k is read through its values on U's generators below level k.
+Gauss sums have a literal-summation path (used whenever the unit group is
+small enough) and a stationary-phase path for high conductor, and the two
+are compared in the tests.
 """
 
 from __future__ import annotations
@@ -74,21 +76,6 @@ class MultCharacter:
         fr = self.fraction_on_coords(coords)
         return Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
 
-    def __mul__(self, other: "MultCharacter") -> "MultCharacter":
-        assert self.orders == other.orders
-        return MultCharacter(
-            self.orders,
-            tuple((a + b) % d for a, b, d in zip(self.exps, other.exps, self.orders)),
-        )
-
-    def inverse(self) -> "MultCharacter":
-        return MultCharacter(
-            self.orders,
-            tuple((-a) % d for a, d in zip(self.exps, self.orders)),
-            None if self.value_at_uniformizer is None
-            else self.value_at_uniformizer.inv(),
-        )
-
     @classmethod
     def trivial(cls, orders: Sequence[int]) -> "MultCharacter":
         return cls(tuple(orders), tuple(0 for _ in orders))
@@ -126,7 +113,6 @@ class CharacterSystem:
         self.M = M
         self.P = M.P
         self.U = UnitGroupPresentation(M, M.P.e * M.P.r)
-        self._unit_groups = {self.U.N: self.U}  # level -> presentation
         self.Ubar = kernel_of_norm(M, self.U)
         self.beta = find_beta(M) if beta is None else beta
         self._theta: Optional[MultCharacter] = None
@@ -137,19 +123,18 @@ class CharacterSystem:
 
     # -- coordinates ---------------------------------------------------------
 
-    def unit_group(self, k: int) -> UnitGroupPresentation:
-        """The presentation of (R/pi^k)^x, built once per level."""
-        Uk = self._unit_groups.get(k)
-        if Uk is None:
-            Uk = self._unit_groups[k] = UnitGroupPresentation(self.M, k)
-        return Uk
-
     def ubar_coords(self, x: Elt) -> List[int]:
-        w = self.U.dlog(x)
+        return self._ubar_coords_of(self.U.dlog(x))
+
+    def _ubar_coords_of(self, w: Sequence[int]) -> List[int]:
         coords = self.Ubar.coords(w)
         if coords is None:
             raise NotInSubgroup("element is not norm-one")
         return coords
+
+    def values_on_gens(self, chi: MultCharacter) -> List[Fraction]:
+        """chi on each raw generator of U, as fractions of a full turn."""
+        return [chi.fraction_on_coords(c) for c in self.U.gen_coords]
 
     def minus_one_coords(self) -> List[int]:
         if self._minus_one_coords is None:
@@ -162,9 +147,7 @@ class CharacterSystem:
         """H = U-bar intersected with (1 + pi^{el}), in U coordinates."""
         el = self.P.e * self.P.level_l
         rows = [
-            self.U.dlog(g)
-            for g, (i, _) in zip(self.U.gens, self.U.levels)
-            if i >= el
+            c for c, (i, _) in zip(self.U.gen_coords, self.U.levels) if i >= el
         ]
         return intersect_subgroups(list(self.U.orders), self.Ubar.basis, rows)
 
@@ -193,8 +176,11 @@ class CharacterSystem:
 
     def vartheta_fraction(self, x: Elt) -> Fraction:
         """vartheta = c * theta on U-bar, as a fraction of a full turn."""
-        fr = self.theta.fraction_on_coords(self.ubar_coords(x))
-        fr += self.c_char().fraction_on_coords(self.U.dlog(x))
+        return self._vartheta_on_coords(self.U.dlog(x))
+
+    def _vartheta_on_coords(self, w: Sequence[int]) -> Fraction:
+        fr = self.theta.fraction_on_coords(self._ubar_coords_of(w))
+        fr += self.c_char().fraction_on_coords(w)
         return fr % 1
 
     def vartheta_of(self, x: Elt) -> Cyclotomic:
@@ -210,9 +196,7 @@ class CharacterSystem:
         o2 = order_two_set(P)
         records: List[dict] = []
         total_exps = [0] * len(U.orders)
-        level2_rows = [
-            U.dlog(g) for g, (i, _) in zip(U.gens, U.levels) if i >= 2
-        ]
+        level2_rows = [c for c, (i, _) in zip(U.gen_coords, U.levels) if i >= 2]
         for gamma in sorted(o2.elements):
             if gamma == GAL_ID:
                 continue
@@ -297,8 +281,7 @@ class CharacterSystem:
             rows = [list(b) for b in self.Ubar.basis]
             fracs = []
             for b in rows:
-                elt = self.U.element_from_coords(b)
-                fr = self.vartheta_fraction(elt)
+                fr = self._vartheta_on_coords(b)
                 fracs.append((fr.numerator, fr.denominator))
             try:
                 exps = extend_character(list(self.U.orders), rows, fracs)
@@ -329,44 +312,27 @@ class CharacterSystem:
         val = self.vartheta_of(uinv)
         return MultCharacter(tuple(self.U.orders), tuple(exps), val)
 
-    def restrict_to_level(
-        self, chi: MultCharacter, Uk: UnitGroupPresentation
-    ) -> MultCharacter:
-        """Restriction of a character of U(er) to U(k) coordinates."""
-        exps = []
-        for h, d in zip(Uk.inv_gens, Uk.orders):
-            fr = chi.fraction_on_coords(self.U.dlog(h)) * d
-            if fr.denominator != 1:
-                raise VerificationError("character does not factor through level")
-            exps.append(int(fr) % d)
-        return MultCharacter(tuple(Uk.orders), tuple(exps))
-
 
 # ---------------------------------------------------------------------------
 # conductors
 # ---------------------------------------------------------------------------
 
 def conductor_bruteforce(sys: CharacterSystem, chi: MultCharacter) -> int:
-    """Minimal k with chi trivial on the (1 + pi^k)-units, by generator tests."""
-    U = sys.U
-    top = 0
-    for g, (i, _) in zip(U.gens, U.levels):
-        if i == 0:
-            continue
-        if chi.fraction_on_coords(U.dlog(g)) != 0:
-            top = max(top, i + 1)
-    if top:
-        return top
-    tau_val = chi.fraction_on_coords(U.dlog(U.gens[0]))
-    return 1 if tau_val != 0 else 0
+    """Minimal k with chi trivial on the (1 + pi^k)-units, by generator tests.
+
+    A generator at level i (tau at level 0) is a unit of level i + 1, and
+    the generators at levels >= k generate 1 + pi^k.
+    """
+    vals = sys.values_on_gens(chi)
+    return max((i + 1 for (i, _), v in zip(sys.U.levels, vals) if v), default=0)
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
 # ---------------------------------------------------------------------------
 
-def _psi_K_data(M: Model, k: int, sign: int):
-    """Precompute the additive character t -> psi_K(sign * pi^{-(d_K+k)} t).
+def _psi_K_data(M: Model, k: int):
+    """Precompute the additive character t -> psi_K(pi^{-(d_K+k)} t).
 
     Returns (level, func) with func giving the exponent mod p^level.
     """
@@ -380,8 +346,6 @@ def _psi_K_data(M: Model, k: int, sign: int):
     c_elt = M.from_gr(M.c)
     prefac = M.pow(M.pi(), pi_pow)
     prefac = M.mul(prefac, M.pow(c_elt, -lev))
-    if sign < 0:
-        prefac = M.neg(prefac)
     tracef = M.trace_functional()
     plev = P.p ** lev
 
@@ -395,10 +359,9 @@ def gauss_sum(
     sys: CharacterSystem,
     chi: MultCharacter,
     k: int,
-    sign: int = 1,
     method: str = "auto",
 ) -> HalfPowerScalar:
-    """Normalized Gauss sum q_K^{-k/2} sum chi^{-1}(t) psi_K(sign pi^{-(d_K+k)} t).
+    """Normalized Gauss sum q_K^{-k/2} sum chi^{-1}(t) psi_K(pi^{-(d_K+k)} t).
 
     chi is a character of U(er) trivial on (1 + pi^k); the sum runs over the
     units of R/pi^k.  Result modulus is 1 for chi of conductor exactly k.
@@ -408,37 +371,40 @@ def gauss_sum(
     qK = P.q_K
     if k == 0:
         return HalfPowerScalar.one(qK)
-    lev, psi = _psi_K_data(M, k, sign)
-    Uk = sys.unit_group(k)
-    chik = sys.restrict_to_level(chi, Uk)
+    vals = sys.values_on_gens(chi)
+    if any(v for (i, _), v in zip(sys.U.levels, vals) if i >= k):
+        raise VerificationError("character does not factor through level")
+    lev, psi = _psi_K_data(M, k)
     if method == "auto":
-        method = "literal" if Uk.order() <= LITERAL_GAUSS_THRESHOLD else "stationary"
+        order = (qK - 1) * qK ** (k - 1)  # |(R/pi^k)^x|
+        method = "literal" if order <= LITERAL_GAUSS_THRESHOLD else "stationary"
     if method == "literal":
-        return _gauss_literal(sys, chik, Uk, psi, lev, k)
+        return _gauss_literal(sys, vals, psi, lev, k)
     if method == "stationary":
         if k < 2:
             raise ValueError("stationary phase needs conductor at least 2")
-        return _gauss_stationary(sys, chi, chik, Uk, psi, lev, k)
+        return _gauss_stationary(sys, chi, vals, psi, lev, k)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _gauss_literal(sys, chik, Uk, psi, lev, k) -> HalfPowerScalar:
+def _gauss_literal(sys, vals, psi, lev, k) -> HalfPowerScalar:
+    """Sum over the units t of R/pi^k, each written by its digits d_i on
+    U's generators, so chi(t) is the sum of d_i times chi(gens[i])."""
     P = sys.P
     plev = P.p ** lev
-    char_den = lcm(*(list(chik.orders) + [1]))
-    N = lcm(char_den, plev)
-    wts = chik.scaled_exps(N)
+    N = lcm(plev, *(v.denominator for v in vals))
+    wts = [int(v * N) for v in vals]
     step = N // plev
     buckets: Dict[int, int] = {}
-    for coords, elt in Uk.enumerate():
-        key = (psi(elt) * step - sum(w * c for w, c in zip(wts, coords))) % N
+    for digits, elt in sys.U.enumerate(k):
+        key = (psi(elt) * step - sum(w * d for w, d in zip(wts, digits))) % N
         buckets[key] = buckets.get(key, 0) + 1
     coeffs = {key: Fraction(v) for key, v in buckets.items()}
     total = Cyclotomic(N, coeffs)
     return HalfPowerScalar(total, -k, P.q_K).normalized()
 
 
-def _critical_point(sys, chi, psi, lev, l1, l2, k):
+def _critical_point(sys, vals, psi, lev, l1, l2, k):
     """The unique unit b mod pi^{l1} with chi(1+v) = psi_K-shift(b v) for all
     one-units 1+v at levels l2 <= i < k.
 
@@ -450,8 +416,8 @@ def _critical_point(sys, chi, psi, lev, l1, l2, k):
     P = sys.P
     plev = P.p ** lev
     test_gens = [
-        (g, i)
-        for g, (i, _) in zip(sys.U.gens, sys.U.levels)
+        (g, v)
+        for g, (i, _), v in zip(sys.U.gens, sys.U.levels, vals)
         if l2 <= i < k
     ]
     # additive basis of R/pi^{l1} with the p-precision of each line
@@ -464,8 +430,8 @@ def _critical_point(sys, chi, psi, lev, l1, l2, k):
             basis.append((M.monomial(s, i), P.p ** prec))
     targets = []
     vs = []
-    for g, _ in test_gens:
-        fr = chi.fraction_on_coords(sys.U.dlog(g)) * plev
+    for g, v in test_gens:
+        fr = v * plev
         if fr.denominator != 1:
             raise ArithmeticError(
                 "stationary phase found 0 critical points; "
@@ -503,7 +469,7 @@ def _critical_point(sys, chi, psi, lev, l1, l2, k):
     return b
 
 
-def _gauss_stationary(sys, chi, chik, Uk, psi, lev, k) -> HalfPowerScalar:
+def _gauss_stationary(sys, chi, vals, psi, lev, k) -> HalfPowerScalar:
     """Split t = b(1+v): the inner sum over v at half level kills everything
     except the critical point b with chi(1+v) = psi_K-shift(b v)."""
     M = sys.M
@@ -511,8 +477,9 @@ def _gauss_stationary(sys, chi, chik, Uk, psi, lev, k) -> HalfPowerScalar:
     qK = P.q_K
     l2 = -(-k // 2)  # ceil(k/2)
     l1 = k - l2
-    b = _critical_point(sys, chi, psi, lev, l1, l2, k)
-    fr_b = -chik.fraction_on_coords(Uk.dlog(b)) + Fraction(psi(b), P.p ** lev)
+    U = sys.U
+    b = _critical_point(sys, vals, psi, lev, l1, l2, k)
+    fr_b = -chi.fraction_on_coords(U.dlog(b)) + Fraction(psi(b), P.p ** lev)
     fr_b %= 1
     head = Cyclotomic.root_of_unity(fr_b.denominator, fr_b.numerator)
     if k % 2 == 0:
@@ -521,8 +488,8 @@ def _gauss_stationary(sys, chi, chik, Uk, psi, lev, k) -> HalfPowerScalar:
     pi_l1 = M.pow(M.pi(), l1)
     terms: Dict[int, int] = {}
     plev = P.p ** lev
-    N = lcm(plev, *(list(chik.orders) + [2]))
-    wts = chik.scaled_exps(N)
+    N = lcm(plev, *(list(chi.orders) + [2]))
+    wts = chi.scaled_exps(N)
     step = N // plev
     residues = [M.zero()]
     tau_j = M.gr.one
@@ -531,7 +498,7 @@ def _gauss_stationary(sys, chi, chik, Uk, psi, lev, k) -> HalfPowerScalar:
         tau_j = M.gr.mul(tau_j, M.tau)
     for w in residues:
         one_plus = M.add(M.one(), M.mul(w, pi_l1))
-        coords = Uk.dlog(one_plus)
+        coords = U.dlog(one_plus)
         key = (psi(M.mul(M.mul(b, w), pi_l1)) * step
                - sum(a * c for a, c in zip(wts, coords))) % N
         terms[key] = terms.get(key, 0) + 1

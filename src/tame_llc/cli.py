@@ -26,7 +26,6 @@ from .conjectures import (
     verify_root_number,
 )
 from .llc_parameters import (
-    RingModelRequired,
     adjoint_conductor,
     adjoint_gamma0_abs,
     adjoint_L,
@@ -287,9 +286,6 @@ def execute_plan(plan: Plan) -> int:
             reports = _selftest_reports()
         else:
             return EXIT_USAGE
-    except RingModelRequired as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (ArithmeticError, AssertionError, RuntimeError) as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL

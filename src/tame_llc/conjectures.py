@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .exactnum import Cyclotomic, VerificationError
 from .llc_parameters import (
-    RingModelRequired,
     adjoint_gamma0_abs,
     adjoint_root_number,
     centralizer_order,
@@ -159,12 +158,10 @@ def verify_formal_degree(P: TameParams) -> CheckResult:
 # root number
 # ---------------------------------------------------------------------------
 
-def theta_at_eps(P: TameParams, sys=None) -> Cyclotomic:
+def theta_at_eps(P: TameParams, sys) -> Cyclotomic:
     """theta((-1)^{n-1}): 1 for odd n; a unit-group evaluation for even n."""
     if P.n % 2:
         return Cyclotomic.one()
-    if sys is None:
-        raise RingModelRequired("even n needs the ring model to evaluate theta(-1)")
     M = sys.M
     return sys.theta.value_on_coords(sys.ubar_coords(M.neg(M.one())))
 

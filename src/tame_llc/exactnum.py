@@ -12,8 +12,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 import math
 
-Rational = Fraction
-
 
 class PoleAtPoint(ArithmeticError):
     """Raised when a rational function is evaluated at a pole."""

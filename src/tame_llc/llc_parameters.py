@@ -41,10 +41,6 @@ from .tame_galois import (
 )
 
 
-class RingModelRequired(RuntimeError):
-    pass
-
-
 class CocycleDependent(ArithmeticError):
     """A quantity failed to cancel its opaque cocycle symbols."""
 

@@ -71,16 +71,6 @@ class LocalFactorTriple:
             _poly_mul_cyc(self.l_inv_poly, other.l_inv_poly),
         )
 
-    def to_text(self) -> str:
-        try:
-            l_text = self.L.to_text()
-        except ValueError:
-            l_text = "1/(" + " + ".join(
-                "(%s)*u^%d" % (c.to_text(), i)
-                for i, c in enumerate(self.l_inv_poly) if not c.is_zero()
-            ) + ")"
-        return "L=1/(%s) a=%d eps=%s" % (l_text, self.a, self.eps)
-
 
 def _poly_mul_cyc(a: Sequence[Cyclotomic], b: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
     out = [Cyclotomic.zero() for _ in range(len(a) + len(b) - 1)]

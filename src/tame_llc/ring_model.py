@@ -654,6 +654,11 @@ class UnitGroupPresentation:
         self.all_orders = [s[i][i] for i in range(len(gens))]
         self._keep = [i for i, d in enumerate(self.all_orders) if d != 1]
         self.orders = [self.all_orders[i] for i in self._keep]
+        # gens[i] has raw exponents e_i, so its coordinates _coords(e_i) are
+        # row i of _v, reduced
+        self.gen_coords: List[List[int]] = [
+            [row[j] % self.all_orders[j] for j in self._keep] for row in self._v
+        ]
         vinv = invert_unimodular(self._v)
         # generators of the invariant-factor coordinates.  The exponents are
         # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
@@ -751,36 +756,44 @@ class UnitGroupPresentation:
                 out = self.M.mul(out, self.M.pow(h, c))
         return out
 
-    def enumerate(self):
-        """Yield (coords, element) over the whole group, in odometer order.
+    def enumerate(self, k: int):
+        """Yield (digits, element) once for each unit of R/pi^k.
 
-        A carry into coordinate k turns coords[j] from orders[j] - 1 to 0 for
-        every j < k, which is one more factor h_j since h_j = inv_gens[j] has
-        order orders[j] modulo pi^N; so each step multiplies by
-        h_0 h_1 ... h_k, one multiplication.  Each element agrees with
-        element_from_coords(coords) modulo pi^N.  Once the last element is
-        out, the next step must close the cycle at 1, or VerificationError
-        is raised.
+        The element is tau^{d_0} times gens[i]^{d_i} over the one-unit
+        generators below level k, with d_0 < q_K - 1 and d_i < p, so
+        _raw_dlog(element) is the digits padded with zeros.  The digits run
+        as an odometer: a carry into digit j resets every d_i, i < j, from
+        its top t_i to 0, so the step multiplies by gens[j] times each
+        gens[i]^{-t_i}, one multiplication per element.  Once the last
+        element is out, it times every reset must be exactly 1, or
+        VerificationError is raised.
         """
+        if not 1 <= k <= self.N:
+            raise ValueError("level out of range")
         M = self.M
-        orders = self.orders
+        p = M.P.p
+        count = 1 + (k - 1) * M.gr.d
+        tops = [M.P.q_K - 2] + [p - 1] * (count - 1)
+        # tau^{-(q_K - 2)} = tau, since tau^{q_K - 1} = 1
+        resets = [self.gens[0]]
+        resets += [self._inverse_power(i, p - 1) for i in range(1, count)]
         steps = []
         acc = M.one()
-        for h in self.inv_gens:
-            acc = M.mul(acc, h)
-            steps.append(acc)
-        coords = [0] * len(orders)
+        for g, reset in zip(self.gens, resets):
+            steps.append(M.mul(acc, g))
+            acc = M.mul(acc, reset)
+        digits = [0] * count
         elt = M.one()
-        yield tuple(coords), elt
-        for _ in range(self.order() - 1):
-            k = 0
-            while coords[k] == orders[k] - 1:
-                coords[k] = 0
-                k += 1
-            coords[k] += 1
-            elt = M.mul(elt, steps[k])
-            yield tuple(coords), elt
-        if not self._is_one_mod(M.mul(elt, steps[-1])):
+        yield tuple(digits), elt
+        for _ in range(prod(t + 1 for t in tops) - 1):
+            j = 0
+            while digits[j] == tops[j]:
+                digits[j] = 0
+                j += 1
+            digits[j] += 1
+            elt = M.mul(elt, steps[j])
+            yield tuple(digits), elt
+        if M.mul(elt, acc) != M.one():
             raise VerificationError("unit-group enumeration did not close up")
 
     def act_matrix(self, g: GalElt) -> List[List[int]]:

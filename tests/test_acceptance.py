@@ -140,6 +140,17 @@ def test_root_number_identity_supported_box():
         assert verify_root_number(P).status == "OK", P
 
 
+# 6b. the e = 3 tuples, supported from r = 8 on (l' >= 2(e - 1))
+def test_root_number_identity_at_e3():
+    tuples = [
+        P for P in valid_tuples([3, 5, 7, 9, 11, 13], 6, [8])
+        if P.e == 3 and root_number_supported(P) is None
+    ]
+    assert len(tuples) == 14
+    for P in tuples:
+        assert verify_root_number(P).status == "OK", P
+
+
 # 7. conductor breaks of the twists against the predicted e(r-1) / e(r-1)+1
 def test_twist_conductor_breaks():
     tuples = [
@@ -191,7 +202,7 @@ def test_norm_index_bruteforce(tup):
     P = params_from_q(*tup)
     M = build_model(P)
     U = UnitGroupPresentation(M, P.e * P.r)
-    image = {M.norm_K_F(x) for _, x in U.enumerate()}
+    image = {M.norm_K_F(x) for _, x in U.enumerate(P.e * P.r)}
     base_units = (P.p - 1) * P.p ** (P.r - 1)
     assert base_units % len(image) == 0
     assert base_units // len(image) == norm_index(P)

@@ -1,6 +1,11 @@
 """theta and its extensions, chi-data signs, conductors and Gauss sums,
 all on the explicit ring models."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from tame_llc.characters import (
@@ -12,7 +17,7 @@ from tame_llc.characters import (
     regularity_check,
 )
 from tame_llc.conjectures import verify_root_number
-from tame_llc.exactnum import Cyclotomic, HalfPowerScalar
+from tame_llc.exactnum import Cyclotomic, HalfPowerScalar, VerificationError
 from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.ring_model import UnitGroupPresentation, build_model
 from tame_llc.tame_galois import GAL_ID, order_two_set, params_from_q
@@ -34,8 +39,8 @@ def test_theta_extends_chi_beta(sys_ramified, sys_unramified):
 
 @pytest.mark.parametrize("tup", [(3, 1, 4, 0, 3), (3, 2, 2, 0, 4)])
 def test_root_number_builds_each_level_once(tup, monkeypatch):
-    # at e = 1 the twist Gauss sums sit at level e r, the level of U itself;
-    # at (3, 2, 2, 0, 4) two of them share level 7
+    # every twist is read on U's own generators, whatever its level: at
+    # e = 1 the Gauss sums sit at level e r, at (3, 2, 2, 0, 4) below it
     P = params_from_q(*tup)
     sys = CharacterSystem(build_model(P))
     built = []
@@ -47,9 +52,7 @@ def test_root_number_builds_each_level_once(tup, monkeypatch):
 
     monkeypatch.setattr(UnitGroupPresentation, "__init__", counted)
     assert verify_root_number(P, sys).status == "OK"
-    assert len(built) == len(set(built))
-    assert P.e * P.r not in built
-    assert sys.unit_group(P.e * P.r) is sys.U
+    assert built == []
 
 
 def test_theta_is_multiplicative_on_norm_one_units(sys_ramified):
@@ -120,6 +123,46 @@ def test_gauss_sum_methods_agree(sys_ramified, sys_unramified):
             lit = gauss_sum(sys, tw, k, method="literal")
             sta = gauss_sum(sys, tw, k, method="stationary")
             assert lit == sta
+
+
+def test_gauss_sum_below_the_conductor_raises(sys_ramified, sys_unramified):
+    # a twist of conductor k is no character of (R/pi^{k-1})^x
+    checked = 0
+    for cs in (sys_ramified, sys_unramified):
+        for gamma in sorted(order_two_set(cs.P).elements):
+            if gamma == GAL_ID:
+                continue
+            tw = cs.theta_tilde_twist(gamma)
+            k = conductor_bruteforce(cs, tw)
+            assert k >= 2
+            with pytest.raises(VerificationError, match="factor through level"):
+                gauss_sum(cs, tw, k - 1)
+            checked += 1
+    assert checked == 2
+
+
+def test_level_check_survives_python_O():
+    code = textwrap.dedent("""
+        from tame_llc.characters import CharacterSystem, conductor_bruteforce, gauss_sum
+        from tame_llc.exactnum import VerificationError
+        from tame_llc.ring_model import build_model
+        from tame_llc.tame_galois import GAL_ID, order_two_set, params_from_q
+        assert False, "asserts are on"
+        P = params_from_q(3, 2, 1, 0, 4)
+        cs = CharacterSystem(build_model(P))
+        gamma = next(g for g in sorted(order_two_set(P).elements) if g != GAL_ID)
+        tw = cs.theta_tilde_twist(gamma)
+        k = conductor_bruteforce(cs, tw)
+        try:
+            gauss_sum(cs, tw, k - 1)
+        except VerificationError:
+            print("raised")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
 
 
 def test_gauss_sum_of_primitive_character_has_modulus_one(sys_ramified):

@@ -203,16 +203,20 @@ def test_symplectic_pairing_is_nondegenerate(tup):
 def test_enumerate_yields_each_unit_once(tup):
     P = params_from_q(*tup)
     M = build_model(P)
-    for N in range(1, P.e * P.r + 1):
-        U = UnitGroupPresentation(M, N)
+    U = UnitGroupPresentation(M, P.e * P.r)
+    for k in range(1, P.e * P.r + 1):
         seen = set()
-        for coords, elt in U.enumerate():
-            assert coords not in seen
-            seen.add(coords)
-            # the incremental product is element_from_coords modulo pi^N
-            assert M.pi_valuation(M.sub(elt, U.element_from_coords(coords))) >= N
-            assert U.dlog(elt) == list(coords)
-        assert len(seen) == U.order()
+        for digits, elt in U.enumerate(k):
+            assert digits not in seen
+            seen.add(digits)
+            # the element is the product of the generators to its digits
+            assert U._raw_dlog(elt) == list(digits) + [0] * (len(U.gens) - len(digits))
+        assert len(seen) == (P.q_K - 1) * P.q_K ** (k - 1)
+
+
+def test_generator_coordinates_are_their_dlogs(model):
+    U = UnitGroupPresentation(model, model.P.e * model.P.r)
+    assert U.gen_coords == [U.dlog(g) for g in U.gens]
 
 
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 4), (3, 4, 2, 0, 3),
