@@ -5,10 +5,10 @@ All multiplicative characters are stored as exponent vectors against the
 invariant-factor generators of a unit-group presentation, so values are
 exact fractions of a full turn and only become Cyclotomic numbers at the
 edges.  There is one presentation, U at level e*r: a character trivial on
-1 + pi^k is read through its values on U's generators below level k.
-Gauss sums have a literal-summation path (used whenever the unit group is
-small enough) and a stationary-phase path for high conductor, and the two
-are compared in the tests.
+1 + pi^k is read through its values on U's generators below level k, and
+each Galois action gamma is read once, as its matrix on U's coordinates.
+Gauss sums are evaluated by stationary phase; the literal sum over the
+units of R/pi^k is kept, for small unit groups, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from .ring_model import (
     Elt,
     GaloisRing,
     Model,
+    TooLarge,
     UnitGroupPresentation,
     find_beta,
     kernel_of_norm,
     residue_generator,
 )
-from .tame_galois import GAL_ID, GalElt, order_two_set
+from .tame_galois import GAL_ID, GalElt, gal_elements, order_two_set
 
 LITERAL_GAUSS_THRESHOLD = 20000
 
@@ -120,13 +121,12 @@ class CharacterSystem:
         self._c_records: Optional[List[dict]] = None
         self._theta_tilde: Optional[MultCharacter] = None
         self._minus_one_coords: Optional[List[int]] = None
+        self._act: Dict[GalElt, List[List[int]]] = {}
 
     # -- coordinates ---------------------------------------------------------
 
-    def ubar_coords(self, x: Elt) -> List[int]:
-        return self._ubar_coords_of(self.U.dlog(x))
-
-    def _ubar_coords_of(self, w: Sequence[int]) -> List[int]:
+    def ubar_coords(self, w: Sequence[int]) -> List[int]:
+        """U-bar coordinates of the norm-one unit with U coordinates w."""
         coords = self.Ubar.coords(w)
         if coords is None:
             raise NotInSubgroup("element is not norm-one")
@@ -140,6 +140,12 @@ class CharacterSystem:
         if self._minus_one_coords is None:
             self._minus_one_coords = self.U.dlog(self.M.neg(self.M.one()))
         return self._minus_one_coords
+
+    def act_matrix(self, gamma: GalElt) -> List[List[int]]:
+        """A_gamma: row j holds the U coordinates of gamma(h_j)."""
+        if gamma not in self._act:
+            self._act[gamma] = self.U.act_matrix(gamma)
+        return self._act[gamma]
 
     # -- theta ---------------------------------------------------------------
 
@@ -171,21 +177,12 @@ class CharacterSystem:
             self._theta = MultCharacter(tuple(self.Ubar.orders), tuple(exps))
         return self._theta
 
-    def theta_of(self, x: Elt) -> Cyclotomic:
-        return self.theta.value_on_coords(self.ubar_coords(x))
-
-    def vartheta_fraction(self, x: Elt) -> Fraction:
-        """vartheta = c * theta on U-bar, as a fraction of a full turn."""
-        return self._vartheta_on_coords(self.U.dlog(x))
-
-    def _vartheta_on_coords(self, w: Sequence[int]) -> Fraction:
-        fr = self.theta.fraction_on_coords(self._ubar_coords_of(w))
+    def vartheta(self, w: Sequence[int]) -> Fraction:
+        """vartheta = c * theta at the norm-one unit with U coordinates w,
+        as a fraction of a full turn."""
+        fr = self.theta.fraction_on_coords(self.ubar_coords(w))
         fr += self.c_char().fraction_on_coords(w)
         return fr % 1
-
-    def vartheta_of(self, x: Elt) -> Cyclotomic:
-        fr = self.vartheta_fraction(x)
-        return Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
 
     # -- chi-data ------------------------------------------------------------
 
@@ -201,7 +198,7 @@ class CharacterSystem:
             if gamma == GAL_ID:
                 continue
             ramified = o2.ramified[gamma]
-            amat = U.act_matrix(gamma)
+            amat = self.act_matrix(gamma)
             fixed = kernel_subgroup(
                 list(U.orders),
                 [
@@ -230,12 +227,6 @@ class CharacterSystem:
                     f"chi-data character for {gamma}: {ex}"
                 ) from ex
             chi_gamma = MultCharacter(tuple(U.orders), tuple(exps))
-            # brute-force norm test: is -1 a norm from the gamma-fixed field?
-            norm_rows = [
-                U.dlog(M.mul(h, M.galois_act(gamma, h))) for h in U.inv_gens
-            ]
-            norm_sub = SubgroupPresentation(list(U.orders), norm_rows)
-            minus_is_norm = norm_sub.contains(self.minus_one_coords())
             value_at_minus_one = chi_gamma.value_on_coords(self.minus_one_coords())
             closed = (
                 Cyclotomic.root_of_unity(2, ((P.q_K - 1) // 2) % 2)
@@ -249,7 +240,6 @@ class CharacterSystem:
                     chi=chi_gamma,
                     value_at_minus_one=value_at_minus_one,
                     closed_value=closed,
-                    minus_one_is_norm=minus_is_norm,
                 )
             )
             total_exps = [
@@ -281,7 +271,7 @@ class CharacterSystem:
             rows = [list(b) for b in self.Ubar.basis]
             fracs = []
             for b in rows:
-                fr = self._vartheta_on_coords(b)
+                fr = self.vartheta(b)
                 fracs.append((fr.numerator, fr.denominator))
             try:
                 exps = extend_character(list(self.U.orders), rows, fracs)
@@ -296,21 +286,21 @@ class CharacterSystem:
         """The character x -> vartheta(x^{1-gamma}), with its uniformizer value.
 
         This is canonical: x^{1-gamma} lies in ker(N), so no extension choice
-        enters.  The value at pi is vartheta(u^{-1}) where gamma(pi) = u pi.
+        enters.  h_j^{1-gamma} has the U coordinates e_j - A_gamma[j].  The
+        value at pi is vartheta(u^{-1}) where gamma(pi) = u pi.
         """
-        M = self.M
+        orders = self.U.orders
         exps = []
-        for h, d in zip(self.U.inv_gens, self.U.orders):
-            z = M.mul(h, M.inv(M.galois_act(gamma, h)))
-            fr = self.vartheta_fraction(z)
-            ex = fr * d
+        for j, (row, d) in enumerate(zip(self.act_matrix(gamma), orders)):
+            w = [((i == j) - a) % di for i, (a, di) in enumerate(zip(row, orders))]
+            ex = self.vartheta(w) * d
             if ex.denominator != 1:
                 raise VerificationError("twist is not a character of U")
             exps.append(int(ex) % d)
-        u = M.pi_multiplier(gamma)
-        uinv = M.inv(M.from_gr(u))
-        val = self.vartheta_of(uinv)
-        return MultCharacter(tuple(self.U.orders), tuple(exps), val)
+        u = self.U.dlog(self.M.from_gr(self.M.pi_multiplier(gamma)))
+        fr = self.vartheta([-c % d for c, d in zip(u, orders)])
+        val = Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
+        return MultCharacter(tuple(orders), tuple(exps), val)
 
 
 # ---------------------------------------------------------------------------
@@ -355,42 +345,46 @@ def _psi_K_data(M: Model, k: int):
     return lev, func
 
 
-def gauss_sum(
-    sys: CharacterSystem,
-    chi: MultCharacter,
-    k: int,
-    method: str = "auto",
-) -> HalfPowerScalar:
+def _values_below(sys: CharacterSystem, chi: MultCharacter, k: int) -> List[Fraction]:
+    """chi on U's generators, checked to be trivial at levels >= k."""
+    vals = sys.values_on_gens(chi)
+    if any(v for (i, _), v in zip(sys.U.levels, vals) if i >= k):
+        raise VerificationError("character does not factor through level")
+    return vals
+
+
+def gauss_sum(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfPowerScalar:
     """Normalized Gauss sum q_K^{-k/2} sum chi^{-1}(t) psi_K(pi^{-(d_K+k)} t).
 
     chi is a character of U(er) trivial on (1 + pi^k); the sum runs over the
-    units of R/pi^k.  Result modulus is 1 for chi of conductor exactly k.
+    units of R/pi^k and is evaluated by stationary phase, which needs
+    k = 0 or k >= 2.  Result modulus is 1 for chi of conductor exactly k.
     """
-    M = sys.M
+    if k == 0:
+        return HalfPowerScalar.one(sys.P.q_K)
+    vals = _values_below(sys, chi, k)
+    if k < 2:
+        raise VerificationError("stationary phase needs conductor at least 2")
+    lev, psi = _psi_K_data(sys.M, k)
+    return _gauss_stationary(sys, chi, vals, psi, lev, k)
+
+
+def gauss_sum_literal(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfPowerScalar:
+    """The same Gauss sum by literal summation, the oracle gauss_sum is
+    tested against; refused (TooLarge) above LITERAL_GAUSS_THRESHOLD units.
+
+    Each unit t of R/pi^k is written by its digits d_i on U's generators,
+    so chi(t) is the sum of d_i times chi(gens[i]).
+    """
     P = sys.P
     qK = P.q_K
     if k == 0:
         return HalfPowerScalar.one(qK)
-    vals = sys.values_on_gens(chi)
-    if any(v for (i, _), v in zip(sys.U.levels, vals) if i >= k):
-        raise VerificationError("character does not factor through level")
-    lev, psi = _psi_K_data(M, k)
-    if method == "auto":
-        order = (qK - 1) * qK ** (k - 1)  # |(R/pi^k)^x|
-        method = "literal" if order <= LITERAL_GAUSS_THRESHOLD else "stationary"
-    if method == "literal":
-        return _gauss_literal(sys, vals, psi, lev, k)
-    if method == "stationary":
-        if k < 2:
-            raise ValueError("stationary phase needs conductor at least 2")
-        return _gauss_stationary(sys, chi, vals, psi, lev, k)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _gauss_literal(sys, vals, psi, lev, k) -> HalfPowerScalar:
-    """Sum over the units t of R/pi^k, each written by its digits d_i on
-    U's generators, so chi(t) is the sum of d_i times chi(gens[i])."""
-    P = sys.P
+    order = (qK - 1) * qK ** (k - 1)  # |(R/pi^k)^x|
+    if order > LITERAL_GAUSS_THRESHOLD:
+        raise TooLarge(f"{order} units exceed the literal Gauss-sum bound")
+    vals = _values_below(sys, chi, k)
+    lev, psi = _psi_K_data(sys.M, k)
     plev = P.p ** lev
     N = lcm(plev, *(v.denominator for v in vals))
     wts = [int(v * N) for v in vals]
@@ -401,7 +395,7 @@ def _gauss_literal(sys, vals, psi, lev, k) -> HalfPowerScalar:
         buckets[key] = buckets.get(key, 0) + 1
     coeffs = {key: Fraction(v) for key, v in buckets.items()}
     total = Cyclotomic(N, coeffs)
-    return HalfPowerScalar(total, -k, P.q_K).normalized()
+    return HalfPowerScalar(total, -k, qK).normalized()
 
 
 def _critical_point(sys, vals, psi, lev, l1, l2, k):
@@ -529,20 +523,14 @@ def quadratic_gauss_sum_field(p: int, d: int) -> HalfPowerScalar:
 # ---------------------------------------------------------------------------
 
 def regularity_check(sys: CharacterSystem, chi: MultCharacter) -> bool:
-    """True iff every nontrivial Galois conjugate of chi differs from chi."""
-    from .tame_galois import gal_elements
-
-    M = sys.M
+    """True iff every nontrivial Galois conjugate of chi differs from chi:
+    chi(sigma(h_j)), read on row j of A_sigma, differs from chi(h_j) for
+    some invariant generator h_j."""
     for sigma in gal_elements(sys.P):
         if sigma == GAL_ID:
             continue
-        moved = False
-        for h in sys.U.inv_gens:
-            fr1 = chi.fraction_on_coords(sys.U.dlog(M.galois_act(sigma, h)))
-            fr2 = chi.fraction_on_coords(sys.U.dlog(h))
-            if (fr1 - fr2) % 1 != 0:
-                moved = True
-                break
-        if not moved:
+        rows = sys.act_matrix(sigma)
+        if all((chi.fraction_on_coords(row) - Fraction(w, d)) % 1 == 0
+               for row, w, d in zip(rows, chi.exps, chi.orders)):
             return False
     return True

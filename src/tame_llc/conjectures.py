@@ -96,8 +96,9 @@ def _dim_delta_orbit(P: TameParams) -> Fraction:
     M = build_model(P)
     beta = find_beta(M)
     B = [[x % q for x in row] for row in regular_rep_matrix(M, beta, 1)]
-    # make it traceless in the stored representative (it is, by construction)
-    assert (B[0][0] + B[1][1]) % q == 0
+    # the stored representative is traceless by construction
+    if (B[0][0] + B[1][1]) % q:
+        raise VerificationError("residue of beta is not traceless")
 
     def mul(A, C):
         return tuple(
@@ -162,8 +163,7 @@ def theta_at_eps(P: TameParams, sys) -> Cyclotomic:
     """theta((-1)^{n-1}): 1 for odd n; a unit-group evaluation for even n."""
     if P.n % 2:
         return Cyclotomic.one()
-    M = sys.M
-    return sys.theta.value_on_coords(sys.ubar_coords(M.neg(M.one())))
+    return sys.theta.value_on_coords(sys.ubar_coords(sys.minus_one_coords()))
 
 
 def root_number_supported(P: TameParams) -> Optional[str]:

@@ -91,7 +91,8 @@ class MonomialMatrix:
         self.P = P
         self.action = action
         targets = [t for t, _ in action.values()]
-        assert len(set(targets)) == len(targets), "not a monomial matrix"
+        if len(set(targets)) != len(targets):
+            raise VerificationError("not a monomial matrix")
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         out = {}
@@ -187,7 +188,8 @@ def adjoint_decompose(P: TameParams) -> AdjointDecomposition:
             paired.append((g, gi))
             seen.add(g)
             seen.add(gi)
-    assert set(order_two) == set(o2.elements) - {GAL_ID}
+    if set(order_two) != set(o2.elements) - {GAL_ID}:
+        raise VerificationError("self-inverse twists differ from the order-two set")
     dec = AdjointDecomposition(
         P=P,
         unramified_frob_values=frob_vals,
@@ -196,7 +198,8 @@ def adjoint_decompose(P: TameParams) -> AdjointDecomposition:
         paired=tuple(paired),
         order_two=tuple(order_two),
     )
-    assert dec.total_dim == P.n * P.n - 1
+    if dec.total_dim != P.n * P.n - 1:
+        raise VerificationError(f"decomposition has dimension {dec.total_dim}")
     return dec
 
 
@@ -228,7 +231,8 @@ def adjoint_L(P: TameParams, method: str = "closed") -> RatFunc:
             coeffs = nxt
         den = []
         for c in coeffs:
-            assert c.is_rational(), "eigenvalue product must be rational"
+            if not c.is_rational():
+                raise VerificationError("eigenvalue product must be rational")
             den.append(c.rational_value())
         return RatFunc([Fraction(1)], den)
     if method == "matrix":
@@ -300,7 +304,8 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
         if n % 2:
             val = Cyclotomic.one()
         else:
-            val = sys.vartheta_of(sys.M.neg(sys.M.one()))
+            fr = sys.vartheta(sys.minus_one_coords())
+            val = Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
         if P.e % 2 == 0:
             sign = (-1) ** (((P.q - 1) * P.f // 2) % 2)
             val = val * sign

@@ -63,7 +63,8 @@ class LocalFactorTriple:
         return w.root_number()
 
     def direct_sum(self, other: "LocalFactorTriple") -> "LocalFactorTriple":
-        assert self.q == other.q
+        if self.q != other.q:
+            raise VerificationError(f"direct sum over q = {self.q} and q = {other.q}")
         return LocalFactorTriple(
             self.q,
             self.eps * other.eps,
@@ -412,7 +413,8 @@ def wd_factors(pieces: Sequence[Tuple[LocalFactorTriple, int]], q: int) -> Local
     total_w = Cyclotomic.one()
     poly: Tuple[Cyclotomic, ...] = (Cyclotomic.one(),)
     for t, sym_n in pieces:
-        assert t.q == q
+        if t.q != q:
+            raise VerificationError(f"piece over q = {t.q} in a sum over q = {q}")
         total_a += (sym_n + 1) * t.a + sym_n * t.fixed_dim
         total_w = total_w * t.root_number() ** (sym_n + 1)
         if t.fixed_dim:

@@ -9,22 +9,29 @@ import textwrap
 import pytest
 
 from tame_llc.characters import (
+    LITERAL_GAUSS_THRESHOLD,
     CharacterSystem,
+    MultCharacter,
     chi_beta_fraction,
     conductor_bruteforce,
     gauss_sum,
+    gauss_sum_literal,
     quadratic_gauss_sum_field,
     regularity_check,
 )
-from tame_llc.conjectures import verify_root_number
+from tame_llc.conjectures import root_number_supported, valid_tuples, verify_root_number
 from tame_llc.exactnum import Cyclotomic, HalfPowerScalar, VerificationError
 from tame_llc.llc_parameters import twist_conductor_predicted
-from tame_llc.ring_model import UnitGroupPresentation, build_model
-from tame_llc.tame_galois import GAL_ID, order_two_set, params_from_q
+from tame_llc.ring_model import TooLarge, UnitGroupPresentation, build_model
+from tame_llc.tame_galois import GAL_ID, gal_elements, order_two_set, params_from_q
 
 
 def _systems(sys_ramified, sys_unramified):
     return [sys_ramified, sys_unramified]
+
+
+def _theta_at(sys, x):
+    return sys.theta.value_on_coords(sys.ubar_coords(sys.U.dlog(x)))
 
 
 def test_theta_extends_chi_beta(sys_ramified, sys_unramified):
@@ -34,7 +41,7 @@ def test_theta_extends_chi_beta(sys_ramified, sys_unramified):
         for b in H.basis:
             elt = sys.U.element_from_coords(list(b))
             num, den = chi_beta_fraction(M, sys.beta, elt)
-            assert sys.theta_of(elt) == Cyclotomic.root_of_unity(den, num)
+            assert _theta_at(sys, elt) == Cyclotomic.root_of_unity(den, num)
 
 
 @pytest.mark.parametrize("tup", [(3, 1, 4, 0, 3), (3, 2, 2, 0, 4)])
@@ -55,13 +62,35 @@ def test_root_number_builds_each_level_once(tup, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("tup", [(5, 2, 1, 1, 4), (5, 1, 2, 0, 3)])
+def test_root_number_reads_each_action_once(tup, monkeypatch):
+    # the twists of these tuples are small enough for the literal Gauss
+    # sum, which the root-number path must not take; and each Galois action
+    # gamma != 1 is read once, as A_gamma, by the chi-data and the twists
+    P = params_from_q(*tup)
+    reads = []
+    act = UnitGroupPresentation.act_matrix
+
+    def counted(self, gamma):
+        reads.append(gamma)
+        return act(self, gamma)
+
+    def refused(self, k):
+        raise RuntimeError("unit-group enumeration on the root-number path")
+
+    monkeypatch.setattr(UnitGroupPresentation, "act_matrix", counted)
+    monkeypatch.setattr(UnitGroupPresentation, "enumerate", refused)
+    assert verify_root_number(P).status == "OK"
+    assert sorted(reads) == sorted(g for g in gal_elements(P) if g != GAL_ID)
+
+
 def test_theta_is_multiplicative_on_norm_one_units(sys_ramified):
     sys = sys_ramified
     M = sys.M
     xs = [sys.U.element_from_coords(list(b)) for b in sys.Ubar.basis[:3]]
     for x in xs:
         for y in xs:
-            assert sys.theta_of(M.mul(x, y)) == sys.theta_of(x) * sys.theta_of(y)
+            assert _theta_at(sys, M.mul(x, y)) == _theta_at(sys, x) * _theta_at(sys, y)
 
 
 def test_character_is_regular(sys_ramified, sys_unramified):
@@ -111,18 +140,35 @@ def test_chi_data_hnf_entries_stay_small(monkeypatch):
     assert 0 < largest[0] <= 1000
 
 
-def test_gauss_sum_methods_agree(sys_ramified, sys_unramified):
-    for sys in (sys_ramified, sys_unramified):
-        P = sys.P
-        o2 = order_two_set(P)
-        for gamma in sorted(o2.elements):
-            if gamma == GAL_ID:
+def test_gauss_sum_methods_agree():
+    # stationary phase against the literal oracle on every twist of the
+    # supported box the oracle can sum.  Twists are picked by their
+    # predicted conductor, so that only their tuples are built; the
+    # prediction is checked on each of them here and on the whole smaller
+    # box by test_twist_conductor_breaks.
+    tuples, twists = set(), 0
+    for P in valid_tuples([3, 5, 7, 9, 11, 13], 6, range(3, 9)):
+        if root_number_supported(P) is not None:
+            continue
+        cs = None
+        for gamma in sorted(gal_elements(P)):
+            k = twist_conductor_predicted(P, gamma)
+            if gamma == GAL_ID or (P.q_K - 1) * P.q_K ** (k - 1) > LITERAL_GAUSS_THRESHOLD:
                 continue
-            tw = sys.theta_tilde_twist(gamma)
-            k = conductor_bruteforce(sys, tw)
-            lit = gauss_sum(sys, tw, k, method="literal")
-            sta = gauss_sum(sys, tw, k, method="stationary")
-            assert lit == sta
+            cs = cs or CharacterSystem(build_model(P))
+            tw = cs.theta_tilde_twist(gamma)
+            assert conductor_bruteforce(cs, tw) == k, (P, gamma)
+            assert gauss_sum_literal(cs, tw, k) == gauss_sum(cs, tw, k), (P, gamma)
+            with pytest.raises(VerificationError):
+                gauss_sum(cs, tw, 1)
+            # conductor at most 1 leaves stationary phase no critical point
+            with pytest.raises(VerificationError, match="at least 2"):
+                gauss_sum(cs, MultCharacter.trivial(cs.U.orders), 1)
+            with pytest.raises(TooLarge):
+                gauss_sum_literal(cs, tw, k + 4)
+            tuples.add((P.q, P.e, P.f, P.m, P.r))
+            twists += 1
+    assert (len(tuples), twists) == (9, 9)
 
 
 def test_gauss_sum_below_the_conductor_raises(sys_ramified, sys_unramified):

@@ -90,6 +90,27 @@ def test_centralizer_check_survives_python_O():
     assert out.stdout == "raised\n"
 
 
+def test_monomial_check_survives_python_O():
+    # two basis vectors sent to one target is no monomial matrix, under -O too
+    code = textwrap.dedent("""
+        from tame_llc.exactnum import VerificationError
+        from tame_llc.llc_parameters import MonomialMatrix, SymbolicUnit
+        from tame_llc.tame_galois import GAL_ID, GalElt, params_from_q
+        assert False, "asserts are on"
+        P = params_from_q(3, 2, 1, 0, 2)
+        one = SymbolicUnit.symbol("u")
+        try:
+            MonomialMatrix(P, {GAL_ID: (GAL_ID, one), GalElt(1, 0): (GAL_ID, one)})
+        except VerificationError:
+            print("raised")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
+
+
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 2), (3, 1, 2, 0, 2),
                                  (5, 2, 1, 0, 2), (5, 4, 1, 0, 2)])
 def test_centralizer_order_bruteforce(tup):
