@@ -7,8 +7,12 @@ exact fractions of a full turn and only become Cyclotomic numbers at the
 edges.  There is one presentation, U at level e*r: a character trivial on
 1 + pi^k is read through its values on U's generators below level k, and
 each Galois action gamma is read once, as its matrix on U's coordinates.
-Gauss sums are evaluated by stationary phase; the literal sum over the
-units of R/pi^k is kept, for small unit groups, as the tests' oracle.
+Gauss sums are evaluated by stationary phase.  At odd conductor the
+residue-field tail left over is a quadratic Gauss sum over F_p^d, summed
+in closed form; the quadratic Gauss sum of F_{p^d} comes from the prime
+field by Davenport-Hasse.  The literal sum over the units of R/pi^k is
+kept, for small unit groups, as the tests' oracle, and the tests keep the
+term-by-term tail and field sums as theirs.
 """
 
 from __future__ import annotations
@@ -28,13 +32,12 @@ from .intlinalg import (
 )
 from .ring_model import (
     Elt,
-    GaloisRing,
     Model,
     TooLarge,
     UnitGroupPresentation,
+    _fp_echelon,
     find_beta,
     kernel_of_norm,
-    residue_generator,
 )
 from .tame_galois import GAL_ID, GalElt, gal_elements, order_two_set
 
@@ -466,56 +469,105 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
 def _gauss_stationary(sys, chi, vals, psi, lev, k) -> HalfPowerScalar:
     """Split t = b(1+v): the inner sum over v at half level kills everything
     except the critical point b with chi(1+v) = psi_K-shift(b v)."""
-    M = sys.M
     P = sys.P
     qK = P.q_K
     l2 = -(-k // 2)  # ceil(k/2)
     l1 = k - l2
-    U = sys.U
     b = _critical_point(sys, vals, psi, lev, l1, l2, k)
-    fr_b = -chi.fraction_on_coords(U.dlog(b)) + Fraction(psi(b), P.p ** lev)
+    fr_b = -chi.fraction_on_coords(sys.U.dlog(b)) + Fraction(psi(b), P.p ** lev)
     fr_b %= 1
     head = Cyclotomic.root_of_unity(fr_b.denominator, fr_b.numerator)
     if k % 2 == 0:
         return HalfPowerScalar(head, 0, qK)
-    # odd conductor: one residue-field Gauss sum remains
-    pi_l1 = M.pow(M.pi(), l1)
-    terms: Dict[int, int] = {}
-    plev = P.p ** lev
-    N = lcm(plev, *(list(chi.orders) + [2]))
-    wts = chi.scaled_exps(N)
-    step = N // plev
-    residues = [M.zero()]
-    tau_j = M.gr.one
-    for _ in range(qK - 1):
-        residues.append(M.from_gr(tau_j))
-        tau_j = M.gr.mul(tau_j, M.tau)
-    for w in residues:
-        one_plus = M.add(M.one(), M.mul(w, pi_l1))
-        coords = U.dlog(one_plus)
-        key = (psi(M.mul(M.mul(b, w), pi_l1)) * step
-               - sum(a * c for a, c in zip(wts, coords))) % N
-        terms[key] = terms.get(key, 0) + 1
-    tail = Cyclotomic(N, {key: Fraction(v) for key, v in terms.items()})
+    # odd conductor: one residue-field Gauss sum remains, stored at the
+    # order the sum of its terms would have
+    N = lcm(P.p ** lev, *(list(chi.orders) + [2]))
+    tail = _closed_tail(sys, chi, psi, lev, b, l1).embed(N)
     return (HalfPowerScalar(head, 0, qK)
             * HalfPowerScalar(tail, -1, qK)).normalized()
 
 
+def _tail_form(sys, chi, psi, lev, b, l1) -> Tuple[List[List[int]], List[int]]:
+    """The odd-conductor tail f(w) = psi_K-shift(b x) chi^{-1}(1 + x),
+    x = w pi^{l1}, as a quadratic function on F_{q_K} = F_p^d.
+
+    Since 1 + x + x' = (1+x)(1+x')(1 - x x') mod pi^k and chi(1 + v) =
+    psi_K-shift(b v) at v in pi^{l1+1}, f(w + w') = f(w) f(w') B(w, w') with
+    B(w, w') = psi_K-shift(b w w' pi^{2 l1}).  So log_{zeta_p} f(y) =
+    y^T A y + l . y, A = B/2, on the coordinates y of w against the basis
+    x^s of the residue field.  Returns (A, l) mod p; raises
+    VerificationError if a pairing or a value of f is no p-th root of unity.
+    """
+    M = sys.M
+    p = sys.P.p
+    step = p ** (lev - 1)  # psi exponents of p-th roots of unity
+    half = pow(2, -1, p)
+    pi_l1 = M.pow(M.pi(), l1)
+    xs = [M.mul(M.monomial(s, 0), pi_l1) for s in range(M.gr.d)]
+    bxs = [M.mul(b, x) for x in xs]
+    A = []
+    for bx in bxs:
+        row = []
+        for x in xs:
+            val = psi(M.mul(bx, x))
+            if val % step:
+                raise VerificationError("tail pairing is not p-torsion")
+            row.append(val // step * half % p)
+        A.append(row)
+    lin = []
+    for s, (x, bx) in enumerate(zip(xs, bxs)):
+        fr = Fraction(psi(bx), step * p)
+        fr -= chi.fraction_on_coords(sys.U.dlog(M.add(M.one(), x)))
+        if (fr * p).denominator != 1:
+            raise VerificationError("tail value is not a p-th root of unity")
+        lin.append((int(fr * p) - A[s][s]) % p)
+    return A, lin
+
+
+def _complete_square(A: List[List[int]], lin: List[int], p: int) -> Tuple[int, int]:
+    """(det A, -l^T A^{-1} l / 4) mod p for a symmetric A, so that
+    y^T A y + l . y = z^T A z - l^T A^{-1} l / 4 at z = y + A^{-1} l / 2.
+    Raises VerificationError if A is singular mod p."""
+    d = len(A)
+    rows, _, det = _fp_echelon([row + [v] for row, v in zip(A, lin)], p, d)
+    if det == 0:
+        raise VerificationError("tail quadratic form is degenerate")
+    sol = [row[d] for row in rows]  # A sol = l
+    return det, -sum(a * c for a, c in zip(lin, sol)) * pow(4, -1, p) % p
+
+
+def _legendre(a: int, p: int) -> int:
+    """eta(a) = (a/p) = +-1 for a unit a mod p."""
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def _closed_tail(sys, chi, psi, lev, b, l1) -> Cyclotomic:
+    """The sum of f(w) over w in F_{q_K} (see _tail_form), in closed form:
+    sum_y zeta_p^{y^T A y + l . y} = eta(det A) zeta_p^{-l^T A^{-1} l / 4}
+    g_p^d (diagonalize A; Lidl-Niederreiter, Finite Fields, 5.2), from d
+    dlogs instead of one per residue.
+    """
+    p = sys.P.p
+    A, lin = _tail_form(sys, chi, psi, lev, b, l1)
+    det, const = _complete_square(A, lin, p)
+    return (quadratic_gauss_sum_prime(p) ** len(A)
+            * Cyclotomic.root_of_unity(p, const) * _legendre(det, p))
+
+
+def quadratic_gauss_sum_prime(p: int) -> Cyclotomic:
+    """g_p = sum over y in F_p of zeta_p^{y^2}, at order p."""
+    counts: Dict[int, int] = {}
+    for y in range(p):
+        counts[y * y % p] = counts.get(y * y % p, 0) + 1
+    return Cyclotomic(p, {key: Fraction(v) for key, v in counts.items()})
+
+
 def quadratic_gauss_sum_field(p: int, d: int) -> HalfPowerScalar:
-    """Literal normalized quadratic Gauss sum over the field F_{p^d}."""
-    gf = GaloisRing(p, 1, d)
-    q = p ** d
-    gen = residue_generator(gf)
-    buckets: Dict[int, int] = {}
-    N = lcm(2, p)
-    cur = gf.one
-    for j in range(q - 1):
-        fr = Fraction(j % 2, 2) + Fraction(gf.trace_abs(cur) % p, p)
-        key = int((fr % 1) * N)
-        buckets[key] = buckets.get(key, 0) + 1
-        cur = gf.mul(cur, gen)
-    total = Cyclotomic(N, {key: Fraction(v) for key, v in buckets.items()})
-    return HalfPowerScalar(total, -1, q).normalized()
+    """Normalized quadratic Gauss sum over F_{p^d}, with the canonical
+    additive character, by Davenport-Hasse: g(F_{p^d}) = (-1)^{d-1} g_p^d.
+    Stored at order 2p, where the sum of its terms lives."""
+    g = quadratic_gauss_sum_prime(p) ** d * (-1) ** (d - 1)
+    return HalfPowerScalar(g.embed(2 * p), -1, p ** d).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,14 @@ class Cyclotomic:
         if self.order == other.order:
             return self, other
         M = self.order * other.order // math.gcd(self.order, other.order)
-        return self._embed(M), other._embed(M)
+        return self.embed(M), other.embed(M)
 
-    def _embed(self, M: int) -> "Cyclotomic":
+    def embed(self, M: int) -> "Cyclotomic":
+        """The same value stored at order M, a multiple of self.order."""
         if M == self.order:
             return self
+        if M % self.order:
+            raise ValueError("order %d does not divide %d" % (self.order, M))
         scale = M // self.order
         return Cyclotomic(M, {k * scale: c for k, c in self.coeffs.items()})
 

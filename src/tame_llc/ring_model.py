@@ -619,6 +619,22 @@ def _verify_model(M: Model):
 # unit group presentations
 # ---------------------------------------------------------------------------
 
+def one_unit_order(M: Model, i: int) -> int:
+    """p^t with (1+y)^{p^t} = 1 in O_K/p_K^{er} for every v(y) >= i >= 1.
+
+    (1+y)^p - 1 = py + ... + y^p has valuation at least min(v + e, p v) for
+    v = v(y) (v(p) = e), so t is the number of steps of that bound from i
+    to er.
+    """
+    P = M.P
+    er = P.e * P.r
+    v, t = i, 0
+    while v < er:
+        v = min(v + P.e, P.p * v)
+        t += 1
+    return P.p ** t
+
+
 class UnitGroupPresentation:
     """Invariant-factor presentation of (R/pi^N)^x with exact discrete logs.
 
@@ -663,14 +679,14 @@ class UnitGroupPresentation:
         # generators of the invariant-factor coordinates.  The exponents are
         # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
         # so each h is the same element as with the raw exponents: tau has
-        # exact order q_K - 1, and for v(y) >= 1, (1+y)^p - 1 has valuation
-        # >= v(y) + 1 (v(p) = e >= 1), so (1+y)^{p^{er-1}} = 1.
-        one_unit_exp = M.P.p ** (M.e * M.P.r - 1)
+        # exact order q_K - 1, and a one-unit at level i has order dividing
+        # one_unit_order(M, i).
+        exps = [M.P.q_K - 1] + [one_unit_order(M, i) for i, _ in self.levels[1:]]
         self.inv_gens: List[Elt] = []
         for k in self._keep:
             h = M.one()
             for jj, ex in enumerate(vinv[k]):
-                ex %= M.P.q_K - 1 if jj == 0 else one_unit_exp
+                ex %= exps[jj]
                 if ex:
                     h = M.mul(h, M.pow(gens[jj], ex))
             self.inv_gens.append(h)
@@ -864,16 +880,23 @@ def _is_generator(M: Model, beta: Elt) -> bool:
 def _fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
     """Reduced row echelon form over F_p, pivoting in the first ncols columns.
 
-    Returns (reduced rows, pivot columns); the rank is the number of pivots.
+    Returns (reduced rows, pivot columns, det); the rank is the number of
+    pivots.  det is the determinant of the first ncols columns mod p when
+    there are ncols rows (0 when a column has no pivot).
     """
     rows = [list(r) for r in rows]
     pivots: List[int] = []
+    det = 1
     for c in range(ncols):
         rr = len(pivots)
         piv = next((r2 for r2 in range(rr, len(rows)) if rows[r2][c] % p), None)
         if piv is None:
+            det = 0
             continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
+        if piv != rr:
+            rows[rr], rows[piv] = rows[piv], rows[rr]
+            det = -det
+        det = det * rows[rr][c] % p
         inv = pow(rows[rr][c], -1, p)
         rows[rr] = [(x * inv) % p for x in rows[rr]]
         for r2 in range(len(rows)):
@@ -881,7 +904,7 @@ def _fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
                 fac = rows[r2][c]
                 rows[r2] = [(x - fac * y) % p for x, y in zip(rows[r2], rows[rr])]
         pivots.append(c)
-    return rows, pivots
+    return rows, pivots, det
 
 
 def regular_rep_matrix(M: Model, beta: Elt, level: int) -> List[List[int]]:

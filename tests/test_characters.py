@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,6 +14,10 @@ from tame_llc.characters import (
     LITERAL_GAUSS_THRESHOLD,
     CharacterSystem,
     MultCharacter,
+    _closed_tail,
+    _critical_point,
+    _psi_K_data,
+    _values_below,
     chi_beta_fraction,
     conductor_bruteforce,
     gauss_sum,
@@ -22,7 +28,13 @@ from tame_llc.characters import (
 from tame_llc.conjectures import root_number_supported, valid_tuples, verify_root_number
 from tame_llc.exactnum import Cyclotomic, HalfPowerScalar, VerificationError
 from tame_llc.llc_parameters import twist_conductor_predicted
-from tame_llc.ring_model import TooLarge, UnitGroupPresentation, build_model
+from tame_llc.ring_model import (
+    GaloisRing,
+    TooLarge,
+    UnitGroupPresentation,
+    build_model,
+    residue_generator,
+)
 from tame_llc.tame_galois import GAL_ID, gal_elements, order_two_set, params_from_q
 
 
@@ -171,6 +183,56 @@ def test_gauss_sum_methods_agree():
     assert (len(tuples), twists) == (9, 9)
 
 
+def _literal_tail(cs, chi, psi, lev, b, l1):
+    """The odd-conductor tail of stationary phase term by term: the sum of
+    psi_K-shift(b w pi^{l1}) chi^{-1}(1 + w pi^{l1}) over the Teichmuller
+    residues w, one dlog each, at the order N its terms live at."""
+    M, P = cs.M, cs.P
+    pi_l1 = M.pow(M.pi(), l1)
+    plev = P.p ** lev
+    N = lcm(plev, *(list(chi.orders) + [2]))
+    wts = chi.scaled_exps(N)
+    residues = [M.zero()]
+    tau_j = M.gr.one
+    for _ in range(P.q_K - 1):
+        residues.append(M.from_gr(tau_j))
+        tau_j = M.gr.mul(tau_j, M.tau)
+    terms = {}
+    for w in residues:
+        coords = cs.U.dlog(M.add(M.one(), M.mul(w, pi_l1)))
+        key = (psi(M.mul(M.mul(b, w), pi_l1)) * (N // plev)
+               - sum(a * c for a, c in zip(wts, coords))) % N
+        terms[key] = terms.get(key, 0) + 1
+    return Cyclotomic(N, {key: Fraction(v) for key, v in terms.items()})
+
+
+def test_closed_tail_matches_literal_tail():
+    # every odd-conductor twist of the supported box with q_K <= 81: the
+    # closed quadratic Gauss sum against the literal O(q_K) tail, as the
+    # same Cyclotomic at the same order (so the output bytes agree too)
+    tuples, twists = set(), 0
+    for P in valid_tuples([3, 5, 7, 9, 11, 13], 6, range(3, 9)):
+        if root_number_supported(P) is not None or P.q_K > 81:
+            continue
+        cs = None
+        for gamma in sorted(gal_elements(P)):
+            k = twist_conductor_predicted(P, gamma)
+            if gamma == GAL_ID or k % 2 == 0:
+                continue
+            cs = cs or CharacterSystem(build_model(P))
+            tw = cs.theta_tilde_twist(gamma)
+            assert conductor_bruteforce(cs, tw) == k, (P, gamma)
+            lev, psi = _psi_K_data(cs.M, k)
+            l1 = k // 2
+            b = _critical_point(cs, _values_below(cs, tw, k), psi, lev, l1, l1 + 1, k)
+            literal = _literal_tail(cs, tw, psi, lev, b, l1)
+            closed = _closed_tail(cs, tw, psi, lev, b, l1).embed(literal.order)
+            assert closed.coeffs == literal.coeffs, (P, gamma)
+            tuples.add((P.q, P.e, P.f, P.m, P.r))
+            twists += 1
+    assert (len(tuples), twists) == (65, 121)
+
+
 def test_gauss_sum_below_the_conductor_raises(sys_ramified, sys_unramified):
     # a twist of conductor k is no character of (R/pi^{k-1})^x
     checked = 0
@@ -239,6 +301,34 @@ def test_quadratic_gauss_sum_square_law(p, d):
     assert (g * g).normalized() == HalfPowerScalar(
         Cyclotomic.from_rational((-1) ** ((q - 1) // 2)), 0, q
     )
+
+
+def _quadratic_gauss_sum_literal(p, d):
+    """Normalized sum of eta(t) psi(t) over t in F_{p^d}^x, term by term:
+    eta(gen^j) = (-1)^j and psi(t) = zeta_p^{Tr t}."""
+    gf = GaloisRing(p, 1, d)
+    gen = residue_generator(gf)
+    buckets = {}
+    N = lcm(2, p)
+    cur = gf.one
+    for j in range(p ** d - 1):
+        fr = Fraction(j % 2, 2) + Fraction(gf.trace_abs(cur) % p, p)
+        key = int((fr % 1) * N)
+        buckets[key] = buckets.get(key, 0) + 1
+        cur = gf.mul(cur, gen)
+    total = Cyclotomic(N, {key: Fraction(v) for key, v in buckets.items()})
+    return HalfPowerScalar(total, -1, p ** d).normalized()
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (7, 1), (3, 2),
+                                 (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_quadratic_gauss_sum_davenport_hasse(p, d):
+    # the closed (-1)^{d-1} g_p^d against the literal field sum, as the
+    # same coefficient at the same order and half exponent
+    closed, literal = quadratic_gauss_sum_field(p, d), _quadratic_gauss_sum_literal(p, d)
+    assert closed.half_exp == literal.half_exp
+    assert closed.coef.order == literal.coef.order
+    assert closed.coef.coeffs == literal.coef.coeffs
 
 
 def test_frohlich_queyrut_value(sys_ramified, sys_unramified):

@@ -237,8 +237,13 @@ def test_invariant_generators_match_raw_exponents(tup):
                 h = M.mul(h, M.pow(g, ex))
             raw.append(h)
         assert U.inv_gens == raw
-        for g in U.gens[1:]:
-            assert M.pow(g, P.p ** (top - 1)) == M.one()
+        # a one-unit 1 + y at level i has order dividing p^t, t the number
+        # of steps of v -> min(v + e, p v) from i to er
+        for g, (i, _) in zip(U.gens[1:], U.levels[1:]):
+            v, t = i, 0
+            while v < top:
+                v, t = min(v + P.e, P.p * v), t + 1
+            assert M.pow(g, P.p ** t) == M.one()
 
 
 def _random_units(M, count, seed):
