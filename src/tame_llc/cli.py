@@ -21,6 +21,7 @@ from .conjectures import (
     CheckResult,
     ConjectureReport,
     dim_delta,
+    number_text,
     sweep_report,
     verify_formal_degree,
     verify_root_number,
@@ -31,6 +32,7 @@ from .llc_parameters import (
     adjoint_L,
     centralizer_order,
 )
+from .ring_model import TooLarge
 from .tame_galois import InvalidParams, TameParams, params_from_q
 
 EXIT_OK = 0
@@ -214,17 +216,17 @@ def _factors_report(P: TameParams) -> ConjectureReport:
     c2 = adjoint_conductor(P, "additivity")
     rep.checks.append(CheckResult(
         "adjoint_conductor",
-        {"filtration": str(c1), "additivity": str(c2)},
+        {"filtration": number_text(c1), "additivity": number_text(c2)},
         "OK" if c1 == c2 == P.r * P.n * (P.n - 1) else "FAIL",
     ))
     rep.checks.append(CheckResult(
-        "gamma0_abs", {"value": str(adjoint_gamma0_abs(P))}, "OK"))
+        "gamma0_abs", {"value": number_text(adjoint_gamma0_abs(P))}, "OK"))
     rep.checks.append(CheckResult(
-        "centralizer_order", {"value": str(centralizer_order(P))}, "OK"))
+        "centralizer_order", {"value": number_text(centralizer_order(P))}, "OK"))
     closed, index = dim_delta(P, "closed"), dim_delta(P, "index")
     rep.checks.append(CheckResult(
         "dim_delta",
-        {"closed": str(closed), "index": str(index)},
+        {"closed": number_text(closed), "index": number_text(index)},
         "OK" if closed == index else "FAIL",
     ))
     return rep
@@ -286,6 +288,9 @@ def execute_plan(plan: Plan) -> int:
             reports = _selftest_reports()
         else:
             return EXIT_USAGE
+    except TooLarge as ex:
+        print(f"too large: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ArithmeticError, AssertionError, RuntimeError) as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL

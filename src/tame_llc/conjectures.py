@@ -61,6 +61,17 @@ class ConjectureReport:
         }
 
 
+def number_text(x) -> str:
+    """str(x) of an int or a Fraction for a report.  Python refuses to print
+    an int past its digit limit (4,300 digits by default) with a ValueError;
+    that refusal is raised here as TooLarge."""
+    try:
+        return str(x)
+    except ValueError:
+        raise TooLarge("a report number exceeds Python's limit on the digits "
+                       "of an int-to-str conversion") from None
+
+
 # ---------------------------------------------------------------------------
 # dimension of the depth-zero-at-level-r representation
 # ---------------------------------------------------------------------------
@@ -150,7 +161,7 @@ def verify_formal_degree(P: TameParams) -> CheckResult:
     )
     return CheckResult(
         name="formal_degree",
-        method_values={"counting": str(lhs), "gamma_ratio": str(rhs)},
+        method_values={"counting": number_text(lhs), "gamma_ratio": number_text(rhs)},
         status="OK" if lhs == rhs else "FAIL",
     )
 
@@ -241,7 +252,7 @@ def sweep_report(
         rep.checks.append(
             CheckResult(
                 "dim_delta",
-                {"closed": str(closed), "index": str(index)},
+                {"closed": number_text(closed), "index": number_text(index)},
                 "OK" if closed == index and closed.denominator == 1 else "FAIL",
             )
         )

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc, VerificationError, ratfunc_eval
+from .intlinalg import hnf_row, left_kernel_basis
 from .ring_model import GaloisRing, residue_generator
 
 
@@ -282,57 +283,94 @@ class PrincipalData:
     ad_eigen_exponents: Tuple[int, ...]  # Frobenius exponents on ker ad(N_0)
 
 
+def _degree_positions(n: int, d: int) -> List[Tuple[int, int]]:
+    """The positions (i, i + d) of gl_n of degree d, i ascending."""
+    return [(i, i + d) for i in range(max(0, -d), min(n, n - d))]
+
+
+def _ad_kernel_by_degree(N0: Sequence[Sequence[int]]) -> Dict[int, List[List[int]]]:
+    """ker ad(N_0) on gl_n over Z, one block per degree d = j - i.
+
+    For N_0 of degree 1, X -> N_0 X - X N_0 sends E_ij, of degree j - i,
+    into degree j - i + 1: its n^2 x n^2 matrix is the direct sum of the
+    2n - 1 blocks d -> d + 1, and the kernel is the direct sum of their
+    left kernels.  Block d's kernel vectors are written in the coordinates
+    `_degree_positions(n, d)`.  An image that leaves degree d + 1 raises.
+    """
+    n = len(N0)
+    kernel = {}
+    for d in range(1 - n, n):
+        cols = {rc: t for t, rc in enumerate(_degree_positions(n, d + 1))}
+        rows = []
+        for i, j in _degree_positions(n, d):
+            # image of E_ij under X -> N0 X - X N0, as a sparse matrix
+            img = {}
+            for k in range(n):
+                if N0[k][i]:
+                    img[k, j] = img.get((k, j), 0) + N0[k][i]
+                if N0[j][k]:
+                    img[i, k] = img.get((i, k), 0) - N0[j][k]
+            row = [0] * len(cols)
+            for (r, c), v in img.items():
+                if v:
+                    if c - r != d + 1:
+                        raise VerificationError(
+                            f"ad(N_0) sends E_{i},{j} outside degree {d + 1}")
+                    row[cols[r, c]] = v
+            rows.append(row)
+        kernel[d] = left_kernel_basis(rows)
+    return kernel
+
+
+def _lattice(rows: List[List[int]]) -> List[List[int]]:
+    """The nonzero rows of the Hermite normal form of span(rows)."""
+    return [r for r in hnf_row(rows)[0] if any(r)]
+
+
 def principal_triple(n: int, q: int) -> PrincipalData:
     """Adjoint factors of the Steinberg parameter Sym^{n-1} of SL_2.
 
-    N_0 is the regular nilpotent and Frobenius acts through the diagonal
-    q^{(n-1)/2}, ..., q^{-(n-1)/2}; the centralizer of N_0 in sl_n is
-    spanned by N_0, ..., N_0^{n-1} with adjoint Frobenius eigenvalues
-    q^{-1}, ..., q^{-(n-1)}.  All of this is recomputed from the matrices.
+    N_0 is the regular nilpotent.  Grade gl_n by d = j - i on E_ij: ad(N_0)
+    raises the degree by one, so ker ad(N_0) is read block by block
+    (`_ad_kernel_by_degree`, 2n - 1 blocks of at most n x n instead of one
+    n^2 x n^2 matrix) and compared, degree by degree, with the span of
+    N_0^0, ..., N_0^{n-1}, N_0^k having degree k.  Frobenius acts on
+    degree d by q^{-d} (F N_0 F^{-1} = q^{-1} N_0), so the eigenvalues of
+    adjoint Frobenius on the centralizer in sl_n are q^{-d} for the degrees
+    d of the kernel, the trace line of degree 0 dropped: q^{-1}, ...,
+    q^{-(n-1)}.  All of this is recomputed from the matrices.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    # kernel of ad(N_0) on gl_n over Q, by linear algebra
     N0 = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            # image of E_ij under X -> N0 X - X N0, flattened
-            img = [[0] * n for _ in range(n)]
-            for k in range(n):
-                img[k][j] += N0[k][i]
-            for k in range(n):
-                img[i][k] -= N0[j][k]
-            rows.append([img[r][c] for r in range(n) for c in range(n)])
-    from .intlinalg import hnf_row, left_kernel_basis
-    ker = left_kernel_basis(rows)
-    if len(ker) != n:
+    kernel = _ad_kernel_by_degree(N0)
+    if sum(len(vs) for vs in kernel.values()) != n:
         raise VerificationError("regular nilpotent centralizer must have dimension n")
+    # N_0^k by sparse products; every entry must sit on the diagonal j - i = k
+    step = {i: [(j, c) for j, c in enumerate(row) if c] for i, row in enumerate(N0)}
+    pw = {(i, i): 1 for i in range(n)}
+    powers = {d: [] for d in kernel}
+    for k in range(n):
+        if any(c and j - i != k for (i, j), c in pw.items()):
+            raise VerificationError(f"N_0^{k} has an entry off its diagonal")
+        powers[k].append([pw.get(ij, 0) for ij in _degree_positions(n, k)])
+        nxt = {}
+        for (i, m), c in pw.items():
+            for j, c2 in step[m]:
+                nxt[i, j] = nxt.get((i, j), 0) + c * c2
+        pw = nxt
     # the kernel must be exactly span(N_0^0, ..., N_0^{n-1}); compare lattices
-    powers = []
-    pw = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(n):
-        powers.append([pw[r][c] for r in range(n) for c in range(n)])
-        pw = [[sum(pw[i][k] * N0[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-    ker_h = [r for r in hnf_row([list(v) for v in ker])[0] if any(r)]
-    pow_h = [r for r in hnf_row(powers)[0] if any(r)]
-    if ker_h != pow_h:
-        raise VerificationError("centralizer is not the span of the powers of N_0")
-    # adjoint Frobenius acts on E_ij by q^{j-i}, hence on N_0^k by q^{-k}
-    # (every entry of N_0^k sits on the diagonal j - i = k)
-    for k, vec in enumerate(powers):
-        for idx, c in enumerate(vec):
-            if c:
-                i, j = divmod(idx, n)
-                if j - i != k:
-                    raise VerificationError(f"N_0^{k} has an entry off its diagonal")
-    ad_exps = tuple(range(1, n))
-    # L from the eigenvalues q^{-k}
-    poly = (Cyclotomic.one(),)
+    for d, vs in kernel.items():
+        if _lattice(vs) != _lattice(powers[d]):
+            raise VerificationError("centralizer is not the span of the powers of N_0")
+    ad_exps = tuple(d for d, vs in kernel.items() if d for _ in vs)
+    # 1/L = prod (1 - q^{-k} u) = q^{-s} prod (q^k - u), s the sum of the k,
+    # multiplied over Z; then one Cyclotomic per coefficient
+    coeffs = [1]
     for k in ad_exps:
-        poly = _poly_mul_cyc(poly, (Cyclotomic.one(),
-                                    Cyclotomic.from_rational(Fraction(-1, q ** k))))
+        coeffs = [q ** k * x - y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    scale = q ** sum(ad_exps)
+    poly = tuple(Cyclotomic.from_rational(Fraction(c, scale)) for c in coeffs)
     a = n * (n - 1)
     eps = HalfPowerScalar.q_half_power(q, a)
     triple = LocalFactorTriple(q, eps, a, poly)

@@ -150,3 +150,14 @@ def test_root_number_survey_script_runs(capsys):
     assert code == 0
     assert "(q=3, e=1, f=2, m=0, r=3)" in out and "  OK  " in out
     assert out.rstrip().endswith("1 tuples, 0 failures")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "formal-degree", "--q", "13", "--e", "1", "--f", "8", "--r", "160"],
+    ["factors", "--q", "13", "--e", "1", "--f", "8", "--r", "160"],
+])
+def test_report_number_past_the_digit_limit_exits_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "digits" in err

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from tame_llc.exactnum import Cyclotomic, RatFunc
+from tame_llc.intlinalg import hnf_row, left_kernel_basis
 from tame_llc.local_factors import (
     AbelianCharData,
     BruteForceUnsupported,
     LocalFactorTriple,
+    _ad_kernel_by_degree,
+    _degree_positions,
     eps_abelian,
     gamma_at_zero_abs,
     induced_factor,
@@ -107,6 +110,8 @@ def test_induced_factor_shapes(sys_ramified, sys_unramified):
     (4, 3, Fraction(19683, 40)),
     (5, 3, Fraction(4782969, 121)),
     (2, 5, Fraction(25, 6)),
+    (8, 7, Fraction(378818692265664781682717625943, 960800)),
+    (6, 13, Fraction(19004963774880799438801, 402234)),
 ])
 def test_principal_gamma_at_zero(n, q, expected):
     assert principal_triple(n, q).gamma0 == expected
@@ -123,6 +128,40 @@ def test_principal_adjoint_structure(n, q):
     for k in range(1, n):
         L = L * (RatFunc.one() - RatFunc.monomial(Fraction(1, q ** k), 1)).inv()
     assert t.L == L
+
+
+def _regular_nilpotent(n):
+    return [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def _dense_ad_kernel(n):
+    """ker ad(N_0) from the whole n^2 x n^2 matrix of ad(N_0), in the
+    coordinates E_ij -> i*n + j: the oracle of the graded kernel."""
+    N0 = _regular_nilpotent(n)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            # image of E_ij under X -> N0 X - X N0, flattened
+            img = [[0] * n for _ in range(n)]
+            for k in range(n):
+                img[k][j] += N0[k][i]
+            for k in range(n):
+                img[i][k] -= N0[j][k]
+            rows.append([img[r][c] for r in range(n) for c in range(n)])
+    return left_kernel_basis(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_graded_centralizer_matches_the_dense_kernel(n):
+    graded = []
+    for d, vs in _ad_kernel_by_degree(_regular_nilpotent(n)).items():
+        for v in vs:
+            flat = [0] * (n * n)
+            for (i, j), c in zip(_degree_positions(n, d), v):
+                flat[i * n + j] = c
+            graded.append(flat)
+    assert len(graded) == n
+    assert hnf_row(graded)[0] == hnf_row(_dense_ad_kernel(n))[0]
 
 
 def test_principal_gamma_zero_against_eps_l_ratio():

@@ -8,10 +8,20 @@ import subprocess
 import sys
 import textwrap
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from tame_llc import characters
-from tame_llc.conjectures import root_number_supported, valid_tuples, verify_root_number
+from tame_llc import characters, conjectures
+from tame_llc.conjectures import (
+    root_number_supported,
+    valid_tuples,
+    verify_formal_degree,
+    verify_root_number,
+)
+from tame_llc.exactnum import RatFunc
+from tame_llc.local_factors import gamma_at_zero_abs
 
 
 def _root_number_box():
@@ -39,18 +49,43 @@ def _flip_eta(monkeypatch):
     monkeypatch.setattr(characters, "_legendre", lambda a, p: -legendre(a, p))
 
 
+def _formal_degree_box():
+    """The tuples of q <= 5, n <= 4, r in {2, 3}."""
+    box = valid_tuples([3, 5], 4, [2, 3])
+    assert len(box) == 34
+    return box
+
+
+def _drop_top_principal_exponent(monkeypatch):
+    # gamma(0, Ad phi_0) without the factor (1 - q^{-(n-1)} u)^{-1} of its L
+    principal_triple = conjectures.principal_triple
+
+    def mutated(n, q):
+        data = principal_triple(n, q)
+        *exps, top = data.ad_eigen_exponents
+        t = data.triple
+        L = t.L * (RatFunc.one() - RatFunc.monomial(Fraction(1, q ** top), 1))
+        return replace(data, gamma0=gamma_at_zero_abs(q, t.a, L),
+                       ad_eigen_exponents=tuple(exps))
+
+    monkeypatch.setattr(conjectures, "principal_triple", mutated)
+
+
 ROWS = {
-    "gauss_sum: negate the tail constant": (_negate_tail_constant, _root_number_box),
-    "gauss_sum: flip eta": (_flip_eta, _root_number_box),
+    "gauss_sum: negate the tail constant":
+        (_negate_tail_constant, _root_number_box, verify_root_number),
+    "gauss_sum: flip eta": (_flip_eta, _root_number_box, verify_root_number),
+    "principal_triple: drop the top exponent":
+        (_drop_top_principal_exponent, _formal_degree_box, verify_formal_degree),
 }
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_mutation_turns_a_check_to_fail(row, monkeypatch):
-    perturb, box = ROWS[row]
+    perturb, box, verify = ROWS[row]
     tuples = box()
     perturb(monkeypatch)
-    statuses = [verify_root_number(P).status for P in tuples]
+    statuses = [verify(P).status for P in tuples]
     assert "FAIL" in statuses, row
 
 
@@ -78,3 +113,37 @@ def test_degenerate_tail_form_raises_under_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "tail quadratic form is degenerate\n"
+
+
+def test_principal_centralizer_checks_raise_under_python_O():
+    code = textwrap.dedent("""
+        from tame_llc import local_factors
+        from tame_llc.exactnum import VerificationError
+        assert False, "asserts are on"
+
+        # N_0 + E_02: an image of ad(N_0) leaves degree d + 1
+        N0 = [[1 if j == i + 1 or (i, j) == (0, 2) else 0 for j in range(4)]
+              for i in range(4)]
+        try:
+            local_factors._ad_kernel_by_degree(N0)
+        except VerificationError as ex:
+            print(ex)
+
+        # one block-kernel vector dropped
+        left_kernel_basis = local_factors.left_kernel_basis
+
+        def drop_one(rows):
+            return left_kernel_basis(rows)[1:]
+
+        local_factors.left_kernel_basis = drop_one
+        try:
+            local_factors.principal_triple(4, 3)
+        except VerificationError as ex:
+            print(ex)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("ad(N_0) sends E_3,0 outside degree -2\n"
+                          "regular nilpotent centralizer must have dimension n\n")
