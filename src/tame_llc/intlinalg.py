@@ -7,6 +7,13 @@ cubic algorithms with exact big integers suffice, provided each Euclid step
 divides by the smallest entry of its column: dividing always by the row in
 the pivot slot lets the transforms of the chi-data systems grow to millions
 of bits.
+
+Each lattice is factored once.  `smith_normal_form` returns the column
+transform V together with its inverse, kept up to date operation by
+operation, so no transform is ever inverted afterwards.  A subgroup keeps
+its square Hermite basis and solves against it by back-substitution, and
+`extend_character` reads its particular solution and its homogeneous
+kernel from one Hermite form.
 """
 
 from __future__ import annotations
@@ -114,9 +121,8 @@ def left_kernel_basis(mat: Matrix) -> Matrix:
     return out
 
 
-def solve_left(mat: Matrix, target: Sequence[int]) -> Optional[List[int]]:
-    """An integer row y with y*mat = target, or None."""
-    h, u = hnf_row(mat)
+def _solve_hnf(h: Matrix, u: Matrix, target: Sequence[int]) -> Optional[List[int]]:
+    """An integer row y with y*mat = target, from (h, u) = hnf_row(mat)."""
     y = [0] * len(h)
     t = list(target)
     m = len(t)
@@ -135,34 +141,60 @@ def solve_left(mat: Matrix, target: Sequence[int]) -> Optional[List[int]]:
     return vec_mat(y, u)
 
 
+def solve_left(mat: Matrix, target: Sequence[int]) -> Optional[List[int]]:
+    """An integer row y with y*mat = target, or None."""
+    h, u = hnf_row(mat)
+    return _solve_hnf(h, u, target)
+
+
+def _back_substitute(h: Matrix, target: Sequence[int]) -> Optional[List[int]]:
+    """The row y with y*h = target, for h square, upper triangular and of
+    full rank, or None when y is not integral (target outside the row
+    lattice of h).  Exact back-substitution; y is unique."""
+    t = list(target)
+    y = []
+    for i, hi in enumerate(h):
+        c, rem = divmod(t[i], hi[i])
+        if rem:
+            return None
+        y.append(c)
+        if c:
+            for j in range(i + 1, len(t)):
+                t[j] -= c * hi[j]
+    return y
+
+
 def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (S, U, V) with U*mat*V = S diagonal,
-    diagonal entries nonnegative with d1 | d2 | ...  U, V unimodular."""
+    """Smith normal form: returns (S, V, V^{-1}) with S = U*mat*V diagonal
+    for some unimodular U, the diagonal entries nonnegative with
+    d1 | d2 | ...  V is unimodular, and its inverse is kept alongside it:
+    each column operation on V is one row operation on V^{-1}."""
     s = [list(r) for r in mat]
     n = len(s)
     m = len(s[0]) if s else 0
-    u = identity_matrix(n)
     v = identity_matrix(m)
+    vinv = identity_matrix(m)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def addmul_row(dst, src, c):
         s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def addmul_col(dst, src, c):
         for row in s:
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
+        # V (I + c E_{src,dst}) has inverse (I - c E_{src,dst}) V^{-1}
+        vinv[src] = [x - c * y for x, y in zip(vinv[src], vinv[dst])]
 
     def diagonalize(lo, hi_r, hi_c):
         # Diagonalize the block [lo:hi_r] x [lo:hi_c].  At each pivot step
@@ -199,7 +231,6 @@ def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
                     break
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
             t += 1
 
     diagonalize(0, n, m)
@@ -217,16 +248,7 @@ def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
             break
         addmul_row(bad, bad + 1, 1)
         diagonalize(bad, bad + 2, bad + 2)
-    return s, u, v
-
-
-def invert_unimodular(mat: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix (via HNF against the identity)."""
-    h, u = hnf_row(mat)
-    n = len(mat)
-    if h != identity_matrix(n):
-        raise ValueError("matrix is not unimodular")
-    return u
+    return s, v, vinv
 
 
 def reduce_mod_lattice(h: Matrix, x: Sequence[int]) -> List[int]:
@@ -263,17 +285,16 @@ class SubgroupPresentation:
         basis_m = [r for r in h if any(r)]
         if len(basis_m) != s:
             raise ValueError("subgroup lattice is not full rank (bad ambient orders?)")
-        self._m = basis_m  # lattice basis rows, HNF
+        self._m = basis_m  # lattice basis rows, HNF: square, upper triangular
         # relation lattice of the generators y -> y*M mod diag(d):
         # rows of diag(d)*M^{-1}, integral because diag(d) sits inside the lattice
         rel = []
         for target in diag(self.ambient_orders):
-            y = solve_left(basis_m, target)
+            y = _back_substitute(basis_m, target)
             if y is None:
                 raise VerificationError("diag(d) must lie in the subgroup lattice")
             rel.append(y)
-        snf, _, v = smith_normal_form(rel)
-        vinv = invert_unimodular(v)
+        snf, v, vinv = smith_normal_form(rel)
         self._v = v
         self._snf_orders = [snf[i][i] for i in range(s)]
         self.basis: List[List[int]] = []
@@ -292,12 +313,17 @@ class SubgroupPresentation:
         return self.coords(x) is not None
 
     def coords(self, x: Sequence[int]) -> Optional[List[int]]:
-        """Coordinates of ambient element x in the subgroup basis, or None."""
+        """Coordinates of ambient element x in the subgroup basis, or None.
+
+        x is a member exactly when it lies in the row lattice of _m, which
+        contains diag(d); its unique lattice coordinates then come by
+        back-substitution.
+        """
         s = len(self.ambient_orders)
-        y = solve_left(self._m + diag(self.ambient_orders), list(x))
+        y = _back_substitute(self._m, x)
         if y is None:
             return None
-        w = vec_mat(y[:s], self._v)
+        w = vec_mat(y, self._v)
         out = []
         for j in range(s):
             if self._snf_orders[j] == 1:
@@ -376,13 +402,14 @@ def extend_character(
     # Transpose to row form: find w with w * A^T = rhs + big*t.
     at = [[a_mat[j][i] for j in range(k)] for i in range(s)]  # s x k
     stacked = at + diag([big] * k)  # (s+k) x k
-    y = solve_left(stacked, rhs)
+    # one Hermite form gives a particular solution and the homogeneous kernel
+    hs, us = hnf_row(stacked)
+    y = _solve_hnf(hs, us, rhs)
     if y is None:
         raise ValueError("prescribed values are not a character of the subgroup")
     w = y[:s]
     # canonical representative: reduce modulo the homogeneous solution lattice
-    hom = left_kernel_basis(stacked)
-    hom_w = [row[:s] for row in hom]
+    hom_w = [ui[:s] for hi, ui in zip(hs, us) if not any(hi)]
     # the lattice also contains d_i * e_i (changing w_i by d_i changes nothing)
     hom_w += diag(d)
     h, _ = hnf_row(hom_w)

@@ -20,12 +20,7 @@ from math import gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
-from .intlinalg import (
-    SubgroupPresentation,
-    invert_unimodular,
-    kernel_subgroup,
-    smith_normal_form,
-)
+from .intlinalg import SubgroupPresentation, kernel_subgroup, smith_normal_form
 from .tame_galois import GalElt, TameParams, gal_elements, gal_mul
 
 GRElt = Tuple[int, ...]
@@ -644,6 +639,12 @@ class UnitGroupPresentation:
     p-th power written in the generators) has determinant equal to the
     group order, so it is the full lattice and Smith normal form yields the
     group structure.
+
+    Powers come from lists of repeated squares, one list per element,
+    extended only as far as an exponent needs: the raw generators share
+    theirs across all invariant generators inv_gens, and each inv_gens[k]
+    has its own for element_from_coords.  The lists live on this
+    presentation only.
     """
 
     def __init__(self, M: Model, N: int):
@@ -666,7 +667,7 @@ class UnitGroupPresentation:
             row = [-x for x in self._raw_dlog(M.pow(gens[idx], p))]
             row[idx] += p
             rows.append(row)
-        s, _, self._v = smith_normal_form(rows)
+        s, self._v, vinv = smith_normal_form(rows)
         self.all_orders = [s[i][i] for i in range(len(gens))]
         self._keep = [i for i, d in enumerate(self.all_orders) if d != 1]
         self.orders = [self.all_orders[i] for i in self._keep]
@@ -675,24 +676,40 @@ class UnitGroupPresentation:
         self.gen_coords: List[List[int]] = [
             [row[j] % self.all_orders[j] for j in self._keep] for row in self._v
         ]
-        vinv = invert_unimodular(self._v)
         # generators of the invariant-factor coordinates.  The exponents are
         # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
         # so each h is the same element as with the raw exponents: tau has
         # exact order q_K - 1, and a one-unit at level i has order dividing
         # one_unit_order(M, i).
         exps = [M.P.q_K - 1] + [one_unit_order(M, i) for i, _ in self.levels[1:]]
+        gen_squares: List[List[Elt]] = [[g] for g in gens]
         self.inv_gens: List[Elt] = []
         for k in self._keep:
             h = M.one()
             for jj, ex in enumerate(vinv[k]):
-                ex %= exps[jj]
-                if ex:
-                    h = M.mul(h, M.pow(gens[jj], ex))
+                h = self._mul_power(h, gen_squares[jj], ex % exps[jj])
             self.inv_gens.append(h)
+        self._inv_gen_squares: List[List[Elt]] = [[h] for h in self.inv_gens]
 
     def order(self) -> int:
         return prod(self.orders)
+
+    def _mul_power(self, acc: Elt, squares: List[Elt], ex: int) -> Elt:
+        """acc times g^ex, for ex >= 0 and squares = [g, g^2, g^4, ...],
+        which grows in place to the bit length of ex."""
+        if ex < 0:
+            raise ValueError("negative exponent")
+        M = self.M
+        one = M.one()
+        i = 0
+        while ex:
+            if i == len(squares):
+                squares.append(M.mul(squares[-1], squares[-1]))
+            if ex & 1:
+                acc = squares[i] if acc == one else M.mul(acc, squares[i])
+            ex >>= 1
+            i += 1
+        return acc
 
     # -- discrete logs -------------------------------------------------------
 
@@ -766,10 +783,10 @@ class UnitGroupPresentation:
         return self._coords(self._raw_dlog(x))
 
     def element_from_coords(self, coords: Sequence[int]) -> Elt:
+        """The product of inv_gens[k]^coords[k]; coordinates are >= 0."""
         out = self.M.one()
-        for h, c in zip(self.inv_gens, coords):
-            if c:
-                out = self.M.mul(out, self.M.pow(h, c))
+        for squares, c in zip(self._inv_gen_squares, coords):
+            out = self._mul_power(out, squares, c)
         return out
 
     def enumerate(self, k: int):

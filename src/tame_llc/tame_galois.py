@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import log
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .exactnum import VerificationError, _factorize
@@ -281,20 +282,30 @@ def filtration_data(P: TameParams, t: int) -> Tuple[Fraction, int]:
     four-range table ending at the full n^2-1.
     """
     q, n, r, e, f = P.q, P.n, P.r, P.e, P.f
-    if t < 0 or t > q ** (f * e * r) - 1:
+    if t < 0:
         raise OutOfRange(f"t = {t} outside [0, q^(fer)-1]")
     if t == 0:
         size = Fraction(e * q ** (n * r)) * (1 - Fraction(1, q ** f))
         fixdim = f - 1
         return size, fixdim
-    # locate the k-range of t
-    k = 1
-    while t > q ** (f * k) - 1:
-        k += 1
+    # the k-range of t is the least k >= 1 with t <= Q^k - 1, Q = q^f, so
+    # k - 1 is the integer logarithm floor(log_Q t): a float estimate, capped
+    # at er, is off by at most one, and one exact power settles it.  Every
+    # bound t <= Q^m - 1 below is then the comparison k <= m.
+    big_q = q ** f
+    j = min(int(log(t, big_q)), e * r)
+    power = big_q ** j
+    if power > t:
+        j -= 1
+    elif power * big_q <= t:
+        j += 1
+    k = j + 1
+    if k > e * r:
+        raise OutOfRange(f"t = {t} outside [0, q^(fer)-1]")
     size = Fraction(q ** (n * r - f * k))
-    if t <= q ** (f * (e * (r - 1) - 1)) - 1:
+    if k <= e * (r - 1) - 1:
         fixdim = n - 1
-    elif t <= q ** (f * e * (r - 1)) - 1:
+    elif k <= e * (r - 1):
         fixdim = f * e * e - 1
     else:
         fixdim = n * n - 1

@@ -1,24 +1,39 @@
 """Integer linear algebra: normal forms, kernels and finite abelian
 subgroup presentations."""
 
+import itertools
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tame_llc.exactnum import VerificationError
 from tame_llc.intlinalg import (
     SubgroupPresentation,
+    diag,
     extend_character,
     hnf_row,
     identity_matrix,
     intersect_subgroups,
-    invert_unimodular,
     kernel_subgroup,
     left_kernel_basis,
     mat_mul,
+    reduce_mod_lattice,
     smith_normal_form,
     solve_left,
     vec_mat,
 )
+
+
+def invert_unimodular(mat):
+    """Inverse of a unimodular integer matrix, via HNF against the identity:
+    an oracle for the inverse that smith_normal_form keeps alongside V."""
+    h, u = hnf_row(mat)
+    if h != identity_matrix(len(mat)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -32,11 +47,14 @@ small_matrices = st.integers(1, 4).flatmap(
 
 @given(small_matrices)
 def test_smith_normal_form_is_a_change_of_basis(mat):
-    s, u, v = smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, mat), v) == s
-    # both transforms are invertible over the integers
-    assert mat_mul(invert_unimodular(u), u) == identity_matrix(len(mat))
-    assert mat_mul(v, invert_unimodular(v)) == identity_matrix(len(mat[0]))
+    s, v, vinv = smith_normal_form(mat)
+    m = len(mat[0])
+    # V is invertible over the integers, and the returned inverse is exact
+    assert mat_mul(v, vinv) == identity_matrix(m)
+    assert mat_mul(v, invert_unimodular(v)) == identity_matrix(m)
+    assert vinv == invert_unimodular(v)
+    # U*A*V = S for a unimodular U: A*V and S have one row lattice
+    assert hnf_row(mat_mul(mat, v))[0] == hnf_row(s)[0]
 
 
 @given(small_matrices)
@@ -163,6 +181,87 @@ def test_subgroup_coords_invert_membership(orders, data):
     for c, b in zip(coords, sub.basis):
         rebuilt = [(x + c * y) % d for x, y, d in zip(rebuilt, b, orders)]
     assert rebuilt == combo
+
+
+def _coords_by_stacked_solve(sub, x):
+    """SubgroupPresentation.coords by the former route: solve against the
+    Hermite basis stacked on diag(d), then apply the SNF transform V."""
+    s = len(sub.ambient_orders)
+    y = solve_left(sub._m + diag(sub.ambient_orders), list(x))
+    if y is None:
+        return None
+    w = vec_mat(y[:s], sub._v)
+    return [w[j] % d for j, d in enumerate(sub._snf_orders) if d != 1]
+
+
+@given(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_subgroup_coords_match_the_stacked_solve(orders, data):
+    # every element of the ambient group, shifted by multiples of the d_i:
+    # members and non-members alike
+    count = data.draw(st.integers(0, 3))
+    rows = [[data.draw(st.integers(-9, 9)) for _ in orders] for _ in range(count)]
+    sub = SubgroupPresentation(orders, rows)
+    members = 0
+    for x in itertools.product(*(range(d) for d in orders)):
+        shift = [data.draw(st.integers(-2, 2)) * d for d in orders]
+        x = [a + b for a, b in zip(x, shift)]
+        coords = sub.coords(x)
+        assert coords == _coords_by_stacked_solve(sub, x)
+        members += coords is not None
+    assert members == sub.order
+
+
+def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
+    """extend_character as it was with one Hermite form per question: a
+    particular solution by solve_left, the homogeneous kernel by
+    left_kernel_basis, both of the same stacked matrix."""
+    d = list(ambient_orders)
+    s = len(d)
+    big = lcm(*(d + [den for _, den in value_fracs]))
+    k = len(subgroup_rows)
+    at = [[subgroup_rows[j][i] * (big // d[i]) for j in range(k)] for i in range(s)]
+    rhs = [(big // den) * num for num, den in value_fracs]
+    stacked = at + diag([big] * k)
+    y = solve_left(stacked, rhs)
+    if y is None:
+        raise ValueError("prescribed values are not a character of the subgroup")
+    hom_w = [row[:s] for row in left_kernel_basis(stacked)] + diag(d)
+    h = [r for r in hnf_row(hom_w)[0] if any(r)]
+    if len(h) != s:
+        raise VerificationError("solution lattice is not full rank")
+    w = reduce_mod_lattice(h, y[:s])
+    return [w[i] % d[i] for i in range(s)]
+
+
+@given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_extend_character_matches_the_two_hnf_route(orders, data):
+    count = data.draw(st.integers(1, 3))
+    rows = [[data.draw(st.integers(0, d - 1)) for d in orders] for _ in range(count)]
+    if data.draw(st.booleans()):
+        # the values of an actual character of the whole group
+        w0 = [data.draw(st.integers(0, d - 1)) for d in orders]
+        fracs = []
+        for row in rows:
+            den = lcm(*orders)
+            num = sum(a * b * (den // d) for a, b, d in zip(w0, row, orders)) % den
+            fracs.append((num, den))
+    else:
+        # arbitrary values, often not a character of the subgroup
+        fracs = []
+        for _ in rows:
+            den = data.draw(st.integers(1, 12))
+            fracs.append((data.draw(st.integers(0, den - 1)), den))
+    outcomes = []
+    for fn in (extend_character, _extend_character_two_hnf):
+        try:
+            outcomes.append(fn(orders, rows, fracs))
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_kernel_subgroup_members_map_to_zero():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tame_llc import intlinalg
 from tame_llc.conjectures import valid_tuples
-from tame_llc.intlinalg import invert_unimodular
 from tame_llc.ring_model import (
     GaloisRing,
     Model,
@@ -25,6 +25,7 @@ from tame_llc.ring_model import (
     symplectic_check,
 )
 from tame_llc.tame_galois import GalElt, gal_elements, norm_index, params_from_q
+from test_intlinalg import invert_unimodular
 
 RINGS = [(3, 2, 1), (3, 2, 2), (5, 2, 1), (5, 3, 2), (7, 2, 2), (3, 4, 3)]
 
@@ -244,6 +245,34 @@ def test_invariant_generators_match_raw_exponents(tup):
             while v < top:
                 v, t = min(v + P.e, P.p * v), t + 1
             assert M.pow(g, P.p ** t) == M.one()
+
+
+@pytest.mark.parametrize("tup", [(11, 2, 2, 1, 8), (3, 2, 2, 0, 8)])
+def test_unit_group_presentation_factors_once(tup, monkeypatch):
+    # the SNF hands back V^{-1}, so no Hermite form is taken; the only
+    # Model.pow calls are the p-th powers of the relation rows, since the
+    # invariant generators multiply from shared lists of squares
+    P = params_from_q(*tup)
+    M = build_model(P)
+    calls = {"hnf_row": 0, "pow": 0}
+    hnf_row, model_pow = intlinalg.hnf_row, Model.pow
+
+    def counting_hnf_row(mat):
+        calls["hnf_row"] += 1
+        return hnf_row(mat)
+
+    def counting_pow(self, x, n):
+        calls["pow"] += 1
+        return model_pow(self, x, n)
+
+    monkeypatch.setattr(intlinalg, "hnf_row", counting_hnf_row)
+    monkeypatch.setattr(Model, "pow", counting_pow)
+    U = UnitGroupPresentation(M, P.e * P.r)
+    monkeypatch.undo()
+    assert calls == {"hnf_row": 0, "pow": len(U.gens) - 1}
+    # a negative coordinate is refused, never fed to the squaring loop
+    with pytest.raises(ValueError):
+        U.element_from_coords([0] * (len(U.orders) - 1) + [-1])
 
 
 def _random_units(M, count, seed):
