@@ -69,6 +69,23 @@ def test_factors_report(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("tup,expected", [
+    (("3", "2", "1"), "1"),
+    (("3", "1", "2"), "(1)/(1 + u)"),
+    (("5", "1", "4"), "(1)/(1 + u + u^2 + u^3)"),
+], ids=["f1", "f2", "f4"])
+def test_factors_report_prints_the_adjoint_L(tup, expected, capsys):
+    q, e, f = tup
+    code, out, _ = run(["factors", "--q", q, "--e", e, "--f", f, "--r", "3",
+                        "--format", "json"], capsys)
+    assert code == cli.EXIT_OK
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "adjoint_L"
+    assert check["status"] == "OK"
+    assert check["method_values"] == {
+        "closed": expected, "decomposition": expected, "matrix": expected}
+
+
 def test_sweep_csv_output(capsys):
     code, out, _ = run(["sweep", "--q", "3", "--max-n", "2", "--r", "2..3",
                         "--format", "csv"], capsys)
