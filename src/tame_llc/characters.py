@@ -113,12 +113,12 @@ class CharacterSystem:
     the chi-data sign character c, and the Galois twists.
     """
 
-    def __init__(self, M: Model, beta: Optional[Elt] = None):
+    def __init__(self, M: Model):
         self.M = M
         self.P = M.P
         self.U = UnitGroupPresentation(M, M.P.e * M.P.r)
         self.Ubar = kernel_of_norm(M, self.U)
-        self.beta = find_beta(M) if beta is None else beta
+        self.beta = find_beta(M)
         self._theta: Optional[MultCharacter] = None
         self._c_char: Optional[MultCharacter] = None
         self._c_records: Optional[List[dict]] = None

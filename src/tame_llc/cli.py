@@ -14,15 +14,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 from .conjectures import (
     PAPER_TYPO_NOTES,
     CheckResult,
     ConjectureReport,
-    dim_delta,
     number_text,
     sweep_report,
+    verify_dim_delta,
     verify_formal_degree,
     verify_root_number,
 )
@@ -204,12 +205,24 @@ def _emit(reports: List[ConjectureReport], plan: Plan, timing_ms: int) -> None:
 # execution
 # ---------------------------------------------------------------------------
 
+def _l_text(l_inv: Tuple[Fraction, ...]) -> str:
+    """L = 1/P(u) as "(1)/(P)", the terms of P ascending; "1" when P = 1."""
+    if l_inv == (1,):
+        return "1"
+    terms = []
+    for i, c in enumerate(l_inv):
+        if c:
+            power = "u" if i == 1 else f"u^{i}"
+            terms.append(str(c) if i == 0 else power if c == 1 else f"{c}*{power}")
+    return "(1)/(%s)" % " + ".join(terms)
+
+
 def _factors_report(P: TameParams) -> ConjectureReport:
     rep = ConjectureReport(P)
     L = {m: adjoint_L(P, m) for m in ("closed", "decomposition", "matrix")}
     rep.checks.append(CheckResult(
         "adjoint_L",
-        {m: v.to_text() for m, v in L.items()},
+        {m: _l_text(v) for m, v in L.items()},
         "OK" if L["closed"] == L["decomposition"] == L["matrix"] else "FAIL",
     ))
     c1 = adjoint_conductor(P, "filtration")
@@ -223,12 +236,7 @@ def _factors_report(P: TameParams) -> ConjectureReport:
         "gamma0_abs", {"value": number_text(adjoint_gamma0_abs(P))}, "OK"))
     rep.checks.append(CheckResult(
         "centralizer_order", {"value": number_text(centralizer_order(P))}, "OK"))
-    closed, index = dim_delta(P, "closed"), dim_delta(P, "index")
-    rep.checks.append(CheckResult(
-        "dim_delta",
-        {"closed": number_text(closed), "index": number_text(index)},
-        "OK" if closed == index else "FAIL",
-    ))
+    rep.checks.append(verify_dim_delta(P))
     return rep
 
 

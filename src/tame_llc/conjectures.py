@@ -97,6 +97,17 @@ def dim_delta(P: TameParams, method: str = "closed") -> Fraction:
     raise ValueError(f"unknown method {method!r}")
 
 
+def verify_dim_delta(P: TameParams) -> CheckResult:
+    """The closed form against the index form of dim_delta; both must give
+    the same integer."""
+    closed, index = dim_delta(P, "closed"), dim_delta(P, "index")
+    return CheckResult(
+        "dim_delta",
+        {"closed": number_text(closed), "index": number_text(index)},
+        "OK" if closed == index and closed.denominator == 1 else "FAIL",
+    )
+
+
 def _dim_delta_orbit(P: TameParams) -> Fraction:
     """Literal adjoint orbit count of the residue of beta in sl_2(F_q)."""
     if P.n != 2 or P.q > 5 or P.a != 1:
@@ -217,14 +228,14 @@ def valid_tuples(
     q_values: Sequence[int],
     max_n: int,
     r_values: Sequence[int],
-    min_n: int = 2,
 ) -> List[TameParams]:
-    """All valid parameter tuples in the box, in deterministic order."""
+    """All valid parameter tuples of 2 <= n <= max_n in the box, in
+    deterministic order."""
     from .tame_galois import params_from_q
 
     out = []
     for q in sorted(q_values):
-        for n in range(min_n, max_n + 1):
+        for n in range(2, max_n + 1):
             for e in range(1, n + 1):
                 if n % e:
                     continue
@@ -248,14 +259,7 @@ def sweep_report(
     for P in valid_tuples(q_values, max_n, r_values):
         rep = ConjectureReport(P)
         rep.checks.append(verify_formal_degree(P))
-        closed, index = dim_delta(P, "closed"), dim_delta(P, "index")
-        rep.checks.append(
-            CheckResult(
-                "dim_delta",
-                {"closed": number_text(closed), "index": number_text(index)},
-                "OK" if closed == index and closed.denominator == 1 else "FAIL",
-            )
-        )
+        rep.checks.append(verify_dim_delta(P))
         if include_root_number:
             rep.checks.append(verify_root_number(P))
         reports.append(rep)

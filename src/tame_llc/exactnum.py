@@ -1,9 +1,10 @@
-"""Exact arithmetic substrate: rationals, cyclotomic numbers, half powers of q,
-and rational functions in u = q^(-s).
+"""Exact arithmetic substrate: rationals, cyclotomic numbers and half powers
+of q.
 
-Every quantity downstream (character values, Gauss sums, epsilon factors,
-L-factors) lives in one of the types defined here, so no floating point ever
-enters a verification path.
+Every quantity downstream (character values, Gauss sums, epsilon factors)
+lives in one of the types defined here, and every L-factor is 1/P(u) with
+u = q^(-s), stored as the ascending coefficients of P, so no floating point
+ever enters a verification path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 
 class PoleAtPoint(ArithmeticError):
-    """Raised when a rational function is evaluated at a pole."""
+    """Raised when an L-factor is evaluated at one of its poles."""
 
 
 class VerificationError(ArithmeticError):
@@ -408,179 +409,3 @@ class HalfPowerScalar:
         return "HalfPowerScalar(%s, q=%d, halfExp=%d)" % (
             self.coef.to_text(), self.q, self.half_exp,
         )
-
-
-# ---------------------------------------------------------------------------
-# Polynomials and rational functions in u = q^(-s)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a: List[Fraction]) -> List[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_add(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: List[Fraction], b: List[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] -= c * bi
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(q), a
-
-
-def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_eval(a: List[Fraction], u0: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * u0 + c
-    return out
-
-
-class RatFunc:
-    """A rational function num/den in u with Fraction coefficients.
-
-    Coefficient lists are ascending in degree.  Normal form: gcd(num, den)=1
-    and den monic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _poly_trim([Fraction(c) for c in num])
-        den = _poly_trim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _poly_gcd(num, den)
-            if len(g) > 1:
-                num, _ = _poly_divmod(num, g)
-                den, _ = _poly_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
-
-    @classmethod
-    def constant(cls, c) -> "RatFunc":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return cls.constant(1)
-
-    @classmethod
-    def monomial(cls, coef, deg: int) -> "RatFunc":
-        return cls([Fraction(0)] * deg + [Fraction(coef)])
-
-    def __mul__(self, other) -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            other = RatFunc.constant(other)
-        return RatFunc(_poly_mul(list(self.num), list(other.num)),
-                       _poly_mul(list(self.den), list(other.den)))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other) -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            other = RatFunc.constant(other)
-        num = _poly_add(_poly_mul(list(self.num), list(other.den)),
-                        _poly_mul(list(other.num), list(self.den)))
-        return RatFunc(num, _poly_mul(list(self.den), list(other.den)))
-
-    def __sub__(self, other) -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            other = RatFunc.constant(other)
-        return self + other * Fraction(-1)
-
-    def inv(self) -> "RatFunc":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(list(self.den), list(self.num))
-
-    def __truediv__(self, other) -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            other = RatFunc.constant(other)
-        return self * other.inv()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return "RatFunc(%s)" % self.to_text()
-
-    def to_text(self) -> str:
-        def fmt(poly):
-            if not poly:
-                return "0"
-            parts = []
-            for i, c in enumerate(poly):
-                if not c:
-                    continue
-                if i == 0:
-                    parts.append(str(c))
-                elif i == 1:
-                    parts.append("%s*u" % c if c != 1 else "u")
-                else:
-                    parts.append("%s*u^%d" % (c, i) if c != 1 else "u^%d" % i)
-            return " + ".join(parts)
-
-        if self.den == (Fraction(1),):
-            return fmt(self.num)
-        return "(%s)/(%s)" % (fmt(self.num), fmt(self.den))
-
-
-def ratfunc_eval(rf: RatFunc, u0) -> Fraction:
-    """Evaluate rf at u = u0 exactly; raises PoleAtPoint on a pole."""
-    u0 = Fraction(u0)
-    den = _poly_eval(list(rf.den), u0)
-    if not den:
-        raise PoleAtPoint("denominator vanishes at u0=%s" % u0)
-    return _poly_eval(list(rf.num), u0) / den

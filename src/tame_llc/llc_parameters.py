@@ -16,15 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc, VerificationError
+from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError
 from .intlinalg import mat_mul
 from .local_factors import (
     AbelianCharData,
     LocalFactorTriple,
+    _poly_mul_cyc,
     eps_abelian,
     gamma_at_zero_abs,
     induced_factor,
     model_lambda,
+    rational_poly,
 )
 from .tame_galois import (
     GAL_ID,
@@ -216,25 +218,21 @@ def frobenius_matrix(f: int) -> List[List[int]]:
     ]
 
 
-def adjoint_L(P: TameParams, method: str = "closed") -> RatFunc:
+def adjoint_L(P: TameParams, method: str = "closed") -> Tuple[Fraction, ...]:
+    """L(s, Ad phi) = 1/P(u), u = q^{-s}, as the ascending coefficients of P.
+
+    closed: P = 1 + u + ... + u^{f-1}.  decomposition: P = prod (1 - z u)
+    over the Frobenius eigenvalues z on the inertia-fixed part.  matrix:
+    P = det(1 - u M) for the Frobenius matrix M.
+    """
     f = P.f
     if method == "closed":
-        return RatFunc([Fraction(1)], [Fraction(1)] * f)
+        return (Fraction(1),) * f
     if method == "decomposition":
-        dec = adjoint_decompose(P)
-        coeffs = [Cyclotomic.one()]
-        for val in dec.unramified_frob_values:
-            nxt = [Cyclotomic.zero()] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] = nxt[i] + c
-                nxt[i + 1] = nxt[i + 1] - c * val
-            coeffs = nxt
-        den = []
-        for c in coeffs:
-            if not c.is_rational():
-                raise VerificationError("eigenvalue product must be rational")
-            den.append(c.rational_value())
-        return RatFunc([Fraction(1)], den)
+        poly = (Cyclotomic.one(),)
+        for val in adjoint_decompose(P).unramified_frob_values:
+            poly = _poly_mul_cyc(poly, (Cyclotomic.one(), -val))
+        return rational_poly(poly)
     if method == "matrix":
         # det(1 - u M) = 1 + c_1 u + ... + c_k u^k, where det(x - M) =
         # x^k + c_1 x^{k-1} + ... + c_k, by Faddeev-LeVerrier over Z:
@@ -248,7 +246,7 @@ def adjoint_L(P: TameParams, method: str = "closed") -> RatFunc:
                 mb[i][i] += den[-1]
             mb = mat_mul(m, mb)
             den.append(-sum(mb[i][i] for i in range(size)) // j)
-        return RatFunc([1], den)
+        return tuple(map(Fraction, den))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, RatFunc, VerificationError, ratfunc_eval
+from .exactnum import Cyclotomic, HalfPowerScalar, PoleAtPoint, VerificationError
 from .intlinalg import hnf_row, left_kernel_basis
 from .ring_model import GaloisRing, residue_generator
 
@@ -37,7 +37,9 @@ class LocalFactorTriple:
 
     l_inv_poly holds 1/L as a polynomial in u = q^{-s} with Cyclotomic
     coefficients (constant term 1); its degree is the dimension of the
-    inertia-fixed subspace.  eps is the value at s = 0, of modulus q^{a/2}.
+    inertia-fixed subspace.  L is the same polynomial with rational
+    coefficients, the one format of an L-factor outside this class.  eps is
+    the value at s = 0, of modulus q^{a/2}.
     """
 
     q: int
@@ -46,14 +48,8 @@ class LocalFactorTriple:
     l_inv_poly: Tuple[Cyclotomic, ...]
 
     @property
-    def L(self) -> RatFunc:
-        den = []
-        for c in self.l_inv_poly:
-            if not c.is_rational():
-                raise ValueError("L-factor has irrational coefficients: %s"
-                                 % [x.to_text() for x in self.l_inv_poly])
-            den.append(c.rational_value())
-        return RatFunc([Fraction(1)], den)
+    def L(self) -> Tuple[Fraction, ...]:
+        return rational_poly(self.l_inv_poly)
 
     @property
     def fixed_dim(self) -> int:
@@ -72,6 +68,15 @@ class LocalFactorTriple:
             self.a + other.a,
             _poly_mul_cyc(self.l_inv_poly, other.l_inv_poly),
         )
+
+
+def rational_poly(poly: Sequence[Cyclotomic]) -> Tuple[Fraction, ...]:
+    """The coefficients of a 1/L polynomial as Fractions; raises if one is
+    irrational."""
+    if not all(c.is_rational() for c in poly):
+        raise VerificationError("L-factor has irrational coefficients: %s"
+                                % [c.to_text() for c in poly])
+    return tuple(c.rational_value() for c in poly)
 
 
 def _poly_mul_cyc(a: Sequence[Cyclotomic], b: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
@@ -138,22 +143,32 @@ def eps_abelian(chi: AbelianCharData) -> LocalFactorTriple:
     return LocalFactorTriple(q, eps, chi.cond, (Cyclotomic.one(),))
 
 
-def gamma_at_zero_abs(q: int, a: int, L: RatFunc) -> Fraction:
-    """|gamma(0)| = |eps| * L(1)/L(0) for conductor a and rational L in u = q^{-s}.
+def gamma_at_zero_abs(q: int, a: int, l_inv: Sequence[Fraction]) -> Fraction:
+    """|gamma(0)| = |eps| * L(1)/L(0) for conductor a and L = 1/P(u), u = q^{-s},
+    where l_inv holds the rational coefficients of P, ascending.
 
-    |eps| = q^{a/2} is rational only for even a, so the square is computed
-    first and its exact square root extracted at the end.
+    s = 1 is u = 1/q and s = 0 is u = 1, so L(1)/L(0) = P(1)/P(1/q); a zero
+    of P at either point is a pole of L.  |eps| = q^{a/2} is rational only
+    for even a, so the square is computed first and its exact square root
+    extracted at the end.
     """
-    ratio = ratfunc_eval(L, Fraction(1, q)) / ratfunc_eval(L, Fraction(1))
+    def P(u0: Fraction) -> Fraction:
+        value = Fraction(0)
+        for c in reversed(l_inv):
+            value = value * u0 + c
+        if not value:
+            raise PoleAtPoint(f"L has a pole at u = {u0}")
+        return value
+
+    ratio = P(Fraction(1)) / P(Fraction(1, q))
     return _fraction_sqrt(q ** a * ratio ** 2)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
-    from math import isqrt
     n, d = x.numerator, x.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn != n or rd * rd != d:
-        raise ValueError("not a rational square: %s" % x)
+        raise VerificationError("not a rational square: %s" % x)
     return Fraction(rn, rd)
 
 

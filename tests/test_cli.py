@@ -6,10 +6,11 @@ import importlib.util
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from tame_llc import cli
+from tame_llc import cli, conjectures, local_factors
 
 
 def run(argv, capsys):
@@ -178,3 +179,28 @@ def test_report_number_past_the_digit_limit_exits_3(argv, capsys):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert len(err.splitlines()) == 1 and "digits" in err
+
+
+def test_non_square_gamma_exits_3(monkeypatch, capsys):
+    # |gamma(0)|^2 that is not a rational square must be a VerificationError
+    fraction_sqrt = local_factors._fraction_sqrt
+    monkeypatch.setattr(local_factors, "_fraction_sqrt",
+                        lambda x: fraction_sqrt(2 * x))
+    code, out, err = run(["verify", "formal-degree", "--q", "3", "--e", "2",
+                          "--f", "1", "--r", "4"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "VerificationError: not a rational square" in err
+
+
+def test_factors_dim_delta_needs_an_integer(monkeypatch, capsys):
+    dim_delta = conjectures.dim_delta
+    monkeypatch.setattr(conjectures, "dim_delta",
+                        lambda P, method="closed": dim_delta(P, method) + Fraction(1, 2))
+    code, out, _ = run(["factors", "--q", "3", "--e", "2", "--f", "1",
+                        "--r", "3", "--format", "json"], capsys)
+    assert code == cli.EXIT_CHECK_FAILED
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["dim_delta"]
+    assert check["method_values"] == {"closed": "25/2", "index": "25/2"}
+    assert check["status"] == "FAIL"

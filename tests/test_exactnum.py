@@ -1,18 +1,15 @@
-"""Tests for the exact scalar types: cyclotomics, half-power scalars and
-rational functions in u = q^{-s}."""
+"""Tests for the exact scalar types: cyclotomics and half-power scalars.
+An L-factor is a tuple of Fractions, tested with gamma_at_zero_abs in
+test_local_factors."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tame_llc.exactnum import (
     Cyclotomic,
     HalfPowerScalar,
-    PoleAtPoint,
-    RatFunc,
-    ratfunc_eval,
     sqrt_as_cyclotomic,
 )
 
@@ -92,44 +89,3 @@ def test_root_number_has_modulus_one():
     g = HalfPowerScalar(Cyclotomic.root_of_unity(12) * sqrt_as_cyclotomic(3), -1, 3)
     w = g.root_number()
     assert w * w.conj() == Cyclotomic.one()
-
-
-# -- rational functions -----------------------------------------------------
-
-small_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
-
-
-def _rf(num, den):
-    return RatFunc([Fraction(c) for c in num], [Fraction(c) for c in den])
-
-
-@given(small_polys, small_polys, small_polys)
-def test_ratfunc_field_axioms(a, b, c):
-    ra, rb, rc = _rf(a, [1]), _rf(b, [1]), _rf(c, [1])
-    assert ra * (rb + rc) == ra * rb + ra * rc
-    assert ra + rb == rb + ra
-
-
-@given(small_polys)
-def test_ratfunc_inverse(a):
-    ra = _rf(a, [1])
-    if ra == RatFunc.constant(0):
-        return
-    assert ra * ra.inv() == RatFunc.one()
-
-
-def test_monomial_evaluation():
-    rf = RatFunc.one() - RatFunc.monomial(Fraction(1), 2)
-    assert ratfunc_eval(rf, Fraction(1, 3)) == 1 - Fraction(1, 9)
-
-
-def test_evaluation_at_pole_raises():
-    rf = (RatFunc.one() - RatFunc.monomial(Fraction(3), 1)).inv()
-    with pytest.raises(PoleAtPoint):
-        ratfunc_eval(rf, Fraction(1, 3))
-
-
-def test_ratfunc_cancellation_is_detected():
-    # (1 - u^2)/(1 - u) equals 1 + u after reduction
-    left = _rf([1, 0, -1], [1, -1])
-    assert left == _rf([1, 1], [1])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tame_llc.exactnum import Cyclotomic, RatFunc
+from tame_llc.exactnum import Cyclotomic, PoleAtPoint
 from tame_llc.intlinalg import hnf_row, left_kernel_basis
 from tame_llc.local_factors import (
     AbelianCharData,
@@ -31,7 +31,7 @@ from tame_llc.tame_galois import GAL_ID, order_two_set
 def test_trivial_triple_has_the_geometric_l_factor():
     t = trivial_triple(3)
     assert t.a == 0
-    assert t.L == (RatFunc.one() - RatFunc.monomial(Fraction(1), 1)).inv()
+    assert t.L == (1, -1)  # L = (1 - u)^{-1}
     assert t.root_number() == Cyclotomic.one()
 
 
@@ -124,10 +124,10 @@ def test_principal_adjoint_structure(n, q):
     t = data.triple
     assert t.a == n * (n - 1)
     # L has a simple factor (1 - q^{-k} u)^{-1} for each exponent
-    L = RatFunc.one()
+    l_inv = (Fraction(1),)
     for k in range(1, n):
-        L = L * (RatFunc.one() - RatFunc.monomial(Fraction(1, q ** k), 1)).inv()
-    assert t.L == L
+        l_inv = tuple(c - Fraction(d, q ** k) for c, d in zip(l_inv + (0,), (0,) + l_inv))
+    assert t.L == l_inv
 
 
 def _regular_nilpotent(n):
@@ -168,6 +168,19 @@ def test_principal_gamma_zero_against_eps_l_ratio():
     # gamma(0) = eps * L(1)/L(0) evaluated exactly, for n = 3
     data = principal_triple(3, 5)
     assert gamma_at_zero_abs(data.triple.q, data.triple.a, data.triple.L) == data.gamma0
+
+
+def test_gamma_at_zero_evaluates_the_l_factor():
+    # L = 1/(1 + u^2): L(1)/L(0) = P(1)/P(1/3) = 2/(10/9) = 9/5, |eps| = 3^{a/2}
+    assert gamma_at_zero_abs(3, 0, (1, 0, 1)) == Fraction(9, 5)
+    assert gamma_at_zero_abs(3, 2, (1, 0, 1)) == Fraction(27, 5)
+
+
+@pytest.mark.parametrize("l_inv", [(1, -3), (1, -1)], ids=["s=1", "s=0"])
+def test_gamma_at_zero_raises_at_a_pole(l_inv):
+    # 1 - 3u vanishes at u = 1/3 (s = 1); 1 - u vanishes at u = 1 (s = 0)
+    with pytest.raises(PoleAtPoint):
+        gamma_at_zero_abs(3, 0, l_inv)
 
 
 # -- symmetric power pairing ------------------------------------------------
