@@ -11,8 +11,10 @@ Gauss sums are evaluated by stationary phase.  At odd conductor the
 residue-field tail left over is a quadratic Gauss sum over F_p^d, summed
 in closed form; the quadratic Gauss sum of F_{p^d} comes from the prime
 field by Davenport-Hasse.  The literal sum over the units of R/pi^k is
-kept, for small unit groups, as the tests' oracle, and the tests keep the
-term-by-term tail and field sums as theirs.
+kept for small unit groups: `selftest` and the tests compare stationary
+phase against it.  The tests keep the term-by-term tail and field sums.
+The chi-data character of each order-two gamma is checked at -1 against
+the closed parity of (q_K - 1)/2 as it is built.
 """
 
 from __future__ import annotations
@@ -71,18 +73,9 @@ class MultCharacter:
                 acc += Fraction(w * c, d)
         return acc % 1
 
-    def scaled_exps(self, N: int) -> Tuple[int, ...]:
-        """Exponents over the common denominator N (a multiple of every
-        order): the value on coords is zeta_N^{sum of exps times coords}."""
-        return tuple(w * (N // d) for w, d in zip(self.exps, self.orders))
-
     def value_on_coords(self, coords: Sequence[int]) -> Cyclotomic:
         fr = self.fraction_on_coords(coords)
         return Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
-
-    @classmethod
-    def trivial(cls, orders: Sequence[int]) -> "MultCharacter":
-        return cls(tuple(orders), tuple(0 for _ in orders))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +114,6 @@ class CharacterSystem:
         self.beta = find_beta(M)
         self._theta: Optional[MultCharacter] = None
         self._c_char: Optional[MultCharacter] = None
-        self._c_records: Optional[List[dict]] = None
         self._theta_tilde: Optional[MultCharacter] = None
         self._minus_one_coords: Optional[List[int]] = None
         self._act: Dict[GalElt, List[List[int]]] = {}
@@ -194,7 +186,6 @@ class CharacterSystem:
         M = self.M
         U = self.U
         o2 = order_two_set(P)
-        records: List[dict] = []
         total_exps = [0] * len(U.orders)
         level2_rows = [c for c, (i, _) in zip(U.gen_coords, U.levels) if i >= 2]
         for gamma in sorted(o2.elements):
@@ -229,37 +220,25 @@ class CharacterSystem:
                 raise ExtensionObstruction(
                     f"chi-data character for {gamma}: {ex}"
                 ) from ex
+            # chi_gamma(-1) must be the closed parity of (q_K - 1)/2 when
+            # K/K_gamma is ramified, and trivial when it is not
             chi_gamma = MultCharacter(tuple(U.orders), tuple(exps))
-            value_at_minus_one = chi_gamma.value_on_coords(self.minus_one_coords())
-            closed = (
-                Cyclotomic.root_of_unity(2, ((P.q_K - 1) // 2) % 2)
-                if ramified
-                else Cyclotomic.one()
-            )
-            records.append(
-                dict(
-                    gamma=gamma,
-                    ramified=ramified,
-                    chi=chi_gamma,
-                    value_at_minus_one=value_at_minus_one,
-                    closed_value=closed,
+            at_minus_one = chi_gamma.fraction_on_coords(self.minus_one_coords())
+            closed = Fraction((P.q_K - 1) // 2 % 2, 2) if ramified else 0
+            if at_minus_one != closed:
+                raise VerificationError(
+                    f"chi-data character for {gamma} has value "
+                    f"{at_minus_one} at -1, not {closed}"
                 )
-            )
             total_exps = [
                 (t - a) % d for t, a, d in zip(total_exps, exps, U.orders)
             ]
-        self._c_records = records
         self._c_char = MultCharacter(tuple(U.orders), tuple(total_exps))
 
     def c_char(self) -> MultCharacter:
         if self._c_char is None:
             self._build_chi_data()
         return self._c_char
-
-    def c_records(self) -> List[dict]:
-        if self._c_records is None:
-            self._build_chi_data()
-        return self._c_records
 
     # -- extension to the full unit group and twists ------------------------
 

@@ -33,6 +33,7 @@ from .llc_parameters import (
     adjoint_L,
     centralizer_order,
 )
+from .local_factors import gamma_at_zero_abs
 from .ring_model import TooLarge
 from .tame_galois import InvalidParams, TameParams, params_from_q
 
@@ -187,18 +188,25 @@ def _render_text(reports: List[ConjectureReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(reports: List[ConjectureReport], plan: Plan, timing_ms: int) -> None:
+def _emit(reports: List[ConjectureReport], plan: Plan, timing_ms: int) -> bool:
+    """Write the rendered reports; False, with one line on stderr, if
+    plan.out cannot be written."""
     if plan.fmt == "json":
         text = _render_json(reports, timing_ms)
     elif plan.fmt == "csv":
         text = _render_csv(reports)
     else:
         text = _render_text(reports)
-    if plan.out:
+    if not plan.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(plan.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as ex:
+        print(f"cannot write {plan.out}: {ex.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +240,13 @@ def _factors_report(P: TameParams) -> ConjectureReport:
         {"filtration": number_text(c1), "additivity": number_text(c2)},
         "OK" if c1 == c2 == P.r * P.n * (P.n - 1) else "FAIL",
     ))
+    # the matrix L with the filtration conductor against the closed L with
+    # the additivity conductor
+    g0 = adjoint_gamma0_abs(P)
     rep.checks.append(CheckResult(
-        "gamma0_abs", {"value": number_text(adjoint_gamma0_abs(P))}, "OK"))
+        "gamma0_abs", {"value": number_text(g0)},
+        "OK" if g0 == gamma_at_zero_abs(P.q, c2, L["closed"]) else "FAIL",
+    ))
     rep.checks.append(CheckResult(
         "centralizer_order", {"value": number_text(centralizer_order(P))}, "OK"))
     rep.checks.append(verify_dim_delta(P))
@@ -241,9 +254,25 @@ def _factors_report(P: TameParams) -> ConjectureReport:
 
 
 def _selftest_reports() -> List[ConjectureReport]:
-    from .characters import quadratic_gauss_sum_field
+    from .characters import (
+        CharacterSystem,
+        conductor_bruteforce,
+        gauss_sum,
+        gauss_sum_literal,
+        quadratic_gauss_sum_field,
+        regularity_check,
+    )
     from .exactnum import Cyclotomic
-    from .local_factors import lambda_tame
+    from .llc_parameters import ad_character_identity, phi1_trace
+    from .local_factors import (
+        lambda_tame,
+        principal_descriptor,
+        principal_triple,
+        sym_pairing_check,
+        wd_factors,
+    )
+    from .ring_model import build_model, centralizer_bruteforce, find_beta, symplectic_check
+    from .tame_galois import GAL_ID, gal_elements
 
     reports = sweep_report([3, 5], 4, [2, 3])
     # quadratic Gauss sum law on small fields
@@ -257,13 +286,41 @@ def _selftest_reports() -> List[ConjectureReport]:
     extra = ConjectureReport(params_from_q(3, 2, 1, 0, 2))
     extra.checks.append(CheckResult("quadratic_gauss_square", vals,
                                     "OK" if ok else "FAIL"))
-    lam_ok = all(
-        lambda_tame(p, 1, 2, u0, "closed") == lambda_tame(p, 1, 2, u0, "bruteforce")
-        for p in (3, 5) for u0 in (0, 1)
-    )
-    extra.checks.append(CheckResult("lambda_closed_vs_bruteforce", {},
-                                    "OK" if lam_ok else "FAIL"))
-    reports.append(extra)
+    # the paper's checks that neither identity runs, each on one small case,
+    # as (report, check name, passed)
+    M = build_model(extra.params)
+    beta = find_beta(M)
+    one, zero, i = Cyclotomic.one(), Cyclotomic.zero(), Cyclotomic.root_of_unity(4)
+    sl2 = [[[one, zero], [zero, one]], [[zero, one], [-one, zero]],
+           [[i, zero], [zero, i.conj()]], [[one, one], [zero, one]]]
+    wd, steinberg = wd_factors(principal_descriptor(4, 3), 3), principal_triple(4, 3).triple
+    cs = CharacterSystem(build_model(params_from_q(3, 2, 1, 0, 4)))
+    twists = [cs.theta_tilde_twist(g) for g in gal_elements(cs.P) if g != GAL_ID]
+    conductors = [conductor_bruteforce(cs, tw) for tw in twists]
+    units = [cs.M.one(), cs.M.add(cs.M.one(), cs.M.pi()), cs.M.from_gr(cs.M.tau)]
+    twist_report = ConjectureReport(cs.P)
+    rows = [
+        (extra, "lambda_closed_vs_bruteforce", all(
+            lambda_tame(p, 1, 2, u0, "closed") == lambda_tame(p, 1, 2, u0, "bruteforce")
+            for p in (3, 5) for u0 in (0, 1))),
+        (extra, "symplectic_check", symplectic_check(M, beta)[0]),
+        (extra, "centralizer_bruteforce", centralizer_bruteforce(M, beta, 1)),
+        (extra, "sym_pairing_check", sym_pairing_check(3, sl2)),
+        (extra, "wd_factors", (wd.a, wd.L, wd.root_number())
+         == (steinberg.a, steinberg.L, steinberg.root_number())),
+        (twist_report, "gauss_sum_literal", all(
+            gauss_sum_literal(cs, tw, k) == gauss_sum(cs, tw, k)
+            for tw, k in zip(twists, conductors))),
+        (twist_report, "ad_character_identity", all(
+            lhs == rhs for lhs, rhs in (ad_character_identity(cs, x) for x in units))),
+        (twist_report, "phi1_trace_off_identity", all(
+            phi1_trace(cs, g, x) == zero
+            for g in gal_elements(cs.P) if g != GAL_ID for x in units)),
+        (twist_report, "regularity_check", regularity_check(cs, cs.theta_tilde)),
+    ]
+    for rep, name, passed in rows:
+        rep.checks.append(CheckResult(name, {}, "OK" if passed else "FAIL"))
+    reports += [extra, twist_report]
     return reports
 
 
@@ -280,7 +337,8 @@ def execute_plan(plan: Plan) -> int:
             rep.checks.append(result)
             reports = [rep]
             if result.status.startswith("SKIP"):
-                _emit(reports, plan, _timing(plan, t0))
+                if not _emit(reports, plan, _timing(plan, t0)):
+                    return EXIT_USAGE
                 return EXIT_INTERNAL
         elif plan.command == "factors":
             reports = [_factors_report(plan.params)]
@@ -302,7 +360,8 @@ def execute_plan(plan: Plan) -> int:
     except (ArithmeticError, AssertionError, RuntimeError) as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(reports, plan, _timing(plan, t0))
+    if not _emit(reports, plan, _timing(plan, t0)):
+        return EXIT_USAGE
     return EXIT_OK if all(r.ok for r in reports) else EXIT_CHECK_FAILED
 
 

@@ -19,7 +19,7 @@ from .llc_parameters import (
     centralizer_order,
 )
 from .local_factors import principal_triple
-from .ring_model import TooLarge, build_model, regular_rep_matrix
+from .ring_model import TooLarge, build_model
 from .tame_galois import InvalidParams, TameParams, norm_index
 
 PAPER_TYPO_NOTES = [
@@ -92,8 +92,6 @@ def dim_delta(P: TameParams, method: str = "closed") -> Fraction:
         g_beta = ni * q ** (n - 1) * (1 - Fraction(1, q ** f)) / (1 - Fraction(1, q))
         omega = sl / g_beta
         return omega * q ** ((r - 2) * n * (n - 1) // 2)
-    if method == "orbit_bruteforce":
-        return _dim_delta_orbit(P)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -106,40 +104,6 @@ def verify_dim_delta(P: TameParams) -> CheckResult:
         {"closed": number_text(closed), "index": number_text(index)},
         "OK" if closed == index and closed.denominator == 1 else "FAIL",
     )
-
-
-def _dim_delta_orbit(P: TameParams) -> Fraction:
-    """Literal adjoint orbit count of the residue of beta in sl_2(F_q)."""
-    if P.n != 2 or P.q > 5 or P.a != 1:
-        raise TooLarge("orbit brute force supported only for n = 2, prime q <= 5")
-    from .ring_model import find_beta
-
-    q = P.q
-    M = build_model(P)
-    beta = find_beta(M)
-    B = [[x % q for x in row] for row in regular_rep_matrix(M, beta, 1)]
-    # the stored representative is traceless by construction
-    if (B[0][0] + B[1][1]) % q:
-        raise VerificationError("residue of beta is not traceless")
-
-    def mul(A, C):
-        return tuple(
-            tuple(sum(A[i][k] * C[k][j] for k in range(2)) % q for j in range(2))
-            for i in range(2)
-        )
-
-    orbit = set()
-    Bt = tuple(tuple(r) for r in B)
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (a * d - b * c) % q != 1:
-                        continue
-                    g = ((a, b), (c, d))
-                    ginv = ((d, (-b) % q), ((-c) % q, a))
-                    orbit.add(mul(mul(g, Bt), ginv))
-    return Fraction(len(orbit) * P.q ** ((P.r - 2) * P.n * (P.n - 1) // 2))
 
 
 # ---------------------------------------------------------------------------

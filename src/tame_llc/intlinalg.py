@@ -309,9 +309,6 @@ class SubgroupPresentation:
         for d in self.orders:
             self.order *= d
 
-    def contains(self, x: Sequence[int]) -> bool:
-        return self.coords(x) is not None
-
     def coords(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of ambient element x in the subgroup basis, or None.
 

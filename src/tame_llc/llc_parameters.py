@@ -33,7 +33,6 @@ from .tame_galois import (
     GalElt,
     TameParams,
     abelianization_order,
-    abelianization_orders,
     gal_elements,
     gal_inv,
     gal_mul,
@@ -347,23 +346,6 @@ def centralizer_order(P: TameParams) -> int:
     if out != expected:
         raise VerificationError(f"|Gamma^ab| = {out} but norm index * f = {expected}")
     return out
-
-
-def centralizer_order_bruteforce(P: TameParams) -> int:
-    """Literal count of the characters of the abelianized Galois group."""
-    count = 0
-    orders = abelianization_orders(P)
-    idx = [0] * len(orders)
-    while True:
-        count += 1
-        k = 0
-        while k < len(orders) and idx[k] == orders[k] - 1:
-            idx[k] = 0
-            k += 1
-        if k == len(orders):
-            break
-        idx[k] += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -229,22 +229,6 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
     return out.root_number()
 
 
-def lambda_chain(p: int, d_base: int, e: int, f: int, u0_log_K0: int) -> Tuple[Cyclotomic, Cyclotomic]:
-    """(lambda(K/F), lambda(K/K_0) * lambda(K_0/F)^e) for F < K_0 < K.
-
-    K_0/F is unramified of degree f and K/K_0 totally ramified of degree e.
-    The left side is computed from scratch through the decomposition
-    Ind_K^F 1 = (+) Ind_{K_0}^F chi_j (brute-force epsilon quotient over the
-    residue field of K_0); the right side composes the closed forms with
-    lambda(K_0/F) = (-1)^{(f-1) n(psi)} = 1.  The chain rule asserts the two
-    are equal.
-    """
-    lam_unram = Cyclotomic.one()
-    lhs = lambda_tame(p, d_base * f, e, u0_log_K0, method="bruteforce")
-    rhs = lambda_tame(p, d_base * f, e, u0_log_K0, method="closed") * lam_unram ** e
-    return lhs, rhs
-
-
 def model_lambda(sys) -> Cyclotomic:
     """lambda(K/F, psi) evaluated on the ring model's uniformizer data."""
     P = sys.P

@@ -142,82 +142,22 @@ def gal_elements(P: TameParams) -> List[GalElt]:
     return [GalElt(i, j) for i in range(P.e) for j in range(P.f)]
 
 
-def gal_pow(g: GalElt, k: int, P: TameParams) -> GalElt:
-    if k < 0:
-        return gal_pow(gal_inv(g, P), -k, P)
-    out = GAL_ID
-    for _ in range(k):
-        out = gal_mul(out, g, P)
-    return out
-
-
-def gal_order(g: GalElt, P: TameParams) -> int:
-    k = 1
-    h = g
-    while h != GAL_ID:
-        h = gal_mul(h, g, P)
-        k += 1
-    return k
-
-
-def center(P: TameParams) -> FrozenSet[GalElt]:
-    els = gal_elements(P)
-    return frozenset(
-        g for g in els if all(gal_mul(g, h, P) == gal_mul(h, g, P) for h in els)
-    )
-
-
 @dataclass(frozen=True)
 class OrderTwoData:
-    """Order-two elements: enumerated ground truth vs. case-table prediction.
-
-    The case table for elements outside <delta> presupposes e | q^{f/2} - 1
-    (needed so that the fixed field of such an element has full ramification
-    index); prediction_applicable records whether that hypothesis holds.
-    Outside that regime the enumeration can produce extra, non-central,
-    order-two elements, so nothing is asserted about the table there.
-    """
+    """The elements gamma with gamma^2 = 1, by enumeration."""
 
     elements: FrozenSet[GalElt]
-    predicted: FrozenSet[GalElt]
-    prediction_applicable: bool
-    matches_prediction: bool
     # gamma -> True iff K/K_gamma is ramified, i.e. gamma lies in <delta>
     ramified: Dict[GalElt, bool]
 
 
 def order_two_set(P: TameParams) -> OrderTwoData:
-    """All gamma with gamma^2 = 1 (by enumeration), with the case-table prediction."""
+    """All gamma with gamma^2 = 1, by enumeration."""
     enumerated = frozenset(
         g for g in gal_elements(P) if gal_mul(g, g, P) == GAL_ID
     )
-
-    e, f, m = P.e, P.f, P.m
-    applicable = f % 2 != 0 or (P.q ** (f // 2) - 1) % e == 0
-    predicted = {GAL_ID}
-    if P.n % 2 == 0:
-        if f % 2 != 0 or (e % 2 == 0 and m % 2 != 0):
-            predicted.add(GalElt(e // 2, 0))
-        elif e % 2 != 0:
-            if m % 2 == 0:
-                predicted.add(GalElt((-m // 2) % e, f // 2))
-            else:
-                predicted.add(GalElt((e - m) // 2 % e, f // 2))
-        else:
-            # f, e, m all even
-            predicted.add(GalElt(e // 2, 0))
-            predicted.add(GalElt((-m // 2) % e, f // 2))
-            predicted.add(GalElt(((e - m) // 2) % e, f // 2))
-    predicted_f = frozenset(predicted)
-
     ramified = {g: g.j == 0 for g in enumerated if g != GAL_ID}
-    return OrderTwoData(
-        elements=enumerated,
-        predicted=predicted_f,
-        prediction_applicable=applicable,
-        matches_prediction=(predicted_f == enumerated),
-        ramified=ramified,
-    )
+    return OrderTwoData(elements=enumerated, ramified=ramified)
 
 
 @lru_cache(maxsize=1)

@@ -24,18 +24,15 @@ from tame_llc.llc_parameters import (
     adjoint_conductor,
     adjoint_L,
     centralizer_order,
-    centralizer_order_bruteforce,
     twist_conductor_predicted,
 )
-from tame_llc.local_factors import lambda_chain, lambda_tame
+from tame_llc.local_factors import lambda_tame
 from tame_llc.ring_model import UnitGroupPresentation, build_model
-from tame_llc.tame_galois import (
-    GAL_ID,
-    center,
-    norm_index,
-    order_two_set,
-    params_from_q,
-)
+from tame_llc.tame_galois import GAL_ID, norm_index, order_two_set, params_from_q
+from test_conjectures import dim_delta_orbit
+from test_llc_parameters import centralizer_order_bruteforce
+from test_local_factors import lambda_chain
+from test_tame_galois import center, order_two_prediction
 
 FULL_BOX = valid_tuples([3, 5, 7, 9, 11, 13], 8, [2, 3, 4, 5])
 
@@ -182,7 +179,7 @@ def test_dimension_counts():
 ])
 def test_dimension_orbit_bruteforce(tup, expected):
     P = params_from_q(*tup)
-    assert dim_delta(P, "orbit_bruteforce") == expected
+    assert dim_delta_orbit(P) == expected
     assert dim_delta(P, "closed") == expected
 
 
@@ -190,8 +187,9 @@ def test_dimension_orbit_bruteforce(tup, expected):
 def test_order_two_elements_are_central_when_the_table_applies():
     for P in FULL_BOX:
         data = order_two_set(P)
-        if data.prediction_applicable:
-            assert data.matches_prediction, P
+        applicable, predicted = order_two_prediction(P)
+        if applicable:
+            assert data.elements == predicted, P
             assert data.elements <= center(P), P
 
 

@@ -204,3 +204,40 @@ def test_factors_dim_delta_needs_an_integer(monkeypatch, capsys):
     check = {c["name"]: c for c in json.loads(out)["checks"]}["dim_delta"]
     assert check["method_values"] == {"closed": "25/2", "index": "25/2"}
     assert check["status"] == "FAIL"
+
+
+def test_factors_gamma0_abs_is_checked(monkeypatch, capsys):
+    # |gamma(0, Ad phi)| from the matrix L and the filtration conductor
+    # must equal the one from the closed L and the additivity conductor
+    monkeypatch.setattr(cli, "adjoint_gamma0_abs", lambda P: 12345)
+    code, out, _ = run(["factors", "--q", "3", "--e", "2", "--f", "1",
+                        "--r", "3"], capsys)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "  gamma0_abs: FAIL  [value=12345]\n" in out
+
+
+@pytest.mark.parametrize("where,reason", [
+    ("missing/report.txt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_out_that_cannot_be_written_exits_usage(where, reason, tmp_path, capsys):
+    target = tmp_path / where
+    code, out, err = run(["selftest", "--out", str(target)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"cannot write {target}: {reason}\n"
+
+
+SELFTEST_ROWS = ["lambda_closed_vs_bruteforce", "symplectic_check",
+                 "centralizer_bruteforce", "sym_pairing_check", "wd_factors",
+                 "gauss_sum_literal", "ad_character_identity",
+                 "phi1_trace_off_identity", "regularity_check"]
+
+
+def test_selftest_runs_every_row(capsys):
+    code, out, _ = run(["selftest", "--format", "json"], capsys)
+    assert code == cli.EXIT_OK
+    status = {c["name"]: c["status"] for rep in json.loads(out)
+              for c in rep["checks"]}
+    assert all(status[name] == "OK" for name in SELFTEST_ROWS), status
+    assert set(status.values()) == {"OK"}

@@ -16,7 +16,6 @@ from tame_llc.local_factors import (
     eps_abelian,
     gamma_at_zero_abs,
     induced_factor,
-    lambda_chain,
     lambda_tame,
     principal_descriptor,
     principal_triple,
@@ -77,6 +76,29 @@ def test_lambda_fourth_power_is_a_sign():
 def test_lambda_bruteforce_needs_a_cyclic_extension():
     with pytest.raises(BruteForceUnsupported):
         lambda_tame(3, 1, 4, 0, "bruteforce")
+
+
+def lambda_unramified(Q, f):
+    """lambda(K_0/F, psi) for K_0/F unramified of degree f, F with residue
+    field F_Q and n(psi) = 0: eps(Ind 1) / eps(1_{K_0}), where Ind 1 is the
+    sum of the f unramified characters of F sending pi to an f-th root of
+    unity."""
+    ind = eps_abelian(AbelianCharData(Q, 0, Cyclotomic.one()))
+    for j in range(1, f):
+        chi = AbelianCharData(Q, 0, Cyclotomic.root_of_unity(f, j))
+        ind = ind.direct_sum(eps_abelian(chi))
+    one_K0 = eps_abelian(AbelianCharData(Q ** f, 0, Cyclotomic.one()))
+    return ind.root_number() * one_K0.root_number().inv()
+
+
+def lambda_chain(p, d, e, f, u0_log):
+    """(lambda(K/F), lambda(K/K_0) * lambda(K_0/F)^e) for F < K_0 < K, with
+    K_0/F unramified of degree f over residue field F_{p^d} and K/K_0
+    totally ramified of degree e: the inductivity quotient over the residue
+    field of K_0 against the closed forms."""
+    lhs = lambda_tame(p, d * f, e, u0_log, "bruteforce")
+    rhs = lambda_tame(p, d * f, e, u0_log, "closed") * lambda_unramified(p ** d, f) ** e
+    return lhs, rhs
 
 
 @pytest.mark.parametrize("p,d,e,f,u0", [

@@ -50,6 +50,20 @@ def _flip_eta(monkeypatch):
     monkeypatch.setattr(characters, "_legendre", lambda a, p: -legendre(a, p))
 
 
+def _negate_model_lambda(monkeypatch):
+    # -lambda(K/F), at the binding adjoint_triple reads
+    model_lambda = llc_parameters.model_lambda
+    monkeypatch.setattr(llc_parameters, "model_lambda", lambda sys: -model_lambda(sys))
+
+
+def _trivial_c_char(monkeypatch):
+    # the chi-data sign character c replaced by the trivial character
+    def trivial(self):
+        return characters.MultCharacter(tuple(self.U.orders), (0,) * len(self.U.orders))
+
+    monkeypatch.setattr(characters.CharacterSystem, "c_char", trivial)
+
+
 def _formal_degree_box():
     """The tuples of q <= 5, n <= 4, r in {2, 3}."""
     box = valid_tuples([3, 5], 4, [2, 3])
@@ -86,6 +100,10 @@ ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
     "gauss_sum: flip eta": (_flip_eta, _root_number_box, verify_root_number),
+    "model_lambda: negate it":
+        (_negate_model_lambda, _root_number_box, verify_root_number),
+    "c_char: make it trivial":
+        (_trivial_c_char, _root_number_box, verify_root_number),
     "principal_triple: drop the top exponent":
         (_drop_top_principal_exponent, _formal_degree_box, verify_formal_degree),
     "norm_index: double it":
@@ -136,6 +154,28 @@ def test_degenerate_tail_form_raises_under_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "tail quadratic form is degenerate\n"
+
+
+def test_chi_data_parity_check_raises_under_python_O():
+    code = textwrap.dedent("""
+        from tame_llc import characters
+        from tame_llc.conjectures import verify_root_number
+        from tame_llc.exactnum import VerificationError
+        from tame_llc.tame_galois import params_from_q
+        assert False, "asserts are on"
+
+        # chi_gamma(-1) read at 1 instead: trivial, where (q_K - 1)/2 is odd
+        characters.CharacterSystem.minus_one_coords = lambda self: [0] * len(self.U.orders)
+        try:
+            verify_root_number(params_from_q(3, 2, 1, 0, 4))
+        except VerificationError as ex:
+            print(ex)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "chi-data character for GalElt(i=1, j=0) has value 0 at -1, not 1/2\n"
 
 
 def test_principal_centralizer_checks_raise_under_python_O():
