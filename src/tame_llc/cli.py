@@ -3,6 +3,10 @@
 Reports are deterministic: the same plan produces byte-identical output.
 Measured timings are therefore opt-in (--timing); without the flag the
 timing_ms field is 0.
+
+The argument parser is built once per process, on the first call, and
+shared by every later call of `main`; it holds no result, model or report
+between requests.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .conjectures import (
@@ -87,7 +92,13 @@ def _add_output_args(sp):
     sp.add_argument("--timing", action="store_true")
 
 
-def parse_args(argv: Sequence[str]) -> Plan:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that.
+
+    argparse writes only to the fresh namespace of each parse_args call,
+    so the shared parser carries nothing from one request to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="tame-llc",
         description="Exact verification of formal degree and root number "
@@ -113,8 +124,11 @@ def parse_args(argv: Sequence[str]) -> Plan:
 
     p_self = sub.add_parser("selftest", help="run the desk-scale invariant suite")
     _add_output_args(p_self)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def parse_args(argv: Sequence[str]) -> Plan:
+    ns = _parser().parse_args(argv)
     if ns.command == "verify":
         return Plan(
             command=f"verify-{ns.which}",

@@ -134,7 +134,7 @@ def _least_irreducible(p: int, d: int) -> List[int]:
         h = _base_p_digits(code, p, d) + [1]
         if _fp_irreducible(h, p):
             return h
-    raise AssertionError("no irreducible polynomial found")
+    raise VerificationError("no irreducible polynomial found")
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def residue_generator(gr: GaloisRing) -> GRElt:
         cand = tuple(_base_p_digits(code, gr.p, gr.d))
         if all(gr.residue(gr.pow(cand, order // ell)) != one for ell in primes):
             return cand
-    raise AssertionError("no residue field generator found")
+    raise VerificationError("no residue field generator found")
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def gal_inv(g: GalElt, P: TameParams) -> GalElt:
             cand = GalElt(i, j)
             if gal_mul(g, cand, P) == GAL_ID:
                 return cand
-    raise AssertionError("group law has no inverse; params inconsistent")
+    raise VerificationError("group law has no inverse; params inconsistent")
 
 
 def gal_elements(P: TameParams) -> List[GalElt]:

@@ -148,6 +148,23 @@ def test_root_number_identity_at_e3():
         assert verify_root_number(P).status == "OK", P
 
 
+# 6c. e >= 3 at r = 12: the supported tuples of n <= 4
+E3_AT_R12 = ([(5, 4, 1, m) for m in range(4)] + [(7, 3, 1, m) for m in range(3)]
+             + [(9, 4, 1, m) for m in range(4)] + [(13, 3, 1, m) for m in range(3)]
+             + [(13, 4, 1, m) for m in range(4)])
+
+
+def test_e3_at_r12_list_is_the_supported_box():
+    box = [(P.q, P.e, P.f, P.m) for P in valid_tuples([3, 5, 7, 9, 11, 13], 4, [12])
+           if P.e >= 3 and root_number_supported(P) is None]
+    assert box == E3_AT_R12
+
+
+@pytest.mark.parametrize("q,e,f,m", E3_AT_R12, ids=str)
+def test_root_number_identity_at_r12(q, e, f, m):
+    assert verify_root_number(params_from_q(q, e, f, m, 12)).status == "OK"
+
+
 # 7. conductor breaks of the twists against the predicted e(r-1) / e(r-1)+1
 def test_twist_conductor_breaks():
     tuples = [

@@ -40,6 +40,25 @@ def test_verify_formal_degree_json_is_stable(capsys):
     assert payload["checks"][0]["status"] == "OK"
 
 
+def test_shared_parser_carries_nothing_between_requests(capsys):
+    first = ["verify", "formal-degree", "--q", "3", "--e", "2", "--f", "1",
+             "--r", "4", "--format", "json"]
+    runs = [run(argv, capsys) for argv in (
+        first,
+        first[:-1] + ["xml"],
+        ["--help"],
+        ["sweep", "--q", "3", "--r", "5..2"],
+        first,
+    )]
+    assert [code for code, _, _ in runs] == [
+        cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK]
+    assert runs[0][1] == runs[-1][1]
+    assert cli._parser() is cli._parser()
+    fresh = cli._parser.__wrapped__()
+    assert cli._parser().format_help() == fresh.format_help()
+    assert cli._parser().format_usage() == fresh.format_usage()
+
+
 def test_invalid_parameters_exit_usage(capsys):
     code, _, err = run(["verify", "formal-degree", "--q", "3", "--e", "3",
                         "--f", "1", "--r", "2"], capsys)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tame_llc import tame_galois
+from tame_llc.exactnum import VerificationError
 from tame_llc.tame_galois import (
     GAL_ID,
     GalElt,
@@ -124,6 +126,13 @@ def test_group_law(P, data):
     assert gal_mul(gal_mul(g, h, P), k, P) == gal_mul(g, gal_mul(h, k, P), P)
     assert gal_mul(g, gal_inv(g, P), P) == GAL_ID
     assert gal_mul(g, GAL_ID, P) == g
+
+
+def test_broken_group_law_makes_gal_inv_raise(monkeypatch):
+    P = POOL[0]
+    monkeypatch.setattr(tame_galois, "gal_mul", lambda g1, g2, P: GalElt(1, 0))
+    with pytest.raises(VerificationError, match="group law has no inverse"):
+        gal_inv(GalElt(1, 0), P)
 
 
 @given(st.sampled_from(POOL), st.data())
