@@ -9,10 +9,10 @@ edges.  There is one presentation, U at level e*r: a character trivial on
 each Galois action gamma is read once, as its matrix on U's coordinates.
 Gauss sums are evaluated by stationary phase.  At odd conductor the
 residue-field tail left over is a quadratic Gauss sum over F_p^d, summed
-in closed form; the quadratic Gauss sum of F_{p^d} comes from the prime
-field by Davenport-Hasse.  The literal sum over the units of R/pi^k is
-kept for small unit groups: `selftest` and the tests compare stationary
-phase against it.  The tests keep the term-by-term tail and field sums.
+in closed form from the prime-field sum g_p.  The literal sum over the
+units of R/pi^k is kept for small unit groups: `selftest` and the tests
+compare stationary phase against it.  The tests keep the term-by-term
+tail and field sums.
 The chi-data character of each order-two gamma is checked at -1 against
 the closed parity of (q_K - 1)/2 as it is built.
 """
@@ -24,10 +24,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError
+from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError, quadratic_gauss_sum_prime
 from .intlinalg import (
     SubgroupPresentation,
     extend_character,
+    fp_echelon,
     intersect_subgroups,
     kernel_subgroup,
     solve_left,
@@ -37,7 +38,6 @@ from .ring_model import (
     Model,
     TooLarge,
     UnitGroupPresentation,
-    _fp_echelon,
     find_beta,
     kernel_of_norm,
 )
@@ -386,7 +386,8 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
 
     The psi side is additive in b, so writing b against the additive basis
     x^s pi^i of R/pi^{l1} turns the matching conditions into an integer
-    linear system mod p^lev.
+    linear system mod p^lev; one Hermite form gives b and, through its
+    kernel, the proof that b is the only solution.
     """
     M = sys.M
     P = sys.P
@@ -404,37 +405,27 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
             continue
         for s in range(M.gr.d):
             basis.append((M.monomial(s, i), P.p ** prec))
-    targets = []
-    vs = []
-    for g, v in test_gens:
-        fr = v * plev
-        if fr.denominator != 1:
-            raise ArithmeticError(
-                "stationary phase found 0 critical points; "
-                "character is not primitive at this level"
-            )
-        targets.append(int(fr) % plev)
-        vs.append(M.sub(g, M.one()))
+    vs = [M.sub(g, M.one()) for g, _ in test_gens]
     rows = [[psi(M.mul(m, v)) for v in vs] for m, _ in basis]
     slack = [
         [plev if t == g else 0 for t in range(len(vs))]
         for g in range(len(vs))
     ]
-    sol = solve_left(rows + slack, targets)
+    # no b matches a value of chi that is no p^lev-th root of unity
+    targets = [v * plev for _, v in test_gens]
+    sol, kernel = None, []
+    if all(t.denominator == 1 for t in targets):
+        sol, kernel = solve_left(rows + slack, [int(t) % plev for t in targets])
     if sol is None:
         raise ArithmeticError(
             "stationary phase found 0 critical points; "
             "character is not primitive at this level"
         )
-    # a unique critical point means the homogeneous system has trivial kernel
-    ker = kernel_subgroup(
-        [prec for _, prec in basis],
-        [[t % plev for t in row] for row in rows],
-        [plev] * len(vs),
-    )
-    if ker.order != 1:
+    # the critical point is unique when every homogeneous solution is zero
+    # in R/pi^{l1}: each kernel row vanishes modulo the basis precisions
+    if any(c % prec for row in kernel for c, (_, prec) in zip(row, basis)):
         raise ArithmeticError(
-            f"stationary phase found {ker.order} critical points; "
+            "stationary phase found more than one critical point; "
             "character is not primitive at this level"
         )
     b = M.zero()
@@ -508,7 +499,7 @@ def _complete_square(A: List[List[int]], lin: List[int], p: int) -> Tuple[int, i
     y^T A y + l . y = z^T A z - l^T A^{-1} l / 4 at z = y + A^{-1} l / 2.
     Raises VerificationError if A is singular mod p."""
     d = len(A)
-    rows, _, det = _fp_echelon([row + [v] for row, v in zip(A, lin)], p, d)
+    rows, _, det = fp_echelon([row + [v] for row, v in zip(A, lin)], p, d)
     if det == 0:
         raise VerificationError("tail quadratic form is degenerate")
     sol = [row[d] for row in rows]  # A sol = l
@@ -531,22 +522,6 @@ def _closed_tail(sys, chi, psi, lev, b, l1) -> Cyclotomic:
     det, const = _complete_square(A, lin, p)
     return (quadratic_gauss_sum_prime(p) ** len(A)
             * Cyclotomic.root_of_unity(p, const) * _legendre(det, p))
-
-
-def quadratic_gauss_sum_prime(p: int) -> Cyclotomic:
-    """g_p = sum over y in F_p of zeta_p^{y^2}, at order p."""
-    counts: Dict[int, int] = {}
-    for y in range(p):
-        counts[y * y % p] = counts.get(y * y % p, 0) + 1
-    return Cyclotomic(p, {key: Fraction(v) for key, v in counts.items()})
-
-
-def quadratic_gauss_sum_field(p: int, d: int) -> HalfPowerScalar:
-    """Normalized quadratic Gauss sum over F_{p^d}, with the canonical
-    additive character, by Davenport-Hasse: g(F_{p^d}) = (-1)^{d-1} g_p^d.
-    Stored at order 2p, where the sum of its terms lives."""
-    g = quadratic_gauss_sum_prime(p) ** d * (-1) ** (d - 1)
-    return HalfPowerScalar(g.embed(2 * p), -1, p ** d).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,9 @@ def _selftest_reports() -> List[ConjectureReport]:
         conductor_bruteforce,
         gauss_sum,
         gauss_sum_literal,
-        quadratic_gauss_sum_field,
         regularity_check,
     )
-    from .exactnum import Cyclotomic
+    from .exactnum import Cyclotomic, quadratic_gauss_sum_field
     from .llc_parameters import ad_character_identity, phi1_trace
     from .local_factors import (
         lambda_tame,

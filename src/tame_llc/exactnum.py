@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: rationals, cyclotomic numbers and half powers
-of q.
+"""Exact arithmetic substrate: rationals, cyclotomic numbers, half powers
+of q and the quadratic Gauss sums that give their square roots.
 
 Every quantity downstream (character values, Gauss sums, epsilon factors)
 lives in one of the types defined here, and every L-factor is 1/P(u) with
@@ -10,7 +10,7 @@ ever enters a verification path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 import math
 
 
@@ -263,27 +263,27 @@ def cyc_conj_norm(x: Cyclotomic) -> Cyclotomic:
     return x * x.conj()
 
 
-def cyc_sum(terms: Iterable[Cyclotomic]) -> Cyclotomic:
-    total = Cyclotomic.zero()
-    for t in terms:
-        total = total + t
-    return total
-
-
+# perfbench/worker.py reports its size; no square root is memoized
 _SQRT_CACHE: Dict[int, Cyclotomic] = {}
+
+
+def quadratic_gauss_sum_prime(p: int) -> Cyclotomic:
+    """g_p = sum over y in F_p of zeta_p^{y^2}, at order p."""
+    counts: Dict[int, int] = {}
+    for y in range(p):
+        counts[y * y % p] = counts.get(y * y % p, 0) + 1
+    return Cyclotomic(p, {key: Fraction(v) for key, v in counts.items()})
 
 
 def sqrt_as_cyclotomic(n: int) -> Cyclotomic:
     """Exact square root of a positive integer inside a cyclotomic field.
 
     Built multiplicatively from prime square roots; sqrt(p) comes from the
-    classical evaluation of the quadratic Gauss sum: sum_t zeta_p^(t^2)
-    equals sqrt(p) for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4.
+    classical evaluation of the quadratic Gauss sum: g_p equals sqrt(p) for
+    p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4.
     """
     if n < 1:
         raise ValueError("need a positive integer")
-    if n in _SQRT_CACHE:
-        return _SQRT_CACHE[n]
     out = Cyclotomic.one()
     for p, a in _factorize(n).items():
         out = out * Fraction(p ** (a // 2))
@@ -292,12 +292,10 @@ def sqrt_as_cyclotomic(n: int) -> Cyclotomic:
                 # sqrt(2) = zeta_8 + zeta_8^(-1)
                 root = Cyclotomic.root_of_unity(8, 1) + Cyclotomic.root_of_unity(8, 7)
             else:
-                g = cyc_sum(Cyclotomic.root_of_unity(p, (t * t) % p) for t in range(p))
+                root = quadratic_gauss_sum_prime(p)
                 if p % 4 == 3:
-                    g = g * Cyclotomic.root_of_unity(4, 3)  # divide by i
-                root = g
+                    root = root * Cyclotomic.root_of_unity(4, 3)  # divide by i
             out = out * root
-    _SQRT_CACHE[n] = out
     return out
 
 
@@ -409,3 +407,11 @@ class HalfPowerScalar:
         return "HalfPowerScalar(%s, q=%d, halfExp=%d)" % (
             self.coef.to_text(), self.q, self.half_exp,
         )
+
+
+def quadratic_gauss_sum_field(p: int, d: int) -> HalfPowerScalar:
+    """Normalized quadratic Gauss sum over F_{p^d}, with the canonical
+    additive character, by Davenport-Hasse: g(F_{p^d}) = (-1)^{d-1} g_p^d.
+    Stored at order 2p, where the sum of its terms lives."""
+    g = quadratic_gauss_sum_prime(p) ** d * (-1) ** (d - 1)
+    return HalfPowerScalar(g.embed(2 * p), -1, p ** d).normalized()

@@ -1,6 +1,7 @@
-"""Small exact integer linear algebra: Hermite and Smith normal forms with
-transforms, integer linear solving, and finite-abelian-group plumbing
-(subgroup presentations, homomorphism kernels, character extension).
+"""Small exact linear algebra: Hermite and Smith normal forms with
+transforms, integer linear solving, the one row echelon form over F_p, and
+finite-abelian-group plumbing (subgroup presentations, homomorphism
+kernels, character extension).
 
 All matrices here are tiny (at most a few dozen rows), so the classical
 cubic algorithms with exact big integers suffice, provided each Euclid step
@@ -12,8 +13,8 @@ Each lattice is factored once.  `smith_normal_form` returns the column
 transform V together with its inverse, kept up to date operation by
 operation, so no transform is ever inverted afterwards.  A subgroup keeps
 its square Hermite basis and solves against it by back-substitution, and
-`extend_character` reads its particular solution and its homogeneous
-kernel from one Hermite form.
+`solve_left` returns a particular solution together with the homogeneous
+kernel of the same Hermite form, which `extend_character` reduces by.
 """
 
 from __future__ import annotations
@@ -121,8 +122,12 @@ def left_kernel_basis(mat: Matrix) -> Matrix:
     return out
 
 
-def _solve_hnf(h: Matrix, u: Matrix, target: Sequence[int]) -> Optional[List[int]]:
-    """An integer row y with y*mat = target, from (h, u) = hnf_row(mat)."""
+def solve_left(mat: Matrix, target: Sequence[int]) -> Tuple[Optional[List[int]], Matrix]:
+    """An integer row y with y*mat = target (None when there is none), and
+    a basis of the left kernel {k : k*mat = 0}, both from one Hermite form:
+    the kernel rows are the rows of U beside the zero rows of H."""
+    h, u = hnf_row(mat)
+    kernel = [ui for hi, ui in zip(h, u) if not any(hi)]
     y = [0] * len(h)
     t = list(target)
     m = len(t)
@@ -137,14 +142,47 @@ def _solve_hnf(h: Matrix, u: Matrix, target: Sequence[int]) -> Optional[List[int
             t = [x - c * yv for x, yv in zip(t, hi)]
             y[i] = c
     if any(t):
-        return None
-    return vec_mat(y, u)
+        return None, kernel
+    return vec_mat(y, u), kernel
 
 
-def solve_left(mat: Matrix, target: Sequence[int]) -> Optional[List[int]]:
-    """An integer row y with y*mat = target, or None."""
-    h, u = hnf_row(mat)
-    return _solve_hnf(h, u, target)
+def fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
+    """Reduced row echelon form over F_p, pivoting in the first ncols columns.
+
+    Returns (reduced rows, pivot columns, det); the rank is the number of
+    pivots.  det is the determinant of the first ncols columns mod p when
+    there are ncols rows (0 when a column has no pivot).  Rows are cleared
+    below each pivot first and above it afterwards, last pivot first, so
+    a banded matrix stays banded until the echelon form is reached.
+    """
+    rows = [list(r) for r in rows]
+    pivots: List[int] = []
+    det = 1
+
+    def clear(rr, c, others):
+        # subtract multiples of pivot row rr to zero column c in the others
+        for r2 in others:
+            fac = rows[r2][c] % p
+            if fac:
+                rows[r2] = [(x - fac * y) % p for x, y in zip(rows[r2], rows[rr])]
+
+    for c in range(ncols):
+        rr = len(pivots)
+        piv = next((r2 for r2 in range(rr, len(rows)) if rows[r2][c] % p), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rr:
+            rows[rr], rows[piv] = rows[piv], rows[rr]
+            det = -det
+        det = det * rows[rr][c] % p
+        inv = pow(rows[rr][c], -1, p)
+        rows[rr] = [(x * inv) % p for x in rows[rr]]
+        clear(rr, c, range(rr + 1, len(rows)))
+        pivots.append(c)
+    for rr in reversed(range(len(pivots))):
+        clear(rr, pivots[rr], range(rr))
+    return rows, pivots, det
 
 
 def _back_substitute(h: Matrix, target: Sequence[int]) -> Optional[List[int]]:
@@ -400,13 +438,12 @@ def extend_character(
     at = [[a_mat[j][i] for j in range(k)] for i in range(s)]  # s x k
     stacked = at + diag([big] * k)  # (s+k) x k
     # one Hermite form gives a particular solution and the homogeneous kernel
-    hs, us = hnf_row(stacked)
-    y = _solve_hnf(hs, us, rhs)
+    y, kernel = solve_left(stacked, rhs)
     if y is None:
         raise ValueError("prescribed values are not a character of the subgroup")
     w = y[:s]
     # canonical representative: reduce modulo the homogeneous solution lattice
-    hom_w = [ui[:s] for hi, ui in zip(hs, us) if not any(hi)]
+    hom_w = [row[:s] for row in kernel]
     # the lattice also contains d_i * e_i (changing w_i by d_i changes nothing)
     hom_w += diag(d)
     h, _ = hnf_row(hom_w)

@@ -15,11 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, PoleAtPoint, VerificationError
-from .intlinalg import hnf_row, left_kernel_basis
+from .exactnum import (
+    Cyclotomic,
+    HalfPowerScalar,
+    PoleAtPoint,
+    VerificationError,
+    quadratic_gauss_sum_field,
+)
+from .intlinalg import fp_echelon, vec_mat
 from .ring_model import GaloisRing, residue_generator
 
 
@@ -178,8 +184,6 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 
 def quadratic_gauss_root(p: int, d: int) -> Cyclotomic:
     """The normalized quadratic Gauss sum of F_{p^d} as a modulus-one value."""
-    from .characters import quadratic_gauss_sum_field
-
     return quadratic_gauss_sum_field(p, d).root_number()
 
 
@@ -287,17 +291,17 @@ def _degree_positions(n: int, d: int) -> List[Tuple[int, int]]:
     return [(i, i + d) for i in range(max(0, -d), min(n, n - d))]
 
 
-def _ad_kernel_by_degree(N0: Sequence[Sequence[int]]) -> Dict[int, List[List[int]]]:
-    """ker ad(N_0) on gl_n over Z, one block per degree d = j - i.
+def _ad_blocks(N0: Sequence[Sequence[int]]) -> Dict[int, List[List[int]]]:
+    """ad(N_0) on gl_n over Z, one block per degree d = j - i.
 
     For N_0 of degree 1, X -> N_0 X - X N_0 sends E_ij, of degree j - i,
     into degree j - i + 1: its n^2 x n^2 matrix is the direct sum of the
-    2n - 1 blocks d -> d + 1, and the kernel is the direct sum of their
-    left kernels.  Block d's kernel vectors are written in the coordinates
-    `_degree_positions(n, d)`.  An image that leaves degree d + 1 raises.
+    2n - 1 blocks d -> d + 1, with rows `_degree_positions(n, d)` and
+    columns `_degree_positions(n, d + 1)`.  An image that leaves degree
+    d + 1 raises.
     """
     n = len(N0)
-    kernel = {}
+    blocks = {}
     for d in range(1 - n, n):
         cols = {rc: t for t, rc in enumerate(_degree_positions(n, d + 1))}
         rows = []
@@ -317,52 +321,54 @@ def _ad_kernel_by_degree(N0: Sequence[Sequence[int]]) -> Dict[int, List[List[int
                             f"ad(N_0) sends E_{i},{j} outside degree {d + 1}")
                     row[cols[r, c]] = v
             rows.append(row)
-        kernel[d] = left_kernel_basis(rows)
-    return kernel
+        blocks[d] = rows
+    return blocks
 
 
-def _lattice(rows: List[List[int]]) -> List[List[int]]:
-    """The nonzero rows of the Hermite normal form of span(rows)."""
-    return [r for r in hnf_row(rows)[0] if any(r)]
+_RANK_PRIME = 2 ** 31 - 1  # the prime of the rank certificate in `principal_triple`
 
 
 def principal_triple(n: int, q: int) -> PrincipalData:
     """Adjoint factors of the Steinberg parameter Sym^{n-1} of SL_2.
 
     N_0 is the regular nilpotent.  Grade gl_n by d = j - i on E_ij: ad(N_0)
-    raises the degree by one, so ker ad(N_0) is read block by block
-    (`_ad_kernel_by_degree`, 2n - 1 blocks of at most n x n instead of one
-    n^2 x n^2 matrix) and compared, degree by degree, with the span of
-    N_0^0, ..., N_0^{n-1}, N_0^k having degree k.  Frobenius acts on
-    degree d by q^{-d} (F N_0 F^{-1} = q^{-1} N_0), so the eigenvalues of
-    adjoint Frobenius on the centralizer in sl_n are q^{-d} for the degrees
-    d of the kernel, the trace line of degree 0 dropped: q^{-1}, ...,
-    q^{-(n-1)}.  All of this is recomputed from the matrices.
+    raises the degree by one, so it splits into 2n - 1 blocks of at most
+    n x n (`_ad_blocks`).  ker ad(N_0) is certified without a Hermite form:
+    N_0^k, of degree k, lies in the kernel of block k and is primitive, and
+    the coranks of the blocks mod a prime sum to n.  Rank mod a prime never
+    exceeds rank over Q, so ker ad(N_0) is span_Z(N_0^0, ..., N_0^{n-1}).
+    Frobenius acts on degree d by q^{-d} (F N_0 F^{-1} = q^{-1} N_0), so the
+    eigenvalues of adjoint Frobenius on the centralizer in sl_n are q^{-k}
+    for the degrees k of the kernel, the trace line of degree 0 dropped.
+    All of this is recomputed from the matrices.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     N0 = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
-    kernel = _ad_kernel_by_degree(N0)
-    if sum(len(vs) for vs in kernel.values()) != n:
-        raise VerificationError("regular nilpotent centralizer must have dimension n")
+    blocks = _ad_blocks(N0)
     # N_0^k by sparse products; every entry must sit on the diagonal j - i = k
     step = {i: [(j, c) for j, c in enumerate(row) if c] for i, row in enumerate(N0)}
     pw = {(i, i): 1 for i in range(n)}
-    powers = {d: [] for d in kernel}
+    powers = {}
     for k in range(n):
         if any(c and j - i != k for (i, j), c in pw.items()):
             raise VerificationError(f"N_0^{k} has an entry off its diagonal")
-        powers[k].append([pw.get(ij, 0) for ij in _degree_positions(n, k)])
+        powers[k] = [pw.get(ij, 0) for ij in _degree_positions(n, k)]
         nxt = {}
         for (i, m), c in pw.items():
             for j, c2 in step[m]:
                 nxt[i, j] = nxt.get((i, j), 0) + c * c2
         pw = nxt
-    # the kernel must be exactly span(N_0^0, ..., N_0^{n-1}); compare lattices
-    for d, vs in kernel.items():
-        if _lattice(vs) != _lattice(powers[d]):
-            raise VerificationError("centralizer is not the span of the powers of N_0")
-    ad_exps = tuple(d for d, vs in kernel.items() if d for _ in vs)
+    for k, v in powers.items():
+        if any(vec_mat(v, blocks[k])):
+            raise VerificationError(f"N_0^{k} is not in the kernel of ad(N_0)")
+        if gcd(*v) != 1:
+            raise VerificationError(f"N_0^{k} is not primitive")
+    corank = sum(len(rows) - len(fp_echelon(rows, _RANK_PRIME, len(rows[0]))[1])
+                 for rows in blocks.values())
+    if corank != n:
+        raise VerificationError("regular nilpotent centralizer must have dimension n")
+    ad_exps = tuple(k for k in powers if k)
     # 1/L = prod (1 - q^{-k} u) = q^{-s} prod (q^k - u), s the sum of the k,
     # multiplied over Z; then one Cyclotomic per coefficient
     coeffs = [1]

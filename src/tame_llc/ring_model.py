@@ -20,7 +20,7 @@ from math import gcd, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
-from .intlinalg import SubgroupPresentation, kernel_subgroup, smith_normal_form
+from .intlinalg import SubgroupPresentation, fp_echelon, kernel_subgroup, smith_normal_form
 from .tame_galois import GalElt, TameParams, gal_elements, gal_mul
 
 GRElt = Tuple[int, ...]
@@ -891,37 +891,7 @@ def _is_generator(M: Model, beta: Elt) -> bool:
             opow = M.mul(opow, omega)
         bpow = M.mul(bpow, beta)
     ncols = len(vecs[0])
-    return len(_fp_echelon(vecs, P.p, ncols)[1]) == ncols
-
-
-def _fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
-    """Reduced row echelon form over F_p, pivoting in the first ncols columns.
-
-    Returns (reduced rows, pivot columns, det); the rank is the number of
-    pivots.  det is the determinant of the first ncols columns mod p when
-    there are ncols rows (0 when a column has no pivot).
-    """
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    det = 1
-    for c in range(ncols):
-        rr = len(pivots)
-        piv = next((r2 for r2 in range(rr, len(rows)) if rows[r2][c] % p), None)
-        if piv is None:
-            det = 0
-            continue
-        if piv != rr:
-            rows[rr], rows[piv] = rows[piv], rows[rr]
-            det = -det
-        det = det * rows[rr][c] % p
-        inv = pow(rows[rr][c], -1, p)
-        rows[rr] = [(x * inv) % p for x in rows[rr]]
-        for r2 in range(len(rows)):
-            if r2 != rr and rows[r2][c] % p:
-                fac = rows[r2][c]
-                rows[r2] = [(x - fac * y) % p for x, y in zip(rows[r2], rows[rr])]
-        pivots.append(c)
-    return rows, pivots, det
+    return len(fp_echelon(vecs, P.p, ncols)[1]) == ncols
 
 
 def regular_rep_matrix(M: Model, beta: Elt, level: int) -> List[List[int]]:
@@ -1038,6 +1008,6 @@ def symplectic_check(M: Model, beta: Elt) -> Tuple[bool, int]:
     for i in range(len(basis)):
         if gram[i][i] % p:
             return False, -1
-    rank = len(_fp_echelon(gram, p, len(gram))[1])
+    rank = len(fp_echelon(gram, p, len(gram))[1])
     return rank == n * (n - 1), rank
 

@@ -5,12 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tame_llc.characters import (
-    CharacterSystem,
-    conductor_bruteforce,
-    gauss_sum,
-    quadratic_gauss_sum_field,
-)
+from tame_llc.characters import CharacterSystem, conductor_bruteforce, gauss_sum
 from tame_llc.conjectures import (
     dim_delta,
     formal_degree_EP,
@@ -19,7 +14,7 @@ from tame_llc.conjectures import (
     verify_formal_degree,
     verify_root_number,
 )
-from tame_llc.exactnum import Cyclotomic, HalfPowerScalar
+from tame_llc.exactnum import Cyclotomic, HalfPowerScalar, quadratic_gauss_sum_field
 from tame_llc.llc_parameters import (
     adjoint_conductor,
     adjoint_L,

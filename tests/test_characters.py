@@ -22,11 +22,15 @@ from tame_llc.characters import (
     conductor_bruteforce,
     gauss_sum,
     gauss_sum_literal,
-    quadratic_gauss_sum_field,
     regularity_check,
 )
 from tame_llc.conjectures import root_number_supported, valid_tuples, verify_root_number
-from tame_llc.exactnum import Cyclotomic, HalfPowerScalar, VerificationError
+from tame_llc.exactnum import (
+    Cyclotomic,
+    HalfPowerScalar,
+    VerificationError,
+    quadratic_gauss_sum_field,
+)
 from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.ring_model import (
     GaloisRing,
@@ -248,6 +252,28 @@ def test_gauss_sum_below_the_conductor_raises(sys_ramified, sys_unramified):
             assert k >= 2
             with pytest.raises(VerificationError, match="factor through level"):
                 gauss_sum(cs, tw, k - 1)
+            checked += 1
+    assert checked == 2
+
+
+def test_critical_point_raises_when_it_is_not_unique(sys_ramified, sys_unramified):
+    # matching only the one-units 1 + v of levels >= ceil(k/2) + 1 fixes b
+    # modulo pi^{l1 - 1} alone, so b + pi^{l1 - 1} u is a critical point
+    # for every residue u: q_K of them mod pi^{l1}
+    checked = 0
+    for cs in (sys_ramified, sys_unramified):
+        for gamma in sorted(order_two_set(cs.P).elements):
+            if gamma == GAL_ID:
+                continue
+            tw = cs.theta_tilde_twist(gamma)
+            k = conductor_bruteforce(cs, tw)
+            lev, psi = _psi_K_data(cs.M, k)
+            vals = _values_below(cs, tw, k)
+            l2 = -(-k // 2)
+            # at the stationary-phase levels the critical point is unique
+            assert cs.M.is_unit(_critical_point(cs, vals, psi, lev, k - l2, l2, k))
+            with pytest.raises(ArithmeticError, match="more than one critical point"):
+                _critical_point(cs, vals, psi, lev, k - l2, l2 + 1, k)
             checked += 1
     assert checked == 2
 

@@ -2,6 +2,7 @@
 subgroup presentations."""
 
 import itertools
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -13,6 +14,7 @@ from tame_llc.intlinalg import (
     SubgroupPresentation,
     diag,
     extend_character,
+    fp_echelon,
     hnf_row,
     identity_matrix,
     intersect_subgroups,
@@ -136,17 +138,59 @@ def test_left_kernel_annihilates(mat):
         assert all(x == 0 for x in vec_mat(row, mat))
 
 
+def _rank_over_q(mat):
+    """Rank by Gaussian elimination over Q, independent of hnf_row."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 @given(small_matrices, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
 def test_solve_left_round_trip(mat, coeffs):
     coeffs = (coeffs + [0] * len(mat))[: len(mat)]
     target = vec_mat(coeffs, mat)
-    sol = solve_left(mat, target)
+    sol, kernel = solve_left(mat, target)
     assert sol is not None
     assert vec_mat(sol, mat) == list(target)
+    # the kernel returned beside the solution: k*mat = 0, rows - rank of them
+    for row in kernel:
+        assert all(x == 0 for x in vec_mat(row, mat))
+    assert len(kernel) == len(mat) - _rank_over_q(mat)
+
+
+@given(small_matrices)
+def test_fp_echelon_is_the_reduced_form(mat):
+    # p exceeds every minor of these matrices, so rank mod p is rank over Q
+    p = 2 ** 31 - 1
+    rows, pivots, det = fp_echelon(mat, p, len(mat[0]))
+    assert len(pivots) == _rank_over_q(mat)
+    for i, c in enumerate(pivots):
+        assert all(x == 0 for x in rows[i][:c]) and rows[i][c] == 1
+        assert all(rows[k][c] == 0 for k in range(len(rows)) if k != i)
+    assert not any(x % p for row in rows[len(pivots):] for x in row)
+    if len(mat) == len(mat[0]):
+        assert det == _det_over_q(mat) % p
+
+
+def _det_over_q(mat):
+    """Determinant by Laplace expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum((-1) ** j * mat[0][j] * _det_over_q([r[:j] + r[j + 1:] for r in mat[1:]])
+               for j in range(len(mat)))
 
 
 def test_solve_left_detects_unsolvable():
-    assert solve_left([[2, 0], [0, 2]], [1, 0]) is None
+    assert solve_left([[2, 0], [0, 2]], [1, 0]) == (None, [])
 
 
 # -- subgroup presentations -------------------------------------------------
@@ -187,7 +231,7 @@ def _coords_by_stacked_solve(sub, x):
     """SubgroupPresentation.coords by the former route: solve against the
     Hermite basis stacked on diag(d), then apply the SNF transform V."""
     s = len(sub.ambient_orders)
-    y = solve_left(sub._m + diag(sub.ambient_orders), list(x))
+    y, _ = solve_left(sub._m + diag(sub.ambient_orders), list(x))
     if y is None:
         return None
     w = vec_mat(y[:s], sub._v)
@@ -224,7 +268,7 @@ def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
     at = [[subgroup_rows[j][i] * (big // d[i]) for j in range(k)] for i in range(s)]
     rhs = [(big // den) * num for num, den in value_fracs]
     stacked = at + diag([big] * k)
-    y = solve_left(stacked, rhs)
+    y, _ = solve_left(stacked, rhs)
     if y is None:
         raise ValueError("prescribed values are not a character of the subgroup")
     hom_w = [row[:s] for row in left_kernel_basis(stacked)] + diag(d)

@@ -11,7 +11,7 @@ from tame_llc.local_factors import (
     AbelianCharData,
     BruteForceUnsupported,
     LocalFactorTriple,
-    _ad_kernel_by_degree,
+    _ad_blocks,
     _degree_positions,
     eps_abelian,
     gamma_at_zero_abs,
@@ -175,9 +175,11 @@ def _dense_ad_kernel(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_graded_centralizer_matches_the_dense_kernel(n):
+    # the left kernels of the degree blocks, taken here by Hermite forms,
+    # against the kernel of the whole matrix
     graded = []
-    for d, vs in _ad_kernel_by_degree(_regular_nilpotent(n)).items():
-        for v in vs:
+    for d, block in _ad_blocks(_regular_nilpotent(n)).items():
+        for v in left_kernel_basis(block):
             flat = [0] * (n * n)
             for (i, j), c in zip(_degree_positions(n, d), v):
                 flat[i * n + j] = c

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from tame_llc import characters, conjectures, llc_parameters
+from tame_llc import characters, conjectures, llc_parameters, local_factors
 from tame_llc.conjectures import (
     root_number_supported,
     valid_tuples,
@@ -96,6 +96,19 @@ def _drop_top_principal_exponent(monkeypatch):
     monkeypatch.setattr(conjectures, "principal_triple", mutated)
 
 
+def _power_out_of_the_kernel(monkeypatch):
+    # ad(N_0) with one more entry in the first row of its degree-0 block,
+    # so that N_0^0 = 1 no longer lies in the block's kernel
+    ad_blocks = local_factors._ad_blocks
+
+    def mutated(N0):
+        blocks = ad_blocks(N0)
+        blocks[0][0][0] += 1
+        return blocks
+
+    monkeypatch.setattr(local_factors, "_ad_blocks", mutated)
+
+
 def _doubled(name):
     # twice the value of llc_parameters.<name>, the binding centralizer_order reads
     def perturb(monkeypatch):
@@ -116,6 +129,8 @@ ROWS = {
         (_conductor_plus_one, _root_number_box, verify_root_number),
     "principal_triple: drop the top exponent":
         (_drop_top_principal_exponent, _formal_degree_box, verify_formal_degree),
+    "principal_triple: move N_0^0 out of the kernel":
+        (_power_out_of_the_kernel, _formal_degree_box, verify_formal_degree),
     "norm_index: double it":
         (_doubled("norm_index"), _formal_degree_box, verify_formal_degree),
     "abelianization_order: double it":
@@ -203,17 +218,19 @@ def test_principal_centralizer_checks_raise_under_python_O():
         N0 = [[1 if j == i + 1 or (i, j) == (0, 2) else 0 for j in range(4)]
               for i in range(4)]
         try:
-            local_factors._ad_kernel_by_degree(N0)
+            local_factors._ad_blocks(N0)
         except VerificationError as ex:
             print(ex)
 
-        # one block-kernel vector dropped
-        left_kernel_basis = local_factors.left_kernel_basis
+        # the rank of every block mod the certificate prime reported one too
+        # low, where it is positive
+        fp_echelon = local_factors.fp_echelon
 
-        def drop_one(rows):
-            return left_kernel_basis(rows)[1:]
+        def rank_one_lower(rows, p, ncols):
+            reduced, pivots, det = fp_echelon(rows, p, ncols)
+            return reduced, pivots[1:], det
 
-        local_factors.left_kernel_basis = drop_one
+        local_factors.fp_echelon = rank_one_lower
         try:
             local_factors.principal_triple(4, 3)
         except VerificationError as ex:
