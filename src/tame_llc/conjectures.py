@@ -76,22 +76,32 @@ def number_text(x) -> str:
 # dimension of the depth-zero-at-level-r representation
 # ---------------------------------------------------------------------------
 
+def _over(num: int, den: int, q: int, s: int) -> Fraction:
+    """num * q^s / den, one Fraction."""
+    return Fraction(num * q ** s, den) if s >= 0 else Fraction(num, den * q ** -s)
+
+
 def dim_delta(P: TameParams, method: str = "closed") -> Fraction:
+    """The dimension of the representation at level r, in integers over one
+    denominator.  closed: q^{r N} prod_{k=1}^{n} (1 - q^{-k}) / ((1 - q^{-f})
+    (O_F^x : N O_K^x)), N = n(n-1)/2.  index: (SL_n(F_q) : G_beta) times
+    q^{(r-2) N}, with |SL_n(F_q)| = q^{n^2-1} prod_{k=2}^{n} (1 - q^{-k}) and
+    |G_beta| = (O_F^x : N O_K^x) q^{n-1} (1 - q^{-f}) / (1 - q^{-1})."""
     q, n, r, f = P.q, P.n, P.r, P.f
     ni = norm_index(P)
+    N = n * (n - 1) // 2
     if method == "closed":
-        out = Fraction(q ** (r * n * (n - 1) // 2))
+        num = 1
         for k in range(1, n + 1):
-            out *= 1 - Fraction(1, q ** k)
-        out /= (1 - Fraction(1, q ** f)) * ni
-        return out
+            num *= q ** k - 1
+        return _over(num, (q ** f - 1) * ni, q, r * N + f - n * (n + 1) // 2)
     if method == "index":
-        sl = Fraction(q ** (n * n - 1))
+        sl = 1  # |SL_n(F_q)| / q^N
         for k in range(2, n + 1):
-            sl *= 1 - Fraction(1, q ** k)
-        g_beta = ni * q ** (n - 1) * (1 - Fraction(1, q ** f)) / (1 - Fraction(1, q))
-        omega = sl / g_beta
-        return omega * q ** ((r - 2) * n * (n - 1) // 2)
+            sl *= q ** k - 1
+        g_beta = ni * (q ** f - 1)  # |G_beta| (q - 1) / q^{n - f}
+        # |SL_n(F_q)| / |G_beta| = sl (q - 1) q^{N - (n - f)} / g_beta
+        return _over(sl * (q - 1), g_beta, q, N - (n - f) + (r - 2) * N)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -111,18 +121,18 @@ def verify_dim_delta(P: TameParams) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def formal_degree_EP(P: TameParams) -> Fraction:
-    """Formal degree w.r.t. the Euler-Poincare measure, by counting."""
-    q, n = P.q, P.n
+    """Formal degree w.r.t. the Euler-Poincare measure, by counting: dim_delta
+    over q^N prod_{k=1}^{n-1} (1 - q^{-k}) = prod_{k=1}^{n-1} (q^k - 1),
+    N = n(n-1)/2, against the closed form q^{(r-1) N} (1 - q^{-n}) /
+    ((O_F^x : N O_K^x)(1 - q^{-f}))."""
+    q, n, f = P.q, P.n, P.f
     dim = dim_delta(P, "index")
-    den = Fraction(q ** (n * (n - 1) // 2))
+    den = dim.denominator
     for k in range(1, n):
-        den *= 1 - Fraction(1, q ** k)
-    out = dim / den
-    closed = (
-        Fraction(q ** ((P.r - 1) * n * (n - 1) // 2))
-        * (1 - Fraction(1, q ** n))
-        / (norm_index(P) * (1 - Fraction(1, q ** P.f)))
-    )
+        den *= q ** k - 1
+    out = Fraction(dim.numerator, den)
+    N = n * (n - 1) // 2
+    closed = _over(q ** n - 1, norm_index(P) * (q ** f - 1), q, (P.r - 1) * N + f - n)
     if out != closed:
         raise VerificationError(f"formal degree {out} differs from its closed form {closed}")
     return out

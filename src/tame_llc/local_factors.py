@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (
@@ -25,7 +25,6 @@ from .exactnum import (
     VerificationError,
     quadratic_gauss_sum_field,
 )
-from .intlinalg import fp_echelon, vec_mat
 from .ring_model import GaloisRing, residue_generator
 
 
@@ -154,20 +153,22 @@ def gamma_at_zero_abs(q: int, a: int, l_inv: Sequence[Fraction]) -> Fraction:
     where l_inv holds the rational coefficients of P, ascending.
 
     s = 1 is u = 1/q and s = 0 is u = 1, so L(1)/L(0) = P(1)/P(1/q); a zero
-    of P at either point is a pole of L.  |eps| = q^{a/2} is rational only
-    for even a, so the square is computed first and its exact square root
-    extracted at the end.
+    of P at either point is a pole of L.  Over a common denominator the
+    coefficients are integers c_0..c_k, and P(1)/P(1/q) = q^k A/B with
+    A = sum c_i and B = sum c_i q^{k-i}, both by integer Horner.
+    |eps| = q^{a/2} must be rational: q^a is a square.
     """
-    def P(u0: Fraction) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(l_inv):
-            value = value * u0 + c
-        if not value:
-            raise PoleAtPoint(f"L has a pole at u = {u0}")
-        return value
-
-    ratio = P(Fraction(1)) / P(Fraction(1, q))
-    return _fraction_sqrt(q ** a * ratio ** 2)
+    den = lcm(*(c.denominator for c in l_inv))
+    coeffs = [c.numerator * (den // c.denominator) for c in l_inv]
+    A = sum(coeffs)
+    if not A:
+        raise PoleAtPoint("L has a pole at u = 1")
+    B = 0
+    for c in coeffs:
+        B = B * q + c
+    if not B:
+        raise PoleAtPoint(f"L has a pole at u = {Fraction(1, q)}")
+    return Fraction(q ** (len(coeffs) - 1) * abs(A), abs(B)) * _fraction_sqrt(q ** a)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
@@ -291,41 +292,56 @@ def _degree_positions(n: int, d: int) -> List[Tuple[int, int]]:
     return [(i, i + d) for i in range(max(0, -d), min(n, n - d))]
 
 
-def _ad_blocks(N0: Sequence[Sequence[int]]) -> Dict[int, List[List[int]]]:
+def _ad_blocks(N0: Sequence[Sequence[int]]) -> Dict[int, List[Dict[int, int]]]:
     """ad(N_0) on gl_n over Z, one block per degree d = j - i.
 
     For N_0 of degree 1, X -> N_0 X - X N_0 sends E_ij, of degree j - i,
     into degree j - i + 1: its n^2 x n^2 matrix is the direct sum of the
     2n - 1 blocks d -> d + 1, with rows `_degree_positions(n, d)` and
-    columns `_degree_positions(n, d + 1)`.  An image that leaves degree
-    d + 1 raises.
+    columns `_degree_positions(n, d + 1)`.  A row is a sparse map
+    {column: nonzero entry}.  The image of E_ij is sum_k N_0[k][i] E_kj -
+    sum_k N_0[j][k] E_ik, read off the nonzero entries of column i and
+    row j of N_0, so the blocks take O(n^2) steps for a sparse N_0.  An
+    image that leaves degree d + 1 raises.
     """
     n = len(N0)
+    by_col = [[] for _ in range(n)]
+    by_row = [[] for _ in range(n)]
+    for k, row in enumerate(N0):
+        for m, c in enumerate(row):
+            if c:
+                by_row[k].append((m, c))
+                by_col[m].append((k, c))
     blocks = {}
     for d in range(1 - n, n):
-        cols = {rc: t for t, rc in enumerate(_degree_positions(n, d + 1))}
+        first = max(0, -d - 1)  # the row of column 0 of degree d + 1
         rows = []
         for i, j in _degree_positions(n, d):
-            # image of E_ij under X -> N0 X - X N0, as a sparse matrix
             img = {}
-            for k in range(n):
-                if N0[k][i]:
-                    img[k, j] = img.get((k, j), 0) + N0[k][i]
-                if N0[j][k]:
-                    img[i, k] = img.get((i, k), 0) - N0[j][k]
-            row = [0] * len(cols)
+            for k, c in by_col[i]:
+                img[k, j] = c
+            for k, c in by_row[j]:
+                img[i, k] = img.get((i, k), 0) - c
+            row = {}
             for (r, c), v in img.items():
                 if v:
                     if c - r != d + 1:
                         raise VerificationError(
                             f"ad(N_0) sends E_{i},{j} outside degree {d + 1}")
-                    row[cols[r, c]] = v
+                    row[r - first] = v
             rows.append(row)
         blocks[d] = rows
     return blocks
 
 
-_RANK_PRIME = 2 ** 31 - 1  # the prime of the rank certificate in `principal_triple`
+def _rank_lower_bound(rows: Sequence[Dict[int, int]]) -> int:
+    """A lower bound on the rank over Q of sparse rows {column: entry}: the
+    number of distinct last nonzero columns.  Rows whose last nonzero
+    columns are pairwise distinct are linearly independent (order them by
+    that column; each has a nonzero entry where the earlier ones have none),
+    and one row per distinct last column is such a set."""
+    return len({max(c for c, v in row.items() if v)
+                for row in rows if any(row.values())})
 
 
 def principal_triple(n: int, q: int) -> PrincipalData:
@@ -333,14 +349,17 @@ def principal_triple(n: int, q: int) -> PrincipalData:
 
     N_0 is the regular nilpotent.  Grade gl_n by d = j - i on E_ij: ad(N_0)
     raises the degree by one, so it splits into 2n - 1 blocks of at most
-    n x n (`_ad_blocks`).  ker ad(N_0) is certified without a Hermite form:
+    n x n (`_ad_blocks`).  ker ad(N_0) is certified with no elimination:
     N_0^k, of degree k, lies in the kernel of block k and is primitive, and
-    the coranks of the blocks mod a prime sum to n.  Rank mod a prime never
-    exceeds rank over Q, so ker ad(N_0) is span_Z(N_0^0, ..., N_0^{n-1}).
-    Frobenius acts on degree d by q^{-d} (F N_0 F^{-1} = q^{-1} N_0), so the
-    eigenvalues of adjoint Frobenius on the centralizer in sl_n are q^{-k}
-    for the degrees k of the kernel, the trace line of degree 0 dropped.
-    All of this is recomputed from the matrices.
+    the upper bounds on the coranks of the blocks that `_rank_lower_bound`
+    gives sum to n (in the graded basis, all rows of block d but its last
+    have distinct last columns).  The n powers, of distinct degrees, are
+    independent, so each block k < n has a kernel of rank one, and ker
+    ad(N_0) is span_Z(N_0^0, ..., N_0^{n-1}).  Frobenius acts on degree
+    d by q^{-d} (F N_0 F^{-1} = q^{-1} N_0), so the eigenvalues of adjoint
+    Frobenius on the centralizer in sl_n are q^{-k} for the degrees k of the
+    kernel, the trace line of degree 0 dropped.  All of this is recomputed
+    from the matrices.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -360,17 +379,22 @@ def principal_triple(n: int, q: int) -> PrincipalData:
                 nxt[i, j] = nxt.get((i, j), 0) + c * c2
         pw = nxt
     for k, v in powers.items():
-        if any(vec_mat(v, blocks[k])):
+        image = {}
+        for x, row in zip(v, blocks[k]):
+            if x:
+                for c, entry in row.items():
+                    image[c] = image.get(c, 0) + x * entry
+        if any(image.values()):
             raise VerificationError(f"N_0^{k} is not in the kernel of ad(N_0)")
         if gcd(*v) != 1:
             raise VerificationError(f"N_0^{k} is not primitive")
-    corank = sum(len(rows) - len(fp_echelon(rows, _RANK_PRIME, len(rows[0]))[1])
-                 for rows in blocks.values())
+    corank = sum(len(rows) - _rank_lower_bound(rows) for rows in blocks.values())
     if corank != n:
         raise VerificationError("regular nilpotent centralizer must have dimension n")
     ad_exps = tuple(k for k in powers if k)
     # 1/L = prod (1 - q^{-k} u) = q^{-s} prod (q^k - u), s the sum of the k,
-    # multiplied over Z; then one Cyclotomic per coefficient
+    # multiplied over Z; then one Cyclotomic per coefficient.  gamma(0)
+    # reads the integer coefficients: the scale q^{-s} cancels in it
     coeffs = [1]
     for k in ad_exps:
         coeffs = [q ** k * x - y for x, y in zip(coeffs + [0], [0] + coeffs)]
@@ -379,7 +403,7 @@ def principal_triple(n: int, q: int) -> PrincipalData:
     a = n * (n - 1)
     eps = HalfPowerScalar.q_half_power(q, a)
     triple = LocalFactorTriple(q, eps, a, poly)
-    return PrincipalData(triple, gamma_at_zero_abs(q, a, triple.L), ad_exps)
+    return PrincipalData(triple, gamma_at_zero_abs(q, a, coeffs), ad_exps)
 
 
 # ---------------------------------------------------------------------------

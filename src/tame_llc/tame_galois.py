@@ -213,7 +213,7 @@ def norm_index(P: TameParams) -> int:
     return ab // P.f
 
 
-def filtration_data(P: TameParams, t: int) -> Tuple[Fraction, int]:
+def filtration_data(P: TameParams, t: int) -> Tuple[int, int]:
     """(|V_t|, dim of the fixed space of V_t on the adjoint space).
 
     V_t is the congruence filtration of the monomial parameter's source:
@@ -225,7 +225,7 @@ def filtration_data(P: TameParams, t: int) -> Tuple[Fraction, int]:
     if t < 0:
         raise OutOfRange(f"t = {t} outside [0, q^(fer)-1]")
     if t == 0:
-        size = Fraction(e * q ** (n * r)) * (1 - Fraction(1, q ** f))
+        size = e * q ** (n * r - f) * (q ** f - 1)
         fixdim = f - 1
         return size, fixdim
     # the k-range of t is the least k >= 1 with t <= Q^k - 1, Q = q^f, so
@@ -242,7 +242,7 @@ def filtration_data(P: TameParams, t: int) -> Tuple[Fraction, int]:
     k = j + 1
     if k > e * r:
         raise OutOfRange(f"t = {t} outside [0, q^(fer)-1]")
-    size = Fraction(q ** (n * r - f * k))
+    size = q ** (n * r - f * k)
     if k <= e * (r - 1) - 1:
         fixdim = n - 1
     elif k <= e * (r - 1):
@@ -253,13 +253,17 @@ def filtration_data(P: TameParams, t: int) -> Tuple[Fraction, int]:
 
 
 def weighted_conductor_sum(P: TameParams) -> Fraction:
-    """Sum over t of (V_0 : V_t)^{-1} (n^2 - 1 - fixdim(t)); equals rn(n-1)."""
+    """Sum over t of (V_0 : V_t)^{-1} (n^2 - 1 - fixdim(t)); equals rn(n-1).
+
+    |V_t| is constant on each k-range of t, so the sum is one integer term
+    per k, |V_t| times the count of t times the codimension, over the one
+    denominator |V_0|."""
     q, f = P.q, P.f
     v0, fix0 = filtration_data(P, 0)
-    total = Fraction(P.n * P.n - 1 - fix0)
+    total = (P.n * P.n - 1 - fix0) * v0
     for k in range(1, P.e * P.r + 1):
         t_rep = q ** (f * k) - 1
         size, fixdim = filtration_data(P, t_rep)
         count = q ** (f * k) - q ** (f * (k - 1))
-        total += count * (P.n * P.n - 1 - fixdim) * size / v0
-    return total
+        total += count * (P.n * P.n - 1 - fixdim) * size
+    return Fraction(total, v0)

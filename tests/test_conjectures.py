@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tame_llc import llc_parameters
 from tame_llc.conjectures import (
@@ -16,7 +18,7 @@ from tame_llc.conjectures import (
     verify_root_number,
 )
 from tame_llc.ring_model import build_model, find_beta, regular_rep_matrix
-from tame_llc.tame_galois import params_from_q
+from tame_llc.tame_galois import norm_index, params_from_q
 
 
 def dim_delta_orbit(P):
@@ -40,6 +42,57 @@ def dim_delta_orbit(P):
             g, ginv = ((a, b), (c, d)), ((d, -b % q), (-c % q, a))
             orbit.add(mul(mul(g, B), ginv))
     return Fraction(len(orbit) * q ** ((P.r - 2) * P.n * (P.n - 1) // 2))
+
+
+def dim_delta_fractions(P, method):
+    """dim_delta as a product of Fractions (1 - q^{-k}), reduced at every
+    step: the oracle of the form over one integer denominator."""
+    q, n, r, f = P.q, P.n, P.r, P.f
+    ni = norm_index(P)
+    if method == "closed":
+        out = Fraction(q ** (r * n * (n - 1) // 2))
+        for k in range(1, n + 1):
+            out *= 1 - Fraction(1, q ** k)
+        out /= (1 - Fraction(1, q ** f)) * ni
+        return out
+    sl = Fraction(q ** (n * n - 1))
+    for k in range(2, n + 1):
+        sl *= 1 - Fraction(1, q ** k)
+    g_beta = ni * q ** (n - 1) * (1 - Fraction(1, q ** f)) / (1 - Fraction(1, q))
+    omega = sl / g_beta
+    return omega * q ** ((r - 2) * n * (n - 1) // 2)
+
+
+def formal_degree_fractions(P):
+    """(counted, closed) formal degree as products of Fractions: the oracle
+    of both sides of formal_degree_EP."""
+    q, n = P.q, P.n
+    den = Fraction(q ** (n * (n - 1) // 2))
+    for k in range(1, n):
+        den *= 1 - Fraction(1, q ** k)
+    counted = dim_delta_fractions(P, "index") / den
+    closed = (
+        Fraction(q ** ((P.r - 1) * n * (n - 1) // 2))
+        * (1 - Fraction(1, q ** n))
+        / (norm_index(P) * (1 - Fraction(1, q ** P.f)))
+    )
+    return counted, closed
+
+
+# every valid tuple of n <= 8 and r <= 9 over these q, squares among them
+RANDOM_BOX = valid_tuples([3, 5, 7, 9, 11, 13, 25, 27], 8, range(2, 10))
+
+
+@given(st.sampled_from(RANDOM_BOX))
+def test_dimension_matches_the_fraction_oracle(P):
+    for method in ("closed", "index"):
+        assert dim_delta(P, method) == dim_delta_fractions(P, method)
+
+
+@given(st.sampled_from(RANDOM_BOX))
+def test_formal_degree_matches_the_fraction_oracle(P):
+    counted, closed = formal_degree_fractions(P)
+    assert counted == closed == formal_degree_EP(P)
 
 
 @pytest.mark.parametrize("tup,expected", [

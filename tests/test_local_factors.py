@@ -2,10 +2,13 @@
 for the principal parameter."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tame_llc.exactnum import Cyclotomic, PoleAtPoint
+from tame_llc.exactnum import Cyclotomic, PoleAtPoint, VerificationError
 from tame_llc.intlinalg import hnf_row, left_kernel_basis
 from tame_llc.local_factors import (
     AbelianCharData,
@@ -13,6 +16,7 @@ from tame_llc.local_factors import (
     LocalFactorTriple,
     _ad_blocks,
     _degree_positions,
+    _rank_lower_bound,
     eps_abelian,
     gamma_at_zero_abs,
     induced_factor,
@@ -25,6 +29,8 @@ from tame_llc.local_factors import (
     wd_factors,
 )
 from tame_llc.tame_galois import GAL_ID, order_two_set
+
+from test_intlinalg import _rank_over_q
 
 
 def test_trivial_triple_has_the_geometric_l_factor():
@@ -173,19 +179,45 @@ def _dense_ad_kernel(n):
     return left_kernel_basis(rows)
 
 
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_graded_centralizer_matches_the_dense_kernel(n):
-    # the left kernels of the degree blocks, taken here by Hermite forms,
-    # against the kernel of the whole matrix
+    # the left kernels of the degree blocks, made dense and taken here by
+    # Hermite forms, against the kernel of the whole matrix
     graded = []
     for d, block in _ad_blocks(_regular_nilpotent(n)).items():
-        for v in left_kernel_basis(block):
+        ncols = len(_degree_positions(n, d + 1))
+        for v in left_kernel_basis(_dense(block, ncols)):
             flat = [0] * (n * n)
             for (i, j), c in zip(_degree_positions(n, d), v):
                 flat[i * n + j] = c
             graded.append(flat)
     assert len(graded) == n
     assert hnf_row(graded)[0] == hnf_row(_dense_ad_kernel(n))[0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rank_bound_of_each_block_is_its_rank(n):
+    # in the graded basis the bound is exact: n - d - 1 for d >= 0 (the
+    # kernel line), every row for d < 0
+    for d, block in _ad_blocks(_regular_nilpotent(n)).items():
+        ncols = len(_degree_positions(n, d + 1))
+        rank = _rank_over_q(_dense(block, ncols))
+        assert _rank_lower_bound(block) == rank == len(block) - (d >= 0)
+
+
+sparse_rows = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.dictionaries(st.integers(0, ncols - 1), st.integers(-3, 3), max_size=ncols),
+    min_size=1, max_size=5).map(lambda rows: (rows, ncols)))
+
+
+@given(sparse_rows)
+def test_rank_lower_bound_never_exceeds_the_rank(rows_ncols):
+    rows, ncols = rows_ncols
+    assert _rank_lower_bound(rows) <= _rank_over_q(_dense(rows, ncols))
 
 
 def test_principal_gamma_zero_against_eps_l_ratio():
@@ -198,6 +230,57 @@ def test_gamma_at_zero_evaluates_the_l_factor():
     # L = 1/(1 + u^2): L(1)/L(0) = P(1)/P(1/3) = 2/(10/9) = 9/5, |eps| = 3^{a/2}
     assert gamma_at_zero_abs(3, 0, (1, 0, 1)) == Fraction(9, 5)
     assert gamma_at_zero_abs(3, 2, (1, 0, 1)) == Fraction(27, 5)
+
+
+def gamma_at_zero_abs_fractions(q, a, l_inv):
+    """|gamma(0)| by evaluating P at u = 1 and u = 1/q in Fractions and
+    taking the square root of q^a (P(1)/P(1/q))^2: the oracle of the
+    integer Horner form."""
+    def P(u0):
+        value = Fraction(0)
+        for c in reversed(l_inv):
+            value = value * u0 + c
+        if not value:
+            raise PoleAtPoint(f"L has a pole at u = {u0}")
+        return value
+
+    square = q ** a * (P(Fraction(1)) / P(Fraction(1, q))) ** 2
+    root = (isqrt(square.numerator), isqrt(square.denominator))
+    if root[0] ** 2 != square.numerator or root[1] ** 2 != square.denominator:
+        raise VerificationError("not a rational square: %s" % square)
+    return Fraction(*root)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PoleAtPoint as ex:
+        return str(ex)
+    except VerificationError:
+        return VerificationError
+
+
+def _times(poly, factor):
+    out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+    for i, x in enumerate(poly):
+        for j, y in enumerate(factor):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@given(st.sampled_from([3, 5, 7, 9, 13, 25, 27]), st.integers(0, 12),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                min_size=1, max_size=6),
+       st.sampled_from(["none", "s=0", "s=1"]))
+def test_gamma_at_zero_matches_the_fraction_oracle(q, a, l_inv, pole):
+    # 1 - u vanishes at u = 1 (s = 0), 1 - q u at u = 1/q (s = 1); an odd a
+    # with q not a square has no rational |eps|
+    if pole != "none":
+        l_inv = _times(l_inv, (1, -1) if pole == "s=0" else (1, -q))
+    expected = _outcome(gamma_at_zero_abs_fractions, q, a, l_inv)
+    assert _outcome(gamma_at_zero_abs, q, a, l_inv) == expected
+    if pole != "none":
+        assert isinstance(expected, str)
 
 
 @pytest.mark.parametrize("l_inv", [(1, -3), (1, -1)], ids=["s=1", "s=0"])

@@ -117,6 +117,28 @@ def _doubled(name):
     return perturb
 
 
+def _matrix_l_top_coefficient_plus_one(monkeypatch):
+    # the matrix route of L(s, Ad phi) with 1 added to its top coefficient,
+    # at the binding adjoint_gamma0_abs reads; at f = 1 the L-factor is the
+    # constant 1, and doubling it leaves |gamma(0)| as it is
+    adjoint_L = llc_parameters.adjoint_L
+
+    def mutated(P, method="closed"):
+        l_inv = adjoint_L(P, method)
+        if method == "matrix":
+            l_inv = l_inv[:-1] + (l_inv[-1] + 1,)
+        return l_inv
+
+    monkeypatch.setattr(llc_parameters, "adjoint_L", mutated)
+
+
+def _conductor_sum_plus_two(monkeypatch):
+    # the filtration conductor two larger, at the binding adjoint_conductor reads
+    weighted_conductor_sum = llc_parameters.weighted_conductor_sum
+    monkeypatch.setattr(llc_parameters, "weighted_conductor_sum",
+                        lambda P: weighted_conductor_sum(P) + 2)
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -135,6 +157,10 @@ ROWS = {
         (_doubled("norm_index"), _formal_degree_box, verify_formal_degree),
     "abelianization_order: double it":
         (_doubled("abelianization_order"), _formal_degree_box, verify_formal_degree),
+    "adjoint_L: add one to the matrix route's top coefficient":
+        (_matrix_l_top_coefficient_plus_one, _formal_degree_box, verify_formal_degree),
+    "weighted_conductor_sum: add two":
+        (_conductor_sum_plus_two, _formal_degree_box, verify_formal_degree),
 }
 
 
@@ -222,15 +248,9 @@ def test_principal_centralizer_checks_raise_under_python_O():
         except VerificationError as ex:
             print(ex)
 
-        # the rank of every block mod the certificate prime reported one too
-        # low, where it is positive
-        fp_echelon = local_factors.fp_echelon
-
-        def rank_one_lower(rows, p, ncols):
-            reduced, pivots, det = fp_echelon(rows, p, ncols)
-            return reduced, pivots[1:], det
-
-        local_factors.fp_echelon = rank_one_lower
+        # the rank bound of every block reported one too low
+        rank_lower_bound = local_factors._rank_lower_bound
+        local_factors._rank_lower_bound = lambda rows: rank_lower_bound(rows) - 1
         try:
             local_factors.principal_triple(4, 3)
         except VerificationError as ex:

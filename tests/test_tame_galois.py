@@ -1,12 +1,14 @@
 """Galois group combinatorics for the tame parameters (p, a, e, f, m, r)."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tame_llc import tame_galois
+from tame_llc.conjectures import valid_tuples
 from tame_llc.exactnum import VerificationError
 from tame_llc.tame_galois import (
     GAL_ID,
@@ -15,6 +17,7 @@ from tame_llc.tame_galois import (
     abelianization_order,
     abelianization_orders,
     commutator_subgroup,
+    filtration_data,
     gal_elements,
     gal_inv,
     gal_mul,
@@ -185,3 +188,22 @@ def test_norm_index_closed_form(P):
 @pytest.mark.parametrize("P", POOL)
 def test_weighted_conductor_sum(P):
     assert weighted_conductor_sum(P) == P.r * P.n * (P.n - 1)
+
+
+def weighted_conductor_sum_fractions(P):
+    """The conductor sum with each term divided by |V_0| = e q^{nr}(1 - q^{-f})
+    as a Fraction: the oracle of the sum over one denominator."""
+    q, f = P.q, P.f
+    v0 = Fraction(P.e * q ** (P.n * P.r)) * (1 - Fraction(1, q ** f))
+    fix0 = filtration_data(P, 0)[1]
+    total = Fraction(P.n * P.n - 1 - fix0)
+    for k in range(1, P.e * P.r + 1):
+        size, fixdim = filtration_data(P, q ** (f * k) - 1)
+        count = q ** (f * k) - q ** (f * (k - 1))
+        total += count * (P.n * P.n - 1 - fixdim) * Fraction(size, v0)
+    return total
+
+
+@given(st.sampled_from(valid_tuples([3, 5, 7, 9, 11, 13, 25, 27], 8, range(2, 10))))
+def test_weighted_conductor_sum_matches_the_fraction_oracle(P):
+    assert weighted_conductor_sum(P) == weighted_conductor_sum_fractions(P)
