@@ -2,16 +2,16 @@
 
 The group is presented by delta^e = 1, rho^f = delta^m and the Iwasawa
 relation rho^{-1} delta rho = delta^q.  Everything here is finite and is
-computed by exact integer arithmetic; enumeration is used as ground truth
-wherever a closed form exists, so the two can be compared.
+computed by exact integer arithmetic.  Inverses and [Gamma, Gamma] are read
+from the presentation and checked by gal_mul; the tests keep the
+enumerations (the inverse scan, the closure of all commutators) as their
+ground truth.  order_two_set still enumerates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import log
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .exactnum import VerificationError, _factorize
@@ -130,12 +130,13 @@ def gal_mul(g1: GalElt, g2: GalElt, P: TameParams) -> GalElt:
 
 
 def gal_inv(g: GalElt, P: TameParams) -> GalElt:
-    for i in range(P.e):
-        for j in range(P.f):
-            cand = GalElt(i, j)
-            if gal_mul(g, cand, P) == GAL_ID:
-                return cand
-    raise VerificationError("group law has no inverse; params inconsistent")
+    # (delta^i rho^j)^{-1} = delta^{-(i + m[j > 0]) q^j} rho^{-j}, since
+    # rho^j delta^x rho^{-j} = delta^{l^j x}, lq = 1 mod e and rho^f = delta^m
+    carry = P.m if g.j else 0
+    inv = GalElt(-(g.i + carry) * pow(P.q, g.j, P.e) % P.e, -g.j % P.f)
+    if gal_mul(g, inv, P) != GAL_ID:
+        raise VerificationError("group law has no inverse; params inconsistent")
+    return inv
 
 
 def gal_elements(P: TameParams) -> List[GalElt]:
@@ -160,30 +161,25 @@ def order_two_set(P: TameParams) -> OrderTwoData:
     return OrderTwoData(elements=enumerated, ramified=ramified)
 
 
-@lru_cache(maxsize=1)
 def commutator_subgroup(P: TameParams) -> FrozenSet[GalElt]:
-    """[Gamma, Gamma]; the last tuple's subgroup is kept, so the norm_index
-    calls of one request build it once."""
-    inv = {g: gal_inv(g, P) for g in gal_elements(P)}
-    gens = set()
-    for g in inv:
-        for h in inv:
-            c = gal_mul(
-                gal_mul(g, h, P), gal_mul(inv[g], inv[h], P), P
-            )
-            gens.add(c)
-    # close under multiplication
-    sub = {GAL_ID}
-    frontier = set(gens)
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for y in gens:
-                z = gal_mul(x, y, P)
-                if z not in sub:
-                    sub.add(z)
-                    nxt.add(z)
-        frontier = nxt
+    """[Gamma, Gamma], the powers of c = [delta, rho] = (rho delta)^{-1} delta rho.
+
+    The Iwasawa relation makes c = delta^{q-1}, so c lies in the cyclic
+    normal subgroup <delta>.  A subgroup of a cyclic group is characteristic
+    in it, so <c> is normal in Gamma.  delta and rho commute in Gamma/<c>,
+    which is therefore abelian: [Gamma, Gamma] lies in <c>, and it contains
+    c.  The products are taken by gal_mul; the powers must return to 1
+    inside <delta>.
+    """
+    delta, rho = GalElt(1, 0), GalElt(0, 1)
+    c = gal_mul(gal_inv(gal_mul(rho, delta, P), P), gal_mul(delta, rho, P), P)
+    sub, x = {GAL_ID}, c
+    while x not in sub:
+        sub.add(x)
+        x = gal_mul(x, c, P)
+    if c.j or x != GAL_ID:
+        raise VerificationError(f"[delta, rho] = {c} does not generate a subgroup "
+                                "of <delta>; params inconsistent")
     return frozenset(sub)
 
 
@@ -213,35 +209,20 @@ def norm_index(P: TameParams) -> int:
     return ab // P.f
 
 
-def filtration_data(P: TameParams, t: int) -> Tuple[int, int]:
-    """(|V_t|, dim of the fixed space of V_t on the adjoint space).
+def filtration_data(P: TameParams, k: int) -> Tuple[int, int]:
+    """(|V_t|, dim of the fixed space of V_t on the adjoint space) on range k.
 
-    V_t is the congruence filtration of the monomial parameter's source:
-    |V_0| = e q^{nr}(1-q^{-f}) and |V_t| = q^{nr-fk} on the range
-    q^{f(k-1)}-1 < t <= q^{fk}-1.  The fixed-space dimension follows the
-    four-range table ending at the full n^2-1.
+    V_t is the congruence filtration of the monomial parameter's source.
+    Range k = 0 is t = 0, with |V_0| = e q^{nr}(1-q^{-f}); range k in
+    1..er is q^{f(k-1)}-1 < t <= q^{fk}-1, on which |V_t| = q^{nr-fk}.
+    The fixed-space dimension follows the four-range table ending at the
+    full n^2-1.
     """
     q, n, r, e, f = P.q, P.n, P.r, P.e, P.f
-    if t < 0:
-        raise OutOfRange(f"t = {t} outside [0, q^(fer)-1]")
-    if t == 0:
-        size = e * q ** (n * r - f) * (q ** f - 1)
-        fixdim = f - 1
-        return size, fixdim
-    # the k-range of t is the least k >= 1 with t <= Q^k - 1, Q = q^f, so
-    # k - 1 is the integer logarithm floor(log_Q t): a float estimate, capped
-    # at er, is off by at most one, and one exact power settles it.  Every
-    # bound t <= Q^m - 1 below is then the comparison k <= m.
-    big_q = q ** f
-    j = min(int(log(t, big_q)), e * r)
-    power = big_q ** j
-    if power > t:
-        j -= 1
-    elif power * big_q <= t:
-        j += 1
-    k = j + 1
-    if k > e * r:
-        raise OutOfRange(f"t = {t} outside [0, q^(fer)-1]")
+    if not 0 <= k <= e * r:
+        raise OutOfRange(f"k = {k} outside [0, {e * r}]")
+    if k == 0:
+        return e * q ** (n * r - f) * (q ** f - 1), f - 1
     size = q ** (n * r - f * k)
     if k <= e * (r - 1) - 1:
         fixdim = n - 1
@@ -255,15 +236,14 @@ def filtration_data(P: TameParams, t: int) -> Tuple[int, int]:
 def weighted_conductor_sum(P: TameParams) -> Fraction:
     """Sum over t of (V_0 : V_t)^{-1} (n^2 - 1 - fixdim(t)); equals rn(n-1).
 
-    |V_t| is constant on each k-range of t, so the sum is one integer term
+    |V_t| is constant on each range k of t, so the sum is one integer term
     per k, |V_t| times the count of t times the codimension, over the one
     denominator |V_0|."""
     q, f = P.q, P.f
     v0, fix0 = filtration_data(P, 0)
     total = (P.n * P.n - 1 - fix0) * v0
     for k in range(1, P.e * P.r + 1):
-        t_rep = q ** (f * k) - 1
-        size, fixdim = filtration_data(P, t_rep)
+        size, fixdim = filtration_data(P, k)
         count = q ** (f * k) - q ** (f * (k - 1))
         total += count * (P.n * P.n - 1 - fixdim) * size
     return Fraction(total, v0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from tame_llc import characters, conjectures, llc_parameters, local_factors
+from tame_llc import characters, conjectures, llc_parameters, local_factors, tame_galois
 from tame_llc.conjectures import (
     root_number_supported,
     valid_tuples,
@@ -23,6 +23,7 @@ from tame_llc.conjectures import (
 )
 from tame_llc.exactnum import VerificationError
 from tame_llc.local_factors import gamma_at_zero_abs
+from tame_llc.tame_galois import GalElt
 
 
 def _root_number_box():
@@ -139,6 +140,24 @@ def _conductor_sum_plus_two(monkeypatch):
                         lambda P: weighted_conductor_sum(P) + 2)
 
 
+def _nonabelian_box():
+    """The tuples of q <= 7, n <= 8, r = 2 whose e does not divide q - 1."""
+    box = [P for P in valid_tuples([3, 5, 7], 8, [2]) if (P.q - 1) % P.e]
+    assert len(box) == 5
+    return box
+
+
+def _forget_the_twist(monkeypatch):
+    # rho delta rho^{-1} = delta instead of delta^l, at the binding
+    # commutator_subgroup reads
+    def mutated(g1, g2, P):
+        j = g1.j + g2.j
+        carry = P.m if j >= P.f else 0
+        return GalElt((g1.i + g2.i + carry) % P.e, j % P.f)
+
+    monkeypatch.setattr(tame_galois, "gal_mul", mutated)
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -161,6 +180,8 @@ ROWS = {
         (_matrix_l_top_coefficient_plus_one, _formal_degree_box, verify_formal_degree),
     "weighted_conductor_sum: add two":
         (_conductor_sum_plus_two, _formal_degree_box, verify_formal_degree),
+    "gal_mul: forget the twist rho delta rho^-1 = delta^l":
+        (_forget_the_twist, _nonabelian_box, verify_formal_degree),
 }
 
 

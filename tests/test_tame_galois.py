@@ -14,6 +14,7 @@ from tame_llc.tame_galois import (
     GAL_ID,
     GalElt,
     InvalidParams,
+    OutOfRange,
     abelianization_order,
     abelianization_orders,
     commutator_subgroup,
@@ -28,7 +29,8 @@ from tame_llc.tame_galois import (
     weighted_conductor_sum,
 )
 
-# oracles: the group law read literally, and the case table of the
+# oracles: the group law read literally, the enumerations that gal_inv and
+# commutator_subgroup are checked against, and the case table of the
 # order-two elements that order_two_set's enumeration is checked against
 
 def gal_pow(g, k, P):
@@ -44,6 +46,23 @@ def gal_order(g, P):
         h = gal_mul(h, g, P)
         k += 1
     return k
+
+
+def gal_inv_scan(g, P):
+    """The inverse of g, by a scan of the whole group."""
+    return next(h for h in gal_elements(P) if gal_mul(g, h, P) == GAL_ID)
+
+
+def commutator_closure(P):
+    """[Gamma, Gamma], the closure under products of all (ef)^2 commutators."""
+    inv = {g: gal_inv_scan(g, P) for g in gal_elements(P)}
+    gens = {gal_mul(gal_mul(g, h, P), gal_mul(inv[g], inv[h], P), P)
+            for g in inv for h in inv}
+    sub, frontier = {GAL_ID}, set(gens)
+    while frontier:
+        frontier = {gal_mul(x, y, P) for x in frontier for y in gens} - sub
+        sub |= frontier
+    return frozenset(sub)
 
 
 def center(P):
@@ -96,7 +115,26 @@ POOL = [
     params_from_q(7, 6, 1, 3, 2),
     params_from_q(9, 2, 1, 0, 2),
     params_from_q(9, 4, 1, 0, 3),
+    # e does not divide q - 1: Gamma is not abelian
+    params_from_q(3, 4, 2, 0, 2),
+    params_from_q(3, 4, 2, 2, 2),
+    params_from_q(5, 3, 2, 0, 2),
+    params_from_q(7, 4, 2, 2, 2),
 ]
+
+
+def test_pool_has_a_nonabelian_gamma():
+    assert max(len(commutator_subgroup(P)) for P in POOL) > 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_presentation_matches_enumeration(q):
+    box = valid_tuples([q], 12, [2])
+    assert box
+    for P in box:
+        for g in gal_elements(P):
+            assert gal_inv(g, P) == gal_inv_scan(g, P), (P, g)
+        assert commutator_subgroup(P) == commutator_closure(P), P
 
 
 @pytest.mark.parametrize("p,a,e,f,m,r", [
@@ -198,7 +236,7 @@ def weighted_conductor_sum_fractions(P):
     fix0 = filtration_data(P, 0)[1]
     total = Fraction(P.n * P.n - 1 - fix0)
     for k in range(1, P.e * P.r + 1):
-        size, fixdim = filtration_data(P, q ** (f * k) - 1)
+        size, fixdim = filtration_data(P, k)
         count = q ** (f * k) - q ** (f * (k - 1))
         total += count * (P.n * P.n - 1 - fixdim) * Fraction(size, v0)
     return total
@@ -207,3 +245,37 @@ def weighted_conductor_sum_fractions(P):
 @given(st.sampled_from(valid_tuples([3, 5, 7, 9, 11, 13, 25, 27], 8, range(2, 10))))
 def test_weighted_conductor_sum_matches_the_fraction_oracle(P):
     assert weighted_conductor_sum(P) == weighted_conductor_sum_fractions(P)
+
+
+def conductor_sum_over_t(P):
+    """The conductor sum read literally: one term per t in 0..q^{fer} - 1,
+    whose range k is the least k with t <= q^{fk} - 1."""
+    big_q = P.q ** P.f
+    v0 = filtration_data(P, 0)[0]
+    total, k = 0, 0
+    for t in range(big_q ** (P.e * P.r)):
+        while t > big_q ** k - 1:
+            k += 1
+        size, fixdim = filtration_data(P, k)
+        total += size * (P.n * P.n - 1 - fixdim)
+    return Fraction(total, v0)
+
+
+SMALL_FILTRATIONS = [P for P in valid_tuples([3, 5, 7, 9], 6, [2, 3])
+                     if P.q ** (P.f * P.e * P.r) <= 20_000]
+
+
+def test_small_filtration_box():
+    assert len(SMALL_FILTRATIONS) == 22
+
+
+@pytest.mark.parametrize("P", SMALL_FILTRATIONS)
+def test_weighted_conductor_sum_matches_the_sum_over_t(P):
+    assert weighted_conductor_sum(P) == conductor_sum_over_t(P)
+
+
+@pytest.mark.parametrize("P", POOL[:3])
+def test_filtration_range_outside_the_filtration_is_refused(P):
+    for k in (-1, P.e * P.r + 1):
+        with pytest.raises(OutOfRange):
+            filtration_data(P, k)
