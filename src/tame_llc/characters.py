@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError, quadratic_gauss_sum_prime
@@ -66,12 +68,15 @@ class MultCharacter:
     exps: Tuple[int, ...]
     value_at_uniformizer: Optional[Cyclotomic] = None
 
+    @cached_property
+    def _turn(self) -> Tuple[int, Tuple[int, ...]]:
+        """L = lcm(orders), and each exponent w_i / d_i as a multiple of 1/L."""
+        L = lcm(*self.orders)
+        return L, tuple(w * (L // d) for w, d in zip(self.exps, self.orders))
+
     def fraction_on_coords(self, coords: Sequence[int]) -> Fraction:
-        acc = Fraction(0)
-        for w, d, c in zip(self.exps, self.orders, coords):
-            if w and c:
-                acc += Fraction(w * c, d)
-        return acc % 1
+        L, weights = self._turn
+        return Fraction(sum(map(mul, weights, coords)) % L, L)
 
     def value_on_coords(self, coords: Sequence[int]) -> Cyclotomic:
         fr = self.fraction_on_coords(coords)
@@ -91,7 +96,7 @@ def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Tuple[int, int]:
     if M.pi_valuation(diff) < P.e * l:
         raise NotInSubgroup("x is not in 1 + p^l O_K")
     pl = P.p ** l
-    y = tuple(tuple(a // pl for a in c) for c in diff)
+    y = tuple(a // pl for a in diff)
     val = M.trace_functional()(M.mul(y, beta)) % (P.p ** lp)
     den = P.p ** lp
     g = gcd(val, den) or 1
@@ -208,7 +213,7 @@ class CharacterSystem:
                 rows.append(list(b))
                 if ramified:
                     elt = U.element_from_coords(b)
-                    k = M.residue_log(elt[0])
+                    k = M.residue_log(elt)
                     fracs.append((k % 2, 2) if k % 2 else (0, 1))
                 else:
                     fracs.append((0, 1))

@@ -7,6 +7,12 @@ coefficients, while rho acts as the inverse Frobenius on coefficients and
 as pi -> t pi.  The triple (c, zeta_e, t) of Teichmuller units is found by
 a deterministic lexicographic search over the consistency congruences.
 
+An element is one flat tuple of e * d integers mod p^r, the pi^i
+coefficient in the slice [i d, (i + 1) d).  A product is one integer
+multiplication (Kronecker substitution) and one fold through a table built
+once per model; each Galois element acts by its matrix, built once per
+model and checked by _verify_model.
+
 Unit groups of the quotients R / pi^N are presented by generators and a
 relation lattice in Smith normal form, which gives exact discrete
 logarithms; this one engine is behind the norm kernel, character
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
+from operator import itemgetter, lshift, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
@@ -138,13 +145,56 @@ def _least_irreducible(p: int, d: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# the product of flat coefficient tuples
+# ---------------------------------------------------------------------------
+
+def _kronecker_product(e: int, d: int, mod: int,
+                       images: Sequence[Sequence[Tuple[int, ...]]]) -> Callable:
+    """x, y -> x y on flat tuples of n = e d integers mod `mod`, entry
+    i d + b the coefficient of x^b pi^i: one integer product and one fold.
+
+    Each operand is packed into one integer of W-bit slots, the pi^i row
+    starting at slot i (2d - 1), so the product holds the coefficient of
+    x^v pi^u, u < 2e - 1 and v < 2d - 1, in slot u (2d - 1) + v.  A slot
+    sums at most n products, each below mod^2, so with
+    W = 2 bitlen(mod) + bitlen(n) + 1 no slot carries into the next.
+    images[u][v] is the reduced image of x^v pi^u as a flat tuple; output
+    coordinate k is the dot product of the slots with the k-th entries of
+    the images, over the slots where that entry is nonzero.
+    """
+    n = e * d
+    width = 2 * mod.bit_length() + n.bit_length() + 1
+    row = 2 * d - 1
+    mask = (1 << width) - 1
+    shifts = [width * (i * row + b) for i in range(e) for b in range(d)]
+    slot_shifts = [width * j for j in range((2 * e - 1) * row)]
+    fold = []
+    for k in range(n):
+        support = [(u * row + v, img[k]) for u, imgs in enumerate(images)
+                   for v, img in enumerate(imgs) if img[k]]
+        if len(support) == 1:
+            # itemgetter of one index returns the item, not a 1-tuple
+            support.append((support[0][0], 0))
+        idx, coeffs = zip(*support)
+        fold.append((itemgetter(*idx), coeffs))
+
+    def product(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
+        z = sum(map(lshift, x, shifts)) * sum(map(lshift, y, shifts))
+        slots = [z >> s & mask for s in slot_shifts]
+        return tuple([sum(map(mul, coeffs, pick(slots))) % mod for pick, coeffs in fold])
+
+    return product
+
+
+# ---------------------------------------------------------------------------
 # Galois ring GR(p^r, d)
 # ---------------------------------------------------------------------------
 
 class GaloisRing:
     """GR(p^r, d) = (Z/p^r)[x]/(h) with h a fixed monic irreducible lift.
 
-    Elements are coefficient tuples of length d with entries mod p^r.
+    Elements are coefficient tuples of length d with entries mod p^r; the
+    product is _kronecker_product at e = 1.
     """
 
     def __init__(self, p: int, r: int, d: int):
@@ -153,32 +203,25 @@ class GaloisRing:
         self.d = d
         self.mod = p ** r
         self.h = _least_irreducible(p, d)  # monic lift, entries in [0, p)
-        # reduction table: x^(d+j) mod h for j = 0..d-2
-        self._red: List[GRElt] = []
-        cur = tuple((-self.h[i]) % self.mod for i in range(d))  # x^d
-        self._red.append(cur)
-        for _ in range(d - 2):
-            cur = self._shift_reduce(cur)
-            self._red.append(cur)
+        # x^v mod h for v < 2d - 1: below d, x^v itself; from d on, x times
+        # the previous power, reduced once by x^d = -(h_0 + ... + h_{d-1} x^{d-1})
+        mod = self.mod
+        top = tuple((-c) % mod for c in self.h[:d])
+        xpow = [tuple(int(b == v) for b in range(d)) for v in range(d)]
+        for _ in range(d - 1):
+            last = xpow[-1]
+            carry = last[d - 1]
+            xpow.append(tuple(((last[b - 1] if b else 0) + carry * top[b]) % mod
+                              for b in range(d)))
+        self._x_powers: List[GRElt] = xpow
+        self._product = _kronecker_product(1, d, mod, [xpow])
         self.zero: GRElt = tuple([0] * d)
-        self.one: GRElt = tuple([1] + [0] * (d - 1))
+        self.one: GRElt = xpow[0]
         self.gen: GRElt = tuple(([0, 1] + [0] * (d - 2))[:d])
         self._frob_matrix: Optional[List[GRElt]] = None
         self._teich_cache: Dict[GRElt, GRElt] = {}
 
     # -- basic arithmetic ---------------------------------------------------
-
-    def _shift_reduce(self, x: GRElt) -> GRElt:
-        # multiply by x, reducing once by h
-        d, mod = self.d, self.mod
-        carry = x[d - 1]
-        out = [0] + list(x[: d - 1])
-        if carry:
-            top = self._red[0]
-            out = [(out[i] + carry * top[i]) % mod for i in range(d)]
-        else:
-            out = [v % mod for v in out]
-        return tuple(out)
 
     def add(self, x: GRElt, y: GRElt) -> GRElt:
         mod = self.mod
@@ -188,10 +231,6 @@ class GaloisRing:
         mod = self.mod
         return tuple((a - b) % mod for a, b in zip(x, y))
 
-    def neg(self, x: GRElt) -> GRElt:
-        mod = self.mod
-        return tuple((-a) % mod for a in x)
-
     def scalar(self, c: int, x: GRElt) -> GRElt:
         mod = self.mod
         return tuple((c * a) % mod for a in x)
@@ -200,20 +239,7 @@ class GaloisRing:
         return tuple([c % self.mod] + [0] * (self.d - 1))
 
     def mul(self, x: GRElt, y: GRElt) -> GRElt:
-        d, mod = self.d, self.mod
-        conv = [0] * (2 * d - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    conv[i + j] += xi * yj
-        out = [c % mod for c in conv[:d]]
-        for j in range(d - 1):
-            c = conv[d + j] % mod
-            if c:
-                red = self._red[j]
-                for i in range(d):
-                    out[i] = (out[i] + c * red[i]) % mod
-        return tuple(out)
+        return self._product(x, y)
 
     def pow(self, x: GRElt, n: int) -> GRElt:
         if n < 0:
@@ -332,7 +358,7 @@ def residue_generator(gr: GaloisRing) -> GRElt:
 # the tame model
 # ---------------------------------------------------------------------------
 
-Elt = Tuple[GRElt, ...]  # coefficient vector (x_0, ..., x_{e-1}) for sum x_i pi^i
+Elt = Tuple[int, ...]  # flat: entry i d + b is the coefficient of x^b pi^i, i < e
 
 
 @dataclass
@@ -351,10 +377,18 @@ class Model:
     t: GRElt = field(default=())
 
     def __post_init__(self):
-        self.c = self.gr.pow(self.tau, self.c_exp)
-        self.zeta = self.gr.pow(self.tau, self.zeta_exp)
-        self.t = self.gr.pow(self.tau, self.t_exp)
-        self._cp = self.gr.scalar(self.P.p, self.c)  # pi^e = c p
+        gr = self.gr
+        e, d = self.P.e, gr.d
+        self.c = gr.pow(self.tau, self.c_exp)
+        self.zeta = gr.pow(self.tau, self.zeta_exp)
+        self.t = gr.pow(self.tau, self.t_exp)
+        self.n = e * d
+        self._pad = (0,) * (self.n - d)
+        self._zero = (0,) * self.n
+        self._one = gr.one + self._pad
+        self._product = _kronecker_product(
+            e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.c)))
+        self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
         self._trace_vec: Optional[List[int]] = None
 
     # -- element construction ----------------------------------------------
@@ -364,13 +398,13 @@ class Model:
         return self.P.e
 
     def zero(self) -> Elt:
-        return tuple(self.gr.zero for _ in range(self.e))
+        return self._zero
 
     def one(self) -> Elt:
-        return tuple([self.gr.one] + [self.gr.zero] * (self.e - 1))
+        return self._one
 
     def from_gr(self, x: GRElt) -> Elt:
-        return tuple([x] + [self.gr.zero] * (self.e - 1))
+        return x + self._pad
 
     def from_int(self, c: int) -> Elt:
         return self.from_gr(self.gr.from_int(c))
@@ -379,50 +413,32 @@ class Model:
         """x^b p^k pi^j for i = ke + j: the b-th additive generator of
         pi^i R / pi^{i+1} R (equal to x^b pi^i when i < e)."""
         k, j = divmod(i, self.e)
-        out = [self.gr.zero] * self.e
-        out[j] = tuple(self.P.p ** k if t == b else 0 for t in range(self.gr.d))
+        out = [0] * self.n
+        out[j * self.gr.d + b] = self.P.p ** k
         return tuple(out)
 
     def pi(self) -> Elt:
         if self.e == 1:
             # pi^e = c p degenerates to pi = c p
             return self.from_gr(self.gr.scalar(self.P.p, self.c))
-        return tuple(
-            [self.gr.zero, self.gr.one] + [self.gr.zero] * (self.e - 2)
-        )
+        return self.monomial(0, 1)
 
     # -- ring operations ----------------------------------------------------
 
     def add(self, x: Elt, y: Elt) -> Elt:
-        return tuple(self.gr.add(a, b) for a, b in zip(x, y))
+        mod = self.gr.mod
+        return tuple([(a + b) % mod for a, b in zip(x, y)])
 
     def sub(self, x: Elt, y: Elt) -> Elt:
-        return tuple(self.gr.sub(a, b) for a, b in zip(x, y))
+        mod = self.gr.mod
+        return tuple([(a - b) % mod for a, b in zip(x, y)])
 
     def neg(self, x: Elt) -> Elt:
-        return tuple(self.gr.neg(a) for a in x)
+        mod = self.gr.mod
+        return tuple([(-a) % mod for a in x])
 
     def mul(self, x: Elt, y: Elt) -> Elt:
-        gr = self.gr
-        e = self.P.e
-        if e == 1:
-            return (gr.mul(x[0], y[0]),)
-        zero = gr.zero
-        cp = self._cp
-        acc = [zero] * e
-        for i, xi in enumerate(x):
-            if xi == zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
-                prod = gr.mul(xi, yj)
-                k = i + j
-                if k >= e:
-                    prod = gr.mul(prod, cp)
-                    k -= e
-                acc[k] = gr.add(acc[k], prod)
-        return tuple(acc)
+        return self._product(x, y)
 
     def pow(self, x: Elt, n: int) -> Elt:
         if n < 0:
@@ -437,16 +453,16 @@ class Model:
         return out
 
     def is_unit(self, x: Elt) -> bool:
-        return self.gr.is_unit(x[0])
+        return self.gr.is_unit(x[:self.gr.d])
 
-    def residue_log(self, x: GRElt) -> int:
-        """The exponent k with x = tau^k mod p, for a unit x of GR."""
-        return self.tau_res_log[self.gr.residue(x)]
+    def residue_log(self, x: Elt) -> int:
+        """The exponent k with x = tau^k mod pi, for a unit x."""
+        return self.tau_res_log[self.gr.residue(x[:self.gr.d])]
 
     def inv(self, x: Elt) -> Elt:
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        x0inv = self.from_gr(self.gr.inv(x[0]))
+        x0inv = self.from_gr(self.gr.inv(x[:self.gr.d]))
         w = self.sub(self.mul(x0inv, x), self.one())  # in pi R, nilpotent
         out = self.one()
         term = self.one()
@@ -459,11 +475,13 @@ class Model:
 
     def pi_valuation(self, x: Elt) -> int:
         """Largest N <= er with x in pi^N R (er if x = 0)."""
-        er = self.e * self.P.r
+        e, d = self.e, self.gr.d
+        er = e * self.P.r
         for N in range(er):
-            k, i = divmod(N, self.e)
+            k, i = divmod(N, e)
             # coefficient of pi^i must vanish mod p^{k+1} for val > N
-            if any(v % (self.P.p ** (k + 1)) for v in x[i]):
+            pk1 = self.P.p ** (k + 1)
+            if any(v % pk1 for v in x[i * d:(i + 1) * d]):
                 return N
         return er
 
@@ -482,33 +500,44 @@ class Model:
         u = self.gr.mul(u, self.gr.pow(self.zeta, g.i))
         return u
 
-    def galois_act(self, g: GalElt, x: Elt) -> Elt:
-        # coefficient of pi^i picks up u^i where g(pi) = u pi
+    def _galois_matrix(self, g: GalElt) -> List[List[int]]:
+        """The matrix of g on R over Z/p^r, from the current (zeta, t): the
+        coefficient of pi^i goes through rho^j and picks up u^i, where
+        g(pi) = u pi.  Row k holds the k-th coordinate of each basis image."""
+        gr = self.gr
+        d = gr.d
         u = self.pi_multiplier(g)
-        out = []
-        upow = self.gr.one
+        cols = []
+        upow = gr.one
         for i in range(self.e):
-            out.append(self.gr.mul(self._rho_gr(x[i], g.j), upow))
-            upow = self.gr.mul(upow, u)
-        return tuple(out)
+            for b in range(d):
+                img = gr.mul(self._rho_gr(gr._x_powers[b], g.j), upow)
+                cols.append(self._zero[:i * d] + img + self._zero[(i + 1) * d:])
+            upow = gr.mul(upow, u)
+        return [list(row) for row in zip(*cols)]
+
+    def galois_act(self, g: GalElt, x: Elt) -> Elt:
+        mod = self.gr.mod
+        return tuple([sum(map(mul, row, x)) % mod for row in self._gal_mats[g]])
 
     def trace_K_F(self, x: Elt) -> GRElt:
         """T_{K/F}(x), returned as its GR-coefficient (the F-subring part)."""
         acc = self.zero()
         for g in gal_elements(self.P):
             acc = self.add(acc, self.galois_act(g, x))
-        if (any(c != self.gr.zero for c in acc[1:])
-                or self.gr.frobenius(acc[0], self.P.a) != acc[0]):
+        d = self.gr.d
+        if any(acc[d:]) or self.gr.frobenius(acc[:d], self.P.a) != acc[:d]:
             raise VerificationError("trace not in F")
-        return acc[0]
+        return acc[:d]
 
     def norm_K_F(self, x: Elt) -> GRElt:
         acc = self.one()
         for g in gal_elements(self.P):
             acc = self.mul(acc, self.galois_act(g, x))
-        if any(c != self.gr.zero for c in acc[1:]):
+        d = self.gr.d
+        if any(acc[d:]):
             raise VerificationError("norm not in F")
-        return acc[0]
+        return acc[:d]
 
     def psi_exponent(self, z: GRElt) -> int:
         """Additive character exponent of z in the F-subring: T_{F/Q_p}(z) mod p^r.
@@ -528,19 +557,27 @@ class Model:
             ]
         vec = self._trace_vec
         mod = self.gr.mod
-        d = self.gr.d
 
         def func(x: Elt) -> int:
-            acc = 0
-            idx = 0
-            for i in range(self.e):
-                xi = x[i]
-                for b in range(d):
-                    acc += vec[idx] * xi[b]
-                    idx += 1
-            return acc % mod
+            return sum(map(mul, vec, x)) % mod
 
         return func
+
+
+def _fold_images(gr: GaloisRing, e: int, cp: GRElt) -> List[List[Elt]]:
+    """images[u][v]: x^v pi^u reduced, for u < 2e - 1 and v < 2d - 1.
+
+    x^v is reduced by h; from u = e on, pi^u = c p pi^{u - e}."""
+    d = gr.d
+    images = []
+    for u in range(2 * e - 1):
+        i = u % e
+        pad_lo, pad_hi = (0,) * (i * d), (0,) * ((e - 1 - i) * d)
+        images.append([
+            pad_lo + (xv if u < e else gr.mul(cp, xv)) + pad_hi
+            for xv in gr._x_powers
+        ])
+    return images
 
 
 def build_model(P: TameParams) -> Model:
@@ -595,16 +632,18 @@ def _verify_model(M: Model):
         if gr.pow(M.zeta, P.e // ell) == gr.one:
             raise VerificationError("zeta order too small")
     pi = M.pi()
-    # pi^e = c p
+    # pi^e = c p, through the fold table Model.mul reads
     if M.pow(pi, P.e) != M.from_gr(gr.scalar(P.p, M.c)):
         raise VerificationError("pi^e is not c p")
-    # group homomorphism property on a generating pair, applied to pi and
-    # the coefficient generator
-    samples = [pi, M.from_gr(gr.gen), M.from_gr(M.tau)]
+    # the matrices galois_act reads, built from the current (zeta, t); the
+    # action must be a group homomorphism on a generating pair, on every
+    # basis element
+    M._gal_mats = {g: M._galois_matrix(g) for g in gal_elements(P)}
+    basis = [M.monomial(b, i) for i in range(P.e) for b in range(gr.d)]
     for g1 in (GalElt(1 % P.e, 0), GalElt(0, 1 % P.f)):
         for g2 in (GalElt(1 % P.e, 0), GalElt(0, 1 % P.f)):
             g12 = gal_mul(g1, g2, P)
-            for x in samples:
+            for x in basis:
                 lhs = M.galois_act(g1, M.galois_act(g2, x))
                 if lhs != M.galois_act(g12, x):
                     raise VerificationError("action not a homomorphism")
@@ -744,26 +783,26 @@ class UnitGroupPresentation:
         """
         M = self.M
         gr = M.gr
+        d = gr.d
         p = M.P.p
         if not M.is_unit(x):
             raise VerificationError("dlog of a non-unit")
         w = [0] * len(self.gens)
-        k0 = M.residue_log(x[0])
+        k0 = M.residue_log(x)
         w[0] = k0
         cur = x
         if k0:
-            t = gr.pow(M.tau, M.P.q_K - 1 - k0)
-            cur = tuple(gr.mul(a, t) for a in x)
+            cur = M.mul(x, M.from_gr(gr.pow(M.tau, M.P.q_K - 1 - k0)))
         for i in range(1, self.N):
             # cur = 1 + v pi^i mod pi^{i+1}; read off v's residue coefficients
             k, ii = divmod(i, M.e)
-            coeff = cur[ii]
+            coeff = cur[ii * d:(ii + 1) * d]
             if ii == 0:
                 coeff = gr.sub(coeff, gr.one)
             pk = p ** k
             if any(a % pk for a in coeff):
                 raise VerificationError(f"dlog: level {i} digit not divisible by p^{k}")
-            base = 1 + (i - 1) * gr.d
+            base = 1 + (i - 1) * d
             for b, a in enumerate(coeff):
                 cb = (a // pk) % p
                 if cb:
@@ -872,8 +911,8 @@ def find_beta(M: Model) -> Elt:
 
 
 def _flatten(x: Elt, mod: int) -> List[int]:
-    """x mod `mod` as a vector of length e*d."""
-    return [a % mod for c in x for a in c]
+    """x mod `mod` as a list of length e*d."""
+    return [a % mod for a in x]
 
 
 def _is_generator(M: Model, beta: Elt) -> bool:

@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from tame_llc import characters, conjectures, llc_parameters, local_factors, tame_galois
+from tame_llc import (
+    characters,
+    conjectures,
+    llc_parameters,
+    local_factors,
+    ring_model,
+    tame_galois,
+)
 from tame_llc.conjectures import (
     root_number_supported,
     valid_tuples,
@@ -158,6 +165,42 @@ def _forget_the_twist(monkeypatch):
     monkeypatch.setattr(tame_galois, "gal_mul", mutated)
 
 
+def _ramified_root_number_box():
+    """The tuples of the root-number box with e >= 2, where pi^e folds
+    into c p."""
+    box = [P for P in _root_number_box() if P.e >= 2]
+    assert len(box) == 12
+    return box
+
+
+def _perturb_one_cp_image(monkeypatch):
+    # the fold table's image of pi^e, c p, plus one in its constant
+    # coefficient, at the binding Model.__post_init__ reads
+    fold_images = ring_model._fold_images
+
+    def mutated(gr, e, cp):
+        images = fold_images(gr, e, cp)
+        if e >= 2:
+            img = images[e][0]
+            images[e][0] = ((img[0] + 1) % gr.mod,) + img[1:]
+        return images
+
+    monkeypatch.setattr(ring_model, "_fold_images", mutated)
+
+
+def _perturb_one_galois_matrix_entry(monkeypatch):
+    # entry (0, 0) of the matrix of delta plus one
+    galois_matrix = ring_model.Model._galois_matrix
+
+    def mutated(self, g):
+        mat = galois_matrix(self, g)
+        if g == GalElt(1 % self.P.e, 0):
+            mat[0][0] += 1
+        return mat
+
+    monkeypatch.setattr(ring_model.Model, "_galois_matrix", mutated)
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -182,6 +225,10 @@ ROWS = {
         (_conductor_sum_plus_two, _formal_degree_box, verify_formal_degree),
     "gal_mul: forget the twist rho delta rho^-1 = delta^l":
         (_forget_the_twist, _nonabelian_box, verify_formal_degree),
+    "fold: perturb one c p image":
+        (_perturb_one_cp_image, _ramified_root_number_box, verify_root_number),
+    "Galois matrix: perturb one entry":
+        (_perturb_one_galois_matrix_entry, _root_number_box, verify_root_number),
 }
 
 
@@ -205,6 +252,20 @@ def test_mutation_turns_a_check_to_fail(row, monkeypatch):
     perturb(monkeypatch)
     statuses = [_status(verify, P) for P in tuples]
     assert "FAIL" in statuses or "VerificationError" in statuses, row
+
+
+def test_perturbed_fold_is_caught_by_the_pi_e_check(monkeypatch):
+    _perturb_one_cp_image(monkeypatch)
+    for P in _ramified_root_number_box():
+        with pytest.raises(VerificationError, match=r"pi\^e is not c p"):
+            verify_root_number(P)
+
+
+def test_perturbed_galois_matrix_is_caught_by_the_homomorphism_check(monkeypatch):
+    _perturb_one_galois_matrix_entry(monkeypatch)
+    for P in _root_number_box():
+        with pytest.raises(VerificationError, match="action not a homomorphism"):
+            verify_root_number(P)
 
 
 def test_degenerate_tail_form_raises_under_python_O():

@@ -48,7 +48,7 @@ def test_galois_ring_axioms(prd, data):
     x, y, z = rand(), rand(), rand()
     assert gf.mul(x, gf.add(y, z)) == gf.add(gf.mul(x, y), gf.mul(x, z))
     assert gf.mul(x, y) == gf.mul(y, x)
-    assert gf.add(x, gf.neg(x)) == gf.zero
+    assert gf.sub(gf.add(x, y), y) == x
     if gf.is_unit(x):
         assert gf.mul(x, gf.inv(x)) == gf.one
 
@@ -94,6 +94,123 @@ def test_trace_is_additive_and_frobenius_invariant(prd, data):
     mod = p ** r
     assert gf.trace_abs(gf.add(x, y)) % mod == (gf.trace_abs(x) + gf.trace_abs(y)) % mod
     assert gf.trace_abs(gf.frobenius(x)) % mod == gf.trace_abs(x) % mod
+
+
+# -- oracles: the schoolbook products and the coefficient-wise action --------
+
+def _schoolbook_gr_mul(gf, x, y):
+    """x y in GR(p^r, d): the convolution, then long division by the monic h."""
+    d, mod, h = gf.d, gf.mod, gf.h
+    conv = [0] * (2 * d - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            conv[i + j] += xi * yj
+    for k in range(2 * d - 2, d - 1, -1):
+        top = conv[k]
+        for j in range(d + 1):
+            conv[k - d + j] -= top * h[j]
+    return tuple(c % mod for c in conv[:d])
+
+
+def _nested(M, x):
+    d = M.gr.d
+    return [tuple(x[i * d:(i + 1) * d]) for i in range(M.e)]
+
+
+def _flat(blocks):
+    return tuple(a for block in blocks for a in block)
+
+
+def _nested_mul(M, x, y):
+    """The product on the nested layout, one GR product per pair of pi^i
+    coefficients, folding pi^{e+i} into c p pi^i."""
+    gf, e = M.gr, M.e
+    cp = gf.scalar(M.P.p, M.c)
+    acc = [gf.zero] * e
+    for i, xi in enumerate(_nested(M, x)):
+        for j, yj in enumerate(_nested(M, y)):
+            prod = _schoolbook_gr_mul(gf, xi, yj)
+            k = i + j
+            if k >= e:
+                prod = _schoolbook_gr_mul(gf, prod, cp)
+                k -= e
+            acc[k] = gf.add(acc[k], prod)
+    return _flat(acc)
+
+
+def _coefficientwise_act(M, g, x):
+    """g(x): rho^j on each pi^i coefficient, times u^i, where g(pi) = u pi."""
+    gf = M.gr
+    u = M.pi_multiplier(g)
+    out = []
+    upow = gf.one
+    for xi in _nested(M, x):
+        out.append(_schoolbook_gr_mul(gf, M._rho_gr(xi, g.j), upow))
+        upow = _schoolbook_gr_mul(gf, upow, u)
+    return _flat(out)
+
+
+# every (e, d, r) of the tuples q <= 11, n <= 6, r in {2, 4, 8}, q_K <= 5000,
+# with its first tuple; d = 1 and e = 1 are among them
+SHAPES = {}
+for _P in valid_tuples([3, 5, 7, 9, 11], 6, [2, 4, 8]):
+    if _P.q_K <= 5000:
+        SHAPES.setdefault((_P.e, _P.a * _P.f, _P.r), _P)
+_MODELS = {}
+
+
+def _shape_model(shape):
+    if shape not in _MODELS:
+        _MODELS[shape] = build_model(SHAPES[shape])
+    return _MODELS[shape]
+
+
+def test_shapes_cover_both_degenerate_cases():
+    assert len(SHAPES) == 42
+    assert any(e == 1 for e, _, _ in SHAPES) and any(d == 1 for _, d, _ in SHAPES)
+
+
+@given(st.sampled_from(sorted(SHAPES)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_flat_product_matches_the_nested_product(shape, data):
+    # 0 and p^r - 1 are drawn often: all-(p^r - 1) operands give the
+    # largest slot sums
+    M = _shape_model(shape)
+    top = M.gr.mod - 1
+    coeff = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+    x, y = (tuple(data.draw(coeff) for _ in range(M.n)) for _ in range(2))
+    assert M.mul(x, y) == _nested_mul(M, x, y)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_flat_product_at_the_largest_slot_sums(shape):
+    M = _shape_model(shape)
+    top = (M.gr.mod - 1,) * M.n
+    assert M.mul(top, top) == _nested_mul(M, top, top)
+    for k in range(M.n):
+        # a single top coefficient against every other one
+        x = tuple(M.gr.mod - 1 if j == k else 0 for j in range(M.n))
+        assert M.mul(x, top) == _nested_mul(M, x, top)
+
+
+@given(st.sampled_from([(p, r, d) for p, r in [(3, 2), (5, 4), (7, 8), (11, 2)]
+                        for d in range(1, 7)]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_galois_ring_product_matches_the_schoolbook(prd, data):
+    gf = GaloisRing(*prd)
+    top = gf.mod - 1
+    coeff = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+    x, y = (tuple(data.draw(coeff) for _ in range(gf.d)) for _ in range(2))
+    assert gf.mul(x, y) == _schoolbook_gr_mul(gf, x, y)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_galois_matrices_match_the_coefficientwise_action(shape):
+    M = _shape_model(shape)
+    basis = [M.monomial(b, i) for i in range(M.e) for b in range(M.gr.d)]
+    for g in gal_elements(M.P):
+        for x in basis:
+            assert M.galois_act(g, x) == _coefficientwise_act(M, g, x), (g, x)
 
 
 # -- the pi-adic model ------------------------------------------------------
@@ -280,8 +397,7 @@ def _random_units(M, count, seed):
     mod = M.gr.mod
     units = []
     while len(units) < count:
-        x = tuple(tuple(rng.randrange(mod) for _ in range(M.gr.d))
-                  for _ in range(M.e))
+        x = tuple(rng.randrange(mod) for _ in range(M.e * M.gr.d))
         if M.is_unit(x):
             units.append(x)
     return units
