@@ -204,18 +204,18 @@ def valid_tuples(
     r_values: Sequence[int],
 ) -> List[TameParams]:
     """All valid parameter tuples of 2 <= n <= max_n in the box, in
-    deterministic order."""
+    deterministic order, each once however often its q or r is listed."""
     from .tame_galois import params_from_q
 
     out = []
-    for q in sorted(q_values):
+    for q in sorted(set(q_values)):
         for n in range(2, max_n + 1):
             for e in range(1, n + 1):
                 if n % e:
                     continue
                 f = n // e
                 for m in range(e):
-                    for r in sorted(r_values):
+                    for r in sorted(set(r_values)):
                         try:
                             out.append(params_from_q(q, e, f, m, r))
                         except InvalidParams:

@@ -8,10 +8,10 @@ as pi -> t pi.  The triple (c, zeta_e, t) of Teichmuller units is found by
 a deterministic lexicographic search over the consistency congruences.
 
 An element is one flat tuple of e * d integers mod p^r, the pi^i
-coefficient in the slice [i d, (i + 1) d).  A product is one integer
-multiplication (Kronecker substitution) and one fold through a table built
-once per model; each Galois element acts by its matrix, built once per
-model and checked by _verify_model.
+coefficient in the slice [i d, (i + 1) d).  A product is straight-line
+code, written and compiled once per model from its fold table; each Galois
+element acts by its matrix, built once per model and checked by
+_verify_model.
 
 Unit groups of the quotients R / pi^N are presented by generators and a
 relation lattice in Smith normal form, which gives exact discrete
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from operator import itemgetter, lshift, mul
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
@@ -148,42 +148,59 @@ def _least_irreducible(p: int, d: int) -> List[int]:
 # the product of flat coefficient tuples
 # ---------------------------------------------------------------------------
 
-def _kronecker_product(e: int, d: int, mod: int,
-                       images: Sequence[Sequence[Tuple[int, ...]]]) -> Callable:
+def _product_kernel(e: int, d: int, mod: int,
+                    images: Sequence[Sequence[Tuple[int, ...]]]) -> Callable:
     """x, y -> x y on flat tuples of n = e d integers mod `mod`, entry
-    i d + b the coefficient of x^b pi^i: one integer product and one fold.
+    i d + b the coefficient of x^b pi^i, as straight-line code written and
+    compiled once per ring.
 
-    Each operand is packed into one integer of W-bit slots, the pi^i row
-    starting at slot i (2d - 1), so the product holds the coefficient of
-    x^v pi^u, u < 2e - 1 and v < 2d - 1, in slot u (2d - 1) + v.  A slot
-    sums at most n products, each below mod^2, so with
-    W = 2 bitlen(mod) + bitlen(n) + 1 no slot carries into the next.
-    images[u][v] is the reduced image of x^v pi^u as a flat tuple; output
-    coordinate k is the dot product of the slots with the k-th entries of
-    the images, over the slots where that entry is nonzero.
+    Slot (u, v), u < 2e - 1 and v < 2d - 1, is the coefficient of x^v pi^u
+    in the unreduced product: the sum of x_{i d + b} y_{j d + c} over
+    i + j = u and b + c = v.  images[u][v] is the reduced image of x^v pi^u
+    as a flat tuple, so output coordinate k is the sum of the slots times
+    the k-th entries of their images, mod `mod`.
+
+    Each image entry is taken as its least absolute residue: 0 drops the
+    slot, 1 and -1 add or subtract it, and any other is bound, like `mod`,
+    as a keyword default.  No constant is written into the source as
+    decimal text, for str() refuses an int of more than
+    sys.get_int_max_str_digits() digits.  An operand of the wrong length
+    fails to unpack and raises ValueError.
     """
     n = e * d
-    width = 2 * mod.bit_length() + n.bit_length() + 1
     row = 2 * d - 1
-    mask = (1 << width) - 1
-    shifts = [width * (i * row + b) for i in range(e) for b in range(d)]
-    slot_shifts = [width * j for j in range((2 * e - 1) * row)]
-    fold = []
+    slots: List[List[str]] = [[] for _ in range((2 * e - 1) * row)]
+    for i in range(e):
+        for b in range(d):
+            for j in range(e):
+                for c in range(d):
+                    slots[(i + j) * row + b + c].append(f"x{i * d + b}*y{j * d + c}")
+    consts: Dict[int, str] = {}
+    outs = []
     for k in range(n):
-        support = [(u * row + v, img[k]) for u, imgs in enumerate(images)
-                   for v, img in enumerate(imgs) if img[k]]
-        if len(support) == 1:
-            # itemgetter of one index returns the item, not a 1-tuple
-            support.append((support[0][0], 0))
-        idx, coeffs = zip(*support)
-        fold.append((itemgetter(*idx), coeffs))
-
-    def product(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
-        z = sum(map(lshift, x, shifts)) * sum(map(lshift, y, shifts))
-        slots = [z >> s & mask for s in slot_shifts]
-        return tuple([sum(map(mul, coeffs, pick(slots))) % mod for pick, coeffs in fold])
-
-    return product
+        terms = []
+        for u, imgs in enumerate(images):
+            for v, img in enumerate(imgs):
+                coeff = img[k]
+                if not coeff:
+                    continue
+                sign = "-" if mod - coeff < coeff else "+"
+                coeff = min(coeff, mod - coeff)
+                term = f"s{u * row + v}"
+                if coeff != 1:
+                    term = f"{consts.setdefault(coeff, f'c{len(consts)}')}*{term}"
+                terms.append(f"{sign} {term}")
+        outs.append("(" + " ".join(terms).removeprefix("+ ") + ") % m")
+    bound = {"m": mod, **{name: coeff for coeff, name in consts.items()}}
+    source = "\n".join([
+        f"def product(x, y, *, {', '.join(f'{name}={name}' for name in bound)}):",
+        f"    {', '.join(f'x{k}' for k in range(n))}, = x",
+        f"    {', '.join(f'y{k}' for k in range(n))}, = y",
+        *(f"    s{s} = {' + '.join(terms)}" for s, terms in enumerate(slots)),
+        f"    return ({', '.join(outs)},)",
+    ])
+    exec(compile(source, f"<product e={e} d={d}>", "exec"), bound)
+    return bound["product"]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +211,7 @@ class GaloisRing:
     """GR(p^r, d) = (Z/p^r)[x]/(h) with h a fixed monic irreducible lift.
 
     Elements are coefficient tuples of length d with entries mod p^r; the
-    product is _kronecker_product at e = 1.
+    product is _product_kernel at e = 1.
     """
 
     def __init__(self, p: int, r: int, d: int):
@@ -214,7 +231,7 @@ class GaloisRing:
             xpow.append(tuple(((last[b - 1] if b else 0) + carry * top[b]) % mod
                               for b in range(d)))
         self._x_powers: List[GRElt] = xpow
-        self._product = _kronecker_product(1, d, mod, [xpow])
+        self._product = _product_kernel(1, d, mod, [xpow])
         self.zero: GRElt = tuple([0] * d)
         self.one: GRElt = xpow[0]
         self.gen: GRElt = tuple(([0, 1] + [0] * (d - 2))[:d])
@@ -386,7 +403,7 @@ class Model:
         self._pad = (0,) * (self.n - d)
         self._zero = (0,) * self.n
         self._one = gr.one + self._pad
-        self._product = _kronecker_product(
+        self._product = _product_kernel(
             e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.c)))
         self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
         self._trace_vec: Optional[List[int]] = None

@@ -126,6 +126,18 @@ def test_sweep_writes_to_file(tmp_path, capsys):
     assert isinstance(payload, list) and payload
 
 
+@pytest.mark.parametrize("repeated,once,reports", [
+    (["--q", "3,3", "--r", "3"], ["--q", "3", "--r", "3"], 3),
+    (["--q", "3", "--r", "2..4,3"], ["--q", "3", "--r", "2..4"], 9),
+])
+def test_sweep_checks_a_repeated_value_once(repeated, once, reports, capsys):
+    argv = ["sweep", "--max-n", "2", "--format", "json"]
+    code, out, _ = run(argv + repeated, capsys)
+    assert code == cli.EXIT_OK
+    assert out == run(argv + once, capsys)[1]
+    assert len(json.loads(out)) == reports
+
+
 def test_parse_int_list_forms():
     assert cli._parse_int_list("3,5") == [3, 5]
     assert cli._parse_int_list("2..4") == [2, 3, 4]

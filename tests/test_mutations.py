@@ -201,6 +201,23 @@ def _perturb_one_galois_matrix_entry(monkeypatch):
     monkeypatch.setattr(ring_model.Model, "_galois_matrix", mutated)
 
 
+def _theta_exponent_plus_one(monkeypatch):
+    # theta with one added to its exponent on the first generator of U-bar
+    # of order > 1
+    theta = characters.CharacterSystem.theta.fget
+
+    def mutated(self):
+        chi = theta(self)
+        k = next((i for i, d in enumerate(chi.orders) if d > 1), None)
+        if k is None:
+            return chi
+        exps = list(chi.exps)
+        exps[k] = (exps[k] + 1) % chi.orders[k]
+        return replace(chi, exps=tuple(exps))
+
+    monkeypatch.setattr(characters.CharacterSystem, "theta", property(mutated))
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -229,6 +246,8 @@ ROWS = {
         (_perturb_one_cp_image, _ramified_root_number_box, verify_root_number),
     "Galois matrix: perturb one entry":
         (_perturb_one_galois_matrix_entry, _root_number_box, verify_root_number),
+    "CharacterSystem.theta: add one to one exponent":
+        (_theta_exponent_plus_one, _root_number_box, verify_root_number),
 }
 
 
@@ -245,7 +264,21 @@ def _status(verify, P):
         return type(ex).__name__
 
 
-@pytest.mark.parametrize("row", sorted(ROWS))
+# Rows that survive their box today, each a known defect: the mark is
+# strict, so a row that starts to kill fails until it leaves this table.
+SURVIVORS = {
+    "CharacterSystem.theta: add one to one exponent":
+        "every check of the box stays OK or raises PrecisionTooLow: the identity "
+        "still holds with the perturbed theta, and theta meets chi_beta on H "
+        "only inside extend_character, before the perturbation",
+}
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[row]))
+    if row in SURVIVORS else row
+    for row in sorted(ROWS)
+])
 def test_mutation_turns_a_check_to_fail(row, monkeypatch):
     perturb, box, verify = ROWS[row]
     tuples = box()

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tame_llc import intlinalg
+from tame_llc import intlinalg, ring_model
 from tame_llc.conjectures import valid_tuples
 from tame_llc.ring_model import (
     GaloisRing,
@@ -202,6 +203,56 @@ def test_galois_ring_product_matches_the_schoolbook(prd, data):
     coeff = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
     x, y = (tuple(data.draw(coeff) for _ in range(gf.d)) for _ in range(2))
     assert gf.mul(x, y) == _schoolbook_gr_mul(gf, x, y)
+
+
+def test_galois_ring_product_past_the_int_str_limit():
+    # p^r has 4,342 decimal digits: a kernel that wrote it into its source
+    # would fail here
+    gf = GaloisRing(3, 9100, 2)
+    with pytest.raises(ValueError):
+        str(gf.mod)
+    rng = random.Random(9100)
+    top = (gf.mod - 1,) * 2
+    pairs = [(top, top)] + [(tuple(rng.randrange(gf.mod) for _ in range(2)),
+                             tuple(rng.randrange(gf.mod) for _ in range(2)))
+                            for _ in range(20)]
+    for x, y in pairs:
+        assert gf.mul(x, y) == _schoolbook_gr_mul(gf, x, y)
+
+
+@pytest.mark.parametrize("tup", [(13, 12, 1, 0, 3), (13, 12, 2, 0, 2)],
+                         ids=["n12", "n24"])
+def test_large_flat_product_matches_the_nested_product(tup):
+    M = build_model(params_from_q(*tup))
+    assert M.n == tup[1] * tup[2]
+    images = ring_model._fold_images(M.gr, M.e, M.gr.scalar(M.P.p, M.c))
+    builds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ring_model._product_kernel(M.e, M.gr.d, M.gr.mod, images)
+        builds.append(time.perf_counter() - start)
+    assert min(builds) < 0.02
+    rng = random.Random(M.n)
+    top = (M.gr.mod - 1,) * M.n
+    pairs = [(top, top)] + [(tuple(rng.randrange(M.gr.mod) for _ in range(M.n)),
+                             tuple(rng.randrange(M.gr.mod) for _ in range(M.n)))
+                            for _ in range(20)]
+    for x, y in pairs:
+        assert M.mul(x, y) == _nested_mul(M, x, y)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 2), (2, 2, 2)])
+def test_product_refuses_an_operand_of_the_wrong_length(shape):
+    M = _shape_model(shape)
+    one = M.one()
+    for bad in (one[:-1], one + (0,)):
+        with pytest.raises(ValueError):
+            M.mul(bad, one)
+        with pytest.raises(ValueError):
+            M.mul(one, bad)
+    gf_one = M.gr.one
+    with pytest.raises(ValueError):
+        M.gr.mul(gf_one + (0,), gf_one)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
