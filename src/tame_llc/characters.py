@@ -118,6 +118,9 @@ class CharacterSystem:
         self.Ubar = kernel_of_norm(M, self.U)
         self.beta = find_beta(M)
         self._theta: Optional[MultCharacter] = None
+        # (U-bar coordinates, chi_beta as a reduced fraction) of each
+        # generator b of H, filled with theta
+        self.chi_beta_on_h: List[Tuple[List[int], Tuple[int, int]]] = []
         self._c_char: Optional[MultCharacter] = None
         self._theta_tilde: Optional[MultCharacter] = None
         self._minus_one_coords: Optional[List[int]] = None
@@ -175,6 +178,7 @@ class CharacterSystem:
             except ValueError as ex:
                 raise ExtensionObstruction(str(ex)) from ex
             self._theta = MultCharacter(tuple(self.Ubar.orders), tuple(exps))
+            self.chi_beta_on_h = list(zip(rows_sub, fracs))
         return self._theta
 
     def vartheta(self, w: Sequence[int]) -> Fraction:

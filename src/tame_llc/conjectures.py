@@ -179,6 +179,10 @@ def verify_root_number(P: TameParams, sys=None) -> CheckResult:
         from .characters import CharacterSystem
 
         sys = CharacterSystem(build_model(P))
+    theta = sys.theta
+    if any(theta.fraction_on_coords(coords) != Fraction(*fr)
+           for coords, fr in sys.chi_beta_on_h):
+        raise VerificationError("theta does not extend chi_beta on H")
     w_closed = adjoint_root_number(sys, "closed")
     w_assembled = adjoint_root_number(sys, "assembled")
     te = theta_at_eps(P, sys)

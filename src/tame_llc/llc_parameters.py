@@ -14,15 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError
+from .exactnum import Cyclotomic, VerificationError
 from .intlinalg import mat_mul
 from .local_factors import (
-    AbelianCharData,
-    LocalFactorTriple,
     _poly_mul_cyc,
-    eps_abelian,
     gamma_at_zero_abs,
     induced_factor,
     model_lambda,
@@ -292,8 +289,12 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
     """w(Ad of phi), by the closed formula or assembled from Gauss sums.
 
     closed: vartheta((-1)^{n-1}) times (-1)^{(q-1)f/2} for e even (1 for e
-    odd).  assembled: the root number of adjoint_triple, i.e. lambda(K/F)^n
-    times the product of the root numbers of the induced twist pieces.
+    odd).  assembled: by additivity of eps and of the conductor over the
+    pieces of adjoint_decompose, lambda(K/F) for Ind_K^F 1 - 1 (whose
+    unramified characters have eps = 1) times the root number of each
+    induced twist piece (lambda(K/F) times its Gauss-sum value, by
+    inductivity).  f(e - 1) and the pieces' conductors must add up to the
+    filtration conductor a(Ad phi), or it raises.
     """
     P = sys.P
     n = P.n
@@ -308,31 +309,19 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
             val = val * sign
         return val
     if method == "assembled":
-        return adjoint_triple(sys).root_number()
+        dec = adjoint_decompose(P)
+        lam = model_lambda(sys)
+        val, a = lam, dec.base_change_conductor
+        for g in dec.induced:
+            piece = induced_factor(sys, g, lam)
+            val = val * piece.root_number()
+            a += piece.a
+        expected = adjoint_conductor(P, "filtration")
+        if a != expected:
+            raise VerificationError(
+                f"twist conductors add up to {a}, not a(Ad phi) = {expected}")
+        return val
     raise ValueError(f"unknown method {method!r}")
-
-
-def adjoint_triple(sys) -> LocalFactorTriple:
-    """The full (L, a, eps) of Ad of phi assembled from the decomposition."""
-    P = sys.P
-    dec = adjoint_decompose(P)
-    lam = model_lambda(sys)
-    # Ind_K^F 1 - 1: unramified part gives the L; the ramified remainder
-    # contributes conductor f(e-1) and the lambda root number
-    total: Optional[LocalFactorTriple] = None
-    for val in dec.unramified_frob_values:
-        t = eps_abelian(AbelianCharData(P.q, 0, val))
-        total = t if total is None else total.direct_sum(t)
-    base = LocalFactorTriple(
-        P.q,
-        HalfPowerScalar(lam, dec.base_change_conductor, P.q),
-        dec.base_change_conductor,
-        (Cyclotomic.one(),),
-    )
-    total = base if total is None else total.direct_sum(base)
-    for g in dec.induced:
-        total = total.direct_sum(induced_factor(sys, g, lam))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Local L-, epsilon- and gamma-factor arithmetic.
 
-Factors of abelian characters, lambda-factors of tame extensions (closed
-form against brute-force inductivity), factors of induced characters, the
+Factor triples, lambda-factors of tame extensions (closed form against
+brute-force inductivity), factors of induced characters, the
 principal (Steinberg) parameter's adjoint factors, the invariant pairing
 on symmetric powers, and the Weil-Deligne assembly formulas.
 
@@ -64,16 +64,6 @@ class LocalFactorTriple:
         w = HalfPowerScalar(self.eps.coef, self.eps.half_exp - self.a, self.eps.q)
         return w.root_number()
 
-    def direct_sum(self, other: "LocalFactorTriple") -> "LocalFactorTriple":
-        if self.q != other.q:
-            raise VerificationError(f"direct sum over q = {self.q} and q = {other.q}")
-        return LocalFactorTriple(
-            self.q,
-            self.eps * other.eps,
-            self.a + other.a,
-            _poly_mul_cyc(self.l_inv_poly, other.l_inv_poly),
-        )
-
 
 def rational_poly(poly: Sequence[Cyclotomic]) -> Tuple[Fraction, ...]:
     """The coefficients of a 1/L polynomial as Fractions; raises if one is
@@ -100,52 +90,6 @@ def trivial_triple(q: int) -> LocalFactorTriple:
         q, HalfPowerScalar.one(q), 0,
         (Cyclotomic.one(), -Cyclotomic.one()),
     )
-
-
-# ---------------------------------------------------------------------------
-# abelian characters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AbelianCharData:
-    """A character of the multiplicative group of a local field.
-
-    cond is the conductor exponent f(chi); gauss must carry the normalized
-    Gauss sum (modulus one) whenever cond > 0.
-    """
-
-    q_base: int
-    cond: int
-    value_at_uniformizer: Cyclotomic
-    gauss: Optional[HalfPowerScalar] = None
-
-    def __post_init__(self):
-        if self.cond < 0:
-            raise ValueError("conductor exponent must be nonnegative")
-        if self.cond > 0 and self.gauss is None:
-            raise ValueError("ramified character needs its Gauss sum")
-
-
-def eps_abelian(chi: AbelianCharData) -> LocalFactorTriple:
-    """Tate's local factors of an abelian character at n(psi) = 0.
-
-    Unramified: eps = 1, L = (1 - chi(pi) u)^{-1}, a = 0.  Ramified:
-    eps = G * chi(pi)^{f} * q^{f/2} with the normalized Gauss sum G, L = 1,
-    a = f(chi).
-    """
-    q = chi.q_base
-    if chi.cond == 0:
-        return LocalFactorTriple(
-            q, HalfPowerScalar.one(q), 0,
-            (Cyclotomic.one(), -chi.value_at_uniformizer),
-        )
-    g = chi.gauss.normalized()
-    eps = HalfPowerScalar(
-        g.coef * chi.value_at_uniformizer ** chi.cond,
-        g.half_exp + chi.cond,
-        q,
-    )
-    return LocalFactorTriple(q, eps, chi.cond, (Cyclotomic.one(),))
 
 
 def gamma_at_zero_abs(q: int, a: int, l_inv: Sequence[Fraction]) -> Fraction:

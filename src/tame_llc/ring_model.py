@@ -403,7 +403,8 @@ class Model:
         self._pad = (0,) * (self.n - d)
         self._zero = (0,) * self.n
         self._one = gr.one + self._pad
-        self._product = _product_kernel(
+        # at e = 1 the fold table is gr._x_powers, whose kernel gr already has
+        self._product = gr._product if e == 1 else _product_kernel(
             e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.c)))
         self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
         self._trace_vec: Optional[List[int]] = None
@@ -435,9 +436,6 @@ class Model:
         return tuple(out)
 
     def pi(self) -> Elt:
-        if self.e == 1:
-            # pi^e = c p degenerates to pi = c p
-            return self.from_gr(self.gr.scalar(self.P.p, self.c))
         return self.monomial(0, 1)
 
     # -- ring operations ----------------------------------------------------
@@ -611,11 +609,6 @@ def build_model(P: TameParams) -> Model:
 
     e, f, m, q = P.e, P.f, P.m, P.q
     L = qK - 1
-    if e == 1:
-        model = Model(P, gr, tau, res_log, c_exp=0, zeta_exp=0, t_exp=0)
-        _verify_model(model)
-        return model
-
     S = sum(pow(q, s * (f - 1), L) for s in range(f)) % L
     for c_exp in range(L):
         rhs1 = (c_exp * (pow(q, f - 1, L) - 1)) % L

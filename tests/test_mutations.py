@@ -28,7 +28,7 @@ from tame_llc.conjectures import (
     verify_formal_degree,
     verify_root_number,
 )
-from tame_llc.exactnum import VerificationError
+from tame_llc.exactnum import HalfPowerScalar, VerificationError
 from tame_llc.local_factors import gamma_at_zero_abs
 from tame_llc.tame_galois import GalElt
 
@@ -59,7 +59,7 @@ def _flip_eta(monkeypatch):
 
 
 def _negate_model_lambda(monkeypatch):
-    # -lambda(K/F), at the binding adjoint_triple reads
+    # -lambda(K/F), at the binding adjoint_root_number reads
     model_lambda = llc_parameters.model_lambda
     monkeypatch.setattr(llc_parameters, "model_lambda", lambda sys: -model_lambda(sys))
 
@@ -78,6 +78,23 @@ def _conductor_plus_one(monkeypatch):
     conductor_bruteforce = characters.conductor_bruteforce
     monkeypatch.setattr(characters, "conductor_bruteforce",
                         lambda sys, chi: conductor_bruteforce(sys, chi) + 1)
+
+
+def _one_conductor_plus_f(monkeypatch):
+    # f added to the conductor a of the first twist piece and to the half
+    # exponent of its eps, so that its root number stays as it is, at the
+    # binding adjoint_root_number reads
+    induced_factor = llc_parameters.induced_factor
+
+    def mutated(sys, gamma, lam=None):
+        piece = induced_factor(sys, gamma, lam)
+        if gamma != llc_parameters.adjoint_decompose(sys.P).induced[0]:
+            return piece
+        f = sys.P.f
+        eps = HalfPowerScalar(piece.eps.coef, piece.eps.half_exp + f, piece.eps.q)
+        return replace(piece, a=piece.a + f, eps=eps)
+
+    monkeypatch.setattr(llc_parameters, "induced_factor", mutated)
 
 
 def _formal_degree_box():
@@ -228,6 +245,8 @@ ROWS = {
         (_trivial_c_char, _root_number_box, verify_root_number),
     "conductor_bruteforce: add one":
         (_conductor_plus_one, _root_number_box, verify_root_number),
+    "induced_factor: add f to one piece's conductor":
+        (_one_conductor_plus_f, _root_number_box, verify_root_number),
     "principal_triple: drop the top exponent":
         (_drop_top_principal_exponent, _formal_degree_box, verify_formal_degree),
     "principal_triple: move N_0^0 out of the kernel":
@@ -240,6 +259,8 @@ ROWS = {
         (_matrix_l_top_coefficient_plus_one, _formal_degree_box, verify_formal_degree),
     "weighted_conductor_sum: add two":
         (_conductor_sum_plus_two, _formal_degree_box, verify_formal_degree),
+    "weighted_conductor_sum: add two, against the twist conductors":
+        (_conductor_sum_plus_two, _root_number_box, verify_root_number),
     "gal_mul: forget the twist rho delta rho^-1 = delta^l":
         (_forget_the_twist, _nonabelian_box, verify_formal_degree),
     "fold: perturb one c p image":
@@ -266,12 +287,7 @@ def _status(verify, P):
 
 # Rows that survive their box today, each a known defect: the mark is
 # strict, so a row that starts to kill fails until it leaves this table.
-SURVIVORS = {
-    "CharacterSystem.theta: add one to one exponent":
-        "every check of the box stays OK or raises PrecisionTooLow: the identity "
-        "still holds with the perturbed theta, and theta meets chi_beta on H "
-        "only inside extend_character, before the perturbation",
-}
+SURVIVORS = {}
 
 
 @pytest.mark.parametrize("row", [
@@ -299,6 +315,27 @@ def test_perturbed_galois_matrix_is_caught_by_the_homomorphism_check(monkeypatch
     for P in _root_number_box():
         with pytest.raises(VerificationError, match="action not a homomorphism"):
             verify_root_number(P)
+
+
+def test_perturbed_piece_conductor_is_caught_by_the_conductor_sum(monkeypatch):
+    _one_conductor_plus_f(monkeypatch)
+    for P in _root_number_box():
+        with pytest.raises(VerificationError, match="twist conductors add up to"):
+            verify_root_number(P)
+
+
+def test_perturbed_theta_is_caught_on_h(monkeypatch):
+    # at (3,2,2,0,4) no generator of H has a coordinate on the perturbed
+    # generator, so theta still extends chi_beta there; on the other 27
+    # tuples it does not
+    _theta_exponent_plus_one(monkeypatch)
+    messages = []
+    for P in _root_number_box():
+        try:
+            verify_root_number(P)
+        except (VerificationError, characters.PrecisionTooLow) as ex:
+            messages.append(str(ex))
+    assert messages.count("theta does not extend chi_beta on H") == 27, messages
 
 
 def test_degenerate_tail_form_raises_under_python_O():

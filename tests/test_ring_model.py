@@ -273,6 +273,18 @@ def test_pi_power_is_unit_times_p(model):
     assert pe == M.mul(M.from_gr(M.c), M.from_int(P.p))
 
 
+def test_unramified_model_is_the_galois_ring():
+    # at e = 1 the search's first candidate (c, zeta, t) = (1, 1, 1) is
+    # consistent, pi = c p is p, and the fold table is the Galois ring's own
+    shapes = [shape for shape in sorted(SHAPES) if shape[0] == 1]
+    assert len(shapes) == 12
+    for shape in shapes:
+        M = _shape_model(shape)
+        assert (M.c_exp, M.zeta_exp, M.t_exp) == (0, 0, 0), shape
+        assert M.pi() == M.from_int(M.P.p), shape
+        assert M._product is M.gr._product, shape
+
+
 def test_galois_action_commutes_with_multiplication(model):
     M = model
     P = M.P
