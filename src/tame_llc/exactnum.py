@@ -325,10 +325,6 @@ class HalfPowerScalar:
     def one(cls, q: int) -> "HalfPowerScalar":
         return cls(Cyclotomic.one(), 0, q)
 
-    @classmethod
-    def q_half_power(cls, q: int, half_exp: int) -> "HalfPowerScalar":
-        return cls(Cyclotomic.one(), half_exp, q)
-
     def _check(self, other: "HalfPowerScalar"):
         if self.q != other.q:
             raise ValueError("mixed q bases: %d vs %d" % (self.q, other.q))

@@ -19,11 +19,10 @@ from typing import Dict, List, Tuple
 from .exactnum import Cyclotomic, VerificationError
 from .intlinalg import mat_mul
 from .local_factors import (
-    _poly_mul_cyc,
+    _poly_mul,
     gamma_at_zero_abs,
     induced_factor,
     model_lambda,
-    rational_poly,
 )
 from .tame_galois import (
     GAL_ID,
@@ -218,7 +217,9 @@ def adjoint_L(P: TameParams, method: str = "closed") -> Tuple[Fraction, ...]:
     """L(s, Ad phi) = 1/P(u), u = q^{-s}, as the ascending coefficients of P.
 
     closed: P = 1 + u + ... + u^{f-1}.  decomposition: P = prod (1 - z u)
-    over the Frobenius eigenvalues z on the inertia-fixed part.  matrix:
+    over the Frobenius eigenvalues z on the inertia-fixed part; the z are
+    f-th roots of unity, so the product is taken over Cyclotomic
+    coefficients and only then recognized as rational.  matrix:
     P = det(1 - u M) for the Frobenius matrix M.
     """
     f = P.f
@@ -227,8 +228,11 @@ def adjoint_L(P: TameParams, method: str = "closed") -> Tuple[Fraction, ...]:
     if method == "decomposition":
         poly = (Cyclotomic.one(),)
         for val in adjoint_decompose(P).unramified_frob_values:
-            poly = _poly_mul_cyc(poly, (Cyclotomic.one(), -val))
-        return rational_poly(poly)
+            poly = _poly_mul(poly, (Cyclotomic.one(), -val))
+        if not all(c.is_rational() for c in poly):
+            raise VerificationError("L-factor has irrational coefficients: %s"
+                                    % [c.to_text() for c in poly])
+        return tuple(c.rational_value() for c in poly)
     if method == "matrix":
         # det(1 - u M) = 1 + c_1 u + ... + c_k u^k, where det(x - M) =
         # x^k + c_1 x^{k-1} + ... + c_k, by Faddeev-LeVerrier over Z:
@@ -313,9 +317,9 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
         lam = model_lambda(sys)
         val, a = lam, dec.base_change_conductor
         for g in dec.induced:
-            piece = induced_factor(sys, g, lam)
-            val = val * piece.root_number()
-            a += piece.a
+            w, a_piece = induced_factor(sys, g, lam)
+            val = val * w
+            a += a_piece
         expected = adjoint_conductor(P, "filtration")
         if a != expected:
             raise VerificationError(

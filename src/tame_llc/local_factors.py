@@ -1,14 +1,14 @@
 """Local L-, epsilon- and gamma-factor arithmetic.
 
-Factor triples, lambda-factors of tame extensions (closed form against
-brute-force inductivity), factors of induced characters, the
-principal (Steinberg) parameter's adjoint factors, the invariant pairing
-on symmetric powers, and the Weil-Deligne assembly formulas.
+|gamma(0)| from a conductor and an L-factor, lambda-factors of tame
+extensions (closed form against brute-force inductivity), the root number
+and conductor of induced twist characters, the principal (Steinberg)
+parameter's adjoint factors, the invariant pairing on symmetric powers,
+and the Weil-Deligne assembly formulas.
 
-Everything is normalized at n(psi) = 0 with the O-selfdual measure; the
-L-factor of a triple is stored through its inverse polynomial so that
-pieces with irrational Frobenius eigenvalues can still be multiplied
-exactly before the product is recognized as rational.
+Everything is normalized at n(psi) = 0 with the O-selfdual measure.  An
+L-factor is given through its inverse polynomial 1/L = P(u), u = q^{-s},
+as ascending coefficients.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exactnum import (
     Cyclotomic,
     HalfPowerScalar,
     PoleAtPoint,
     VerificationError,
+    cyc_conj_norm,
     quadratic_gauss_sum_field,
 )
 from .ring_model import GaloisRing, residue_generator
@@ -33,63 +34,17 @@ class BruteForceUnsupported(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# factor triples
+# L-factors and gamma at zero
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalFactorTriple:
-    """(L, a, eps) of a Weil representation over a base with residue size q.
-
-    l_inv_poly holds 1/L as a polynomial in u = q^{-s} with Cyclotomic
-    coefficients (constant term 1); its degree is the dimension of the
-    inertia-fixed subspace.  L is the same polynomial with rational
-    coefficients, the one format of an L-factor outside this class.  eps is
-    the value at s = 0, of modulus q^{a/2}.
-    """
-
-    q: int
-    eps: HalfPowerScalar
-    a: int
-    l_inv_poly: Tuple[Cyclotomic, ...]
-
-    @property
-    def L(self) -> Tuple[Fraction, ...]:
-        return rational_poly(self.l_inv_poly)
-
-    @property
-    def fixed_dim(self) -> int:
-        return len(self.l_inv_poly) - 1
-
-    def root_number(self) -> Cyclotomic:
-        w = HalfPowerScalar(self.eps.coef, self.eps.half_exp - self.a, self.eps.q)
-        return w.root_number()
-
-
-def rational_poly(poly: Sequence[Cyclotomic]) -> Tuple[Fraction, ...]:
-    """The coefficients of a 1/L polynomial as Fractions; raises if one is
-    irrational."""
-    if not all(c.is_rational() for c in poly):
-        raise VerificationError("L-factor has irrational coefficients: %s"
-                                % [c.to_text() for c in poly])
-    return tuple(c.rational_value() for c in poly)
-
-
-def _poly_mul_cyc(a: Sequence[Cyclotomic], b: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
-    out = [Cyclotomic.zero() for _ in range(len(a) + len(b) - 1)]
+def _poly_mul(a: Sequence, b: Sequence) -> Tuple:
+    """The product of two polynomials given by ascending coefficients, over
+    the ring their coefficients lie in (Fractions or Cyclotomics)."""
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
     return tuple(out)
-
-
-def trivial_triple(q: int) -> LocalFactorTriple:
-    """The factors of the trivial character: L = (1-u)^{-1}, a = 0, eps = 1."""
-    return LocalFactorTriple(
-        q, HalfPowerScalar.one(q), 0,
-        (Cyclotomic.one(), -Cyclotomic.one()),
-    )
 
 
 def gamma_at_zero_abs(q: int, a: int, l_inv: Sequence[Fraction]) -> Fraction:
@@ -191,33 +146,25 @@ def model_lambda(sys) -> Cyclotomic:
 # induced characters
 # ---------------------------------------------------------------------------
 
-def induced_factor(sys, gamma, lam: Optional[Cyclotomic] = None) -> LocalFactorTriple:
-    """Factors over F of Ind_K^F of the twist character attached to gamma.
+def induced_factor(sys, gamma, lam: Cyclotomic) -> Tuple[Cyclotomic, int]:
+    """(w, a) over F of Ind_K^F of the twist character attached to gamma.
 
     Conductor by the conductor-discriminant formula a = f(e-1) + f n(twist);
-    eps by inductivity: eps(twist, psi_K) * lambda(K/F, psi), where psi_K
-    has level d_K = e - 1.
+    root number by inductivity: w(twist, psi_K) * lam, lam = lambda(K/F, psi),
+    where psi_K has level d_K = e - 1.  w(twist, psi_K) is the normalized
+    Gauss sum at the twist's conductor k (one at k = 0) times the twist's
+    value at the uniformizer to the power d_K + k.
     """
     from .characters import conductor_bruteforce, gauss_sum
 
     P = sys.P
-    q = P.q
-    dK = P.e - 1
     tw = sys.theta_tilde_twist(gamma)
     k = conductor_bruteforce(sys, tw)
-    a = P.f * (P.e - 1) + P.f * k
-    if lam is None:
-        lam = model_lambda(sys)
-    if k == 0:
-        # restriction to units trivial: the L-factor lives in u_K = u^f
-        val = tw.value_at_uniformizer
-        poly = [Cyclotomic.one()] + [Cyclotomic.zero()] * (P.f - 1) + [-val]
-        eps = HalfPowerScalar(val ** dK * lam, P.f * dK, q)
-        return LocalFactorTriple(q, eps, a, tuple(poly))
-    g = gauss_sum(sys, tw, k)
-    w = g.root_number() * tw.value_at_uniformizer ** (dK + k)
-    eps = HalfPowerScalar(w * lam, a, q)
-    return LocalFactorTriple(q, eps, a, (Cyclotomic.one(),))
+    g = gauss_sum(sys, tw, k).root_number()
+    w = g * tw.value_at_uniformizer ** (P.e - 1 + k) * lam
+    if cyc_conj_norm(w) != Cyclotomic.one():
+        raise VerificationError(f"twist root number {w.to_text()} does not have modulus 1")
+    return w, P.f * (P.e - 1 + k)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +173,8 @@ def induced_factor(sys, gamma, lam: Optional[Cyclotomic] = None) -> LocalFactorT
 
 @dataclass(frozen=True)
 class PrincipalData:
-    triple: LocalFactorTriple
+    a: int
+    l_inv: Tuple[Fraction, ...]  # 1/L, ascending in u = q^{-s}
     gamma0: Fraction
     ad_eigen_exponents: Tuple[int, ...]  # Frobenius exponents on ker ad(N_0)
 
@@ -337,17 +285,15 @@ def principal_triple(n: int, q: int) -> PrincipalData:
         raise VerificationError("regular nilpotent centralizer must have dimension n")
     ad_exps = tuple(k for k in powers if k)
     # 1/L = prod (1 - q^{-k} u) = q^{-s} prod (q^k - u), s the sum of the k,
-    # multiplied over Z; then one Cyclotomic per coefficient.  gamma(0)
-    # reads the integer coefficients: the scale q^{-s} cancels in it
+    # multiplied over Z.  gamma(0) reads the integer coefficients: the scale
+    # q^{-s} cancels in it
     coeffs = [1]
     for k in ad_exps:
         coeffs = [q ** k * x - y for x, y in zip(coeffs + [0], [0] + coeffs)]
     scale = q ** sum(ad_exps)
-    poly = tuple(Cyclotomic.from_rational(Fraction(c, scale)) for c in coeffs)
     a = n * (n - 1)
-    eps = HalfPowerScalar.q_half_power(q, a)
-    triple = LocalFactorTriple(q, eps, a, poly)
-    return PrincipalData(triple, gamma_at_zero_abs(q, a, coeffs), ad_exps)
+    return PrincipalData(a, tuple(Fraction(c, scale) for c in coeffs),
+                         gamma_at_zero_abs(q, a, coeffs), ad_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +359,10 @@ def sym_pairing_check(n: int, gs: Sequence[Sequence[Sequence[Cyclotomic]]]) -> b
 # Weil-Deligne assembly
 # ---------------------------------------------------------------------------
 
-def wd_factors(pieces: Sequence[Tuple[LocalFactorTriple, int]], q: int) -> LocalFactorTriple:
-    """Factors of a sum of pieces V_n (tensor) Sym_n.
+def wd_factors(pieces: Sequence[Tuple[int, Tuple[Fraction, ...], Cyclotomic, int]],
+               q: int) -> Tuple[int, Tuple[Fraction, ...], Cyclotomic]:
+    """(a, 1/L, w) of a sum of pieces V_n (tensor) Sym_n, each given as
+    (a, 1/L, w) of V_n and n.
 
     a = sum (n+1) a(V_n) + n dim V_n^I; w = prod w(V_n)^{n+1}; the L-factor
     of a piece shifts the Frobenius eigenvalues of V_n by q^{-n/2} (only
@@ -422,26 +370,22 @@ def wd_factors(pieces: Sequence[Tuple[LocalFactorTriple, int]], q: int) -> Local
     """
     total_a = 0
     total_w = Cyclotomic.one()
-    poly: Tuple[Cyclotomic, ...] = (Cyclotomic.one(),)
-    for t, sym_n in pieces:
-        if t.q != q:
-            raise VerificationError(f"piece over q = {t.q} in a sum over q = {q}")
-        total_a += (sym_n + 1) * t.a + sym_n * t.fixed_dim
-        total_w = total_w * t.root_number() ** (sym_n + 1)
-        if t.fixed_dim:
+    poly: Tuple[Fraction, ...] = (Fraction(1),)
+    for a, l_inv, w, sym_n in pieces:
+        fixed_dim = len(l_inv) - 1
+        total_a += (sym_n + 1) * a + sym_n * fixed_dim
+        total_w = total_w * w ** (sym_n + 1)
+        if fixed_dim:
             if sym_n % 2:
                 raise ValueError("odd Sym index with nontrivial L is unsupported")
             scale = Fraction(1, q ** (sym_n // 2))
-            shifted = tuple(
-                c * scale ** i for i, c in enumerate(t.l_inv_poly)
-            )
-            poly = _poly_mul_cyc(poly, shifted)
-    eps = HalfPowerScalar(total_w, total_a, q)
-    return LocalFactorTriple(q, eps, total_a, poly)
+            poly = _poly_mul(poly, tuple(c * scale ** i for i, c in enumerate(l_inv)))
+    return total_a, poly, total_w
 
 
-def principal_descriptor(n: int, q: int) -> List[Tuple[LocalFactorTriple, int]]:
+def principal_descriptor(n: int) -> List[Tuple[int, Tuple[Fraction, ...], Cyclotomic, int]]:
     """The adjoint of the principal parameter as Sym-isotypic pieces:
     Ad of Sym^{n-1} decomposes as the sum of Sym_{2k}, k = 1..n-1, each with
-    trivial Galois part."""
-    return [(trivial_triple(q), 2 * k) for k in range(1, n)]
+    trivial Galois part, whose factors are a = 0, L = (1 - u)^{-1} and
+    w = 1."""
+    return [(0, (Fraction(1), Fraction(-1)), Cyclotomic.one(), 2 * k) for k in range(1, n)]

@@ -66,13 +66,13 @@ def test_sqrt_two_is_the_eighth_root_combination():
 
 @given(st.sampled_from([3, 5, 7, 9, 25]), st.integers(-6, 6), st.integers(-6, 6))
 def test_half_power_scalar_multiplies_exponents(q, h1, h2):
-    x = HalfPowerScalar.q_half_power(q, h1) * HalfPowerScalar.q_half_power(q, h2)
-    assert x == HalfPowerScalar.q_half_power(q, h1 + h2)
+    x = HalfPowerScalar(Cyclotomic.one(), h1, q) * HalfPowerScalar(Cyclotomic.one(), h2, q)
+    assert x == HalfPowerScalar(Cyclotomic.one(), h1 + h2, q)
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(-4, 4))
 def test_even_half_powers_are_exact_rationals(q, h):
-    x = HalfPowerScalar.q_half_power(q, 2 * h)
+    x = HalfPowerScalar(Cyclotomic.one(), 2 * h, q)
     v = x.exact_value()
     assert v.is_rational()
     assert v.rational_value() == Fraction(q) ** h

@@ -18,23 +18,17 @@ from tame_llc.local_factors import (
     gamma_at_zero_abs,
     induced_factor,
     lambda_tame,
+    model_lambda,
     principal_descriptor,
     principal_triple,
     sym_pairing,
     sym_pairing_check,
-    trivial_triple,
     wd_factors,
 )
+from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.tame_galois import GAL_ID, order_two_set
 
 from test_intlinalg import _rank_over_q
-
-
-def test_trivial_triple_has_the_geometric_l_factor():
-    t = trivial_triple(3)
-    assert t.a == 0
-    assert t.L == (1, -1)  # L = (1 - u)^{-1}
-    assert t.root_number() == Cyclotomic.one()
 
 
 # -- lambda factors ---------------------------------------------------------
@@ -102,10 +96,9 @@ def test_induced_factor_shapes(sys_ramified, sys_unramified):
         for gamma in sorted(o2.elements):
             if gamma == GAL_ID:
                 continue
-            t = induced_factor(sys, gamma)
-            w = t.root_number()
+            w, a = induced_factor(sys, gamma, model_lambda(sys))
             assert w * w.conj() == Cyclotomic.one()
-            assert t.a >= P.f * (P.e - 1)
+            assert a == P.f * (P.e - 1) + P.f * twist_conductor_predicted(P, gamma)
 
 
 # -- the principal parameter ------------------------------------------------
@@ -127,13 +120,12 @@ def test_principal_gamma_at_zero(n, q, expected):
 def test_principal_adjoint_structure(n, q):
     data = principal_triple(n, q)
     assert data.ad_eigen_exponents == tuple(range(1, n))
-    t = data.triple
-    assert t.a == n * (n - 1)
+    assert data.a == n * (n - 1)
     # L has a simple factor (1 - q^{-k} u)^{-1} for each exponent
     l_inv = (Fraction(1),)
     for k in range(1, n):
         l_inv = tuple(c - Fraction(d, q ** k) for c, d in zip(l_inv + (0,), (0,) + l_inv))
-    assert t.L == l_inv
+    assert data.l_inv == l_inv
 
 
 def _regular_nilpotent(n):
@@ -201,7 +193,7 @@ def test_rank_lower_bound_never_exceeds_the_rank(rows_ncols):
 def test_principal_gamma_zero_against_eps_l_ratio():
     # gamma(0) = eps * L(1)/L(0) evaluated exactly, for n = 3
     data = principal_triple(3, 5)
-    assert gamma_at_zero_abs(data.triple.q, data.triple.a, data.triple.L) == data.gamma0
+    assert gamma_at_zero_abs(5, data.a, data.l_inv) == data.gamma0
 
 
 def test_gamma_at_zero_evaluates_the_l_factor():
@@ -295,8 +287,9 @@ def test_sym_pairing_invariance(n):
 
 def test_wd_assembly_of_the_principal_descriptor():
     n, q = 4, 3
-    assembled = wd_factors(principal_descriptor(n, q), q)
-    direct = principal_triple(n, q).triple
-    assert assembled.a == direct.a
-    assert assembled.L == direct.L
-    assert assembled.root_number() == direct.root_number()
+    pieces = principal_descriptor(n)
+    # each piece is the trivial character: a = 0, L = (1 - u)^{-1}, w = 1
+    assert pieces == [(0, (1, -1), Cyclotomic.one(), 2 * k) for k in range(1, n)]
+    direct = principal_triple(n, q)
+    # the Steinberg parameter's eps is q^{a/2}, so its root number is 1
+    assert wd_factors(pieces, q) == (direct.a, direct.l_inv, Cyclotomic.one())

@@ -28,7 +28,7 @@ from tame_llc.conjectures import (
     verify_formal_degree,
     verify_root_number,
 )
-from tame_llc.exactnum import HalfPowerScalar, VerificationError
+from tame_llc.exactnum import VerificationError
 from tame_llc.local_factors import gamma_at_zero_abs
 from tame_llc.tame_galois import GalElt
 
@@ -72,6 +72,20 @@ def _trivial_c_char(monkeypatch):
     monkeypatch.setattr(characters.CharacterSystem, "c_char", trivial)
 
 
+def _flip_c_at_minus_one(monkeypatch):
+    # vartheta = c * theta with 1/2 added at -1 and nowhere else: c(-1)
+    # flipped, c left as it is on every other unit
+    vartheta = characters.CharacterSystem.vartheta
+
+    def mutated(self, w):
+        fr = vartheta(self, w)
+        if list(w) == self.minus_one_coords():
+            fr = (fr + Fraction(1, 2)) % 1
+        return fr
+
+    monkeypatch.setattr(characters.CharacterSystem, "vartheta", mutated)
+
+
 def _conductor_plus_one(monkeypatch):
     # every twist's conductor one larger; induced_factor imports
     # conductor_bruteforce from characters on each call, so it sees the patch
@@ -81,18 +95,15 @@ def _conductor_plus_one(monkeypatch):
 
 
 def _one_conductor_plus_f(monkeypatch):
-    # f added to the conductor a of the first twist piece and to the half
-    # exponent of its eps, so that its root number stays as it is, at the
-    # binding adjoint_root_number reads
+    # f added to the conductor a of the first twist piece, its root number
+    # left as it is, at the binding adjoint_root_number reads
     induced_factor = llc_parameters.induced_factor
 
-    def mutated(sys, gamma, lam=None):
-        piece = induced_factor(sys, gamma, lam)
+    def mutated(sys, gamma, lam):
+        w, a = induced_factor(sys, gamma, lam)
         if gamma != llc_parameters.adjoint_decompose(sys.P).induced[0]:
-            return piece
-        f = sys.P.f
-        eps = HalfPowerScalar(piece.eps.coef, piece.eps.half_exp + f, piece.eps.q)
-        return replace(piece, a=piece.a + f, eps=eps)
+            return w, a
+        return w, a + sys.P.f
 
     monkeypatch.setattr(llc_parameters, "induced_factor", mutated)
 
@@ -115,7 +126,7 @@ def _drop_top_principal_exponent(monkeypatch):
         l_inv = (Fraction(1),)
         for k in exps:
             l_inv = tuple(c - Fraction(d, q ** k) for c, d in zip(l_inv + (0,), (0,) + l_inv))
-        return replace(data, gamma0=gamma_at_zero_abs(q, data.triple.a, l_inv),
+        return replace(data, l_inv=l_inv, gamma0=gamma_at_zero_abs(q, data.a, l_inv),
                        ad_eigen_exponents=exps)
 
     monkeypatch.setattr(conjectures, "principal_triple", mutated)
@@ -243,6 +254,8 @@ ROWS = {
         (_negate_model_lambda, _root_number_box, verify_root_number),
     "c_char: make it trivial":
         (_trivial_c_char, _root_number_box, verify_root_number),
+    "c_char: flip its value at -1 only":
+        (_flip_c_at_minus_one, _root_number_box, verify_root_number),
     "conductor_bruteforce: add one":
         (_conductor_plus_one, _root_number_box, verify_root_number),
     "induced_factor: add f to one piece's conductor":

@@ -4,7 +4,8 @@ perfbench/reference.json records, for each request of the benchmark
 workloads, the exit code and the sha256 of stdout of
 `verify <identity> --q Q --e E --f F --m M --r R --format json`.  Each
 request that exits 0 there must print the same bytes here.  The file is
-only read; nothing of perfbench/ is imported.
+only read; nothing of perfbench/ is imported.  PINNED holds the same
+digest for commands outside the benchmark.
 """
 
 import contextlib
@@ -13,9 +14,32 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from tame_llc import cli
 
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# the selftest report (28,356 bytes), and two `factors` reports whose
+# adjoint L-factors the decomposition route multiplies out of cube and of
+# fourth roots of unity
+PINNED = {
+    "selftest --format json":
+        "90af7b013cbb548fa3c3e3b5165aa050f0b31dbf773adaff95cb26ede59b605b",
+    "factors --q 7 --e 2 --f 3 --r 4":
+        "c576f07cce19e1686606540907a26f0b4d13efe509f76e065b702561471fc0c4",
+    "factors --q 5 --e 1 --f 4 --r 3":
+        "b580e40ad0c9f29055e811e915ad5387d9d09db177336d9560aa5aecdf2c3e1d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_command_prints_its_reference_bytes(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(command.split())
+    assert rc == cli.EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED[command]
 
 
 def test_every_exit_zero_request_prints_its_reference_bytes():
