@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, HalfPowerScalar, VerificationError, quadratic_gauss_sum_prime
+from .exactnum import Cyclotomic, VerificationError, quadratic_gauss_sum_prime, unit_part
 from .intlinalg import (
     SubgroupPresentation,
     extend_character,
@@ -344,15 +344,16 @@ def _values_below(sys: CharacterSystem, chi: MultCharacter, k: int) -> List[Frac
     return vals
 
 
-def gauss_sum(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfPowerScalar:
+def gauss_sum(sys: CharacterSystem, chi: MultCharacter, k: int) -> Cyclotomic:
     """Normalized Gauss sum q_K^{-k/2} sum chi^{-1}(t) psi_K(pi^{-(d_K+k)} t).
 
     chi is a character of U(er) trivial on (1 + pi^k); the sum runs over the
     units of R/pi^k and is evaluated by stationary phase, which needs
-    k = 0 or k >= 2.  Result modulus is 1 for chi of conductor exactly k.
+    k = 0 or k >= 2.  For chi of conductor exactly k it is the root number
+    of chi, of modulus 1.
     """
     if k == 0:
-        return HalfPowerScalar.one(sys.P.q_K)
+        return Cyclotomic.one()
     vals = _values_below(sys, chi, k)
     if k < 2:
         raise VerificationError("stationary phase needs conductor at least 2")
@@ -360,7 +361,7 @@ def gauss_sum(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfPowerScal
     return _gauss_stationary(sys, chi, vals, psi, lev, k)
 
 
-def gauss_sum_literal(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfPowerScalar:
+def gauss_sum_literal(sys: CharacterSystem, chi: MultCharacter, k: int) -> Cyclotomic:
     """The same Gauss sum by literal summation, the oracle gauss_sum is
     tested against; refused (TooLarge) above LITERAL_GAUSS_THRESHOLD units.
 
@@ -370,7 +371,7 @@ def gauss_sum_literal(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfP
     P = sys.P
     qK = P.q_K
     if k == 0:
-        return HalfPowerScalar.one(qK)
+        return Cyclotomic.one()
     order = (qK - 1) * qK ** (k - 1)  # |(R/pi^k)^x|
     if order > LITERAL_GAUSS_THRESHOLD:
         raise TooLarge(f"{order} units exceed the literal Gauss-sum bound")
@@ -386,7 +387,7 @@ def gauss_sum_literal(sys: CharacterSystem, chi: MultCharacter, k: int) -> HalfP
         buckets[key] = buckets.get(key, 0) + 1
     coeffs = {key: Fraction(v) for key, v in buckets.items()}
     total = Cyclotomic(N, coeffs)
-    return HalfPowerScalar(total, -k, qK).normalized()
+    return unit_part(total, k, qK)
 
 
 def _critical_point(sys, vals, psi, lev, l1, l2, k):
@@ -445,11 +446,10 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
     return b
 
 
-def _gauss_stationary(sys, chi, vals, psi, lev, k) -> HalfPowerScalar:
+def _gauss_stationary(sys, chi, vals, psi, lev, k) -> Cyclotomic:
     """Split t = b(1+v): the inner sum over v at half level kills everything
     except the critical point b with chi(1+v) = psi_K-shift(b v)."""
     P = sys.P
-    qK = P.q_K
     l2 = -(-k // 2)  # ceil(k/2)
     l1 = k - l2
     b = _critical_point(sys, vals, psi, lev, l1, l2, k)
@@ -457,13 +457,9 @@ def _gauss_stationary(sys, chi, vals, psi, lev, k) -> HalfPowerScalar:
     fr_b %= 1
     head = Cyclotomic.root_of_unity(fr_b.denominator, fr_b.numerator)
     if k % 2 == 0:
-        return HalfPowerScalar(head, 0, qK)
-    # odd conductor: one residue-field Gauss sum remains, stored at the
-    # order the sum of its terms would have
-    N = lcm(P.p ** lev, *(list(chi.orders) + [2]))
-    tail = _closed_tail(sys, chi, psi, lev, b, l1).embed(N)
-    return (HalfPowerScalar(head, 0, qK)
-            * HalfPowerScalar(tail, -1, qK)).normalized()
+        return head
+    # odd conductor: one residue-field Gauss sum remains
+    return head * unit_part(_closed_tail(sys, chi, psi, lev, b, l1), 1, P.q_K)
 
 
 def _tail_form(sys, chi, psi, lev, b, l1) -> Tuple[List[List[int]], List[int]]:

@@ -1,8 +1,9 @@
-"""Exact arithmetic substrate: rationals, cyclotomic numbers, half powers
-of q and the quadratic Gauss sums that give their square roots.
+"""Exact arithmetic substrate: rationals, cyclotomic numbers, the
+quadratic Gauss sums that give square roots of integers, and the unit part
+w = total * q^(-k/2) of a Gauss sum.
 
-Every quantity downstream (character values, Gauss sums, epsilon factors)
-lives in one of the types defined here, and every L-factor is 1/P(u) with
+Every quantity downstream (character values, Gauss sums, root numbers)
+is a Fraction or a Cyclotomic, and every L-factor is 1/P(u) with
 u = q^(-s), stored as the ascending coefficients of P, so no floating point
 ever enters a verification path.
 """
@@ -187,7 +188,7 @@ class Cyclotomic:
 
     def __pow__(self, n: int) -> "Cyclotomic":
         if n < 0:
-            return self.inv() ** (-n)
+            raise ValueError("negative exponent %d" % n)
         result = Cyclotomic.one()
         base = self
         while n:
@@ -202,24 +203,7 @@ class Cyclotomic:
         M = self.order
         return Cyclotomic(M, {(-k) % M: c for k, c in self.coeffs.items()})
 
-    def inv(self) -> "Cyclotomic":
-        """Inverse, valid whenever x*conj(x) is a nonzero rational.
-
-        This covers every value the package needs to invert (roots of unity
-        and rational multiples thereof).
-        """
-        nrm = cyc_conj_norm(self)
-        if not nrm.is_rational():
-            raise ArithmeticError("inverse supported only when x*conj(x) is rational")
-        r = nrm.rational_value()
-        if not r:
-            raise ZeroDivisionError("inverse of zero")
-        return self.conj() * (1 / r)
-
     # -- predicates and conversions ----------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_rational(self) -> bool:
         return all(k == 0 for k in self.coeffs)
@@ -236,16 +220,6 @@ class Cyclotomic:
             return NotImplemented
         a, b = self._promote(other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self) -> int:
-        # Hash through a canonical minimal embedding: strip exponent gcd.
-        if not self.coeffs:
-            return hash(0)
-        g = self.order
-        for k in self.coeffs:
-            g = math.gcd(g, k)
-        items = tuple(sorted((k // g, c) for k, c in self.coeffs.items()))
-        return hash((self.order // g, items))
 
     def __repr__(self) -> str:
         return "Cyclotomic(%d, %s)" % (self.order, self.to_text())
@@ -299,115 +273,26 @@ def sqrt_as_cyclotomic(n: int) -> Cyclotomic:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Half-integer powers of q
-# ---------------------------------------------------------------------------
+def unit_part(total: Cyclotomic, k: int, q: int) -> Cyclotomic:
+    """total * q^(-k/2) for k >= 0, which must have modulus 1: the root
+    number w of an epsilon factor w * q^(k/2) (Tate, Corvallis 1979,
+    section 3).
 
-class HalfPowerScalar:
-    """A value coef * q^(half_exp/2) with exact cyclotomic coef.
-
-    Epsilon factors are w * q^(a/2) with |w| = 1; carrying the half exponent
-    formally means q^(1/2) never needs a numeric value.
+    At odd k, q^(1/2) is sqrt_as_cyclotomic(q).  Raises VerificationError
+    unless the result has modulus 1.
     """
-
-    __slots__ = ("coef", "half_exp", "q")
-
-    def __init__(self, coef: Cyclotomic, half_exp: int, q: int):
-        if q < 2:
-            raise ValueError("q must be >= 2")
-        if not isinstance(coef, Cyclotomic):
-            coef = Cyclotomic.from_rational(coef)
-        self.coef = coef
-        self.half_exp = half_exp
-        self.q = q
-
-    @classmethod
-    def one(cls, q: int) -> "HalfPowerScalar":
-        return cls(Cyclotomic.one(), 0, q)
-
-    def _check(self, other: "HalfPowerScalar"):
-        if self.q != other.q:
-            raise ValueError("mixed q bases: %d vs %d" % (self.q, other.q))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return HalfPowerScalar(self.coef * other, self.half_exp, self.q)
-        self._check(other)
-        return HalfPowerScalar(self.coef * other.coef, self.half_exp + other.half_exp, self.q)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "HalfPowerScalar") -> "HalfPowerScalar":
-        self._check(other)
-        return HalfPowerScalar(self.coef * other.coef.inv(), self.half_exp - other.half_exp, self.q)
-
-    def __pow__(self, n: int) -> "HalfPowerScalar":
-        coef = self.coef ** n
-        return HalfPowerScalar(coef, self.half_exp * n, self.q)
-
-    def normalized(self) -> "HalfPowerScalar":
-        """Fold even half exponents into the coefficient when coef is rational-scaled.
-
-        Only the canonical (coef, half_exp) pair with coef of modulus 1 is
-        meaningful for root numbers, so this helper moves integer powers of q
-        out of the coefficient: coef = c * q^j becomes (c, half_exp + 2j).
-        """
-        # Extract the largest power of q dividing all numerators (or multiplying
-        # all denominators) of the coefficient.
-        if self.coef.is_zero():
-            return self
-        shift = 0
-        coeffs = self.coef.coeffs
-        while all(c.denominator % self.q == 0 for c in coeffs.values()):
-            coeffs = {k: c * self.q for k, c in coeffs.items()}
-            shift -= 2
-        while all(c.numerator % self.q == 0 for c in coeffs.values()):
-            coeffs = {k: c / self.q for k, c in coeffs.items()}
-            shift += 2
-        half_exp = self.half_exp + shift
-        coef = Cyclotomic(self.coef.order, dict(coeffs))
-        root = math.isqrt(self.q)
-        if root * root == self.q:
-            # q^(1/2) is the integer root: the half exponent folds away
-            coef = coef * Fraction(root) ** half_exp
-            half_exp = 0
-        return HalfPowerScalar(coef, half_exp, self.q)
-
-    def exact_value(self) -> Cyclotomic:
-        """The exact cyclotomic value coef * q^(half_exp/2)."""
-        s = self.normalized()
-        root = sqrt_as_cyclotomic(self.q)
-        if s.half_exp >= 0:
-            return s.coef * root ** s.half_exp
-        return s.coef * root.inv() ** (-s.half_exp)
-
-    def root_number(self) -> Cyclotomic:
-        """The value as a modulus-one cyclotomic, asserting |value| = 1."""
-        s = self.normalized()
-        c = s.coef if s.half_exp == 0 else s.exact_value()
-        if cyc_conj_norm(c) != Cyclotomic.one():
-            raise ArithmeticError("value does not have modulus 1: %r" % self)
-        return c
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HalfPowerScalar):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        if a.coef.is_zero() and b.coef.is_zero():
-            return True
-        if a.q == b.q and a.half_exp == b.half_exp:
-            return a.coef == b.coef
-        return a.exact_value() == b.exact_value()
-
-    def __repr__(self) -> str:
-        return "HalfPowerScalar(%s, q=%d, halfExp=%d)" % (
-            self.coef.to_text(), self.q, self.half_exp,
-        )
+    w = total * Fraction(1, q ** ((k + 1) // 2))
+    if k % 2:
+        # q^(-k/2) = q^(-(k+1)/2) q^(1/2)
+        w = w * sqrt_as_cyclotomic(q)
+    if cyc_conj_norm(w) != Cyclotomic.one():
+        raise VerificationError("a sum times %d^(-%d/2) does not have modulus 1"
+                                % (q, k))
+    return w
 
 
-def quadratic_gauss_sum_field(p: int, d: int) -> HalfPowerScalar:
+def quadratic_gauss_sum_field(p: int, d: int) -> Cyclotomic:
     """Normalized quadratic Gauss sum over F_{p^d}, with the canonical
-    additive character, by Davenport-Hasse: g(F_{p^d}) = (-1)^{d-1} g_p^d.
-    Stored at order 2p, where the sum of its terms lives."""
-    g = quadratic_gauss_sum_prime(p) ** d * (-1) ** (d - 1)
-    return HalfPowerScalar(g.embed(2 * p), -1, p ** d).normalized()
+    additive character, as a modulus-one value: by Davenport-Hasse,
+    g(F_{p^d}) = (-1)^{d-1} g_p^d, times (p^d)^(-1/2)."""
+    return unit_part(quadratic_gauss_sum_prime(p) ** d * (-1) ** (d - 1), 1, p ** d)

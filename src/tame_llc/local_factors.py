@@ -20,11 +20,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exactnum import (
     Cyclotomic,
-    HalfPowerScalar,
     PoleAtPoint,
     VerificationError,
     cyc_conj_norm,
     quadratic_gauss_sum_field,
+    unit_part,
 )
 from .ring_model import GaloisRing, residue_generator
 
@@ -82,11 +82,6 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 # lambda factors of tame extensions
 # ---------------------------------------------------------------------------
 
-def quadratic_gauss_root(p: int, d: int) -> Cyclotomic:
-    """The normalized quadratic Gauss sum of F_{p^d} as a modulus-one value."""
-    return quadratic_gauss_sum_field(p, d).root_number()
-
-
 def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> Cyclotomic:
     """lambda(K/K_0, psi_{K_0}) for the totally ramified degree-e piece.
 
@@ -103,7 +98,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
         sign_exp = ((Q - 1) // e) * (e * (e + 2) // 8)
         legendre = (-1) ** (u0_log % 2)
         out = Cyclotomic.from_rational((-1) ** (sign_exp % 2) * legendre)
-        return out * quadratic_gauss_root(p, d)
+        return out * quadratic_gauss_sum_field(p, d)
     if method != "bruteforce":
         raise ValueError(f"unknown method {method!r}")
     if e == 1:
@@ -116,7 +111,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
     gen = residue_generator(gf)
     u0 = gf.pow(gen, u0_log)
     u0inv = gf.inv(u0)
-    out = HalfPowerScalar.one(Q)
+    out = Cyclotomic.one()
     for j in range(1, e):
         # chi_j(t) = zeta_e^{j log t}; epsilon of chi_j is the normalized
         # Gauss sum against t -> psi(-pi_0^{-1} t), i.e. shift -u0^{-1}
@@ -129,8 +124,8 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
             )
             total = total + chi_inv * psi
             cur = gf.mul(cur, gen)
-        out = out * HalfPowerScalar(total, -1, Q)
-    return out.root_number()
+        out = out * unit_part(total, 1, Q)
+    return out
 
 
 def model_lambda(sys) -> Cyclotomic:
@@ -160,8 +155,7 @@ def induced_factor(sys, gamma, lam: Cyclotomic) -> Tuple[Cyclotomic, int]:
     P = sys.P
     tw = sys.theta_tilde_twist(gamma)
     k = conductor_bruteforce(sys, tw)
-    g = gauss_sum(sys, tw, k).root_number()
-    w = g * tw.value_at_uniformizer ** (P.e - 1 + k) * lam
+    w = gauss_sum(sys, tw, k) * tw.value_at_uniformizer ** (P.e - 1 + k) * lam
     if cyc_conj_norm(w) != Cyclotomic.one():
         raise VerificationError(f"twist root number {w.to_text()} does not have modulus 1")
     return w, P.f * (P.e - 1 + k)

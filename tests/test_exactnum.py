@@ -1,16 +1,21 @@
-"""Tests for the exact scalar types: cyclotomics and half-power scalars.
-An L-factor is a tuple of Fractions, tested with gamma_at_zero_abs in
-test_local_factors."""
+"""Tests for the exact scalar types: cyclotomic numbers, square roots of
+integers and the unit part of a Gauss sum.  An L-factor is a tuple of
+Fractions, tested with gamma_at_zero_abs in test_local_factors."""
 
-from fractions import Fraction
+import os
+import subprocess
+import sys
+import textwrap
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tame_llc.exactnum import (
     Cyclotomic,
-    HalfPowerScalar,
+    VerificationError,
     sqrt_as_cyclotomic,
+    unit_part,
 )
 
 orders = st.integers(1, 24)
@@ -34,7 +39,6 @@ def test_roots_of_unity_multiply_by_adding_exponents(n, j, k):
 def test_conjugate_inverts_roots_of_unity(n, k):
     z = Cyclotomic.root_of_unity(n, k)
     assert z.conj() * z == Cyclotomic.one()
-    assert z.inv() == z.conj()
 
 
 @given(rationals, rationals, orders)
@@ -64,28 +68,54 @@ def test_sqrt_two_is_the_eighth_root_combination():
     assert sqrt_as_cyclotomic(2) == z8 + z8.conj()
 
 
-@given(st.sampled_from([3, 5, 7, 9, 25]), st.integers(-6, 6), st.integers(-6, 6))
-def test_half_power_scalar_multiplies_exponents(q, h1, h2):
-    x = HalfPowerScalar(Cyclotomic.one(), h1, q) * HalfPowerScalar(Cyclotomic.one(), h2, q)
-    assert x == HalfPowerScalar(Cyclotomic.one(), h1 + h2, q)
+def test_negative_powers_are_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Cyclotomic.root_of_unity(4) ** -1
 
 
-@given(st.sampled_from([3, 5, 7]), st.integers(-4, 4))
-def test_even_half_powers_are_exact_rationals(q, h):
-    x = HalfPowerScalar(Cyclotomic.one(), 2 * h, q)
-    v = x.exact_value()
-    assert v.is_rational()
-    assert v.rational_value() == Fraction(q) ** h
+def test_cyclotomic_is_unhashable():
+    # equal values stored at different orders must not hash apart
+    assert Cyclotomic.root_of_unity(3) == Cyclotomic.root_of_unity(3).embed(6)
+    with pytest.raises(TypeError):
+        hash(Cyclotomic.one())
 
 
-def test_normalized_absorbs_rational_sqrt_content():
-    # sqrt(3) * 3^{-1/2} is 1 once the half exponent is folded in
-    x = HalfPowerScalar(sqrt_as_cyclotomic(3), -1, 3)
-    assert x.normalized() == HalfPowerScalar.one(3)
-    assert x.root_number() == Cyclotomic.one()
+@given(st.sampled_from([2, 3, 5, 7, 9, 25]), st.integers(0, 6), orders, st.integers(0, 23))
+def test_unit_part_divides_out_the_half_power(q, k, n, j):
+    z = Cyclotomic.root_of_unity(n, j)
+    assert unit_part(z * sqrt_as_cyclotomic(q) ** k, k, q) == z
+
+
+def test_unit_part_absorbs_rational_sqrt_content():
+    # sqrt(3) * 3^{-1/2} is 1
+    assert unit_part(sqrt_as_cyclotomic(3), 1, 3) == Cyclotomic.one()
 
 
 def test_root_number_has_modulus_one():
-    g = HalfPowerScalar(Cyclotomic.root_of_unity(12) * sqrt_as_cyclotomic(3), -1, 3)
-    w = g.root_number()
+    z = Cyclotomic.root_of_unity(12)
+    w = unit_part(z * sqrt_as_cyclotomic(3), 1, 3)
+    assert w == z
     assert w * w.conj() == Cyclotomic.one()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_unit_part_refuses_other_moduli(k):
+    # 3^{(k+1)/2} times 3^{-k/2} has modulus sqrt(3)
+    with pytest.raises(VerificationError, match="modulus 1"):
+        unit_part(sqrt_as_cyclotomic(3) ** (k + 1), k, 3)
+
+
+def test_modulus_check_survives_python_O():
+    code = textwrap.dedent("""
+        from tame_llc.exactnum import Cyclotomic, VerificationError, unit_part
+        assert False, "asserts are on"
+        try:
+            unit_part(Cyclotomic.from_rational(5), 1, 5)
+        except VerificationError as ex:
+            print(ex)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "a sum times 5^(-1/2) does not have modulus 1\n"

@@ -16,6 +16,7 @@ import pytest
 
 from tame_llc import (
     characters,
+    cli,
     conjectures,
     llc_parameters,
     local_factors,
@@ -56,6 +57,14 @@ def _flip_eta(monkeypatch):
     # -eta(det A) in the odd-conductor Gauss tail
     legendre = characters._legendre
     monkeypatch.setattr(characters, "_legendre", lambda a, p: -legendre(a, p))
+
+
+def _unnormalized_odd_tail(monkeypatch):
+    # the odd-conductor tail without its q_K^{-1/2}, at the binding
+    # _gauss_stationary reads
+    unit_part = characters.unit_part
+    monkeypatch.setattr(characters, "unit_part",
+                        lambda total, k, q: unit_part(total, k - 1, q))
 
 
 def _negate_model_lambda(monkeypatch):
@@ -153,19 +162,26 @@ def _doubled(name):
     return perturb
 
 
-def _matrix_l_top_coefficient_plus_one(monkeypatch):
-    # the matrix route of L(s, Ad phi) with 1 added to its top coefficient,
-    # at the binding adjoint_gamma0_abs reads; at f = 1 the L-factor is the
-    # constant 1, and doubling it leaves |gamma(0)| as it is
-    adjoint_L = llc_parameters.adjoint_L
+def _l_top_coefficient_plus_one(module, route):
+    # one route of L(s, Ad phi) with 1 added to its top coefficient, at the
+    # binding of adjoint_L that module reads
+    def perturb(monkeypatch):
+        adjoint_L = module.adjoint_L
 
-    def mutated(P, method="closed"):
-        l_inv = adjoint_L(P, method)
-        if method == "matrix":
-            l_inv = l_inv[:-1] + (l_inv[-1] + 1,)
-        return l_inv
+        def mutated(P, method="closed"):
+            l_inv = adjoint_L(P, method)
+            if method == route:
+                l_inv = l_inv[:-1] + (l_inv[-1] + 1,)
+            return l_inv
 
-    monkeypatch.setattr(llc_parameters, "adjoint_L", mutated)
+        monkeypatch.setattr(module, "adjoint_L", mutated)
+    return perturb
+
+
+def _factors_adjoint_L(P):
+    """The adjoint_L check of `factors`, the one check that compares the
+    closed and decomposition routes."""
+    return next(c for c in cli._factors_report(P).checks if c.name == "adjoint_L")
 
 
 def _conductor_sum_plus_two(monkeypatch):
@@ -250,6 +266,8 @@ ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
     "gauss_sum: flip eta": (_flip_eta, _root_number_box, verify_root_number),
+    "gauss_sum: leave the odd tail unnormalized":
+        (_unnormalized_odd_tail, _root_number_box, verify_root_number),
     "model_lambda: negate it":
         (_negate_model_lambda, _root_number_box, verify_root_number),
     "c_char: make it trivial":
@@ -268,8 +286,18 @@ ROWS = {
         (_doubled("norm_index"), _formal_degree_box, verify_formal_degree),
     "abelianization_order: double it":
         (_doubled("abelianization_order"), _formal_degree_box, verify_formal_degree),
+    # the matrix route at the binding adjoint_gamma0_abs reads; at f = 1 its
+    # L-factor is the constant 1, and doubling it leaves |gamma(0)| as it is
     "adjoint_L: add one to the matrix route's top coefficient":
-        (_matrix_l_top_coefficient_plus_one, _formal_degree_box, verify_formal_degree),
+        (_l_top_coefficient_plus_one(llc_parameters, "matrix"), _formal_degree_box,
+         verify_formal_degree),
+    # the closed and decomposition routes at the binding _factors_report reads
+    "adjoint_L: add one to the closed route's top coefficient":
+        (_l_top_coefficient_plus_one(cli, "closed"), _formal_degree_box,
+         _factors_adjoint_L),
+    "adjoint_L: add one to the decomposition route's top coefficient":
+        (_l_top_coefficient_plus_one(cli, "decomposition"), _formal_degree_box,
+         _factors_adjoint_L),
     "weighted_conductor_sum: add two":
         (_conductor_sum_plus_two, _formal_degree_box, verify_formal_degree),
     "weighted_conductor_sum: add two, against the twist conductors":
