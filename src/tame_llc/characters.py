@@ -5,8 +5,10 @@ All multiplicative characters are stored as exponent vectors against the
 invariant-factor generators of a unit-group presentation, so values are
 exact fractions of a full turn and only become Cyclotomic numbers at the
 edges.  There is one presentation, U at level e*r: a character trivial on
-1 + pi^k is read through its values on U's generators below level k, and
-each Galois action gamma is read once, as its matrix on U's coordinates.
+1 + pi^k is read through its values on U's generators below level k.
+Each Galois action gamma != 1 is read once, as its matrix A_gamma on U's
+coordinates, when the system is built; the norm-one subgroup U-bar is the
+kernel of I + sum A_gamma.
 Gauss sums are evaluated by stationary phase.  At odd conductor the
 residue-field tail left over is a quadratic Gauss sum over F_p^d, summed
 in closed form from the prime-field sum g_p.  The literal sum over the
@@ -48,7 +50,7 @@ from .tame_galois import GAL_ID, GalElt, gal_elements, order_two_set
 LITERAL_GAUSS_THRESHOLD = 20000
 
 
-class NotInSubgroup(ValueError):
+class NotInSubgroup(VerificationError):
     pass
 
 
@@ -115,7 +117,11 @@ class CharacterSystem:
         self.M = M
         self.P = M.P
         self.U = UnitGroupPresentation(M, M.P.e * M.P.r)
-        self.Ubar = kernel_of_norm(M, self.U)
+        # A_gamma, gamma != 1: row j holds the U coordinates of gamma(h_j)
+        self.acts: Dict[GalElt, List[List[int]]] = {
+            g: self.U.act_matrix(g) for g in gal_elements(M.P) if g != GAL_ID
+        }
+        self.Ubar = kernel_of_norm(self.U, self.acts)
         self.beta = find_beta(M)
         self._theta: Optional[MultCharacter] = None
         # (U-bar coordinates, chi_beta as a reduced fraction) of each
@@ -124,7 +130,6 @@ class CharacterSystem:
         self._c_char: Optional[MultCharacter] = None
         self._theta_tilde: Optional[MultCharacter] = None
         self._minus_one_coords: Optional[List[int]] = None
-        self._act: Dict[GalElt, List[List[int]]] = {}
 
     # -- coordinates ---------------------------------------------------------
 
@@ -143,12 +148,6 @@ class CharacterSystem:
         if self._minus_one_coords is None:
             self._minus_one_coords = self.U.dlog(self.M.neg(self.M.one()))
         return self._minus_one_coords
-
-    def act_matrix(self, gamma: GalElt) -> List[List[int]]:
-        """A_gamma: row j holds the U coordinates of gamma(h_j)."""
-        if gamma not in self._act:
-            self._act[gamma] = self.U.act_matrix(gamma)
-        return self._act[gamma]
 
     # -- theta ---------------------------------------------------------------
 
@@ -197,32 +196,19 @@ class CharacterSystem:
         o2 = order_two_set(P)
         total_exps = [0] * len(U.orders)
         level2_rows = [c for c, (i, _) in zip(U.gen_coords, U.levels) if i >= 2]
+        # residue_log is a homomorphism into Z/(q_K - 1), q_K - 1 even: its
+        # parity on U coordinates b is the sum of b_k residue_log(h_k) mod 2
+        parities = [M.residue_log(h) % 2 for h in U.inv_gens]
         for gamma in sorted(o2.elements):
             if gamma == GAL_ID:
                 continue
             ramified = o2.ramified[gamma]
-            amat = self.act_matrix(gamma)
-            fixed = kernel_subgroup(
-                list(U.orders),
-                [
-                    [(amat[i][j] - (1 if i == j else 0)) % U.orders[j]
-                     for j in range(len(U.orders))]
-                    for i in range(len(U.orders))
-                ],
-                list(U.orders),
-            )
-            rows = []
-            fracs: List[Tuple[int, int]] = []
-            for b in fixed.basis:
-                rows.append(list(b))
-                if ramified:
-                    elt = U.element_from_coords(b)
-                    k = M.residue_log(elt)
-                    fracs.append((k % 2, 2) if k % 2 else (0, 1))
-                else:
-                    fracs.append((0, 1))
-            rows += level2_rows
-            fracs += [(0, 1)] * len(level2_rows)
+            fixed = kernel_subgroup(list(U.orders), [
+                [(a - (i == j)) % d for j, (a, d) in enumerate(zip(row, U.orders))]
+                for i, row in enumerate(self.acts[gamma])], list(U.orders))
+            rows = [list(b) for b in fixed.basis] + level2_rows
+            fracs = [(1, 2) if ramified and sum(map(mul, b, parities)) % 2 else (0, 1)
+                     for b in fixed.basis] + [(0, 1)] * len(level2_rows)
             try:
                 exps = extend_character(list(U.orders), rows, fracs)
             except ValueError as ex:
@@ -282,7 +268,7 @@ class CharacterSystem:
         """
         orders = self.U.orders
         exps = []
-        for j, (row, d) in enumerate(zip(self.act_matrix(gamma), orders)):
+        for j, (row, d) in enumerate(zip(self.acts[gamma], orders)):
             w = [((i == j) - a) % di for i, (a, di) in enumerate(zip(row, orders))]
             ex = self.vartheta(w) * d
             if ex.denominator != 1:
@@ -540,7 +526,7 @@ def regularity_check(sys: CharacterSystem, chi: MultCharacter) -> bool:
     for sigma in gal_elements(sys.P):
         if sigma == GAL_ID:
             continue
-        rows = sys.act_matrix(sigma)
+        rows = sys.acts[sigma]
         if all((chi.fraction_on_coords(row) - Fraction(w, d)) % 1 == 0
                for row, w, d in zip(rows, chi.exps, chi.orders)):
             return False

@@ -1,7 +1,9 @@
 """Small exact linear algebra: Hermite and Smith normal forms with
-transforms, integer linear solving, the one row echelon form over F_p, and
-finite-abelian-group plumbing (subgroup presentations, homomorphism
-kernels, character extension).
+transforms, integer linear solving, the one row echelon form over F_p, the
+one matrix product, and finite-abelian-group plumbing (subgroup
+presentations, homomorphism kernels, character extension).
+Only ring_model and characters import it: the formal-degree path does
+not enter it.
 
 All matrices here are tiny (at most a few dozen rows), so the classical
 cubic algorithms with exact big integers suffice, provided each Euclid step

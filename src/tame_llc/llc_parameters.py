@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .exactnum import Cyclotomic, VerificationError
-from .intlinalg import mat_mul
 from .local_factors import (
     _poly_mul,
     gamma_at_zero_abs,
@@ -234,19 +233,23 @@ def adjoint_L(P: TameParams, method: str = "closed") -> Tuple[Fraction, ...]:
                                     % [c.to_text() for c in poly])
         return tuple(c.rational_value() for c in poly)
     if method == "matrix":
-        # det(1 - u M) = 1 + c_1 u + ... + c_k u^k, where det(x - M) =
-        # x^k + c_1 x^{k-1} + ... + c_k, by Faddeev-LeVerrier over Z:
-        # B_j = M B_{j-1} + c_{j-1} I and c_j = -tr(M B_j) / j, exactly
+        # det(1 - u M) lists the coefficients of det(x - M) from the top.
+        # M is lower Hessenberg, so on its leading blocks M_j (Cohen, 2.2.4)
+        # det(x - M_{j+1}) = x det(x - M_j) - sum_{i <= j} M[j][i]
+        # M[i][i+1] ... M[j-1][j] det(x - M_i), over the nonzero M[j][i]
         m = frobenius_matrix(f)
-        size = f - 1
-        den = [1]
-        mb = [[0] * size for _ in range(size)]  # M B_0 = 0
-        for j in range(1, size + 1):
-            for i in range(size):
-                mb[i][i] += den[-1]
-            mb = mat_mul(m, mb)
-            den.append(-sum(mb[i][i] for i in range(size)) // j)
-        return tuple(map(Fraction, den))
+        chars = [[1]]  # ascending coefficients of det(x - M_j)
+        for j, row in enumerate(m):
+            nxt, chain = [0] + chars[j], 1  # chain = M[i][i+1] ... M[j-1][j]
+            for i in range(j, -1, -1):
+                if row[i]:
+                    for t, c in enumerate(chars[i]):
+                        nxt[t] -= row[i] * chain * c
+                chain *= m[i - 1][i] if i else 0
+                if not chain:
+                    break
+            chars.append(nxt)
+        return tuple(map(Fraction, reversed(chars[-1])))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -15,8 +15,9 @@ _verify_model.
 
 Unit groups of the quotients R / pi^N are presented by generators and a
 relation lattice in Smith normal form, which gives exact discrete
-logarithms; this one engine is behind the norm kernel, character
-extension, conductor brute forcing and Gauss sums.
+logarithms; this one engine gives the Galois matrices on the unit group,
+whose sum gives the norm kernel, and is behind character extension,
+conductor brute forcing and Gauss sums.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
-from .intlinalg import SubgroupPresentation, fp_echelon, kernel_subgroup, smith_normal_form
+from .intlinalg import (
+    SubgroupPresentation,
+    fp_echelon,
+    kernel_subgroup,
+    mat_mul,
+    smith_normal_form,
+)
 from .tame_galois import GalElt, TameParams, gal_elements, gal_mul
 
 GRElt = Tuple[int, ...]
@@ -79,46 +86,25 @@ def _fp_poly_powmod(a, n, h, p):
     return result
 
 
-def _fp_poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = (a[-1] * inv) % p
-            shift = len(a) - len(b)
-            for j in range(len(b)):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
-
-
 def _fp_irreducible(h, p):
-    """Rabin test for a monic polynomial h over F_p (low degree first)."""
+    """Rabin test for a monic polynomial h over F_p (low degree first).
+
+    gcd(g, h) = 1 exactly when multiplication by g is invertible on
+    F_p[x]/(h), so each gcd of the test is the rank of that matrix, whose
+    rows are g x^i mod h, by fp_echelon."""
     d = len(h) - 1
-    x = [0, 1] if d > 1 else [0]
     if d == 1:
         return True
-    xq = _fp_poly_powmod(x, p ** d, h, p)
-    if xq != x[:d] + [0] * (d - len(x)):
+    x = [0, 1] + [0] * (d - 2)
+    if _fp_poly_powmod(x, p ** d, h, p) != x:
         return False
     for ell in _factorize(d):
-        xe = _fp_poly_powmod(x, p ** (d // ell), h, p)
-        diff = [(xe[i] - (x + [0] * d)[i]) % p for i in range(d)]
-        if any(diff):
-            g = _fp_poly_gcd(diff, h, p)
-            if len(g) > 1:
-                return False
-        else:
+        g = _fp_poly_powmod(x, p ** (d // ell), h, p)
+        g[1] = (g[1] - 1) % p
+        rows = [g]
+        for _ in range(d - 1):
+            rows.append(_fp_poly_mulmod(rows[-1], x, h, p))
+        if fp_echelon(rows, p, d)[2] == 0:
             return False
     return True
 
@@ -545,15 +531,6 @@ class Model:
             raise VerificationError("trace not in F")
         return acc[:d]
 
-    def norm_K_F(self, x: Elt) -> GRElt:
-        acc = self.one()
-        for g in gal_elements(self.P):
-            acc = self.mul(acc, self.galois_act(g, x))
-        d = self.gr.d
-        if any(acc[d:]):
-            raise VerificationError("norm not in F")
-        return acc[:d]
-
     def psi_exponent(self, z: GRElt) -> int:
         """Additive character exponent of z in the F-subring: T_{F/Q_p}(z) mod p^r.
 
@@ -883,15 +860,20 @@ class UnitGroupPresentation:
         return [self.dlog(self.M.galois_act(g, h)) for h in self.inv_gens]
 
 
-def kernel_of_norm(M: Model, U: UnitGroupPresentation) -> SubgroupPresentation:
+def kernel_of_norm(U: UnitGroupPresentation,
+                   acts: Dict[GalElt, List[List[int]]]) -> SubgroupPresentation:
     """The subgroup U-bar = ker(N_{K/F}) of the full unit group U(er).
 
-    The norm lands in O_F/p^r, which embeds in the model ring because
-    p_K^{er} meets O_F in p^r O_F; so U itself reads the norm, and its
+    N(x) is the product of the conjugates of x, so on U's coordinates the
+    norm is I + sum A_gamma over acts[gamma] = A_gamma, gamma != 1, from
+    UnitGroupPresentation.act_matrix.  The norm lands in O_F/p^r, which
+    embeds in the model ring because p_K^{er} meets O_F in p^r O_F; so its
     kernel as a map U -> U is ker(N_{K/F}).
     """
-    rows = [U.dlog(M.from_gr(M.norm_K_F(h))) for h in U.inv_gens]
-    return kernel_subgroup(list(U.orders), rows, list(U.orders))
+    orders = list(U.orders)
+    rows = [[((i == j) + sum(A[i][j] for A in acts.values())) % d
+             for j, d in enumerate(orders)] for i in range(len(orders))]
+    return kernel_subgroup(orders, rows, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -972,10 +954,7 @@ def centralizer_bruteforce(M: Model, beta: Elt, level: int) -> bool:
     B = regular_rep_matrix(M, beta, level)
 
     def mat_mul_mod(A, C):
-        return [
-            [sum(A[i][k] * C[k][j] for k in range(n)) % mod for j in range(n)]
-            for i in range(n)
-        ]
+        return [[c % mod for c in row] for row in mat_mul(A, C)]
 
     # span of powers of beta
     span = set()
@@ -1023,15 +1002,6 @@ def symplectic_check(M: Model, beta: Elt) -> Tuple[bool, int]:
     n = P.n
     B = [[x % p for x in row] for row in regular_rep_matrix(M, beta, 1)]
 
-    def mmul(A, C):
-        return [
-            [sum(A[i][k] * C[k][j] for k in range(n)) % p for j in range(n)]
-            for i in range(n)
-        ]
-
-    def tr(A):
-        return sum(A[i][i] for i in range(n)) % p
-
     # basis of sl_n(F_p)
     basis = []
     for i in range(n):
@@ -1047,13 +1017,11 @@ def symplectic_check(M: Model, beta: Elt) -> Tuple[bool, int]:
         basis.append(E)
 
     def bracket(A, C):
-        AC = mmul(A, C)
-        CA = mmul(C, A)
-        return [[(AC[i][j] - CA[i][j]) % p for j in range(n)] for i in range(n)]
+        return [[x - y for x, y in zip(r, s)] for r, s in zip(mat_mul(A, C), mat_mul(C, A))]
 
-    gram = [
-        [tr(mmul(bracket(X, Y), B)) % p for Y in basis] for X in basis
-    ]
+    # D(X, Y) = tr([X, Y] B), reduced mod p
+    gram = [[sum(row[i] for i, row in enumerate(mat_mul(bracket(X, Y), B))) % p
+             for Y in basis] for X in basis]
     for i in range(len(basis)):
         if gram[i][i] % p:
             return False, -1

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, prod
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from .exactnum import VerificationError, _factorize
-from .intlinalg import smith_normal_form
+from .exactnum import VerificationError
 
 
 class InvalidParams(ValueError):
@@ -75,9 +75,20 @@ class TameParams:
         return t if t != 0 else self.e
 
 
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to 10^6.
+    InvalidParams when n > 10^12 has none that small: trial division has
+    not decided whether n is prime."""
+    d = next((d for d in range(2, min(isqrt(n), 10 ** 6) + 1) if n % d == 0), n)
+    if d == n and n > 10 ** 12:
+        raise InvalidParams(f"{n} > 10^12 has no prime factor up to 10^6, "
+                            "the trial-division bound")
+    return d
+
+
 def validate_params(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParams:
     """Check all tameness constraints; raise InvalidParams naming the violation."""
-    if _factorize(p) != {p: 1} or p == 2:
+    if p < 3 or _least_prime_factor(p) != p:
         raise InvalidParams(f"p = {p} must be an odd prime")
     if a < 1:
         raise InvalidParams(f"a = {a} must be positive")
@@ -101,11 +112,14 @@ def validate_params(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParam
 
 
 def params_from_q(q: int, e: int, f: int, m: int, r: int) -> TameParams:
-    """Convenience wrapper: factor q = p^a and validate."""
-    factors = _factorize(q)
-    if len(factors) != 1:
+    """Convenience wrapper: factor q = p^a, p its least prime factor, and
+    validate."""
+    p = _least_prime_factor(q) if q >= 2 else 2  # no q < 2 is a power of 2
+    a = 1
+    while p ** a < q:
+        a += 1
+    if p ** a != q:
         raise InvalidParams(f"q = {q} is not a prime power")
-    (p, a), = factors.items()
     return validate_params(p, a, e, f, m, r)
 
 
@@ -184,21 +198,20 @@ def commutator_subgroup(P: TameParams) -> FrozenSet[GalElt]:
 
 
 def abelianization_orders(P: TameParams) -> List[int]:
-    """Invariant factors of Gamma^ab from the presentation matrix.
+    """Invariant factors d_1 | d_2 of Gamma^ab, the trivial ones dropped.
 
-    Relations in additive (delta, rho) coordinates: e*d = 0, f*s = m*d,
-    (l-1)*d = 0.  Cross-checked against commutator_subgroup by the tests.
+    The relations on (delta, rho) are the rows (e, 0), (-m, f), (x, 0),
+    x = (l-1) mod e; d_1 is the gcd of their entries and d_1 d_2 that of
+    their 2 x 2 minors ef, 0, -fx.  The tests keep the Smith form, and the
+    commutator quotient, as oracles.
     """
-    rel = [[P.e, 0], [-P.m, P.f], [(P.l_twist - 1) % P.e, 0]]
-    s, _, _ = smith_normal_form(rel)
-    return [s[i][i] for i in range(2) if s[i][i] != 1]
+    x = (P.l_twist - 1) % P.e
+    d1 = gcd(P.e, P.m, P.f, x)
+    return [d for d in (d1, P.f * gcd(P.e, x) // d1) if d != 1]
 
 
 def abelianization_order(P: TameParams) -> int:
-    out = 1
-    for d in abelianization_orders(P):
-        out *= d
-    return out
+    return prod(abelianization_orders(P))
 
 
 def norm_index(P: TameParams) -> int:

@@ -28,6 +28,7 @@ from tame_llc.tame_galois import GAL_ID, norm_index, order_two_set, params_from_
 from test_conjectures import dim_delta_orbit
 from test_llc_parameters import centralizer_order_bruteforce
 from test_local_factors import lambda_chain
+from test_ring_model import norm_K_F
 from test_tame_galois import center, order_two_prediction
 
 FULL_BOX = valid_tuples([3, 5, 7, 9, 11, 13], 8, [2, 3, 4, 5])
@@ -219,7 +220,7 @@ def test_norm_index_bruteforce(tup):
     P = params_from_q(*tup)
     M = build_model(P)
     U = UnitGroupPresentation(M, P.e * P.r)
-    image = {M.norm_K_F(x) for _, x in U.enumerate(P.e * P.r)}
+    image = {norm_K_F(M, x) for _, x in U.enumerate(P.e * P.r)}
     base_units = (P.p - 1) * P.p ** (P.r - 1)
     assert base_units % len(image) == 0
     assert base_units // len(image) == norm_index(P)

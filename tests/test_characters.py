@@ -82,7 +82,8 @@ def test_root_number_builds_each_level_once(tup, monkeypatch):
 def test_root_number_reads_each_action_once(tup, monkeypatch):
     # the twists of these tuples are small enough for the literal Gauss
     # sum, which the root-number path must not take; and each Galois action
-    # gamma != 1 is read once, as A_gamma, by the chi-data and the twists
+    # gamma != 1 is read once, as A_gamma, when the system is built: the norm
+    # kernel, the chi-data and the twists all read that one matrix
     P = params_from_q(*tup)
     reads = []
     act = UnitGroupPresentation.act_matrix
@@ -112,6 +113,18 @@ def test_theta_is_multiplicative_on_norm_one_units(sys_ramified):
 def test_character_is_regular(sys_ramified, sys_unramified):
     for sys in (sys_ramified, sys_unramified):
         assert regularity_check(sys, sys.theta_tilde)
+
+
+def test_residue_parity_on_coordinates(sys_ramified, sys_unramified):
+    # the chi-data reads the parity of residue_log on U coordinates; the
+    # element itself, built by element_from_coords, is the oracle
+    for sys in (sys_ramified, sys_unramified):
+        U, M = sys.U, sys.M
+        parities = [M.residue_log(h) % 2 for h in U.inv_gens]
+        for w in [*map(list, sys.Ubar.basis), sys.minus_one_coords(),
+                  *(c for c in U.gen_coords if any(c))]:
+            assert (sum(a * b for a, b in zip(w, parities)) % 2
+                    == M.residue_log(U.element_from_coords(w)) % 2), w
 
 
 def test_chi_data_sign_value_at_minus_one(sys_ramified, sys_unramified):

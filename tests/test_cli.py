@@ -5,12 +5,15 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from tame_llc import cli, conjectures, local_factors
+from tame_llc import characters, cli, conjectures, local_factors
 
 
 def run(argv, capsys):
@@ -164,6 +167,24 @@ def test_q_that_is_not_a_prime_power_exits_usage(q, capsys):
     assert "not a prime power" in err
 
 
+@pytest.mark.parametrize("q,reason", [
+    # 2^61 - 1 is prime, and above 10^12 trial division up to 10^6 does not
+    # decide it
+    (2 ** 61 - 1, "> 10^12 has no prime factor up to 10^6"),
+    # q's least prime factor 3 is divided out; the cofactor is never factored
+    (3 * (2 ** 61 - 1), "is not a prime power"),
+])
+def test_large_q_is_refused_quickly(q, reason):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-m", "tame_llc.cli", "verify", "formal-degree",
+         "--q", str(q), "--e", "1", "--f", "2", "--r", "2"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == cli.EXIT_USAGE
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and reason in out.stderr
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["--q", "3,x", "--r", "2"], "'x' is neither an integer nor lo..hi"),
     (["--q", "3", "--r", "5..2"], "'5..2' is an empty range"),
@@ -223,6 +244,19 @@ def test_non_square_gamma_exits_3(monkeypatch, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "VerificationError: not a rational square" in err
+
+
+def test_element_outside_the_norm_one_subgroup_exits_3(monkeypatch, capsys):
+    # a wrong U-bar shows as NotInSubgroup, a VerificationError
+    def refused(self, w):
+        raise characters.NotInSubgroup("element is not norm-one")
+
+    monkeypatch.setattr(characters.CharacterSystem, "ubar_coords", refused)
+    code, out, err = run(["verify", "root-number", "--q", "3", "--e", "2",
+                          "--f", "1", "--r", "4"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: NotInSubgroup: element is not norm-one\n"
 
 
 def test_factors_dim_delta_needs_an_integer(monkeypatch, capsys):

@@ -308,6 +308,34 @@ def test_extend_character_matches_the_two_hnf_route(orders, data):
     assert outcomes[0] == outcomes[1]
 
 
+@given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_extend_character_does_not_depend_on_the_generating_set(orders, data):
+    # the extension is the HNF-reduced point of the solution coset, a
+    # function of the subgroup and of the character on it; so another
+    # generating set of the same subgroup, with the same character's values,
+    # gives the same exponents.  The printed root numbers rest on this, and
+    # on U's and U-bar's Smith bases, which no such argument pins
+    den = lcm(*orders)
+    w0 = [data.draw(st.integers(0, d - 1)) for d in orders]
+
+    def value(row):
+        return sum(a * b * (den // d) for a, b, d in zip(w0, row, orders)) % den, den
+
+    count = data.draw(st.integers(2, 4))
+    rows = [[data.draw(st.integers(0, d - 1)) for d in orders] for _ in range(count)]
+    # shuffle the rows, add the sum of two of them, and negate one, mod d
+    other = data.draw(st.permutations(rows))
+    i, j = data.draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2,
+                              unique=True))
+    other.append([(a + b) % d for a, b, d in zip(other[i], other[j], orders)])
+    k = data.draw(st.integers(0, count))
+    other[k] = [-a % d for a, d in zip(other[k], orders)]
+    assert (extend_character(orders, rows, [value(r) for r in rows])
+            == extend_character(orders, other, [value(r) for r in other]))
+
+
 def test_kernel_subgroup_members_map_to_zero():
     # reduction map Z/8 x Z/4 -> Z/4, (x, y) -> x + 2 y
     src = [8, 4]

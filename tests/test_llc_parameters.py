@@ -8,10 +8,15 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tame_llc import llc_parameters
 from tame_llc.exactnum import Cyclotomic
+from tame_llc.intlinalg import mat_mul
 from tame_llc.llc_parameters import (
     adjoint_conductor,
     adjoint_decompose,
@@ -20,6 +25,7 @@ from tame_llc.llc_parameters import (
     adjoint_root_number,
     ad_character_identity,
     centralizer_order,
+    frobenius_matrix,
     model_lambda,
     phi1_trace,
 )
@@ -45,6 +51,44 @@ def test_adjoint_l_factor_three_ways(P):
     closed = adjoint_L(P, "closed")
     assert closed == adjoint_L(P, "decomposition")
     assert closed == adjoint_L(P, "matrix")
+
+
+def faddeev_leverrier(m):
+    """The ascending coefficients of det(1 - u M) by Faddeev-LeVerrier over
+    Z: B_j = M B_{j-1} + c_{j-1} I and c_j = -tr(M B_j) / j, where det(x - M)
+    = x^k + c_1 x^{k-1} + ... + c_k.  The oracle for the Hessenberg
+    recurrence of adjoint_L's matrix route."""
+    size = len(m)
+    coeffs = [1]
+    mb = [[0] * size for _ in range(size)]  # M B_0 = 0
+    for j in range(1, size + 1):
+        for i in range(size):
+            mb[i][i] += coeffs[-1]
+        mb = mat_mul(m, mb)
+        coeffs.append(-sum(mb[i][i] for i in range(size)) // j)
+    return tuple(map(Fraction, coeffs))
+
+
+def _unramified(f):
+    """A tuple of degree f = n, e = 1, with p prime to f."""
+    return params_from_q(next(q for q in (3, 5, 7) if f % q), 1, f, 0, 2)
+
+
+def test_hessenberg_recurrence_matches_faddeev_leverrier():
+    for f in [*range(2, 65), 128]:
+        expected = faddeev_leverrier(frobenius_matrix(f))
+        assert adjoint_L(_unramified(f), "matrix") == expected, f
+
+
+@given(st.integers(2, 9), st.data())
+@settings(max_examples=60)
+def test_hessenberg_recurrence_on_any_lower_hessenberg_matrix(f, data):
+    # the recurrence reads M's entries, so any lower Hessenberg M in place
+    # of the Frobenius matrix gives its own det(1 - u M)
+    m = [[data.draw(st.integers(-3, 3)) if j <= i + 1 else 0 for j in range(f - 1)]
+         for i in range(f - 1)]
+    with mock.patch.object(llc_parameters, "frobenius_matrix", lambda f: m):
+        assert adjoint_L(_unramified(f), "matrix") == faddeev_leverrier(m)
 
 
 @pytest.mark.parametrize("P", BOX)

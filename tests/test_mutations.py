@@ -245,6 +245,31 @@ def _perturb_one_galois_matrix_entry(monkeypatch):
     monkeypatch.setattr(ring_model.Model, "_galois_matrix", mutated)
 
 
+def _perturb_one_frobenius_entry(monkeypatch):
+    # entry (0, 0) of the Frobenius matrix plus one, at the binding
+    # adjoint_L's matrix route reads; at f = 1 the matrix is empty
+    frobenius_matrix = llc_parameters.frobenius_matrix
+
+    def mutated(f):
+        m = frobenius_matrix(f)
+        if m:
+            m[0][0] += 1
+        return m
+
+    monkeypatch.setattr(llc_parameters, "frobenius_matrix", mutated)
+
+
+def _drop_one_action(monkeypatch):
+    # U-bar as the kernel of I + sum A_gamma with the first A_gamma left
+    # out, at the binding CharacterSystem.__init__ reads
+    kernel_of_norm = characters.kernel_of_norm
+
+    def mutated(U, acts):
+        return kernel_of_norm(U, {g: a for g, a in acts.items() if g != min(acts)})
+
+    monkeypatch.setattr(characters, "kernel_of_norm", mutated)
+
+
 def _theta_exponent_plus_one(monkeypatch):
     # theta with one added to its exponent on the first generator of U-bar
     # of order > 1
@@ -298,6 +323,11 @@ ROWS = {
     "adjoint_L: add one to the decomposition route's top coefficient":
         (_l_top_coefficient_plus_one(cli, "decomposition"), _formal_degree_box,
          _factors_adjoint_L),
+    # f >= 2 on 18 of the 34 tuples
+    "frobenius_matrix: perturb one entry":
+        (_perturb_one_frobenius_entry, _formal_degree_box, verify_formal_degree),
+    "kernel_of_norm: drop one A_gamma":
+        (_drop_one_action, _root_number_box, verify_root_number),
     "weighted_conductor_sum: add two":
         (_conductor_sum_plus_two, _formal_degree_box, verify_formal_degree),
     "weighted_conductor_sum: add two, against the twist conductors":
@@ -316,13 +346,16 @@ ROWS = {
 def _status(verify, P):
     """The check's status, or the name of the error it raises.
 
-    Only VerificationError counts as killing a row.  PrecisionTooLow (a
-    perturbed conductor can ask for more p-adic precision than r gives) is
-    recorded so that the rest of the box still runs, but kills nothing.
+    Only VerificationError, subclasses included, counts as killing a row.
+    PrecisionTooLow (a perturbed conductor can ask for more p-adic precision
+    than r gives) is recorded so that the rest of the box still runs, but
+    kills nothing.
     """
     try:
         return verify(P).status
-    except (VerificationError, characters.PrecisionTooLow) as ex:
+    except VerificationError:
+        return "VerificationError"
+    except characters.PrecisionTooLow as ex:
         return type(ex).__name__
 
 
@@ -362,6 +395,21 @@ def test_perturbed_piece_conductor_is_caught_by_the_conductor_sum(monkeypatch):
     _one_conductor_plus_f(monkeypatch)
     for P in _root_number_box():
         with pytest.raises(VerificationError, match="twist conductors add up to"):
+            verify_root_number(P)
+
+
+def test_perturbed_frobenius_matrix_fails_every_tuple_with_f_at_least_2(monkeypatch):
+    # the matrix route reads M, not the closed form
+    _perturb_one_frobenius_entry(monkeypatch)
+    statuses = {P: verify_formal_degree(P).status for P in _formal_degree_box()}
+    assert sum(P.f >= 2 for P in statuses) == 18
+    assert all((status == "FAIL") == (P.f >= 2) for P, status in statuses.items())
+
+
+def test_dropped_action_is_caught_on_the_norm_one_elements(monkeypatch):
+    _drop_one_action(monkeypatch)
+    for P in _root_number_box():
+        with pytest.raises(characters.NotInSubgroup, match="element is not norm-one"):
             verify_root_number(P)
 
 

@@ -1,4 +1,5 @@
-"""Every public function of the package is reached by some command.
+"""Every public function of the package is reached by some command, and
+the formal-degree commands reach no function of intlinalg.
 
 The commands below run in-process under sys.setprofile; each public
 (non-underscore) function, method and property of src/tame_llc must be
@@ -13,7 +14,7 @@ import pkgutil
 import sys
 
 import tame_llc
-from tame_llc import cli
+from tame_llc import cli, intlinalg
 
 COMMANDS = [
     ["selftest"],
@@ -87,3 +88,29 @@ def test_every_public_function_is_reached_by_a_command(capsys):
 
 def test_exemptions_name_real_functions():
     assert set(EXEMPT) <= set(public_functions())
+
+
+# the formal-degree identity, dim_delta and the adjoint factors: closed
+# forms and sparse integer arithmetic, with no normal form or dense product
+FORMAL_DEGREE_COMMANDS = [
+    ["sweep", "--q", "3,5,7", "--max-n", "6", "--r", "2..4"],
+    ["factors", "--q", "3", "--e", "4", "--f", "2", "--r", "2"],
+]
+
+
+def test_formal_degree_commands_enter_no_intlinalg_function(capsys):
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == intlinalg.__file__:
+            entered.add(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in FORMAL_DEGREE_COMMANDS]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [cli.EXIT_OK] * len(FORMAL_DEGREE_COMMANDS)
+    assert not entered, sorted(entered)

@@ -14,10 +14,16 @@ from hypothesis import strategies as st
 
 from tame_llc import intlinalg, ring_model
 from tame_llc.conjectures import valid_tuples
+from tame_llc.exactnum import _factorize
+from tame_llc.intlinalg import kernel_subgroup
 from tame_llc.ring_model import (
     GaloisRing,
     Model,
     UnitGroupPresentation,
+    _base_p_digits,
+    _fp_irreducible,
+    _fp_poly_powmod,
+    _least_irreducible,
     build_model,
     centralizer_bruteforce,
     find_beta,
@@ -25,7 +31,7 @@ from tame_llc.ring_model import (
     regular_rep_matrix,
     symplectic_check,
 )
-from tame_llc.tame_galois import GalElt, gal_elements, norm_index, params_from_q
+from tame_llc.tame_galois import GAL_ID, GalElt, gal_elements, norm_index, params_from_q
 from test_intlinalg import invert_unimodular
 
 RINGS = [(3, 2, 1), (3, 2, 2), (5, 2, 1), (5, 3, 2), (7, 2, 2), (3, 4, 3)]
@@ -95,6 +101,72 @@ def test_trace_is_additive_and_frobenius_invariant(prd, data):
     mod = p ** r
     assert gf.trace_abs(gf.add(x, y)) % mod == (gf.trace_abs(x) + gf.trace_abs(y)) % mod
     assert gf.trace_abs(gf.frobenius(x)) % mod == gf.trace_abs(x) % mod
+
+
+# -- Rabin's irreducibility test, with the polynomial Euclid as its oracle -----
+
+def fp_poly_gcd(a, b, p):
+    """A gcd of a and b over F_p (coefficient lists, low degree first) by
+    the polynomial Euclid, not made monic; [] when both are zero."""
+    def trim(x):
+        while x and x[-1] == 0:
+            x.pop()
+        return x
+
+    a, b = trim([c % p for c in a]), trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * bj) % p
+            if not trim(a):
+                break
+        a, b = b, a
+    return a
+
+
+def rabin_by_euclid(h, p):
+    """Rabin's test with a gcd per prime l | d: h of degree d is irreducible
+    iff x^{p^d} = x mod h and gcd(x^{p^{d/l}} - x, h) = 1."""
+    d = len(h) - 1
+    if d == 1:
+        return True
+    x = [0, 1] + [0] * (d - 2)
+    if _fp_poly_powmod(x, p ** d, h, p) != x:
+        return False
+    for ell in _factorize(d):
+        g = _fp_poly_powmod(x, p ** (d // ell), h, p)
+        g[1] -= 1
+        if len(fp_poly_gcd(g, h, p)) != 1:
+            return False
+    return True
+
+
+def test_rank_test_matches_the_euclid_test():
+    # every monic h of degree d >= 2 over F_p, p odd, with p^d <= 3000
+    checked = 0
+    for p in (p for p in range(3, 55) if _factorize(p) == {p: 1}):
+        d = 2
+        while p ** d <= 3000:
+            for code in range(p ** d):
+                h = _base_p_digits(code, p, d) + [1]
+                assert _fp_irreducible(h, p) == rabin_by_euclid(h, p), (p, h)
+            checked += p ** d
+            d += 1
+    assert checked == 23560
+
+
+def test_least_irreducible_matches_the_euclid_search():
+    pairs = [(p, d) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+             for d in range(1, 19) if p ** d <= 10 ** 9]
+    assert len(pairs) == 88
+    for p, d in pairs:
+        least = next(h for h in (_base_p_digits(code, p, d) + [1]
+                                 for code in range(p ** d))
+                     if rabin_by_euclid(h, p))
+        assert _least_irreducible(p, d) == least, (p, d)
 
 
 # -- oracles: the schoolbook products and the coefficient-wise action --------
@@ -296,15 +368,32 @@ def test_galois_action_commutes_with_multiplication(model):
         assert lhs == rhs
 
 
+def norm_K_F(M, x):
+    """N_{K/F}(x) as the product of the conjugates of x, returned as its
+    GR-coefficient: the oracle for the norm matrix I + sum A_gamma of
+    kernel_of_norm."""
+    acc = M.one()
+    for g in gal_elements(M.P):
+        acc = M.mul(acc, M.galois_act(g, x))
+    assert not any(acc[M.gr.d:]), "norm not in F"
+    return acc[:M.gr.d]
+
+
+def norm_one_subgroup(U):
+    """U-bar from the Galois matrices, as CharacterSystem builds it."""
+    acts = {g: U.act_matrix(g) for g in gal_elements(U.M.P) if g != GAL_ID}
+    return kernel_of_norm(U, acts)
+
+
 def test_norm_and_trace_land_in_the_base(model):
     M = model
     P = M.P
     x = M.add(M.one(), M.pi())
-    nx = M.norm_K_F(x)
+    nx = norm_K_F(M, x)
     tx = M.trace_K_F(x)
     # base elements are fixed by every Galois element, so norm is multiplicative
     y = M.add(M.from_int(1), M.pow(M.pi(), 2))
-    assert M.norm_K_F(M.mul(x, y)) == M.gr.mul(nx, M.norm_K_F(y))
+    assert norm_K_F(M, M.mul(x, y)) == M.gr.mul(nx, norm_K_F(M, y))
     assert M.trace_K_F(M.add(x, y)) == M.gr.add(tx, M.trace_K_F(y))
 
 
@@ -343,10 +432,22 @@ def test_norm_one_subgroup_members_have_norm_one(model):
     M = model
     P = M.P
     U = UnitGroupPresentation(M, P.e * P.r)
-    Ubar = kernel_of_norm(M, U)
+    Ubar = norm_one_subgroup(U)
     for b in Ubar.basis:
         x = U.element_from_coords(list(b))
-        assert M.norm_K_F(x) == M.gr.one
+        assert norm_K_F(M, x) == M.gr.one
+
+
+def test_norm_matrix_rows_are_the_dlogs_of_the_norms(model):
+    # row k of I + sum A_gamma is U.dlog(N(h_k)), so the kernel from the
+    # Galois matrices is the kernel of the product of conjugates, basis and
+    # all
+    M = model
+    U = UnitGroupPresentation(M, M.P.e * M.P.r)
+    rows = [U.dlog(M.from_gr(norm_K_F(M, h))) for h in U.inv_gens]
+    oracle = kernel_subgroup(list(U.orders), rows, list(U.orders))
+    Ubar = norm_one_subgroup(U)
+    assert (Ubar.basis, Ubar.orders) == (oracle.basis, oracle.orders)
 
 
 def test_norm_kernel_is_the_whole_kernel():
@@ -357,7 +458,7 @@ def test_norm_kernel_is_the_whole_kernel():
     for P in tuples:
         M = build_model(P)
         U = UnitGroupPresentation(M, P.e * P.r)
-        Ubar = kernel_of_norm(M, U)
+        Ubar = norm_one_subgroup(U)
         assert (Ubar.order * (P.q - 1) * P.q ** (P.r - 1)
                 == U.order() * norm_index(P)), P
 

@@ -1,5 +1,6 @@
 """Galois group combinatorics for the tame parameters (p, a, e, f, m, r)."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tame_llc import tame_galois
 from tame_llc.conjectures import valid_tuples
 from tame_llc.exactnum import VerificationError
+from tame_llc.intlinalg import smith_normal_form
 from tame_llc.tame_galois import (
     GAL_ID,
     GalElt,
@@ -157,6 +159,22 @@ def test_q_that_is_not_a_prime_power_is_rejected(q):
         params_from_q(q, 1, 2, 0, 2)
 
 
+@pytest.mark.parametrize("q,p,a", [
+    (999999999989, 999999999989, 1),  # the largest prime below 10^12
+    (999983 ** 2, 999983, 2),         # 999983 is the largest prime below 10^6
+    (3 ** 30, 3, 30),
+])
+def test_q_is_factored_by_its_least_prime_factor(q, p, a):
+    P = params_from_q(q, 1, 2, 0, 2)
+    assert (P.p, P.a) == (p, a)
+
+
+@pytest.mark.parametrize("q", [2 ** 61 - 1, 1000003 ** 2])
+def test_q_above_10_12_without_a_factor_up_to_10_6_is_refused(q):
+    with pytest.raises(InvalidParams, match=r"> 10\^12 has no prime factor up to 10\^6"):
+        params_from_q(q, 1, 2, 0, 2)
+
+
 @given(st.sampled_from(POOL), st.data())
 @settings(max_examples=60)
 def test_group_law(P, data):
@@ -216,6 +234,27 @@ def test_abelianization_matches_commutator_quotient(P):
     assert abelianization_order(P) * len(commutator_subgroup(P)) == P.n
     for d in abelianization_orders(P):
         assert d > 1
+
+
+def smith_orders(P):
+    """The invariant factors of Gamma^ab from the Smith form of its 3 x 2
+    presentation, the oracle for abelianization_orders' gcd form."""
+    s, _, _ = smith_normal_form([[P.e, 0], [-P.m, P.f], [(P.l_twist - 1) % P.e, 0]])
+    return [s[i][i] for i in range(2) if s[i][i] != 1]
+
+
+def test_abelianization_gcd_form_matches_the_smith_form():
+    box = []
+    for q, e, f in itertools.product([3, 5, 7, 9, 11, 13, 25, 27], range(1, 25),
+                                     range(1, 25)):
+        for m in range(e):
+            try:
+                box.append(params_from_q(q, e, f, m, 2))
+            except InvalidParams:
+                continue
+    assert len(box) == 4988
+    for P in box:
+        assert abelianization_orders(P) == smith_orders(P), P
 
 
 @pytest.mark.parametrize("P", POOL)
