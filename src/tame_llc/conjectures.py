@@ -209,10 +209,14 @@ def valid_tuples(
 ) -> List[TameParams]:
     """All valid parameter tuples of 2 <= n <= max_n in the box, in
     deterministic order, each once however often its q or r is listed."""
-    from .tame_galois import params_from_q
+    from .tame_galois import prime_power_of_q, validate_tuple
 
     out = []
     for q in sorted(set(q_values)):
+        try:
+            p, a = prime_power_of_q(q)
+        except InvalidParams:
+            continue
         for n in range(2, max_n + 1):
             for e in range(1, n + 1):
                 if n % e:
@@ -221,7 +225,7 @@ def valid_tuples(
                 for m in range(e):
                     for r in sorted(set(r_values)):
                         try:
-                            out.append(params_from_q(q, e, f, m, r))
+                            out.append(validate_tuple(p, a, e, f, m, r))
                         except InvalidParams:
                             continue
     return out

@@ -5,22 +5,26 @@ presentations, homomorphism kernels, character extension).
 Only ring_model and characters import it: the formal-degree path does
 not enter it.
 
-All matrices here are tiny (at most a few dozen rows), so the classical
-cubic algorithms with exact big integers suffice, provided each Euclid step
-divides by the smallest entry of its column: dividing always by the row in
-the pivot slot lets the transforms of the chi-data systems grow to millions
-of bits.
+Group computations stay at the size of their group.  A Hermite form is
+unique for its lattice, so every lattice that holds d*Z^m (a subgroup with
+diag(d), a kernel's or an intersection's graph, a character's graph) takes
+`hnf_mod` modulo d, and no entry exceeds d.  `smith_normal_form` keeps S
+exact, so its pivots are those of the elimination over Z, and keeps its
+transforms modulo an order that every order they are read by divides.  Each
+Euclid step divides by the smallest entry, in `hnf_row` (kept for the
+stationary-phase solve) and in the Smith form alike.
 
 Each lattice is factored once.  `smith_normal_form` returns the column
 transform V together with its inverse, kept up to date operation by
 operation, so no transform is ever inverted afterwards.  A subgroup keeps
 its square Hermite basis and solves against it by back-substitution, and
 `solve_left` returns a particular solution together with the homogeneous
-kernel of the same Hermite form, which `extend_character` reduces by.
+kernel of the same Hermite form.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError
@@ -114,14 +118,58 @@ def hnf_row(mat: Matrix) -> Tuple[Matrix, Matrix]:
     return h, u
 
 
-def left_kernel_basis(mat: Matrix) -> Matrix:
-    """Basis rows of {y : y*mat = 0} over the integers."""
-    h, u = hnf_row(mat)
-    out = []
-    for hi, ui in zip(h, u):
-        if not any(hi):
-            out.append(ui)
-    return out
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = a*x + b*y, for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hnf_mod(rows: Sequence[Sequence[int]], d: int, m: int) -> Matrix:
+    """The square row Hermite normal form of the lattice spanned by `rows`
+    and d*Z^m (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.4.8).
+
+    The form is unique for its lattice, so it is the nonzero part of
+    hnf_row(rows + d*I).  Every row is kept modulo d, which moves it by a
+    vector of d*Z^m, inside the lattice; so each pivot divides d and every
+    other entry lies in [0, d).
+    """
+    if d < 1:
+        raise ValueError("a Hermite form modulo d needs d >= 1")
+    live = [[x % d for x in r] for r in rows]
+    h: Matrix = []
+    for c in range(m):
+        # d e_c lies in the lattice: fold every live row with a nonzero in
+        # column c into it by an extended gcd, a unimodular 2x2 step
+        piv = [0] * m
+        piv[c] = d
+        rest = []
+        for r in live:
+            x, a = r[c], piv[c]
+            if x % a == 0:
+                q = x // a
+                if q:
+                    r = [(z - q * y) % d for y, z in zip(piv, r)]
+            else:
+                g, u, w = _xgcd(a, x)
+                ag, xg = a // g, x // g
+                piv, r = ([(u * y + w * z) % d for y, z in zip(piv, r)],
+                          [(ag * z - xg * y) % d for y, z in zip(piv, r)])
+            if any(r):
+                rest.append(r)
+        live = rest
+        # reduce column c above the pivot; columns left of c are untouched
+        for i, hi in enumerate(h):
+            q = hi[c] // piv[c]
+            if q:
+                h[i] = hi[:c] + [(y - q * z) % d for y, z in zip(hi[c:], piv[c:])]
+        h.append(piv)
+    return h
 
 
 def solve_left(mat: Matrix, target: Sequence[int]) -> Tuple[Optional[List[int]], Matrix]:
@@ -204,71 +252,102 @@ def _back_substitute(h: Matrix, target: Sequence[int]) -> Optional[List[int]]:
     return y
 
 
-def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
+def _least_nonzero(row: List[int], lo: int, hi: int) -> Optional[Tuple[int, int]]:
+    """(|x|, j) for the first entry x of least nonzero |x| in row[lo:hi]."""
+    seg = row[lo:hi]
+    a = min(map(abs, filter(None, seg)), default=0)
+    if not a:
+        return None
+    return a, lo + next(j for j, x in enumerate(seg) if x == a or x == -a)
+
+
+def smith_normal_form(mat: Matrix, modulus: int) -> Tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: returns (S, V, V^{-1}) with S = U*mat*V diagonal
-    for some unimodular U, the diagonal entries nonnegative with
-    d1 | d2 | ...  V is unimodular, and its inverse is kept alongside it:
-    each column operation on V is one row operation on V^{-1}."""
+    for some unimodular U and V, the diagonal entries nonnegative with
+    d1 | d2 | ...  V^{-1} is kept alongside V: each column operation on V
+    is one row operation on V^{-1}.
+
+    S is exact, so the pivots depend on mat alone.  V and V^{-1} are the
+    exact transforms modulo `modulus`, which every order they are read by
+    must divide: an entry is reduced into [0, modulus) once its absolute
+    value reaches the modulus, and not before, so small entries keep their
+    sign."""
     s = [list(r) for r in mat]
     n = len(s)
     m = len(s[0]) if s else 0
-    v = identity_matrix(m)
+    vt = identity_matrix(m)  # V transposed: a column step on V is a row step
     vinv = identity_matrix(m)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
+    mod = modulus
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def addmul_row(dst, src, c):
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-
-    def addmul_col(dst, src, c):
+    def clear_col_steps(t, hi_c):
+        # column j -= q_j * column t for every j > t in the block, with q_j
+        # from row t.  Column t is the only source and no step changes it,
+        # so the quotients are those of the steps taken one at a time.
+        # V (I - q E_{t,j}) has inverse (I + q E_{t,j}) V^{-1}.
+        piv = s[t][t]
+        steps = [(j, q) for j in range(t + 1, hi_c) for q in (s[t][j] // piv,) if q]
+        if not steps:
+            return
         for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-        # V (I + c E_{src,dst}) has inverse (I - c E_{src,dst}) V^{-1}
-        vinv[src] = [x - c * y for x, y in zip(vinv[src], vinv[dst])]
+            x = row[t]
+            if x:
+                for j, q in steps:
+                    row[j] -= q * x
+        nz = [(k, b) for k, b in enumerate(vt[t]) if b]
+        for j, q in steps:
+            row = vt[j]
+            for k, b in nz:
+                y = row[k] - q * b
+                row[k] = y if -mod < y < mod else y % mod
+        acc = list(vinv[t])
+        for j, q in steps:
+            for k, b in enumerate(vinv[j]):
+                if b:
+                    acc[k] += q * b
+        vinv[t] = [a if -mod < a < mod else a % mod for a in acc]
 
     def diagonalize(lo, hi_r, hi_c):
         # Diagonalize the block [lo:hi_r] x [lo:hi_c].  At each pivot step
-        # move the entry of minimal absolute value to (t, t) and reduce its
-        # row and column by remainders; any surviving nonzero is strictly
-        # smaller than the pivot, so the loop terminates.
+        # move the entry of least absolute value (the first in row-major
+        # order on ties) to (t, t) and reduce its row and column by
+        # remainders; any surviving nonzero is strictly smaller than the
+        # pivot, so the loop terminates.
         t = lo
         while t < min(hi_r, hi_c):
             piv = None
             for i in range(t, hi_r):
-                for j in range(t, hi_c):
-                    if s[i][j] and (piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]])):
-                        piv = (i, j)
+                least = _least_nonzero(s[i], t, hi_c)
+                if least and (piv is None or least[0] < piv[0]):
+                    piv = (least[0], i, least[1])
+                    if least[0] == 1:
+                        break  # no later entry is smaller
             if piv is None:
                 break
-            while True:
-                swap_rows(t, piv[0])
-                swap_cols(t, piv[1])
+            while piv is not None:
+                _, pi, pj = piv
+                s[t], s[pi] = s[pi], s[t]
+                if pj != t:
+                    swap_cols(t, pj)
+                st = s[t]
+                # rows below t are zero left of column t, as is row t
                 for i in range(t + 1, hi_r):
-                    q = s[i][t] // s[t][t]
+                    q = s[i][t] // st[t]
                     if q:
-                        addmul_row(i, t, -q)
-                for j in range(t + 1, hi_c):
-                    q = s[t][j] // s[t][t]
-                    if q:
-                        addmul_col(j, t, -q)
-                piv = None
-                for i in range(t, hi_r):
-                    for j in range(t, hi_c):
-                        if (i, j) != (t, t) and s[i][j] and (i == t or j == t):
-                            if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
-                                piv = (i, j)
-                if piv is None:
-                    break
+                        si = s[i]
+                        si[t:] = [x - q * y for x, y in zip(si[t:], st[t:])]
+                clear_col_steps(t, hi_c)
+                least = _least_nonzero(st, t + 1, hi_c)
+                piv = least and (least[0], t, least[1])
+                for i in range(t + 1, hi_r):
+                    x = s[i][t]
+                    if x and (piv is None or abs(x) < piv[0]):
+                        piv = (abs(x), i, t)
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
             t += 1
@@ -286,9 +365,9 @@ def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
                 break
         if bad is None:
             break
-        addmul_row(bad, bad + 1, 1)
+        s[bad] = [x + y for x, y in zip(s[bad], s[bad + 1])]
         diagonalize(bad, bad + 2, bad + 2)
-    return s, v, vinv
+    return s, [list(r) for r in zip(*vt)], vinv
 
 
 def reduce_mod_lattice(h: Matrix, x: Sequence[int]) -> List[int]:
@@ -307,6 +386,18 @@ def reduce_mod_lattice(h: Matrix, x: Sequence[int]) -> List[int]:
 # Finite abelian groups presented as Z^s / diag(d) with extra relations
 # ---------------------------------------------------------------------------
 
+def _diag_over(h: Matrix, d: Sequence[int]) -> Matrix:
+    """diag(d) * h^{-1}, row by row by back-substitution, for h the square
+    Hermite basis of a lattice that holds diag(d), so that it is integral."""
+    rows = []
+    for target in diag(d):
+        y = _back_substitute(h, target)
+        if y is None:
+            raise VerificationError("diag(d) must lie in the subgroup lattice")
+        rows.append(y)
+    return rows
+
+
 class SubgroupPresentation:
     """A subgroup of G = (+) Z/d_i, with its own invariant-factor basis.
 
@@ -320,21 +411,12 @@ class SubgroupPresentation:
     def __init__(self, ambient_orders: Sequence[int], gen_rows: Sequence[Sequence[int]]):
         self.ambient_orders = list(ambient_orders)
         s = len(self.ambient_orders)
-        lattice_rows = [list(g) for g in gen_rows] + diag(self.ambient_orders)
-        h, _ = hnf_row(lattice_rows)
-        basis_m = [r for r in h if any(r)]
-        if len(basis_m) != s:
-            raise ValueError("subgroup lattice is not full rank (bad ambient orders?)")
+        exponent = lcm(*self.ambient_orders)
+        basis_m = hnf_mod([*gen_rows, *diag(self.ambient_orders)], exponent, s)
         self._m = basis_m  # lattice basis rows, HNF: square, upper triangular
-        # relation lattice of the generators y -> y*M mod diag(d):
-        # rows of diag(d)*M^{-1}, integral because diag(d) sits inside the lattice
-        rel = []
-        for target in diag(self.ambient_orders):
-            y = _back_substitute(basis_m, target)
-            if y is None:
-                raise VerificationError("diag(d) must lie in the subgroup lattice")
-            rel.append(y)
-        snf, v, vinv = smith_normal_form(rel)
+        # relation lattice of the generators y -> y*M mod diag(d); the
+        # subgroup's invariant factors divide the exponent of the ambient group
+        snf, v, vinv = smith_normal_form(_diag_over(basis_m, self.ambient_orders), exponent)
         self._v = v
         self._snf_orders = [snf[i][i] for i in range(s)]
         self.basis: List[List[int]] = []
@@ -377,15 +459,17 @@ def kernel_subgroup(
     """Kernel of a homomorphism (+) Z/s_i -> (+) Z/t_j given by map_rows.
 
     Row i of map_rows is the image of the i-th source generator in
-    destination coordinates.
+    destination coordinates.  The graph lattice, spanned by (A_i | e_i),
+    (t_j e_j | 0) and (0 | s_i e_i), meets 0 x Z^s in 0 x (the kernel's
+    lattice), which the Hermite rows with their pivot among the last s
+    columns span.
     """
-    s = len(src_orders)
-    if not dst_orders:
-        return SubgroupPresentation(list(src_orders), identity_matrix(s))
-    stacked = [list(r) for r in map_rows] + diag(dst_orders)
-    ker = left_kernel_basis(stacked)
-    gen_rows = [row[:s] for row in ker]
-    return SubgroupPresentation(list(src_orders), gen_rows)
+    s, t = len(src_orders), len(dst_orders)
+    graph = [list(row) + unit for row, unit in zip(map_rows, identity_matrix(s))]
+    graph += [row + [0] * s for row in diag(dst_orders)]
+    graph += [[0] * t + row for row in diag(src_orders)]
+    h = hnf_mod(graph, lcm(*src_orders, *dst_orders), t + s)
+    return SubgroupPresentation(list(src_orders), [row[t:] for row in h[t:]])
 
 
 def intersect_subgroups(
@@ -393,18 +477,17 @@ def intersect_subgroups(
     rows1: Sequence[Sequence[int]],
     rows2: Sequence[Sequence[int]],
 ) -> SubgroupPresentation:
-    """Intersection of two subgroups given by generator rows."""
+    """Intersection of two subgroups given by generator rows.
+
+    The Zassenhaus lattice, spanned by (a | a) over A's generators and
+    (b | 0) over B's, diag(d) joined to each, meets 0 x Z^s in 0 x (A cap B).
+    """
+    s = len(ambient_orders)
     d_rows = diag(ambient_orders)
-    a = [list(r) for r in rows1] + d_rows
-    b = [list(r) for r in rows2] + d_rows
-    ha, _ = hnf_row(a)
-    hb, _ = hnf_row(b)
-    ha = [r for r in ha if any(r)]
-    hb = [r for r in hb if any(r)]
-    stacked = ha + [[-x for x in r] for r in hb]
-    ker = left_kernel_basis(stacked)
-    gen_rows = [vec_mat(row[: len(ha)], ha) for row in ker]
-    return SubgroupPresentation(list(ambient_orders), gen_rows)
+    graph = [list(a) * 2 for a in [*rows1, *d_rows]]
+    graph += [list(b) + [0] * s for b in [*rows2, *d_rows]]
+    h = hnf_mod(graph, lcm(*ambient_orders), 2 * s)
+    return SubgroupPresentation(list(ambient_orders), [row[s:] for row in h[s:]])
 
 
 def extend_character(
@@ -422,35 +505,36 @@ def extend_character(
     Raises ValueError if the prescribed values are inconsistent (not an
     actual character of the subgroup).
     """
-    from math import lcm
-
     d = list(ambient_orders)
     s = len(d)
-    big = lcm(*(list(d) + [den for _, den in value_fracs])) if d else 1
-    # unknowns w_i; equations sum_i b_ji * (big/d_i) * w_i = (big/den_j)*num_j (mod big)
-    k = len(subgroup_rows)
-    a_mat: Matrix = []
-    rhs: List[int] = []
-    for j in range(k):
-        a_mat.append([subgroup_rows[j][i] * (big // d[i]) for i in range(s)])
-        num, den = value_fracs[j]
-        rhs.append((big // den) * num)
-    # solve a_mat * w == rhs (mod big), w over Z.
-    # Transpose to row form: find w with w * A^T = rhs + big*t.
-    at = [[a_mat[j][i] for j in range(k)] for i in range(s)]  # s x k
-    stacked = at + diag([big] * k)  # (s+k) x k
-    # one Hermite form gives a particular solution and the homogeneous kernel
-    y, kernel = solve_left(stacked, rhs)
-    if y is None:
+    big = lcm(*d, *(den for _, den in value_fracs))
+    # the character's graph in Z^s x Z/big: (b_j | value_j) and (d_i e_i | 0).
+    # The values are a character exactly when it meets 0 x Z/big in 0 alone,
+    # that is when the last pivot is big.
+    graph = [[*b, num * (big // den)] for b, (num, den) in zip(subgroup_rows, value_fracs)]
+    graph += [row + [0] for row in diag(d)]
+    h = hnf_mod(graph, big, s + 1)
+    if h[s][s] != big:
         raise ValueError("prescribed values are not a character of the subgroup")
-    w = y[:s]
-    # canonical representative: reduce modulo the homogeneous solution lattice
-    hom_w = [row[:s] for row in kernel]
-    # the lattice also contains d_i * e_i (changing w_i by d_i changes nothing)
-    hom_w += diag(d)
-    h, _ = hnf_row(hom_w)
-    h = [r for r in h if any(r)]
-    if len(h) != s:
-        raise VerificationError("solution lattice of a character extension is not full rank")
-    w = reduce_mod_lattice(h, w)
+    # an extension x -> sum_i x_i u_i / big must take the value h_{ks} / big
+    # on each Hermite row k; back-substitute u up the triangular rows
+    u = [0] * s
+    for k in reversed(range(s)):
+        rest = h[k][s] - sum(h[k][i] * u[i] for i in range(k + 1, s))
+        q, rem = divmod(rest, h[k][k])
+        if rem:
+            raise VerificationError("a character's graph does not back-substitute")
+        u[k] = q % big
+    w = []
+    for ui, di in zip(u, d):
+        wi, rem = divmod(ui, big // di)
+        if rem:
+            raise VerificationError("an extended character is not trivial on d_i e_i")
+        w.append(wi)
+    # canonical representative: reduce modulo the annihilator of the
+    # subgroup, {w : M diag(d)^{-1} w integral} for its Hermite basis M,
+    # which the columns of diag(d) M^{-1} span
+    rel = _diag_over([row[:s] for row in h[:s]], d)
+    ann = hnf_mod([list(col) for col in zip(*rel)], lcm(*d), s)
+    w = reduce_mod_lattice(ann, w)
     return [w[i] % d[i] for i in range(s)]

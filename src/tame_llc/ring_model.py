@@ -663,8 +663,9 @@ class UnitGroupPresentation:
     1 + x^b p^k pi^j for each level 1 <= i = ke + j < N and monomial basis
     index b.  The relation lattice (tau^{q_K - 1} = 1 and each one-unit's
     p-th power written in the generators) has determinant equal to the
-    group order, so it is the full lattice and Smith normal form yields the
-    group structure.
+    group order |U| = (q_K - 1) q_K^{N-1}, so it is the full lattice and
+    Smith normal form yields the group structure; the invariant factors are
+    checked to multiply to |U|, and the Smith transforms are kept modulo it.
 
     Powers come from lists of repeated squares, one list per element,
     extended only as far as an exponent needs: the raw generators share
@@ -693,8 +694,15 @@ class UnitGroupPresentation:
             row = [-x for x in self._raw_dlog(M.pow(gens[idx], p))]
             row[idx] += p
             rows.append(row)
-        s, self._v, vinv = smith_normal_form(rows)
+        # |U| = (q_K - 1) q_K^{N-1}; every order V and V^{-1} are read by
+        # below divides it
+        order = (M.P.q_K - 1) * M.P.q_K ** (N - 1)
+        s, self._v, vinv = smith_normal_form(rows, order)
         self.all_orders = [s[i][i] for i in range(len(gens))]
+        if prod(self.all_orders) != order:
+            raise VerificationError(
+                f"unit group invariant factors multiply to {prod(self.all_orders)}, "
+                f"not |U| = {order}")
         self._keep = [i for i, d in enumerate(self.all_orders) if d != 1]
         self.orders = [self.all_orders[i] for i in self._keep]
         # gens[i] has raw exponents e_i, so its coordinates _coords(e_i) are

@@ -86,12 +86,9 @@ def _least_prime_factor(n: int) -> int:
     return d
 
 
-def validate_params(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParams:
-    """Check all tameness constraints; raise InvalidParams naming the violation."""
-    if p < 3 or _least_prime_factor(p) != p:
-        raise InvalidParams(f"p = {p} must be an odd prime")
-    if a < 1:
-        raise InvalidParams(f"a = {a} must be positive")
+def validate_tuple(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParams:
+    """Check the tameness constraints on (e, f, m, r) over q = p^a, with
+    (p, a) from prime_power_of_q; raise InvalidParams naming the violation."""
     if e < 1 or f < 1:
         raise InvalidParams(f"e = {e}, f = {f} must be positive")
     q = p ** a
@@ -111,16 +108,24 @@ def validate_params(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParam
     return TameParams(p=p, a=a, q=q, e=e, f=f, m=m, r=r)
 
 
-def params_from_q(q: int, e: int, f: int, m: int, r: int) -> TameParams:
-    """Convenience wrapper: factor q = p^a, p its least prime factor, and
-    validate."""
+def prime_power_of_q(q: int) -> Tuple[int, int]:
+    """(p, a) with q = p^a, a >= 1, for p the least prime factor of q,
+    which must be odd.  A box factors each q once, not once per tuple."""
     p = _least_prime_factor(q) if q >= 2 else 2  # no q < 2 is a power of 2
     a = 1
     while p ** a < q:
         a += 1
     if p ** a != q:
         raise InvalidParams(f"q = {q} is not a prime power")
-    return validate_params(p, a, e, f, m, r)
+    if p < 3:
+        raise InvalidParams(f"p = {p} must be an odd prime")
+    return p, a
+
+
+def params_from_q(q: int, e: int, f: int, m: int, r: int) -> TameParams:
+    """Convenience wrapper: factor q = p^a, p its least prime factor, and
+    validate."""
+    return validate_tuple(*prime_power_of_q(q), e, f, m, r)
 
 
 class GalElt(NamedTuple):

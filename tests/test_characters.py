@@ -153,23 +153,24 @@ def test_twist_conductors_match_prediction(tup):
 
 
 def test_chi_data_hnf_entries_stay_small(monkeypatch):
-    # the largest bit length of any H or U that hnf_row returns while the
-    # chi-data is built: a deterministic counter, never wall time
+    # every Hermite form taken while the chi-data is built is taken modulo
+    # the exponent of its lattice, and no entry but a pivot equal to the
+    # modulus reaches it: a deterministic bound, never wall time
     from tame_llc import intlinalg
 
-    inner = intlinalg.hnf_row
-    largest = [0]
+    inner = intlinalg.hnf_mod
+    sizes = []
 
-    def measured(mat):
-        h, u = inner(mat)
-        bits = [abs(x).bit_length() for row in h + u for x in row]
-        largest[0] = max([largest[0]] + bits)
-        return h, u
+    def measured(rows, d, m):
+        h = inner(rows, d, m)
+        sizes.append(all(0 <= x < d or (i == j and x == d)
+                         for i, row in enumerate(h) for j, x in enumerate(row)))
+        return h
 
-    monkeypatch.setattr(intlinalg, "hnf_row", measured)
+    monkeypatch.setattr(intlinalg, "hnf_mod", measured)
     for tup in [(9, 2, 2, 0, 4), (3, 2, 2, 0, 8)]:
         CharacterSystem(build_model(params_from_q(*tup))).c_char()
-    assert 0 < largest[0] <= 1000
+    assert sizes and all(sizes)
 
 
 def test_gauss_sum_methods_agree():

@@ -185,6 +185,22 @@ def test_large_q_is_refused_quickly(q, reason):
     assert len(out.stderr.splitlines()) == 1 and reason in out.stderr
 
 
+@pytest.mark.parametrize("q,code,lines", [
+    # refused at the first trial division, not once per tuple
+    (2 ** 61 - 1, cli.EXIT_USAGE, 0),
+    # a prime: 168 of the box's 385 (n, e, m, r) are valid tuples
+    (999999999989, cli.EXIT_OK, 505),
+])
+def test_large_q_sweep_factors_q_once(q, code, lines):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-m", "tame_llc.cli", "sweep", "--q", str(q),
+         "--max-n", "8", "--r", "2..8"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == code
+    assert len(out.stdout.splitlines()) == lines
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["--q", "3,x", "--r", "2"], "'x' is neither an integer nor lo..hi"),
     (["--q", "3", "--r", "5..2"], "'5..2' is an empty range"),

@@ -15,11 +15,11 @@ from tame_llc.intlinalg import (
     diag,
     extend_character,
     fp_echelon,
+    hnf_mod,
     hnf_row,
     identity_matrix,
     intersect_subgroups,
     kernel_subgroup,
-    left_kernel_basis,
     mat_mul,
     reduce_mod_lattice,
     smith_normal_form,
@@ -37,6 +37,103 @@ def invert_unimodular(mat):
     return u
 
 
+def left_kernel_basis(mat):
+    """Basis rows of {y : y*mat = 0} over the integers: the rows of U beside
+    the zero rows of H."""
+    h, u = hnf_row(mat)
+    return [ui for hi, ui in zip(h, u) if not any(hi)]
+
+
+def smith_over_z(mat):
+    """smith_normal_form with exact transforms, pivot by pivot as the
+    product takes it: the oracle for its S and, modulo the modulus, for its
+    V and V^{-1}."""
+    s = [list(r) for r in mat]
+    n = len(s)
+    m = len(s[0]) if s else 0
+    v = identity_matrix(m)
+    vinv = identity_matrix(m)
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def addmul_row(dst, src, c):
+        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
+
+    def addmul_col(dst, src, c):
+        for row in s:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+        vinv[src] = [x - c * y for x, y in zip(vinv[src], vinv[dst])]
+
+    def diagonalize(lo, hi_r, hi_c):
+        t = lo
+        while t < min(hi_r, hi_c):
+            piv = None
+            for i in range(t, hi_r):
+                for j in range(t, hi_c):
+                    if s[i][j] and (piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]])):
+                        piv = (i, j)
+            if piv is None:
+                break
+            while True:
+                s[t], s[piv[0]] = s[piv[0]], s[t]
+                swap_cols(t, piv[1])
+                for i in range(t + 1, hi_r):
+                    q = s[i][t] // s[t][t]
+                    if q:
+                        addmul_row(i, t, -q)
+                for j in range(t + 1, hi_c):
+                    q = s[t][j] // s[t][t]
+                    if q:
+                        addmul_col(j, t, -q)
+                piv = None
+                for i in range(t, hi_r):
+                    for j in range(t, hi_c):
+                        if (i, j) != (t, t) and s[i][j] and (i == t or j == t):
+                            if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
+                                piv = (i, j)
+                if piv is None:
+                    break
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+            t += 1
+
+    diagonalize(0, n, m)
+    while True:
+        bad = next((i for i in range(min(n, m) - 1)
+                    if s[i][i] and s[i + 1][i + 1] % s[i][i]), None)
+        if bad is None:
+            break
+        addmul_row(bad, bad + 1, 1)
+        diagonalize(bad, bad + 2, bad + 2)
+    return s, v, vinv
+
+
+def presentation_over_z(ambient_orders, gen_rows):
+    """(Hermite basis, basis, orders) of the subgroup that gen_rows generate,
+    by hnf_row and smith_over_z: the oracle for SubgroupPresentation."""
+    s = len(ambient_orders)
+    h = [r for r in hnf_row([list(g) for g in gen_rows] + diag(ambient_orders))[0] if any(r)]
+    rel = []
+    for target in diag(ambient_orders):
+        y, _ = solve_left(h, target)
+        rel.append(y)
+    snf, _, vinv = smith_over_z(rel)
+    basis, orders = [], []
+    for j in range(s):
+        if snf[j][j] != 1:
+            row = vec_mat(vinv[j], h)
+            basis.append([c % d for c, d in zip(row, ambient_orders)])
+            orders.append(snf[j][j])
+    return h, basis, orders
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
         lambda m: st.lists(
@@ -47,9 +144,21 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+tall_matrices = st.integers(1, 8).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-50, 50), min_size=m, max_size=m),
+            min_size=n, max_size=n,
+        )
+    )
+)
+
+
 @given(small_matrices)
 def test_smith_normal_form_is_a_change_of_basis(mat):
-    s, v, vinv = smith_normal_form(mat)
+    # the exact oracle: the product's S and, modulo the modulus, its V and
+    # V^{-1} are checked against it below
+    s, v, vinv = smith_over_z(mat)
     m = len(mat[0])
     # V is invertible over the integers, and the returned inverse is exact
     assert mat_mul(v, vinv) == identity_matrix(m)
@@ -59,9 +168,22 @@ def test_smith_normal_form_is_a_change_of_basis(mat):
     assert hnf_row(mat_mul(mat, v))[0] == hnf_row(s)[0]
 
 
-@given(small_matrices)
-def test_smith_diagonal_divisibility_chain(mat):
-    s, _, _ = smith_normal_form(mat)
+@given(st.one_of(small_matrices, tall_matrices), st.integers(2, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_smith_normal_form_takes_the_exact_path_modulo(mat, modulus):
+    # the same pivots, so the same S; V and V^{-1} agree with the exact
+    # transforms modulo the modulus, and no entry reaches it
+    s, v, vinv = smith_normal_form(mat, modulus)
+    s_z, v_z, vinv_z = smith_over_z(mat)
+    assert s == s_z
+    for got, exact in ((v, v_z), (vinv, vinv_z)):
+        assert all((x - y) % modulus == 0 for r, rz in zip(got, exact) for x, y in zip(r, rz))
+        assert all(abs(x) < modulus for r in got for x in r)
+
+
+@given(small_matrices, st.integers(2, 100))
+def test_smith_diagonal_divisibility_chain(mat, modulus):
+    s, _, _ = smith_normal_form(mat, modulus)
     diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
     for i in range(len(diag)):
         for j in range(len(s[0])):
@@ -75,16 +197,6 @@ def test_smith_diagonal_divisibility_chain(mat):
 def test_hnf_transform_reproduces_the_form(mat):
     h, t = hnf_row(mat)
     assert mat_mul(t, mat) == h
-
-
-tall_matrices = st.integers(1, 8).flatmap(
-    lambda n: st.integers(1, 4).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(-50, 50), min_size=m, max_size=m),
-            min_size=n, max_size=n,
-        )
-    )
-)
 
 
 def _hnf_slot_euclid(mat):
@@ -130,6 +242,19 @@ def test_hnf_is_the_canonical_form(mat):
         assert all(0 <= h[k][j] < h[i][j] for k in range(i))
     # the HNF is unique, so any correct elimination order gives the same H
     assert h == _hnf_slot_euclid(mat)
+
+
+@given(st.one_of(small_matrices, tall_matrices), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_hnf_mod_is_the_hermite_form_of_the_lattice(mat, d):
+    # rows and d*Z^m span a lattice holding diag(d); its unique Hermite
+    # form is hnf_row's nonzero rows, and every entry stays below d
+    m = len(mat[0])
+    h = hnf_mod(mat, d, m)
+    assert h == [r for r in hnf_row(mat + diag([d] * m))[0] if any(r)]
+    assert all(d % h[i][i] == 0 for i in range(m))
+    assert all(0 <= x < d for i, r in enumerate(h) for j, x in enumerate(r) if j != i)
+    assert hnf_mod([], d, m) == diag([d] * m)
 
 
 @given(small_matrices)
@@ -258,9 +383,10 @@ def test_subgroup_coords_match_the_stacked_solve(orders, data):
 
 
 def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
-    """extend_character as it was with one Hermite form per question: a
-    particular solution by solve_left, the homogeneous kernel by
-    left_kernel_basis, both of the same stacked matrix."""
+    """extend_character over Z, before the modular Hermite forms: one
+    Hermite form of the transposed system stacked on big*I gives a
+    particular solution and the homogeneous kernel, and a second one, of
+    that kernel with diag(d), reduces the solution."""
     d = list(ambient_orders)
     s = len(d)
     big = lcm(*(d + [den for _, den in value_fracs]))
@@ -268,10 +394,10 @@ def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
     at = [[subgroup_rows[j][i] * (big // d[i]) for j in range(k)] for i in range(s)]
     rhs = [(big // den) * num for num, den in value_fracs]
     stacked = at + diag([big] * k)
-    y, _ = solve_left(stacked, rhs)
+    y, kernel = solve_left(stacked, rhs)
     if y is None:
         raise ValueError("prescribed values are not a character of the subgroup")
-    hom_w = [row[:s] for row in left_kernel_basis(stacked)] + diag(d)
+    hom_w = [row[:s] for row in kernel] + diag(d)
     h = [r for r in hnf_row(hom_w)[0] if any(r)]
     if len(h) != s:
         raise VerificationError("solution lattice is not full rank")
@@ -279,9 +405,56 @@ def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
     return [w[i] % d[i] for i in range(s)]
 
 
+def kernel_subgroup_over_z(src_orders, map_rows, dst_orders):
+    """kernel_subgroup before the modular Hermite forms: the left kernel of
+    the map stacked on diag(t), over Z, presented by presentation_over_z."""
+    s = len(src_orders)
+    if not dst_orders:
+        return presentation_over_z(src_orders, identity_matrix(s))
+    ker = left_kernel_basis([list(r) for r in map_rows] + diag(dst_orders))
+    return presentation_over_z(src_orders, [row[:s] for row in ker])
+
+
+def intersect_subgroups_over_z(ambient_orders, rows1, rows2):
+    """intersect_subgroups before the modular Hermite forms: both Hermite
+    bases, and the left kernel of one stacked on the other's negative."""
+    d_rows = diag(ambient_orders)
+    ha = [r for r in hnf_row([list(r) for r in rows1] + d_rows)[0] if any(r)]
+    hb = [r for r in hnf_row([list(r) for r in rows2] + d_rows)[0] if any(r)]
+    ker = left_kernel_basis(ha + [[-x for x in r] for r in hb])
+    return presentation_over_z(ambient_orders, [vec_mat(row[:len(ha)], ha) for row in ker])
+
+
+group_orders = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=3)
+
+
+@given(group_orders, group_orders, st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_subgroup_matches_the_z_route(src, dst, data):
+    # rows need not define a homomorphism: both routes take the kernel
+    # lattice {x : x A = 0 mod t} plus diag(s)
+    rows = [[data.draw(st.integers(-20, 20)) for _ in dst] for _ in src]
+    ker = kernel_subgroup(src, rows, dst)
+    assert (ker._m, ker.basis, ker.orders) == kernel_subgroup_over_z(src, rows, dst)
+
+
+@given(group_orders, st.data())
+@settings(max_examples=200, deadline=None)
+def test_intersect_subgroups_matches_the_z_route(orders, data):
+    def gens():
+        count = data.draw(st.integers(0, 3))
+        return [[data.draw(st.integers(-20, 20)) for _ in orders] for _ in range(count)]
+
+    a, b = gens(), gens()
+    sub = SubgroupPresentation(orders, a)
+    assert (sub._m, sub.basis, sub.orders) == presentation_over_z(orders, a)
+    cap = intersect_subgroups(orders, a, b)
+    assert (cap._m, cap.basis, cap.orders) == intersect_subgroups_over_z(orders, a, b)
+
+
 @given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]), min_size=1, max_size=3),
        st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_extend_character_matches_the_two_hnf_route(orders, data):
     count = data.draw(st.integers(1, 3))
     rows = [[data.draw(st.integers(0, d - 1)) for d in orders] for _ in range(count)]

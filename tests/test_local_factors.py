@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tame_llc.exactnum import Cyclotomic, PoleAtPoint, VerificationError
-from tame_llc.intlinalg import hnf_row, left_kernel_basis
+from tame_llc.intlinalg import hnf_row
 from tame_llc.local_factors import (
     BruteForceUnsupported,
     _ad_blocks,
@@ -28,7 +28,7 @@ from tame_llc.local_factors import (
 from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.tame_galois import GAL_ID, order_two_set
 
-from test_intlinalg import _rank_over_q
+from test_intlinalg import _rank_over_q, left_kernel_basis
 
 
 # -- lambda factors ---------------------------------------------------------

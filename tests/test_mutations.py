@@ -287,6 +287,15 @@ def _theta_exponent_plus_one(monkeypatch):
     monkeypatch.setattr(characters.CharacterSystem, "theta", property(mutated))
 
 
+def _transforms_modulo_q_k_minus_one(monkeypatch):
+    # U's Smith transforms kept modulo q_K - 1, the order of tau, instead of
+    # |U| = (q_K - 1) q_K^{N-1}, at the binding UnitGroupPresentation reads;
+    # row 0 of the relations is (q_K - 1, 0, ..., 0)
+    smith_normal_form = ring_model.smith_normal_form
+    monkeypatch.setattr(ring_model, "smith_normal_form",
+                        lambda rows, modulus: smith_normal_form(rows, rows[0][0]))
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -338,6 +347,10 @@ ROWS = {
         (_perturb_one_cp_image, _ramified_root_number_box, verify_root_number),
     "Galois matrix: perturb one entry":
         (_perturb_one_galois_matrix_entry, _root_number_box, verify_root_number),
+    # |U| / p would survive: it is still a multiple of every order V and
+    # V^{-1} are read by
+    "UnitGroupPresentation: Smith transforms modulo q_K - 1":
+        (_transforms_modulo_q_k_minus_one, _root_number_box, verify_root_number),
     "CharacterSystem.theta: add one to one exponent":
         (_theta_exponent_plus_one, _root_number_box, verify_root_number),
 }
@@ -411,6 +424,17 @@ def test_dropped_action_is_caught_on_the_norm_one_elements(monkeypatch):
     for P in _root_number_box():
         with pytest.raises(characters.NotInSubgroup, match="element is not norm-one"):
             verify_root_number(P)
+
+
+def test_transforms_modulo_q_k_minus_one_put_units_outside_their_subgroups(monkeypatch):
+    _transforms_modulo_q_k_minus_one(monkeypatch)
+    messages = []
+    for P in _root_number_box():
+        with pytest.raises(characters.NotInSubgroup) as ex:
+            verify_root_number(P)
+        messages.append(str(ex.value))
+    assert sorted(set(messages)) == ["element is not norm-one", "x is not in 1 + p^l O_K"]
+    assert messages.count("element is not norm-one") == 27, messages
 
 
 def test_perturbed_theta_is_caught_on_h(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tame_llc import intlinalg, ring_model
 from tame_llc.conjectures import valid_tuples
-from tame_llc.exactnum import _factorize
+from tame_llc.exactnum import VerificationError, _factorize
 from tame_llc.intlinalg import kernel_subgroup
 from tame_llc.ring_model import (
     GaloisRing,
@@ -32,7 +32,7 @@ from tame_llc.ring_model import (
     symplectic_check,
 )
 from tame_llc.tame_galois import GAL_ID, GalElt, gal_elements, norm_index, params_from_q
-from test_intlinalg import invert_unimodular
+from test_intlinalg import smith_over_z
 
 RINGS = [(3, 2, 1), (3, 2, 2), (5, 2, 1), (5, 3, 2), (7, 2, 2), (3, 4, 3)]
 
@@ -503,15 +503,24 @@ def test_generator_coordinates_are_their_dlogs(model):
 
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 4), (3, 4, 2, 0, 3),
                                  (5, 2, 2, 1, 5), (7, 3, 1, 0, 3)])
-def test_invariant_generators_match_raw_exponents(tup):
+def test_invariant_generators_match_raw_exponents(tup, monkeypatch):
     # inv_gens reduces its exponents by orders that hold exactly in the
     # model ring, so every generator is the one the raw exponents give
     P = params_from_q(*tup)
     M = build_model(P)
     top = P.e * P.r
+    relations = []
+    smith_normal_form = ring_model.smith_normal_form
+
+    def recorded(rows, modulus):
+        relations.append(rows)
+        return smith_normal_form(rows, modulus)
+
+    monkeypatch.setattr(ring_model, "smith_normal_form", recorded)
     for N in range(1, top + 1):
         U = UnitGroupPresentation(M, N)
-        vinv = invert_unimodular(U._v)
+        # the exact V^{-1}: the product keeps it modulo |U| only
+        _, _, vinv = smith_over_z(relations[-1])
         raw = []
         for k in U._keep:
             h = M.one()
@@ -526,6 +535,40 @@ def test_invariant_generators_match_raw_exponents(tup):
             while v < top:
                 v, t = min(v + P.e, P.p * v), t + 1
             assert M.pow(g, P.p ** t) == M.one()
+
+
+def test_unit_group_order_is_checked(model, monkeypatch):
+    # the invariant factors must multiply to |U| = (q_K - 1) q_K^{N-1}, the
+    # modulus the Smith transforms are kept in
+    smith_normal_form = ring_model.smith_normal_form
+
+    def doubled(rows, modulus):
+        s, v, vinv = smith_normal_form(rows, modulus)
+        s[-1][-1] *= 2
+        return s, v, vinv
+
+    monkeypatch.setattr(ring_model, "smith_normal_form", doubled)
+    with pytest.raises(VerificationError, match="invariant factors multiply to"):
+        UnitGroupPresentation(model, model.P.e * model.P.r)
+
+
+def test_unit_group_transforms_stay_below_the_group_order(monkeypatch):
+    # V and V^{-1} are kept modulo |U|; over Z they reached 15,226 and
+    # 18,145 bits at (3,1,2,0,100), against 317 bits for |U|
+    P = params_from_q(3, 1, 2, 0, 100)
+    N = P.e * P.r
+    results = []
+    smith_normal_form = ring_model.smith_normal_form
+
+    def recorded(rows, modulus):
+        results.append(smith_normal_form(rows, modulus))
+        return results[-1]
+
+    monkeypatch.setattr(ring_model, "smith_normal_form", recorded)
+    UnitGroupPresentation(build_model(P), N)
+    _, v, vinv = results[0]
+    bits = ((P.q_K - 1) * P.q_K ** (N - 1)).bit_length()
+    assert max(abs(x).bit_length() for mat in (v, vinv) for row in mat for x in row) <= bits
 
 
 @pytest.mark.parametrize("tup", [(11, 2, 2, 1, 8), (3, 2, 2, 0, 8)])

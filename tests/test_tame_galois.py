@@ -27,7 +27,6 @@ from tame_llc.tame_galois import (
     norm_index,
     order_two_set,
     params_from_q,
-    validate_params,
     weighted_conductor_sum,
 )
 
@@ -150,7 +149,7 @@ def test_presentation_matches_enumeration(q):
 ])
 def test_invalid_parameters_are_rejected(p, a, e, f, m, r):
     with pytest.raises(InvalidParams):
-        validate_params(p, a, e, f, m, r)
+        params_from_q(p ** a, e, f, m, r)
 
 
 @pytest.mark.parametrize("q", [0, 1, -3, 6, 12])
@@ -239,7 +238,9 @@ def test_abelianization_matches_commutator_quotient(P):
 def smith_orders(P):
     """The invariant factors of Gamma^ab from the Smith form of its 3 x 2
     presentation, the oracle for abelianization_orders' gcd form."""
-    s, _, _ = smith_normal_form([[P.e, 0], [-P.m, P.f], [(P.l_twist - 1) % P.e, 0]])
+    # |Gamma^ab| divides |Gamma| = ef, a modulus for the unread transforms
+    s, _, _ = smith_normal_form([[P.e, 0], [-P.m, P.f], [(P.l_twist - 1) % P.e, 0]],
+                                P.e * P.f)
     return [s[i][i] for i in range(2) if s[i][i] != 1]
 
 
