@@ -23,8 +23,8 @@ conductor brute forcing and Gauss sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
-from operator import mul
+from math import gcd, isqrt, prod
+from operator import mod, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError, _factorize
@@ -369,7 +369,6 @@ class Model:
     P: TameParams
     gr: GaloisRing
     tau: GRElt                # Teichmuller generator of order q_K - 1
-    tau_res_log: Dict[GRElt, int]  # residue -> exponent of tau
     c_exp: int
     zeta_exp: int             # zeta_e = tau^zeta_exp
     t_exp: int                # t = tau^t_exp
@@ -394,6 +393,17 @@ class Model:
             e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.c)))
         self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
         self._trace_vec: Optional[List[int]] = None
+        # residue_log's baby steps: residue of tau^j -> j for j < m, with
+        # m = ceil(sqrt(q_K - 1)); and its giant step, tau^{-m} mod p
+        L = self.P.q_K - 1
+        m = isqrt(L - 1) + 1
+        tau_res = gr.residue(self.tau)
+        cur = gr.residue(gr.one)
+        self._baby_steps: Dict[GRElt, int] = {}
+        for j in range(m):
+            self._baby_steps[cur] = j
+            cur = gr.residue(gr.mul(cur, tau_res))
+        self._giant_step = gr.residue(gr.pow(self.tau, L - m))
 
     # -- element construction ----------------------------------------------
 
@@ -457,8 +467,20 @@ class Model:
         return self.gr.is_unit(x[:self.gr.d])
 
     def residue_log(self, x: Elt) -> int:
-        """The exponent k with x = tau^k mod pi, for a unit x."""
-        return self.tau_res_log[self.gr.residue(x[:self.gr.d])]
+        """The exponent k < q_K - 1 with x = tau^k mod pi, by Shanks' baby-step
+        giant-step in the residue field: the first i with x tau^{-i m} a baby
+        step tau^j gives k = i m + j.  A non-unit meets no baby step in m + 1
+        giant steps and raises VerificationError."""
+        gr = self.gr
+        baby, giant = self._baby_steps, self._giant_step
+        m = len(baby)
+        y = gr.residue(x[:gr.d])
+        for i in range(m + 1):
+            j = baby.get(y)
+            if j is not None:
+                return i * m + j
+            y = gr.residue(gr.mul(y, giant))
+        raise VerificationError("residue_log of a non-unit")
 
     def inv(self, x: Elt) -> Elt:
         if not self.is_unit(x):
@@ -578,12 +600,6 @@ def build_model(P: TameParams) -> Model:
     qK = P.q_K
     # Teichmuller generator of order qK - 1
     tau = gr.teichmuller(residue_generator(gr))
-    res_log: Dict[GRElt, int] = {}
-    cur = gr.one
-    for k in range(qK - 1):
-        res_log[gr.residue(cur)] = k
-        cur = gr.mul(cur, tau)
-
     e, f, m, q = P.e, P.f, P.m, P.q
     L = qK - 1
     S = sum(pow(q, s * (f - 1), L) for s in range(f)) % L
@@ -601,7 +617,7 @@ def build_model(P: TameParams) -> Model:
                 t_exp = (t0 + k * (L // g1)) % L
                 if (S * t_exp - m * z_exp) % L == 0:
                     model = Model(
-                        P, gr, tau, res_log,
+                        P, gr, tau,
                         c_exp=c_exp, zeta_exp=z_exp, t_exp=t_exp,
                     )
                     _verify_model(model)
@@ -687,8 +703,15 @@ class UnitGroupPresentation:
                 self.levels.append((i, b))
         self.gens = gens
         self._inv_pows: Dict[int, List[Elt]] = {}  # filled by _inverse_power
+        # _raw_dlog's plan: level i = k e + j reads slice j of the flat tuple,
+        # whose coefficients are p^k times the digits of gens[base:base + d];
+        # and _is_one_mod's modulus of each coefficient, p^{ceil((N - j)/e)}
+        # on slice j
+        e, d, p = M.e, M.gr.d, M.P.p
+        self._plan: List[Tuple[int, int, int, int]] = [
+            (i, (i % e) * d, p ** (i // e), 1 + (i - 1) * d) for i in range(1, N)]
+        self._one_mods: List[int] = [p ** -((j - N) // e) for j in range(e) for _ in range(d)]
         # relations: tau^{q_K - 1} = 1, and gens[i]^p written in the gens
-        p = M.P.p
         rows: List[List[int]] = [[M.P.q_K - 1] + [0] * (len(gens) - 1)]
         for idx in range(1, len(gens)):
             row = [-x for x in self._raw_dlog(M.pow(gens[idx], p))]
@@ -772,13 +795,16 @@ class UnitGroupPresentation:
     def _raw_dlog(self, x: Elt) -> List[int]:
         """Exponents of x in self.gens, one digit per generator.
 
-        The Teichmuller digit k0 is divided out by tau^{L - k0}, L = q_K - 1
-        the exact order of tau; each one-unit digit c by gens[idx]^{-c} from
+        The Teichmuller digit k0 = residue_log(x) is divided out by
+        tau^{L - k0}, L = q_K - 1 the exact order of tau.  Then each step of
+        _plan reads level i = k e + j: once the digits below it are divided
+        out, slice j of what is left (less 1 on slice 0) is p^k times the
+        level's digits mod p, and one divmod by p^k gives both the
+        divisibility check and a digit c, divided out by gens[idx]^{-c} from
         _inverse_power.  So no digit inverts anything.
         """
         M = self.M
-        gr = M.gr
-        d = gr.d
+        d = M.gr.d
         p = M.P.p
         if not M.is_unit(x):
             raise VerificationError("dlog of a non-unit")
@@ -787,30 +813,28 @@ class UnitGroupPresentation:
         w[0] = k0
         cur = x
         if k0:
-            cur = M.mul(x, M.from_gr(gr.pow(M.tau, M.P.q_K - 1 - k0)))
-        for i in range(1, self.N):
-            # cur = 1 + v pi^i mod pi^{i+1}; read off v's residue coefficients
-            k, ii = divmod(i, M.e)
-            coeff = cur[ii * d:(ii + 1) * d]
-            if ii == 0:
-                coeff = gr.sub(coeff, gr.one)
-            pk = p ** k
-            if any(a % pk for a in coeff):
-                raise VerificationError(f"dlog: level {i} digit not divisible by p^{k}")
-            base = 1 + (i - 1) * d
+            cur = M.mul(x, M.from_gr(M.gr.pow(M.tau, M.P.q_K - 1 - k0)))
+        for i, off, pk, base in self._plan:
+            coeff = cur[off:off + d]
+            if not off:
+                coeff = (coeff[0] - 1,) + coeff[1:]
             for b, a in enumerate(coeff):
-                cb = (a // pk) % p
-                if cb:
-                    w[base + b] = cb
-                    inv_pow = self._inverse_power(base + b, cb)
-                    cur = M.mul(cur, inv_pow)
+                c, rest = divmod(a, pk)
+                if rest:
+                    raise VerificationError(
+                        f"dlog: level {i} digit not divisible by p^{i // M.e}")
+                c %= p
+                if c:
+                    w[base + b] = c
+                    cur = M.mul(cur, self._inverse_power(base + b, c))
         if not self._is_one_mod(cur):
             raise VerificationError("dlog failed to terminate")
         return w
 
     def _is_one_mod(self, x: Elt) -> bool:
-        diff = self.M.sub(x, self.M.one())
-        return self.M.pi_valuation(diff) >= self.N
+        """x = 1 mod pi^N: each coefficient of x - 1 is divisible by its
+        slice's modulus."""
+        return not any(map(mod, (x[0] - 1,) + x[1:], self._one_mods))
 
     def dlog(self, x: Elt) -> List[int]:
         """Coordinates of x in the invariant-factor basis."""

@@ -296,6 +296,18 @@ def _transforms_modulo_q_k_minus_one(monkeypatch):
                         lambda rows, modulus: smith_normal_form(rows, rows[0][0]))
 
 
+def _residue_log_plus_one(monkeypatch):
+    # one added to every nonzero residue-field logarithm; the Teichmuller
+    # digit of a dlog then leaves a unit that is not 1 mod pi
+    residue_log = ring_model.Model.residue_log
+
+    def mutated(self, x):
+        k = residue_log(self, x)
+        return k + 1 if k else k
+
+    monkeypatch.setattr(ring_model.Model, "residue_log", mutated)
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -351,6 +363,8 @@ ROWS = {
     # V^{-1} are read by
     "UnitGroupPresentation: Smith transforms modulo q_K - 1":
         (_transforms_modulo_q_k_minus_one, _root_number_box, verify_root_number),
+    "residue_log: add one to every nonzero answer":
+        (_residue_log_plus_one, _root_number_box, verify_root_number),
     "CharacterSystem.theta: add one to one exponent":
         (_theta_exponent_plus_one, _root_number_box, verify_root_number),
 }
@@ -408,6 +422,13 @@ def test_perturbed_piece_conductor_is_caught_by_the_conductor_sum(monkeypatch):
     _one_conductor_plus_f(monkeypatch)
     for P in _root_number_box():
         with pytest.raises(VerificationError, match="twist conductors add up to"):
+            verify_root_number(P)
+
+
+def test_perturbed_residue_log_is_caught_by_the_digit_check(monkeypatch):
+    _residue_log_plus_one(monkeypatch)
+    for P in _root_number_box():
+        with pytest.raises(VerificationError, match=r"dlog: level \d+ digit not divisible by p\^\d+"):
             verify_root_number(P)
 
 

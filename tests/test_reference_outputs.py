@@ -20,9 +20,10 @@ from tame_llc import cli
 
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
-# the selftest report (28,356 bytes), and two `factors` reports whose
-# adjoint L-factors the decomposition route multiplies out of cube and of
-# fourth roots of unity
+# the selftest report (28,356 bytes), two `factors` reports whose adjoint
+# L-factors the decomposition route multiplies out of cube and of fourth
+# roots of unity, and two root numbers past a million residues (q_K = 11^6
+# and 13^6)
 PINNED = {
     "selftest --format json":
         "90af7b013cbb548fa3c3e3b5165aa050f0b31dbf773adaff95cb26ede59b605b",
@@ -30,6 +31,10 @@ PINNED = {
         "c576f07cce19e1686606540907a26f0b4d13efe509f76e065b702561471fc0c4",
     "factors --q 5 --e 1 --f 4 --r 3":
         "b580e40ad0c9f29055e811e915ad5387d9d09db177336d9560aa5aecdf2c3e1d",
+    "verify root-number --q 11 --e 1 --f 6 --m 0 --r 3 --format json":
+        "938f1a7315705d7c4c731dbe7a8a73aa53a9e06747d19e4aee01a75802844974",
+    "verify root-number --q 13 --e 1 --f 6 --m 0 --r 3 --format json":
+        "354ac2ed3b8901b3d3bb2a66a9644c32b87478e904e99eb6038d8ba9cfc185d5",
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tame_llc import intlinalg, ring_model
-from tame_llc.conjectures import valid_tuples
+from tame_llc.conjectures import root_number_supported, valid_tuples
 from tame_llc.exactnum import VerificationError, _factorize
 from tame_llc.intlinalg import kernel_subgroup
 from tame_llc.ring_model import (
@@ -633,6 +633,69 @@ def test_dlog_inverts_once_per_generator(monkeypatch):
     calls.update({"Model.inv": 0, "GaloisRing.inv": 0})
     assert [U.dlog(x) for x in units] == logs
     assert calls == {"Model.inv": 0, "GaloisRing.inv": 0}
+
+
+def _root_number_box_fields():
+    """One model per residue field F_{q_K} of the root-number box (the
+    supported tuples of q <= 7, n <= 4, r in {3, 4})."""
+    first = {}
+    for P in valid_tuples([3, 5, 7], 4, [3, 4]):
+        if root_number_supported(P) is None:
+            first.setdefault(P.q_K, P)
+    assert sorted(first) == [3, 5, 7, 9, 25, 49, 81, 125, 343, 625, 2401]
+    return [build_model(P) for P in first.values()]
+
+
+def test_residue_log_matches_the_power_table():
+    # the oracle is the table of tau^k mod p over all k < q_K - 1
+    for M in _root_number_box_fields():
+        gr = M.gr
+        tau = gr.residue(M.tau)
+        one = cur = gr.residue(gr.one)
+        table = {}
+        for k in range(M.P.q_K - 1):
+            table[cur] = k
+            cur = gr.residue(gr.mul(cur, tau))
+        assert cur == one and len(table) == M.P.q_K - 1
+        for res, k in table.items():
+            x = M.from_gr(res)
+            assert M.residue_log(x) == k, (M.P, res)
+            # only the residue counts: p and pi add nothing
+            assert M.residue_log(M.add(x, M.add(M.from_int(M.P.p), M.pi()))) == k
+
+
+def test_residue_log_of_a_non_unit_raises():
+    for M in _root_number_box_fields():
+        for x in (M.zero(), M.pi(), M.from_int(M.P.p)):
+            with pytest.raises(VerificationError, match="residue_log of a non-unit"):
+                M.residue_log(x)
+
+
+def test_is_one_mod_matches_the_pi_valuation():
+    for tup in [(3, 1, 2, 0, 3), (3, 2, 1, 0, 4), (5, 4, 1, 0, 3), (7, 3, 1, 0, 3)]:
+        M = build_model(params_from_q(*tup))
+        er = M.e * M.P.r
+        probes = [M.add(M.one(), M.monomial(b, i)) for i in range(er) for b in range(M.gr.d)]
+        probes += [M.sub(M.one(), M.monomial(0, i)) for i in range(er)]
+        probes += [M.one(), M.zero()] + _random_units(M, 20, seed=sum(tup))
+        for N in range(1, er + 1):
+            U = UnitGroupPresentation(M, N)
+            for x in probes:
+                assert U._is_one_mod(x) == (M.pi_valuation(M.sub(x, M.one())) >= N), (tup, N, x)
+
+
+def test_dlog_round_trip_past_a_million_residues():
+    # q_K = 13^6 = 4,826,809: the model holds ceil(sqrt(q_K - 1)) baby
+    # steps for residue_log, not a table of q_K - 1 logarithms
+    P = params_from_q(13, 1, 6, 0, 3)
+    M = build_model(P)
+    m = len(M._baby_steps)
+    assert (m - 1) ** 2 < P.q_K - 1 <= m ** 2
+    U = UnitGroupPresentation(M, P.e * P.r)
+    for h in U.gens + U.inv_gens:
+        for g in gal_elements(P):
+            x = M.galois_act(g, h)
+            assert U.element_from_coords(U.dlog(x)) == x, (g, h)
 
 
 def test_dlog_check_survives_python_O():
