@@ -6,6 +6,8 @@ invariant-factor generators of a unit-group presentation, so values are
 exact fractions of a full turn and only become Cyclotomic numbers at the
 edges.  There is one presentation, U at level e*r: a character trivial on
 1 + pi^k is read through its values on U's generators below level k.
+U and U-bar alone carry invariant-factor bases: H and each chi-data fixed
+group are their Hermite rows, from which a character extends canonically.
 Each Galois action gamma != 1 is read once, as its matrix A_gamma on U's
 coordinates, when the system is built; the norm-one subgroup U-bar is the
 kernel of I + sum A_gamma.
@@ -30,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import Cyclotomic, VerificationError, quadratic_gauss_sum_prime, unit_part
 from .intlinalg import (
-    SubgroupPresentation,
     extend_character,
     fp_echelon,
     intersect_subgroups,
@@ -151,21 +152,17 @@ class CharacterSystem:
 
     # -- theta ---------------------------------------------------------------
 
-    def congruence_subgroup(self) -> SubgroupPresentation:
-        """H = U-bar intersected with (1 + pi^{el}), in U coordinates."""
+    def congruence_subgroup(self) -> List[List[int]]:
+        """H = U-bar cap (1 + pi^{el}), as its Hermite rows in U coordinates."""
         el = self.P.e * self.P.level_l
-        rows = [
-            c for c, (i, _) in zip(self.U.gen_coords, self.U.levels) if i >= el
-        ]
+        rows = [c for c, (i, _) in zip(self.U.gen_coords, self.U.levels) if i >= el]
         return intersect_subgroups(list(self.U.orders), self.Ubar.basis, rows)
 
     @property
     def theta(self) -> MultCharacter:
         if self._theta is None:
-            H = self.congruence_subgroup()
-            rows_sub = []
-            fracs = []
-            for b in H.basis:
+            rows_sub, fracs = [], []
+            for b in self.congruence_subgroup():
                 coords = self.Ubar.coords(b)
                 if coords is None:
                     raise VerificationError("H must sit inside U-bar")
@@ -206,9 +203,9 @@ class CharacterSystem:
             fixed = kernel_subgroup(list(U.orders), [
                 [(a - (i == j)) % d for j, (a, d) in enumerate(zip(row, U.orders))]
                 for i, row in enumerate(self.acts[gamma])], list(U.orders))
-            rows = [list(b) for b in fixed.basis] + level2_rows
+            rows = fixed + level2_rows
             fracs = [(1, 2) if ramified and sum(map(mul, b, parities)) % 2 else (0, 1)
-                     for b in fixed.basis] + [(0, 1)] * len(level2_rows)
+                     for b in fixed] + [(0, 1)] * len(level2_rows)
             try:
                 exps = extend_character(list(U.orders), rows, fracs)
             except ValueError as ex:

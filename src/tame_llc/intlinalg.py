@@ -14,17 +14,17 @@ transforms modulo an order that every order they are read by divides.  Each
 Euclid step divides by the smallest entry, in `hnf_row` (kept for the
 stationary-phase solve) and in the Smith form alike.
 
-Each lattice is factored once.  `smith_normal_form` returns the column
-transform V together with its inverse, kept up to date operation by
-operation, so no transform is ever inverted afterwards.  A subgroup keeps
-its square Hermite basis and solves against it by back-substitution, and
-`solve_left` returns a particular solution together with the homogeneous
-kernel of the same Hermite form.
+Each lattice is factored once, and only U-bar's `SubgroupPresentation`
+takes a Smith form of a subgroup: a kernel or an intersection is the
+Hermite rows that generate it, since `extend_character` is canonical for
+the subgroup it is given.  `smith_normal_form` returns V with its inverse;
+a subgroup solves against its square Hermite basis by back-substitution,
+and `solve_left` returns its solution with the kernel of the same form.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError
@@ -399,7 +399,8 @@ def _diag_over(h: Matrix, d: Sequence[int]) -> Matrix:
 
 
 class SubgroupPresentation:
-    """A subgroup of G = (+) Z/d_i, with its own invariant-factor basis.
+    """A subgroup of G = (+) Z/d_i, with its own invariant-factor basis,
+    for a subgroup whose coordinates reach the output (U-bar).
 
     Attributes:
         ambient_orders: the d_i of the ambient group.
@@ -427,9 +428,7 @@ class SubgroupPresentation:
             row = vec_mat(vinv[j], basis_m)
             self.basis.append([c % d for c, d in zip(row, self.ambient_orders)])
             self.orders.append(self._snf_orders[j])
-        self.order = 1
-        for d in self.orders:
-            self.order *= d
+        self.order = prod(self.orders)
 
     def coords(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of ambient element x in the subgroup basis, or None.
@@ -438,56 +437,55 @@ class SubgroupPresentation:
         contains diag(d); its unique lattice coordinates then come by
         back-substitution.
         """
-        s = len(self.ambient_orders)
         y = _back_substitute(self._m, x)
         if y is None:
             return None
         w = vec_mat(y, self._v)
-        out = []
-        for j in range(s):
-            if self._snf_orders[j] == 1:
-                continue
-            out.append(w[j] % self._snf_orders[j])
-        return out
+        return [c % d for c, d in zip(w, self._snf_orders) if d != 1]
+
+
+def _generators(orders: Sequence[int], rows: Matrix) -> Matrix:
+    """rows reduced modulo the orders, zero rows dropped."""
+    return [r for r in ([x % d for x, d in zip(row, orders)] for row in rows) if any(r)]
 
 
 def kernel_subgroup(
     src_orders: Sequence[int],
     map_rows: Sequence[Sequence[int]],
     dst_orders: Sequence[int],
-) -> SubgroupPresentation:
-    """Kernel of a homomorphism (+) Z/s_i -> (+) Z/t_j given by map_rows.
+) -> Matrix:
+    """Generator rows of the kernel of a homomorphism (+) Z/s_i -> (+) Z/t_j.
 
     Row i of map_rows is the image of the i-th source generator in
     destination coordinates.  The graph lattice, spanned by (A_i | e_i),
     (t_j e_j | 0) and (0 | s_i e_i), meets 0 x Z^s in 0 x (the kernel's
-    lattice), which the Hermite rows with their pivot among the last s
-    columns span.
+    lattice): its Hermite rows with their pivot among the last s columns.
     """
     s, t = len(src_orders), len(dst_orders)
     graph = [list(row) + unit for row, unit in zip(map_rows, identity_matrix(s))]
     graph += [row + [0] * s for row in diag(dst_orders)]
     graph += [[0] * t + row for row in diag(src_orders)]
     h = hnf_mod(graph, lcm(*src_orders, *dst_orders), t + s)
-    return SubgroupPresentation(list(src_orders), [row[t:] for row in h[t:]])
+    return _generators(src_orders, [row[t:] for row in h[t:]])
 
 
 def intersect_subgroups(
     ambient_orders: Sequence[int],
     rows1: Sequence[Sequence[int]],
     rows2: Sequence[Sequence[int]],
-) -> SubgroupPresentation:
-    """Intersection of two subgroups given by generator rows.
+) -> Matrix:
+    """Generator rows of the intersection of two subgroups given by theirs.
 
     The Zassenhaus lattice, spanned by (a | a) over A's generators and
-    (b | 0) over B's, diag(d) joined to each, meets 0 x Z^s in 0 x (A cap B).
+    (b | 0) over B's, diag(d) joined to each, meets 0 x Z^s in 0 x (A cap B):
+    its Hermite rows with their pivot among the last s columns.
     """
     s = len(ambient_orders)
     d_rows = diag(ambient_orders)
     graph = [list(a) * 2 for a in [*rows1, *d_rows]]
     graph += [list(b) + [0] * s for b in [*rows2, *d_rows]]
     h = hnf_mod(graph, lcm(*ambient_orders), 2 * s)
-    return SubgroupPresentation(list(ambient_orders), [row[s:] for row in h[s:]])
+    return _generators(ambient_orders, [row[s:] for row in h[s:]])
 
 
 def extend_character(

@@ -905,7 +905,7 @@ def kernel_of_norm(U: UnitGroupPresentation,
     orders = list(U.orders)
     rows = [[((i == j) + sum(A[i][j] for A in acts.values())) % d
              for j, d in enumerate(orders)] for i in range(len(orders))]
-    return kernel_subgroup(orders, rows, orders)
+    return SubgroupPresentation(orders, kernel_subgroup(orders, rows, orders))
 
 
 # ---------------------------------------------------------------------------

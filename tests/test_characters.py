@@ -2,6 +2,7 @@
 all on the explicit ring models."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from math import lcm
 
 import pytest
 
+from tame_llc import characters
 from tame_llc.characters import (
     LITERAL_GAUSS_THRESHOLD,
     CharacterSystem,
@@ -31,6 +33,7 @@ from tame_llc.exactnum import (
     quadratic_gauss_sum_field,
     unit_part,
 )
+from tame_llc.intlinalg import SubgroupPresentation, intersect_subgroups, kernel_subgroup
 from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.ring_model import (
     GaloisRing,
@@ -53,11 +56,60 @@ def _theta_at(sys, x):
 def test_theta_extends_chi_beta(sys_ramified, sys_unramified):
     for sys in (sys_ramified, sys_unramified):
         M = sys.M
-        H = sys.congruence_subgroup()
-        for b in H.basis:
+        for b in sys.congruence_subgroup():
             elt = sys.U.element_from_coords(list(b))
             num, den = chi_beta_fraction(M, sys.beta, elt)
             assert _theta_at(sys, elt) == Cyclotomic.root_of_unity(den, num)
+
+
+def _smith_basis(orders, rows, rng):
+    """The subgroup's invariant-factor basis, the generators it had before."""
+    return SubgroupPresentation(orders, rows).basis
+
+
+def _reshuffled(orders, rows, rng):
+    """The rows permuted, with the sum of two of them appended."""
+    rows = rng.sample(rows, len(rows))
+    if len(rows) >= 2:
+        i, j = rng.sample(range(len(rows)), 2)
+        rows.append([(a + b) % d for a, b, d in zip(rows[i], rows[j], orders)])
+    return rows
+
+
+def test_theta_and_c_do_not_depend_on_the_generators_of_h_and_the_fixed_groups(
+        monkeypatch):
+    # extend_character is canonical for the subgroup it is given, so H and
+    # each chi-data fixed group may be given by any generating set: their
+    # Hermite rows, their Smith basis, or the rows reshuffled.  Only U's and
+    # U-bar's bases reach theta and c
+    box = [P for P in valid_tuples([3, 5, 7], 4, [3, 4]) if root_number_supported(P) is None]
+    assert len(box) == 28
+    rng = random.Random(0)
+    changed = {_smith_basis: 0, _reshuffled: 0}
+    for P in box:
+        M = build_model(P)
+        sys = CharacterSystem(M)
+        expected = (sys.theta.exps, sys.c_char().exps)
+        for generators in changed:
+            differs = []
+
+            def regenerated(route):
+                def rows(orders, *args):
+                    hermite = route(orders, *args)
+                    out = generators(orders, hermite, rng)
+                    differs.append(out != hermite)
+                    return out
+                return rows
+
+            with monkeypatch.context() as m:
+                m.setattr(characters, "intersect_subgroups", regenerated(intersect_subgroups))
+                m.setattr(characters, "kernel_subgroup", regenerated(kernel_subgroup))
+                other = CharacterSystem(M)
+                assert (other.theta.exps, other.c_char().exps) == expected, (
+                    P, generators.__name__)
+            changed[generators] += any(differs)
+    # the other generating sets differ from the Hermite rows on most tuples
+    assert min(changed.values()) > len(box) // 2, changed
 
 
 @pytest.mark.parametrize("tup", [(3, 1, 4, 0, 3), (3, 2, 2, 0, 4)])

@@ -434,7 +434,7 @@ def test_kernel_subgroup_matches_the_z_route(src, dst, data):
     # rows need not define a homomorphism: both routes take the kernel
     # lattice {x : x A = 0 mod t} plus diag(s)
     rows = [[data.draw(st.integers(-20, 20)) for _ in dst] for _ in src]
-    ker = kernel_subgroup(src, rows, dst)
+    ker = SubgroupPresentation(src, kernel_subgroup(src, rows, dst))
     assert (ker._m, ker.basis, ker.orders) == kernel_subgroup_over_z(src, rows, dst)
 
 
@@ -448,7 +448,7 @@ def test_intersect_subgroups_matches_the_z_route(orders, data):
     a, b = gens(), gens()
     sub = SubgroupPresentation(orders, a)
     assert (sub._m, sub.basis, sub.orders) == presentation_over_z(orders, a)
-    cap = intersect_subgroups(orders, a, b)
+    cap = SubgroupPresentation(orders, intersect_subgroups(orders, a, b))
     assert (cap._m, cap.basis, cap.orders) == intersect_subgroups_over_z(orders, a, b)
 
 
@@ -513,7 +513,7 @@ def test_kernel_subgroup_members_map_to_zero():
     # reduction map Z/8 x Z/4 -> Z/4, (x, y) -> x + 2 y
     src = [8, 4]
     rows = [[1], [2]]
-    ker = kernel_subgroup(src, rows, [4])
+    ker = SubgroupPresentation(src, kernel_subgroup(src, rows, [4]))
     assert ker.order == 8
     for b in ker.basis:
         assert (b[0] * 1 + b[1] * 2) % 4 == 0
@@ -523,7 +523,7 @@ def test_intersection_is_contained_in_both():
     ambient = [12]
     a = SubgroupPresentation(ambient, [[2]])
     b = SubgroupPresentation(ambient, [[3]])
-    cap = intersect_subgroups(ambient, a.basis, b.basis)
+    cap = SubgroupPresentation(ambient, intersect_subgroups(ambient, a.basis, b.basis))
     assert cap.order == 2
     for row in cap.basis:
         assert a.coords(row) is not None and b.coords(row) is not None

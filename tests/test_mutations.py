@@ -5,6 +5,7 @@ Sayward, "Hints on test data selection", 1978).  A surviving row is a
 defect, not a row to delete."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -287,6 +288,21 @@ def _theta_exponent_plus_one(monkeypatch):
     monkeypatch.setattr(characters.CharacterSystem, "theta", property(mutated))
 
 
+def _drop_last_h_generator(monkeypatch):
+    # H without its last Hermite row, at the binding theta reads
+    congruence_subgroup = characters.CharacterSystem.congruence_subgroup
+    monkeypatch.setattr(characters.CharacterSystem, "congruence_subgroup",
+                        lambda self: congruence_subgroup(self)[:-1])
+
+
+def _drop_last_fixed_generator(monkeypatch):
+    # each chi-data fixed group without its last Hermite row, at the
+    # binding _build_chi_data reads
+    kernel_subgroup = characters.kernel_subgroup
+    monkeypatch.setattr(characters, "kernel_subgroup",
+                        lambda *args: kernel_subgroup(*args)[:-1])
+
+
 def _transforms_modulo_q_k_minus_one(monkeypatch):
     # U's Smith transforms kept modulo q_K - 1, the order of tau, instead of
     # |U| = (q_K - 1) q_K^{N-1}, at the binding UnitGroupPresentation reads;
@@ -367,6 +383,10 @@ ROWS = {
         (_residue_log_plus_one, _root_number_box, verify_root_number),
     "CharacterSystem.theta: add one to one exponent":
         (_theta_exponent_plus_one, _root_number_box, verify_root_number),
+    "congruence_subgroup: drop its last generator":
+        (_drop_last_h_generator, _root_number_box, verify_root_number),
+    "chi-data fixed group: drop its last generator":
+        (_drop_last_fixed_generator, _root_number_box, verify_root_number),
 }
 
 
@@ -548,3 +568,30 @@ def test_principal_centralizer_checks_raise_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("ad(N_0) sends E_3,0 outside degree -2\n"
                           "regular nilpotent centralizer must have dimension n\n")
+
+
+def _messages(box):
+    """The VerificationError messages that verify_root_number raises on a box."""
+    messages = []
+    for P in box:
+        try:
+            verify_root_number(P)
+        except VerificationError as ex:
+            messages.append(str(ex))
+    return messages
+
+
+def test_dropped_h_generator_is_caught_by_the_conductor_sum(monkeypatch):
+    # theta then extends chi_beta from a smaller subgroup, and its twists'
+    # conductors no longer add up
+    _drop_last_h_generator(monkeypatch)
+    messages = _messages(_root_number_box())
+    assert len(messages) == 12
+    assert all(m.startswith("twist conductors add up to") for m in messages), messages
+
+
+def test_dropped_fixed_group_generator_is_caught_at_minus_one(monkeypatch):
+    _drop_last_fixed_generator(monkeypatch)
+    messages = _messages(_root_number_box())
+    assert len(messages) == 4
+    assert all(re.match(r"chi-data character for .* at -1, not ", m) for m in messages), messages

@@ -22,8 +22,9 @@ REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "referen
 
 # the selftest report (28,356 bytes), two `factors` reports whose adjoint
 # L-factors the decomposition route multiplies out of cube and of fourth
-# roots of unity, and two root numbers past a million residues (q_K = 11^6
-# and 13^6)
+# roots of unity, two root numbers past a million residues (q_K = 11^6
+# and 13^6), and the root-number sweep (227,442 bytes) on which a change
+# of U's or U-bar's Smith basis flips 57 of the 136 OK root numbers
 PINNED = {
     "selftest --format json":
         "90af7b013cbb548fa3c3e3b5165aa050f0b31dbf773adaff95cb26ede59b605b",
@@ -35,6 +36,8 @@ PINNED = {
         "938f1a7315705d7c4c731dbe7a8a73aa53a9e06747d19e4aee01a75802844974",
     "verify root-number --q 13 --e 1 --f 6 --m 0 --r 3 --format json":
         "354ac2ed3b8901b3d3bb2a66a9644c32b87478e904e99eb6038d8ba9cfc185d5",
+    "sweep --q 3,5,7,9,11,13 --max-n 4 --r 3..6 --root-number --format json":
+        "276c2414a4d179fc5d05b0c45496d852b418d1ffcae0323498acc00edbf4e6c5",
 }
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tame_llc import intlinalg, ring_model
 from tame_llc.conjectures import root_number_supported, valid_tuples
 from tame_llc.exactnum import VerificationError, _factorize
-from tame_llc.intlinalg import kernel_subgroup
+from tame_llc.intlinalg import SubgroupPresentation, kernel_subgroup
 from tame_llc.ring_model import (
     GaloisRing,
     Model,
@@ -445,7 +445,7 @@ def test_norm_matrix_rows_are_the_dlogs_of_the_norms(model):
     M = model
     U = UnitGroupPresentation(M, M.P.e * M.P.r)
     rows = [U.dlog(M.from_gr(norm_K_F(M, h))) for h in U.inv_gens]
-    oracle = kernel_subgroup(list(U.orders), rows, list(U.orders))
+    oracle = SubgroupPresentation(U.orders, kernel_subgroup(U.orders, rows, U.orders))
     Ubar = norm_one_subgroup(U)
     assert (Ubar.basis, Ubar.orders) == (oracle.basis, oracle.orders)
 
