@@ -95,10 +95,11 @@ def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Tuple[int, int]:
     as a reduced fraction (num, den) of a full turn."""
     P = M.P
     l, lp = P.level_l, P.level_l_prime
-    diff = M.sub(x, M.one())
-    if M.pi_valuation(diff) < P.e * l:
-        raise NotInSubgroup("x is not in 1 + p^l O_K")
     pl = P.p ** l
+    # x - 1 = sum c pi^i (i < e) lies in pi^{el} R iff p^l divides every c
+    diff = M.sub(x, M.one())
+    if any(a % pl for a in diff):
+        raise NotInSubgroup("x is not in 1 + p^l O_K")
     y = tuple(a // pl for a in diff)
     val = M.trace_functional()(M.mul(y, beta)) % (P.p ** lp)
     den = P.p ** lp

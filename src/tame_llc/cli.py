@@ -1,8 +1,8 @@
 """Command-line interface: verification reports, sweeps, self-tests.
 
-Reports are deterministic: the same plan produces byte-identical output.
-Measured timings are therefore opt-in (--timing); without the flag the
-timing_ms field is 0.
+Reports are deterministic: the same arguments produce byte-identical
+output. Measured timings are therefore opt-in (--timing); without the flag
+the timing_ms field is 0.
 
 The argument parser is built once per process, on the first call, and
 shared by every later call of `main`; it holds no result, model or report
@@ -17,7 +17,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -46,19 +45,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass
-class Plan:
-    command: str  # verify-formal-degree | verify-root-number | factors | sweep | selftest
-    params: Optional[TameParams] = None
-    q_values: Optional[List[int]] = None
-    max_n: int = 4
-    r_values: Optional[List[int]] = None
-    include_root_number: bool = False
-    out: Optional[str] = None
-    fmt: str = "text"
-    timing: bool = False
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -127,40 +113,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> Plan:
-    ns = _parser().parse_args(argv)
-    if ns.command == "verify":
-        return Plan(
-            command=f"verify-{ns.which}",
-            params=_validated(ns),
-            out=ns.out, fmt=ns.fmt, timing=ns.timing,
-        )
-    if ns.command == "factors":
-        return Plan(command="factors", params=_validated(ns),
-                    out=ns.out, fmt=ns.fmt, timing=ns.timing)
-    if ns.command == "sweep":
-        try:
-            q_values = _parse_int_list(ns.q)
-            r_values = _parse_int_list(ns.r)
-        except ValueError as ex:
-            print(f"invalid box: {ex}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        return Plan(
-            command="sweep", q_values=q_values, max_n=ns.max_n,
-            r_values=r_values, include_root_number=ns.root_number,
-            out=ns.out, fmt=ns.fmt, timing=ns.timing,
-        )
-    return Plan(command="selftest", out=ns.out, fmt=ns.fmt, timing=ns.timing)
-
-
-def _validated(ns) -> TameParams:
-    try:
-        return params_from_q(ns.q, ns.e, ns.f, ns.m, ns.r)
-    except InvalidParams as ex:
-        print(f"invalid parameters: {ex}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -202,23 +154,24 @@ def _render_text(reports: List[ConjectureReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(reports: List[ConjectureReport], plan: Plan, timing_ms: int) -> bool:
-    """Write the rendered reports; False, with one line on stderr, if
-    plan.out cannot be written."""
-    if plan.fmt == "json":
+def _emit(reports: List[ConjectureReport], ns: argparse.Namespace,
+          timing_ms: int) -> bool:
+    """Write the rendered reports in ns.fmt; False, with one line on
+    stderr, if ns.out cannot be written."""
+    if ns.fmt == "json":
         text = _render_json(reports, timing_ms)
-    elif plan.fmt == "csv":
+    elif ns.fmt == "csv":
         text = _render_csv(reports)
     else:
         text = _render_text(reports)
-    if not plan.out:
+    if not ns.out:
         sys.stdout.write(text)
         return True
     try:
-        with open(plan.out, "w") as fh:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     except OSError as ex:
-        print(f"cannot write {plan.out}: {ex.strerror}", file=sys.stderr)
+        print(f"cannot write {ns.out}: {ex.strerror}", file=sys.stderr)
         return False
     return True
 
@@ -337,57 +290,52 @@ def _selftest_reports() -> List[ConjectureReport]:
     return reports
 
 
-def execute_plan(plan: Plan) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        ns = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as ex:
+        return ex.code if isinstance(ex.code, int) else EXIT_USAGE
+    if ns.command == "sweep":
+        try:
+            q_values, r_values = _parse_int_list(ns.q), _parse_int_list(ns.r)
+        except ValueError as ex:
+            print(f"invalid box: {ex}", file=sys.stderr)
+            return EXIT_USAGE
+    elif ns.command != "selftest":
+        try:
+            P = params_from_q(ns.q, ns.e, ns.f, ns.m, ns.r)
+        except InvalidParams as ex:
+            print(f"invalid parameters: {ex}", file=sys.stderr)
+            return EXIT_USAGE
     t0 = time.monotonic()
     try:
-        if plan.command == "verify-formal-degree":
-            rep = ConjectureReport(plan.params)
-            rep.checks.append(verify_formal_degree(plan.params))
-            reports = [rep]
-        elif plan.command == "verify-root-number":
-            rep = ConjectureReport(plan.params)
-            result = verify_root_number(plan.params)
-            rep.checks.append(result)
-            reports = [rep]
-            if result.status.startswith("SKIP"):
-                if not _emit(reports, plan, _timing(plan, t0)):
-                    return EXIT_USAGE
-                return EXIT_INTERNAL
-        elif plan.command == "factors":
-            reports = [_factors_report(plan.params)]
-        elif plan.command == "sweep":
-            reports = sweep_report(
-                plan.q_values, plan.max_n, plan.r_values,
-                include_root_number=plan.include_root_number,
-            )
+        if ns.command == "verify":
+            verify = (verify_formal_degree if ns.which == "formal-degree"
+                      else verify_root_number)
+            reports = [ConjectureReport(P, [verify(P)])]
+        elif ns.command == "factors":
+            reports = [_factors_report(P)]
+        elif ns.command == "sweep":
+            reports = sweep_report(q_values, ns.max_n, r_values,
+                                   include_root_number=ns.root_number)
             if not reports:
                 print("no valid tuple in the box", file=sys.stderr)
                 return EXIT_USAGE
-        elif plan.command == "selftest":
-            reports = _selftest_reports()
         else:
-            return EXIT_USAGE
+            reports = _selftest_reports()
     except TooLarge as ex:
         print(f"too large: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ArithmeticError, AssertionError, RuntimeError) as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
-    if not _emit(reports, plan, _timing(plan, t0)):
+    timing_ms = int((time.monotonic() - t0) * 1000) if ns.timing else 0
+    if not _emit(reports, ns, timing_ms):
         return EXIT_USAGE
+    # a single root number the checker does not support is a refusal
+    if ns.command == "verify" and reports[0].checks[0].status.startswith("SKIP"):
+        return EXIT_INTERNAL
     return EXIT_OK if all(r.ok for r in reports) else EXIT_CHECK_FAILED
-
-
-def _timing(plan: Plan, t0: float) -> int:
-    return int((time.monotonic() - t0) * 1000) if plan.timing else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        plan = parse_args(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as ex:
-        return ex.code if isinstance(ex.code, int) else EXIT_USAGE
-    return execute_plan(plan)
 
 
 if __name__ == "__main__":

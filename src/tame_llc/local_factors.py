@@ -109,8 +109,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
         )
     gf = GaloisRing(p, 1, d)
     gen = residue_generator(gf)
-    u0 = gf.pow(gen, u0_log)
-    u0inv = gf.inv(u0)
+    u0inv = gf.pow(gen, -u0_log % (Q - 1))
     out = Cyclotomic.one()
     for j in range(1, e):
         # chi_j(t) = zeta_e^{j log t}; epsilon of chi_j is the normalized

@@ -246,7 +246,7 @@ class GaloisRing:
 
     def pow(self, x: GRElt, n: int) -> GRElt:
         if n < 0:
-            return self.pow(self.inv(x), -n)
+            raise ValueError("negative exponent in GR")
         out = self.one
         base = x
         while n:
@@ -262,18 +262,6 @@ class GaloisRing:
 
     def is_unit(self, x: GRElt) -> bool:
         return any(a % self.p for a in x)
-
-    def inv(self, x: GRElt) -> GRElt:
-        if not self.is_unit(x):
-            raise ZeroDivisionError("not a unit in GR")
-        # inverse in the residue field, then Newton lifting
-        y = self.pow(self.residue(x), self.p ** self.d - 2)
-        y = self.residue(y)
-        prec = 1
-        while prec < self.r:
-            y = self.sub(self.scalar(2, y), self.mul(x, self.mul(y, y)))
-            prec *= 2
-        return y
 
     # -- Teichmuller structure ---------------------------------------------
 
@@ -483,30 +471,20 @@ class Model:
         raise VerificationError("residue_log of a non-unit")
 
     def inv(self, x: Elt) -> Elt:
+        """The inverse of a unit by Newton's step y <- y (2 - x y), from
+        y = x_0^{q_K - 2} for the pi^0 coefficient x_0.  Then 1 - x y lies
+        in pi R, and each step squares it, so bit_length(e r) steps reach
+        pi^{er} = 0; an x y != 1 after them raises VerificationError."""
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        x0inv = self.from_gr(self.gr.inv(x[:self.gr.d]))
-        w = self.sub(self.mul(x0inv, x), self.one())  # in pi R, nilpotent
-        out = self.one()
-        term = self.one()
-        for _ in range(self.e * self.P.r):
-            term = self.neg(self.mul(term, w))
-            if term == self.zero():
-                break
-            out = self.add(out, term)
-        return self.mul(x0inv, out)
-
-    def pi_valuation(self, x: Elt) -> int:
-        """Largest N <= er with x in pi^N R (er if x = 0)."""
-        e, d = self.e, self.gr.d
-        er = e * self.P.r
-        for N in range(er):
-            k, i = divmod(N, e)
-            # coefficient of pi^i must vanish mod p^{k+1} for val > N
-            pk1 = self.P.p ** (k + 1)
-            if any(v % pk1 for v in x[i * d:(i + 1) * d]):
-                return N
-        return er
+        y = self.from_gr(self.gr.pow(x[:self.gr.d], self.P.q_K - 2))
+        two = self.from_int(2)
+        for _ in range((self.e * self.P.r).bit_length() + 1):
+            xy = self.mul(x, y)
+            if xy == self._one:
+                return y
+            y = self.mul(y, self.sub(two, xy))
+        raise VerificationError("Newton's inverse did not converge")
 
     # -- Galois action -------------------------------------------------------
 

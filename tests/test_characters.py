@@ -40,6 +40,7 @@ from tame_llc.ring_model import (
     TooLarge,
     UnitGroupPresentation,
     build_model,
+    find_beta,
     residue_generator,
 )
 from tame_llc.tame_galois import GAL_ID, gal_elements, order_two_set, params_from_q
@@ -60,6 +61,18 @@ def test_theta_extends_chi_beta(sys_ramified, sys_unramified):
             elt = sys.U.element_from_coords(list(b))
             num, den = chi_beta_fraction(M, sys.beta, elt)
             assert _theta_at(sys, elt) == Cyclotomic.root_of_unity(den, num)
+
+
+@pytest.mark.parametrize("tup", [(3, 1, 2, 0, 3), (3, 2, 1, 0, 4), (7, 3, 1, 0, 4)])
+def test_chi_beta_is_defined_from_pi_to_the_el_on(tup):
+    # 1 + p^l O_K = 1 + pi^{el} R: the boundary sits between pi^{el - 1} and pi^{el}
+    M = build_model(params_from_q(*tup))
+    beta = find_beta(M)
+    el = M.e * M.P.level_l
+    with pytest.raises(characters.NotInSubgroup, match=r"x is not in 1 \+ p\^l O_K"):
+        chi_beta_fraction(M, beta, M.add(M.one(), M.pow(M.pi(), el - 1)))
+    num, den = chi_beta_fraction(M, beta, M.add(M.one(), M.pow(M.pi(), el)))
+    assert 0 <= num < den
 
 
 def _smith_basis(orders, rows, rng):

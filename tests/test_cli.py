@@ -4,6 +4,7 @@ exit codes."""
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -74,6 +75,29 @@ def test_unsupported_root_number_reports_skip(capsys):
                         "--f", "1", "--r", "2"], capsys)
     assert code == cli.EXIT_INTERNAL
     assert "SKIP" in out
+
+
+def test_skip_with_an_out_that_cannot_be_written_exits_usage(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(["verify", "root-number", "--q", "3", "--e", "2",
+                          "--f", "1", "--r", "2", "--out", str(target)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"cannot write {target}: No such file or directory\n"
+
+
+def test_timing_fills_timing_ms_and_changes_no_other_byte(monkeypatch, capsys):
+    # every reading of the clock is 0.25 s after the one before
+    clock = itertools.count(100.0, 0.25)
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    argv = ["sweep", "--q", "3", "--max-n", "2", "--r", "3..4", "--root-number"]
+    code, out, _ = run(argv + ["--format", "json", "--timing"], capsys)
+    assert code == cli.EXIT_OK
+    assert [rep["timing_ms"] for rep in json.loads(out)] == [250] * 6
+    for fmt in ("text", "csv"):
+        plain = run(argv + ["--format", fmt], capsys)
+        timed = run(argv + ["--format", fmt, "--timing"], capsys)
+        assert timed == plain, fmt
 
 
 def test_root_number_ok_on_reference_tuple(capsys):

@@ -324,6 +324,21 @@ def _residue_log_plus_one(monkeypatch):
     monkeypatch.setattr(ring_model.Model, "residue_log", mutated)
 
 
+def _inv_one_newton_step_short(monkeypatch):
+    # Model.inv's iterate from one step before x y = 1: y (2 - x y) from
+    # the same start x_0^{q_K - 2}, stopped one step early
+    def mutated(self, x):
+        if not self.is_unit(x):
+            raise ZeroDivisionError("not a unit")
+        y = self.from_gr(self.gr.pow(x[:self.gr.d], self.P.q_K - 2))
+        short = y
+        while (xy := self.mul(x, y)) != self.one():
+            short, y = y, self.mul(y, self.sub(self.from_int(2), xy))
+        return short
+
+    monkeypatch.setattr(ring_model.Model, "inv", mutated)
+
+
 ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
@@ -387,6 +402,8 @@ ROWS = {
         (_drop_last_h_generator, _root_number_box, verify_root_number),
     "chi-data fixed group: drop its last generator":
         (_drop_last_fixed_generator, _root_number_box, verify_root_number),
+    "Model.inv: one Newton step short":
+        (_inv_one_newton_step_short, _root_number_box, verify_root_number),
 }
 
 
@@ -595,3 +612,15 @@ def test_dropped_fixed_group_generator_is_caught_at_minus_one(monkeypatch):
     messages = _messages(_root_number_box())
     assert len(messages) == 4
     assert all(re.match(r"chi-data character for .* at -1, not ", m) for m in messages), messages
+
+
+def test_inverse_one_newton_step_short_is_caught_by_dlog(monkeypatch):
+    # U's dlog divides out each digit by a power of a generator's inverse;
+    # with the inverses wrong, a digit is left undivisible or 1 + pi^N R
+    # is never reached
+    _inv_one_newton_step_short(monkeypatch)
+    messages = _messages(_root_number_box())
+    assert len(messages) == 28
+    assert messages.count("dlog failed to terminate") == 8, messages
+    assert all(re.fullmatch(r"dlog: level \d+ digit not divisible by p\^\d+", m)
+               for m in messages if m != "dlog failed to terminate"), messages
