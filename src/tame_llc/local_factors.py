@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactnum import (
     Cyclotomic,
@@ -172,117 +172,117 @@ class PrincipalData:
     ad_eigen_exponents: Tuple[int, ...]  # Frobenius exponents on ker ad(N_0)
 
 
-def _degree_positions(n: int, d: int) -> List[Tuple[int, int]]:
-    """The positions (i, i + d) of gl_n of degree d, i ascending."""
-    return [(i, i + d) for i in range(max(0, -d), min(n, n - d))]
+def _ad_degree(d: int, v: Sequence[int], diag: Sequence[int], up: Sequence,
+               right: Sequence) -> Tuple[List[int], int]:
+    """The block d -> d + 1 of ad(N_0): X -> N_0 X - X N_0 on gl_n over Z,
+    in one pass over its rows E_ij, j - i = d, i ascending, none of them
+    built.  Returns the image of sum_t v_t E_{i_t, i_t + d} (zero for v
+    empty) in the columns E_{r, r + d + 1}, r ascending, and the number of
+    distinct last nonzero columns of the rows, a lower bound on the block's
+    rank over Q (order such rows by that column: each has a nonzero entry
+    where the earlier ones have none).
+
+    The image of E_ij is sum_k N_0[k][i] E_kj - sum_k N_0[j][k] E_ik:
+    up[i] E_{i-1,j} - right[j] E_{i,j+1} in degree d + 1 (up[i] =
+    N_0[i-1][i], right[j] = N_0[j][j+1], 0 past the edge), then
+    (diag[i] - diag[j]) E_ij, and a term for each nonzero entry of column i
+    or row j off the diagonal and superdiagonal, which makes up[i] or
+    right[j] None.  An image that leaves degree d + 1 raises.
+    """
+    n = len(diag)
+    lo, first = max(0, -d), max(0, -d - 1)  # first: the row of column 0 in degree d + 1
+    image = [0] * (n - abs(d + 1))
+    lasts = set()
+    for i in range(lo, min(n, n - d)):
+        j = i + d
+        u, w = up[i], right[j]
+        if u is None or w is None or diag[i] != diag[j]:
+            raise VerificationError(f"ad(N_0) sends E_{i},{j} outside degree {d + 1}")
+        c = i - first  # the column of E_{i,j+1}; E_{i-1,j} is column c - 1
+        if w:
+            lasts.add(c)
+        elif u:
+            lasts.add(c - 1)
+        if v:
+            x = v[i - lo]
+            if w:
+                image[c] -= x * w
+            if u:
+                image[c - 1] += x * u
+    return image, len(lasts)
 
 
-def _ad_blocks(N0: Sequence[Sequence[int]]) -> Dict[int, List[Dict[int, int]]]:
-    """ad(N_0) on gl_n over Z, one block per degree d = j - i.
+def _certify_centralizer(N0: Sequence[Sequence[Tuple[int, int]]]) -> None:
+    """Certify ker ad(N_0) = span_Z(N_0^0, ..., N_0^{n-1}) with no
+    elimination, one pass per degree d = j - i of gl_n; row i of N0 holds
+    the pairs (j, N_0[i][j]) of its nonzero entries.
 
-    For N_0 of degree 1, X -> N_0 X - X N_0 sends E_ij, of degree j - i,
-    into degree j - i + 1: its n^2 x n^2 matrix is the direct sum of the
-    2n - 1 blocks d -> d + 1, with rows `_degree_positions(n, d)` and
-    columns `_degree_positions(n, d + 1)`.  A row is a sparse map
-    {column: nonzero entry}.  The image of E_ij is sum_k N_0[k][i] E_kj -
-    sum_k N_0[j][k] E_ik, read off the nonzero entries of column i and
-    row j of N_0, so the blocks take O(n^2) steps for a sparse N_0.  An
-    image that leaves degree d + 1 raises.
+    ad(N_0) raises the degree by one, so it is the direct sum of its 2n - 1
+    blocks d -> d + 1 (`_ad_degree`).  N_0^k, of degree k, must lie in the
+    kernel of block k and be primitive, and the blocks' coranks, bounded
+    above by their distinct last columns, must sum to n (in the graded
+    basis, all rows of block d but its last have distinct last columns).
+    So each block k < n has a kernel of rank one, spanned over Z by N_0^k.
     """
     n = len(N0)
-    by_col = [[] for _ in range(n)]
-    by_row = [[] for _ in range(n)]
-    for k, row in enumerate(N0):
-        for m, c in enumerate(row):
+    diag, up, right, off = [0] * n, [0] * n, [0] * n, []
+    for i, row in enumerate(N0):
+        for j, c in row:
+            if j == i:
+                diag[i] = c
+            elif j == i + 1:
+                up[j] = right[i] = c
+            elif c:
+                off.append((i, j))
+    for i, j in off:
+        up[j] = right[i] = None
+    corank = 0
+    for d in range(1 - n, 0):
+        corank += n + d - _ad_degree(d, [], diag, up, right)[1]
+    pw = {(i, i): 1 for i in range(n)}  # N_0^d, sparse
+    for d in range(n):
+        v = [0] * (n - d)
+        for (i, j), c in pw.items():
             if c:
-                by_row[k].append((m, c))
-                by_col[m].append((k, c))
-    blocks = {}
-    for d in range(1 - n, n):
-        first = max(0, -d - 1)  # the row of column 0 of degree d + 1
-        rows = []
-        for i, j in _degree_positions(n, d):
-            img = {}
-            for k, c in by_col[i]:
-                img[k, j] = c
-            for k, c in by_row[j]:
-                img[i, k] = img.get((i, k), 0) - c
-            row = {}
-            for (r, c), v in img.items():
-                if v:
-                    if c - r != d + 1:
-                        raise VerificationError(
-                            f"ad(N_0) sends E_{i},{j} outside degree {d + 1}")
-                    row[r - first] = v
-            rows.append(row)
-        blocks[d] = rows
-    return blocks
-
-
-def _rank_lower_bound(rows: Sequence[Dict[int, int]]) -> int:
-    """A lower bound on the rank over Q of sparse rows {column: entry}: the
-    number of distinct last nonzero columns.  Rows whose last nonzero
-    columns are pairwise distinct are linearly independent (order them by
-    that column; each has a nonzero entry where the earlier ones have none),
-    and one row per distinct last column is such a set."""
-    return len({max(c for c, v in row.items() if v)
-                for row in rows if any(row.values())})
+                if j - i != d:
+                    raise VerificationError(f"N_0^{d} has an entry off its diagonal")
+                v[i] = c
+        image, rank = _ad_degree(d, v, diag, up, right)
+        corank += n - d - rank
+        if any(image):
+            raise VerificationError(f"N_0^{d} is not in the kernel of ad(N_0)")
+        if gcd(*v) != 1:
+            raise VerificationError(f"N_0^{d} is not primitive")
+        nxt = {}
+        for (i, m), c in pw.items():
+            for j, c2 in N0[m]:
+                nxt[i, j] = nxt.get((i, j), 0) + c * c2
+        pw = nxt
+    if corank != n:
+        raise VerificationError("regular nilpotent centralizer must have dimension n")
 
 
 def principal_triple(n: int, q: int) -> PrincipalData:
     """Adjoint factors of the Steinberg parameter Sym^{n-1} of SL_2.
 
-    N_0 is the regular nilpotent.  Grade gl_n by d = j - i on E_ij: ad(N_0)
-    raises the degree by one, so it splits into 2n - 1 blocks of at most
-    n x n (`_ad_blocks`).  ker ad(N_0) is certified with no elimination:
-    N_0^k, of degree k, lies in the kernel of block k and is primitive, and
-    the upper bounds on the coranks of the blocks that `_rank_lower_bound`
-    gives sum to n (in the graded basis, all rows of block d but its last
-    have distinct last columns).  The n powers, of distinct degrees, are
-    independent, so each block k < n has a kernel of rank one, and ker
-    ad(N_0) is span_Z(N_0^0, ..., N_0^{n-1}).  Frobenius acts on degree
-    d by q^{-d} (F N_0 F^{-1} = q^{-1} N_0), so the eigenvalues of adjoint
-    Frobenius on the centralizer in sl_n are q^{-k} for the degrees k of the
-    kernel, the trace line of degree 0 dropped.  All of this is recomputed
-    from the matrices.
+    N_0 is the regular nilpotent.  `_certify_centralizer` reads ker ad(N_0)
+    = span_Z(N_0^k), k < n, off the matrices on every call, one pass per
+    degree d = j - i of gl_n.  Frobenius acts on degree d by q^{-d}
+    (F N_0 F^{-1} = q^{-1} N_0), so the eigenvalues of adjoint Frobenius on
+    the centralizer in sl_n are q^{-k}, k = 1..n-1, the trace line of
+    degree 0 dropped.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    N0 = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
-    blocks = _ad_blocks(N0)
-    # N_0^k by sparse products; every entry must sit on the diagonal j - i = k
-    step = {i: [(j, c) for j, c in enumerate(row) if c] for i, row in enumerate(N0)}
-    pw = {(i, i): 1 for i in range(n)}
-    powers = {}
-    for k in range(n):
-        if any(c and j - i != k for (i, j), c in pw.items()):
-            raise VerificationError(f"N_0^{k} has an entry off its diagonal")
-        powers[k] = [pw.get(ij, 0) for ij in _degree_positions(n, k)]
-        nxt = {}
-        for (i, m), c in pw.items():
-            for j, c2 in step[m]:
-                nxt[i, j] = nxt.get((i, j), 0) + c * c2
-        pw = nxt
-    for k, v in powers.items():
-        image = {}
-        for x, row in zip(v, blocks[k]):
-            if x:
-                for c, entry in row.items():
-                    image[c] = image.get(c, 0) + x * entry
-        if any(image.values()):
-            raise VerificationError(f"N_0^{k} is not in the kernel of ad(N_0)")
-        if gcd(*v) != 1:
-            raise VerificationError(f"N_0^{k} is not primitive")
-    corank = sum(len(rows) - _rank_lower_bound(rows) for rows in blocks.values())
-    if corank != n:
-        raise VerificationError("regular nilpotent centralizer must have dimension n")
-    ad_exps = tuple(k for k in powers if k)
+    _certify_centralizer([[(i + 1, 1)] for i in range(n - 1)] + [[]])
+    ad_exps = tuple(range(1, n))
     # 1/L = prod (1 - q^{-k} u) = q^{-s} prod (q^k - u), s the sum of the k,
     # multiplied over Z.  gamma(0) reads the integer coefficients: the scale
     # q^{-s} cancels in it
     coeffs = [1]
     for k in ad_exps:
-        coeffs = [q ** k * x - y for x, y in zip(coeffs + [0], [0] + coeffs)]
+        qk = q ** k
+        coeffs = [qk * x - y for x, y in zip(coeffs + [0], [0] + coeffs)]
     scale = q ** sum(ad_exps)
     a = n * (n - 1)
     return PrincipalData(a, tuple(Fraction(c, scale) for c in coeffs),

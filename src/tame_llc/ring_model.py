@@ -659,7 +659,8 @@ class UnitGroupPresentation:
     p-th power written in the generators) has determinant equal to the
     group order |U| = (q_K - 1) q_K^{N-1}, so it is the full lattice and
     Smith normal form yields the group structure; the invariant factors are
-    checked to multiply to |U|, and the Smith transforms are kept modulo it.
+    checked to multiply to |U|, and the Smith transforms are kept modulo
+    (q_K - 1) one_unit_order(M, 1), a multiple of U's exponent.
 
     Powers come from lists of repeated squares, one list per element,
     extended only as far as an exponent needs: the raw generators share
@@ -695,10 +696,9 @@ class UnitGroupPresentation:
             row = [-x for x in self._raw_dlog(M.pow(gens[idx], p))]
             row[idx] += p
             rows.append(row)
-        # |U| = (q_K - 1) q_K^{N-1}; every order V and V^{-1} are read by
-        # below divides it
+        # V and V^{-1} are read modulo orders dividing this multiple of U's exponent
         order = (M.P.q_K - 1) * M.P.q_K ** (N - 1)
-        s, self._v, vinv = smith_normal_form(rows, order)
+        s, self._v, vinv = smith_normal_form(rows, (M.P.q_K - 1) * one_unit_order(M, 1))
         self.all_orders = [s[i][i] for i in range(len(gens))]
         if prod(self.all_orders) != order:
             raise VerificationError(

@@ -1,6 +1,7 @@
 """The command-line entry point: argument handling, output formats and
 exit codes."""
 
+import contextlib
 import csv
 import importlib.util
 import io
@@ -13,6 +14,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tame_llc import characters, cli, conjectures, local_factors
 
@@ -346,3 +349,23 @@ def test_selftest_runs_every_row(capsys):
               for c in rep["checks"]}
     assert all(status[name] == "OK" for name in SELFTEST_ROWS), status
     assert set(status.values()) == {"OK"}
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.integers(-3, 130) | st.sampled_from([243, 343, 625]),
+       st.integers(-1, 9), st.integers(-1, 9), st.integers(-1, 9), st.integers(-1, 12))
+def test_generated_formal_degree_argv_answers_0_2_or_3(q, e, f, m, r):
+    # every input gets a result, a usage error or a refusal: no traceback,
+    # no FAIL, and one line on stderr whenever stdout is empty
+    argv = ["verify", "formal-degree", "--q", str(q), "--e", str(e), "--f", str(f),
+            "--m", str(m), "--r", str(r), "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INTERNAL)
+    if code == cli.EXIT_OK:
+        assert [c["status"] for c in json.loads(out.getvalue())["checks"]] == ["OK"]
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")

@@ -1,20 +1,20 @@
 """Local L-, epsilon- and lambda-factors, and the Weil-Deligne assembly
 for the principal parameter."""
 
+import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tame_llc import local_factors
 from tame_llc.exactnum import Cyclotomic, PoleAtPoint, VerificationError
 from tame_llc.intlinalg import hnf_row
 from tame_llc.local_factors import (
     BruteForceUnsupported,
-    _ad_blocks,
-    _degree_positions,
-    _rank_lower_bound,
+    _ad_degree,
     gamma_at_zero_abs,
     induced_factor,
     lambda_tame,
@@ -132,6 +132,122 @@ def _regular_nilpotent(n):
     return [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
 
 
+# -- the block oracle: ad(N_0) built row by row, degree by degree ------------
+
+def _degree_positions(n, d):
+    """The positions (i, i + d) of gl_n of degree d, i ascending."""
+    return [(i, i + d) for i in range(max(0, -d), min(n, n - d))]
+
+
+def _ad_block(N0, d):
+    """The block d -> d + 1 of ad(N_0) on gl_n over Z, N_0 dense, as sparse
+    rows {column: nonzero entry}, rows `_degree_positions(n, d)` and
+    columns `_degree_positions(n, d + 1)`; an image that leaves degree
+    d + 1 raises."""
+    n = len(N0)
+    first = max(0, -d - 1)
+    rows = []
+    for i, j in _degree_positions(n, d):
+        img = {}
+        for k in range(n):
+            if N0[k][i]:
+                img[k, j] = img.get((k, j), 0) + N0[k][i]
+            if N0[j][k]:
+                img[i, k] = img.get((i, k), 0) - N0[j][k]
+        row = {}
+        for (r, c), v in img.items():
+            if v:
+                if c - r != d + 1:
+                    raise VerificationError(
+                        f"ad(N_0) sends E_{i},{j} outside degree {d + 1}")
+                row[r - first] = v
+        rows.append(row)
+    return rows
+
+
+def _ad_blocks(N0):
+    """ad(N_0) as its 2n - 1 blocks d -> d + 1."""
+    n = len(N0)
+    return {d: _ad_block(N0, d) for d in range(1 - n, n)}
+
+
+def _rank_lower_bound(rows):
+    """The number of distinct last nonzero columns of sparse rows, a lower
+    bound on their rank over Q."""
+    return len({max(c for c, v in row.items() if v)
+                for row in rows if any(row.values())})
+
+
+def _powers(N0):
+    """N_0^0, ..., N_0^{n-1}, dense, multiplied through the nonzero entries
+    of N_0."""
+    n = len(N0)
+    nonzero = [(m, j, x) for m, row in enumerate(N0) for j, x in enumerate(row) if x]
+    pw = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    for _ in range(n):
+        out.append(pw)
+        pw = [[0] * n for _ in range(n)]
+        for m, j, x in nonzero:
+            for i in range(n):
+                pw[i][j] += out[-1][i][m] * x
+    return out
+
+
+def _oracle_certificate(N0):
+    """The centralizer certificate from the oracle's blocks and dense
+    powers, degree by degree in `_certify_centralizer`'s order: None, or
+    the message of the check that fails."""
+    n = len(N0)
+    powers, corank = _powers(N0), 0
+    try:
+        for d in range(1 - n, n):
+            v = []
+            if d >= 0:
+                if any(x and j - i != d for i, row in enumerate(powers[d])
+                       for j, x in enumerate(row)):
+                    return f"N_0^{d} has an entry off its diagonal"
+                v = [powers[d][i][j] for i, j in _degree_positions(n, d)]
+            block = _ad_block(N0, d)
+            corank += len(block) - _rank_lower_bound(block)
+            if any(_image(block, v, len(_degree_positions(n, d + 1)))):
+                return f"N_0^{d} is not in the kernel of ad(N_0)"
+            if v and gcd(*v) != 1:
+                return f"N_0^{d} is not primitive"
+    except VerificationError as ex:
+        return str(ex)
+    if corank != n:
+        return "regular nilpotent centralizer must have dimension n"
+    return None
+
+
+def _sparse_rows(N0):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in N0]
+
+
+def _image(rows, v, ncols):
+    out = [0] * ncols
+    for x, row in zip(v, rows):
+        for c, entry in row.items():
+            out[c] += x * entry
+    return out
+
+
+def _certificate_by_degree(n, monkeypatch):
+    """{d: (v, image, rank)} of each `_ad_degree` call that
+    `principal_triple` makes through `_certify_centralizer`."""
+    seen = {}
+
+    def recorded(d, v, *args):
+        seen[d] = (list(v),) + _ad_degree(d, v, *args)
+        return seen[d][1:]
+
+    monkeypatch.setattr(local_factors, "_ad_degree", recorded)
+    principal_triple(n, 3)
+    monkeypatch.undo()
+    return seen
+
+
 def _dense_ad_kernel(n):
     """ker ad(N_0) from the whole n^2 x n^2 matrix of ad(N_0), in the
     coordinates E_ij -> i*n + j: the oracle of the graded kernel."""
@@ -154,10 +270,17 @@ def _dense(rows, ncols):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_graded_centralizer_matches_the_dense_kernel(n):
-    # the left kernels of the degree blocks, made dense and taken here by
-    # Hermite forms, against the kernel of the whole matrix
-    graded = []
+def test_graded_centralizer_matches_the_dense_kernel(n, monkeypatch):
+    # the kernel vectors the one pass certifies, N_0^k in degree k, and the
+    # left kernels of the oracle's blocks, taken by Hermite forms, each
+    # against the kernel of the whole matrix
+    dense = hnf_row(_dense_ad_kernel(n))[0]
+    certified, graded = [], []
+    for d, (v, _, _) in _certificate_by_degree(n, monkeypatch).items():
+        if v:
+            certified.append([0] * (n * n))
+            for (i, j), c in zip(_degree_positions(n, d), v):
+                certified[-1][i * n + j] = c
     for d, block in _ad_blocks(_regular_nilpotent(n)).items():
         ncols = len(_degree_positions(n, d + 1))
         for v in left_kernel_basis(_dense(block, ncols)):
@@ -165,18 +288,40 @@ def test_graded_centralizer_matches_the_dense_kernel(n):
             for (i, j), c in zip(_degree_positions(n, d), v):
                 flat[i * n + j] = c
             graded.append(flat)
-    assert len(graded) == n
-    assert hnf_row(graded)[0] == hnf_row(_dense_ad_kernel(n))[0]
+    assert len(certified) == len(graded) == n
+    assert hnf_row(certified)[0] == hnf_row(graded)[0] == dense
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_rank_bound_of_each_block_is_its_rank(n):
+def test_rank_bound_of_each_block_is_its_rank(n, monkeypatch):
     # in the graded basis the bound is exact: n - d - 1 for d >= 0 (the
-    # kernel line), every row for d < 0
+    # kernel line), every row for d < 0; the one pass finds the same bound
+    certificate = _certificate_by_degree(n, monkeypatch)
     for d, block in _ad_blocks(_regular_nilpotent(n)).items():
         ncols = len(_degree_positions(n, d + 1))
         rank = _rank_over_q(_dense(block, ncols))
-        assert _rank_lower_bound(block) == rank == len(block) - (d >= 0)
+        assert certificate[d][2] == _rank_lower_bound(block) == rank == len(block) - (d >= 0)
+
+
+def test_one_pass_agrees_with_the_block_oracle_up_to_n_64(monkeypatch):
+    # per degree: the kernel vector is N_0^d, its image is the oracle's
+    # image of it (zero), and the corank is the oracle's
+    for n in range(2, 65):
+        N0 = _regular_nilpotent(n)
+        powers = {k: [pw[i][j] for i, j in _degree_positions(n, k)]
+                  for k, pw in enumerate(_powers(N0))}
+        certificate = _certificate_by_degree(n, monkeypatch)
+        blocks = _ad_blocks(N0)
+        assert sorted(certificate) == sorted(blocks) == list(range(1 - n, n))
+        coranks = 0
+        for d, block in blocks.items():
+            v, image, rank = certificate[d]
+            ncols = len(_degree_positions(n, d + 1))
+            assert v == powers.get(d, [])
+            assert image == _image(block, v, ncols) == [0] * ncols
+            assert len(block) - rank == len(block) - _rank_lower_bound(block) == (d >= 0)
+            coranks += len(block) - rank
+        assert coranks == n
 
 
 sparse_rows = st.integers(1, 5).flatmap(lambda ncols: st.lists(
@@ -188,6 +333,60 @@ sparse_rows = st.integers(1, 5).flatmap(lambda ncols: st.lists(
 def test_rank_lower_bound_never_exceeds_the_rank(rows_ncols):
     rows, ncols = rows_ncols
     assert _rank_lower_bound(rows) <= _rank_over_q(_dense(rows, ncols))
+
+
+# c 1 + the superdiagonal a, plus up to two entries anywhere: of degree
+# one or close to it, so that each check of the certificate can fail
+near_degree_one = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.integers(-2, 2), st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+             max_size=2)))
+
+
+def _near_degree_one_matrix(c, a, extra):
+    n = len(a) + 1
+    N0 = [[c if i == j else a[i] if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    for i, j, x in extra:
+        N0[i][j] += x
+    return N0
+
+
+@given(near_degree_one, st.data())
+def test_one_pass_matches_the_blocks_near_degree_one(c_a_extra, data):
+    # up[i] = N_0[i-1][i] and right[j] = N_0[j][j+1], or None where column
+    # i or row j has a nonzero entry off the diagonal and superdiagonal
+    N0 = _near_degree_one_matrix(*c_a_extra)
+    n = len(N0)
+    up = [None if any(N0[k][i] for k in range(n) if k not in (i - 1, i))
+          else N0[i - 1][i] if i else 0 for i in range(n)]
+    right = [None if any(N0[j][k] for k in range(n) if k not in (j, j + 1))
+             else N0[j][j + 1] if j + 1 < n else 0 for j in range(n)]
+    diag = [N0[i][i] for i in range(n)]
+    for d in range(1 - n, n):
+        rows = len(_degree_positions(n, d))
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
+        try:
+            block = _ad_block(N0, d)
+        except VerificationError as ex:
+            with pytest.raises(VerificationError, match=f"^{re.escape(str(ex))}$"):
+                _ad_degree(d, v, diag, up, right)
+            continue
+        ncols = len(_degree_positions(n, d + 1))
+        image, rank = _ad_degree(d, v, diag, up, right)
+        assert image == _image(block, v, ncols)
+        assert rank == _rank_lower_bound(block) <= _rank_over_q(_dense(block, ncols))
+
+
+@settings(max_examples=300)
+@given(near_degree_one)
+def test_certificate_matches_the_oracle_near_degree_one(c_a_extra):
+    N0 = _near_degree_one_matrix(*c_a_extra)
+    try:
+        local_factors._certify_centralizer(_sparse_rows(N0))
+        outcome = None
+    except VerificationError as ex:
+        outcome = str(ex)
+    assert outcome == _oracle_certificate(N0)
 
 
 def test_principal_gamma_zero_against_eps_l_ratio():

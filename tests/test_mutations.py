@@ -143,16 +143,19 @@ def _drop_top_principal_exponent(monkeypatch):
 
 
 def _power_out_of_the_kernel(monkeypatch):
-    # ad(N_0) with one more entry in the first row of its degree-0 block,
-    # so that N_0^0 = 1 no longer lies in the block's kernel
-    ad_blocks = local_factors._ad_blocks
+    # the image of N_0^0 = 1 under the degree-0 block of ad(N_0) with one
+    # added to its first column, as one more entry in the first row of that
+    # block gives (N_0^0 has first coordinate 1), so that N_0^0 no longer
+    # lies in the block's kernel
+    ad_degree = local_factors._ad_degree
 
-    def mutated(N0):
-        blocks = ad_blocks(N0)
-        blocks[0][0][0] += 1
-        return blocks
+    def mutated(d, v, *args):
+        image, rank = ad_degree(d, v, *args)
+        if d == 0:
+            image[0] += 1
+        return image, rank
 
-    monkeypatch.setattr(local_factors, "_ad_blocks", mutated)
+    monkeypatch.setattr(local_factors, "_ad_degree", mutated)
 
 
 def _doubled(name):
@@ -558,32 +561,54 @@ def test_chi_data_parity_check_raises_under_python_O():
 
 
 def test_principal_centralizer_checks_raise_under_python_O():
+    # each of the five raises of the centralizer certificate, with its message
     code = textwrap.dedent("""
         from tame_llc import local_factors
         from tame_llc.exactnum import VerificationError
         assert False, "asserts are on"
 
-        # N_0 + E_02: an image of ad(N_0) leaves degree d + 1
-        N0 = [[1 if j == i + 1 or (i, j) == (0, 2) else 0 for j in range(4)]
-              for i in range(4)]
-        try:
-            local_factors._ad_blocks(N0)
-        except VerificationError as ex:
-            print(ex)
+        def report(fn, *args):
+            try:
+                fn(*args)
+            except VerificationError as ex:
+                print(ex)
 
+        # N_0 by the (column, entry) pairs of its rows
+        N0 = [[(1, 1)], [(2, 1)], [(3, 1)], []]
+        # N_0 + E_02: an image of ad(N_0) leaves degree d + 1
+        report(local_factors._certify_centralizer, [[(1, 1), (2, 1)]] + N0[1:])
+        # N_0 + 1: ad(N_0) is unchanged, but N_0^1 has a diagonal
+        report(local_factors._certify_centralizer,
+               [[(i, 1)] + row for i, row in enumerate(N0)])
+        # 2 N_0: its powers lie in the kernel but are not primitive
+        report(local_factors._certify_centralizer,
+               [[(j, 2 * x) for j, x in row] for row in N0])
+
+        ad_degree = local_factors._ad_degree
+        # the image of N_0^0 with one added to its first column
+        def off_the_kernel(d, v, *args):
+            image, rank = ad_degree(d, v, *args)
+            image[0] += d == 0
+            return image, rank
+
+        local_factors._ad_degree = off_the_kernel
+        report(local_factors.principal_triple, 4, 3)
         # the rank bound of every block reported one too low
-        rank_lower_bound = local_factors._rank_lower_bound
-        local_factors._rank_lower_bound = lambda rows: rank_lower_bound(rows) - 1
-        try:
-            local_factors.principal_triple(4, 3)
-        except VerificationError as ex:
-            print(ex)
+        def rank_one_low(*args):
+            image, rank = ad_degree(*args)
+            return image, rank - 1
+
+        local_factors._ad_degree = rank_one_low
+        report(local_factors.principal_triple, 4, 3)
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("ad(N_0) sends E_3,0 outside degree -2\n"
+                          "N_0^1 has an entry off its diagonal\n"
+                          "N_0^1 is not primitive\n"
+                          "N_0^0 is not in the kernel of ad(N_0)\n"
                           "regular nilpotent centralizer must have dimension n\n")
 
 

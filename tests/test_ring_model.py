@@ -28,6 +28,7 @@ from tame_llc.ring_model import (
     centralizer_bruteforce,
     find_beta,
     kernel_of_norm,
+    one_unit_order,
     regular_rep_matrix,
     symplectic_check,
 )
@@ -551,8 +552,9 @@ def test_unit_group_order_is_checked(model, monkeypatch):
 
 
 def test_unit_group_transforms_stay_below_the_group_order(monkeypatch):
-    # V and V^{-1} are kept modulo |U|; over Z they reached 15,226 and
-    # 18,145 bits at (3,1,2,0,100), against 317 bits for |U|
+    # V and V^{-1} are kept modulo (q_K - 1) one_unit_order(M, 1), a
+    # multiple of U's exponent; over Z they reached 15,226 and 18,145 bits
+    # at (3,1,2,0,100), against 317 bits for |U| and 160 for that modulus
     P = params_from_q(3, 1, 2, 0, 100)
     N = P.e * P.r
     results = []
@@ -563,9 +565,10 @@ def test_unit_group_transforms_stay_below_the_group_order(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(ring_model, "smith_normal_form", recorded)
-    UnitGroupPresentation(build_model(P), N)
+    M = build_model(P)
+    UnitGroupPresentation(M, N)
     _, v, vinv = results[0]
-    bits = ((P.q_K - 1) * P.q_K ** (N - 1)).bit_length()
+    bits = ((P.q_K - 1) * one_unit_order(M, 1)).bit_length()
     assert max(abs(x).bit_length() for mat in (v, vinv) for row in mat for x in row) <= bits
 
 
