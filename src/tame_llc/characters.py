@@ -308,9 +308,8 @@ def _psi_K_data(M: Model, k: int):
     if lev > P.r:
         raise PrecisionTooLow(f"need p-level {lev} > r = {P.r}")
     pi_pow = P.e * lev - shift
-    c_elt = M.from_gr(M.c)
-    prefac = M.pow(M.pi(), pi_pow)
-    prefac = M.mul(prefac, M.pow(c_elt, -lev))
+    # c^{-lev} = tau^{-c_exp lev}
+    prefac = M.mul(M.pow(M.pi(), pi_pow), M.from_gr(M.tau_power(-M.c_exp * lev)))
     tracef = M.trace_functional()
     plev = P.p ** lev
 

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: rationals, cyclotomic numbers, the
-quadratic Gauss sums that give square roots of integers, and the unit part
-w = total * q^(-k/2) of a Gauss sum.
+quadratic Gauss sums that give square roots of integers, the unit part
+w = total * q^(-k/2) of a Gauss sum, and mul_power, the one
+square-and-multiply ladder every power in the package goes through.
 
 Every quantity downstream (character values, Gauss sums, root numbers)
 is a Fraction or a Cyclotomic, and every L-factor is 1/P(u) with
@@ -11,7 +12,7 @@ ever enters a verification path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 import math
 
 
@@ -21,6 +22,27 @@ class PoleAtPoint(ArithmeticError):
 
 class VerificationError(ArithmeticError):
     """Raised when two computations that must agree do not."""
+
+
+def mul_power(mul: Callable, acc, squares: List, n: int, one):
+    """acc * g^n for n >= 0, where squares = [g, g^2, g^4, ...] under the
+    product `mul`.
+
+    squares grows in place only to the bit length of n, so callers that
+    raise one g to several exponents share it.  An acc that is the object
+    `one` costs no product: it is replaced by the first square it meets.
+    """
+    if n < 0:
+        raise ValueError("negative exponent %d" % n)
+    i = 0
+    while n:
+        if i == len(squares):
+            squares.append(mul(squares[-1], squares[-1]))
+        if n & 1:
+            acc = squares[i] if acc is one else mul(acc, squares[i])
+        n >>= 1
+        i += 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +209,8 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Cyclotomic":
-        if n < 0:
-            raise ValueError("negative exponent %d" % n)
-        result = Cyclotomic.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = Cyclotomic.one()
+        return mul_power(Cyclotomic.__mul__, one, [self], n, one)
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^(-1)."""

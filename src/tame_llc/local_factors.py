@@ -303,27 +303,13 @@ def sym_pairing(n: int, i: int, j: int) -> int:
 def _sym_matrix(n: int, g: Sequence[Sequence[Cyclotomic]]) -> List[List[Cyclotomic]]:
     """Matrix of Sym^n(g) on the basis X^{n-i} Y^i, i = 0..n."""
     (a, b), (c, d) = g
-    cols: List[List[Cyclotomic]] = []
+    cols: List[Tuple[Cyclotomic, ...]] = []
     for i in range(n + 1):
-        # (aX + cY)^{n-i} (bX + dY)^i expanded in the monomial basis
-        poly = {0: Cyclotomic.one()}  # key: power of Y
-        for _ in range(n - i):
-            nxt = {}
-            for k, coef in poly.items():
-                for dk, fac in ((0, a), (1, c)):
-                    key = k + dk
-                    add = coef * fac
-                    nxt[key] = nxt.get(key, Cyclotomic.zero()) + add
-            poly = nxt
-        for _ in range(i):
-            nxt = {}
-            for k, coef in poly.items():
-                for dk, fac in ((0, b), (1, d)):
-                    key = k + dk
-                    add = coef * fac
-                    nxt[key] = nxt.get(key, Cyclotomic.zero()) + add
-            poly = nxt
-        cols.append([poly.get(k, Cyclotomic.zero()) for k in range(n + 1)])
+        # (aX + cY)^{n-i} (bX + dY)^i, ascending in the power of Y
+        poly = (Cyclotomic.one(),)
+        for lin in [(a, c)] * (n - i) + [(b, d)] * i:
+            poly = _poly_mul(poly, lin)
+        cols.append(poly)
     return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
 
 

@@ -5,7 +5,9 @@ residue field F_{q^f}); the uniformizer pi carries the tame ramification.
 The Galois action is delta(pi) = zeta_e pi on pi and the identity on
 coefficients, while rho acts as the inverse Frobenius on coefficients and
 as pi -> t pi.  The triple (c, zeta_e, t) of Teichmuller units is found by
-a deterministic lexicographic search over the consistency congruences.
+a deterministic lexicographic search over the consistency congruences, as
+exponents of the Teichmuller generator tau.  A Teichmuller unit is raised
+by Model.tau_power of its exponent, every other power by exactnum.mul_power.
 
 An element is one flat tuple of e * d integers mod p^r, the pi^i
 coefficient in the slice [i d, (i + 1) d).  A product is straight-line
@@ -27,7 +29,7 @@ from math import gcd, isqrt, prod
 from operator import mod, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import VerificationError, _factorize
+from .exactnum import VerificationError, _factorize, mul_power
 from .intlinalg import (
     SubgroupPresentation,
     fp_echelon,
@@ -75,35 +77,32 @@ def _fp_poly_mulmod(a, b, h, p):
     return out
 
 
-def _fp_poly_powmod(a, n, h, p):
-    result = [1] + [0] * (len(h) - 2)
-    base = list(a)
-    while n:
-        if n & 1:
-            result = _fp_poly_mulmod(result, base, h, p)
-        base = _fp_poly_mulmod(base, base, h, p)
-        n >>= 1
-    return result
-
-
 def _fp_irreducible(h, p):
     """Rabin test for a monic polynomial h over F_p (low degree first).
 
     gcd(g, h) = 1 exactly when multiplication by g is invertible on
     F_p[x]/(h), so each gcd of the test is the rank of that matrix, whose
-    rows are g x^i mod h, by fp_echelon."""
+    rows are g x^i mod h, by fp_echelon.  The powers of x share one list
+    of repeated squares."""
     d = len(h) - 1
     if d == 1:
         return True
+
+    def mul(a, b):
+        return _fp_poly_mulmod(a, b, h, p)
+
     x = [0, 1] + [0] * (d - 2)
-    if _fp_poly_powmod(x, p ** d, h, p) != x:
+    one = [1] + [0] * (d - 1)
+    squares = [x]
+    if mul_power(mul, one, squares, p ** d, one) != x:
         return False
     for ell in _factorize(d):
-        g = _fp_poly_powmod(x, p ** (d // ell), h, p)
+        # a copy: at p = 2 the power is one of the shared squares
+        g = list(mul_power(mul, one, squares, p ** (d // ell), one))
         g[1] = (g[1] - 1) % p
         rows = [g]
         for _ in range(d - 1):
-            rows.append(_fp_poly_mulmod(rows[-1], x, h, p))
+            rows.append(mul(rows[-1], x))
         if fp_echelon(rows, p, d)[2] == 0:
             return False
     return True
@@ -245,16 +244,7 @@ class GaloisRing:
         return self._product(x, y)
 
     def pow(self, x: GRElt, n: int) -> GRElt:
-        if n < 0:
-            raise ValueError("negative exponent in GR")
-        out = self.one
-        base = x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return mul_power(self.mul, self.one, [x], n, self.one)
 
     def residue(self, x: GRElt) -> GRElt:
         p = self.p
@@ -359,19 +349,18 @@ class Model:
     tau: GRElt                # Teichmuller generator of order q_K - 1
     c_exp: int
     zeta_exp: int             # zeta_e = tau^zeta_exp
-    t_exp: int                # t = tau^t_exp
+    t_exp: int                # t = tau^t_exp, read by pi_multiplier
 
     # filled in __post_init__
     c: GRElt = field(default=())
     zeta: GRElt = field(default=())
-    t: GRElt = field(default=())
 
     def __post_init__(self):
         gr = self.gr
         e, d = self.P.e, gr.d
-        self.c = gr.pow(self.tau, self.c_exp)
-        self.zeta = gr.pow(self.tau, self.zeta_exp)
-        self.t = gr.pow(self.tau, self.t_exp)
+        self._tau_squares: List[GRElt] = [self.tau]  # read by tau_power
+        self.c = self.tau_power(self.c_exp)
+        self.zeta = self.tau_power(self.zeta_exp)
         self.n = e * d
         self._pad = (0,) * (self.n - d)
         self._zero = (0,) * self.n
@@ -391,7 +380,7 @@ class Model:
         for j in range(m):
             self._baby_steps[cur] = j
             cur = gr.residue(gr.mul(cur, tau_res))
-        self._giant_step = gr.residue(gr.pow(self.tau, L - m))
+        self._giant_step = gr.residue(self.tau_power(-m))
 
     # -- element construction ----------------------------------------------
 
@@ -442,14 +431,13 @@ class Model:
     def pow(self, x: Elt, n: int) -> Elt:
         if n < 0:
             return self.pow(self.inv(x), -n)
-        out = self.one()
-        base = x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return mul_power(self.mul, self._one, [x], n, self._one)
+
+    def tau_power(self, k: int) -> GRElt:
+        """tau^k, k read modulo q_K - 1, the exact order of tau: every
+        Teichmuller unit of the model is one, with k known when it is built."""
+        gr = self.gr
+        return mul_power(gr.mul, gr.one, self._tau_squares, k % (self.P.q_K - 1), gr.one)
 
     def is_unit(self, x: Elt) -> bool:
         return self.gr.is_unit(x[:self.gr.d])
@@ -472,12 +460,12 @@ class Model:
 
     def inv(self, x: Elt) -> Elt:
         """The inverse of a unit by Newton's step y <- y (2 - x y), from
-        y = x_0^{q_K - 2} for the pi^0 coefficient x_0.  Then 1 - x y lies
-        in pi R, and each step squares it, so bit_length(e r) steps reach
-        pi^{er} = 0; an x y != 1 after them raises VerificationError."""
+        y = tau^{-residue_log(x)}, which is 1 for a one-unit.  Then 1 - x y
+        lies in pi R, and each step squares it, so bit_length(e r) steps
+        reach pi^{er} = 0; an x y != 1 after them raises VerificationError."""
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        y = self.from_gr(self.gr.pow(x[:self.gr.d], self.P.q_K - 2))
+        y = self.from_gr(self.tau_power(-self.residue_log(x)))
         two = self.from_int(2)
         for _ in range((self.e * self.P.r).bit_length() + 1):
             xy = self.mul(x, y)
@@ -493,18 +481,18 @@ class Model:
         return self.gr.frobenius(x, (self.P.a * (self.P.f - 1) * j) % self.gr.d)
 
     def pi_multiplier(self, g: GalElt) -> GRElt:
-        """The Teichmuller unit u with g(pi) = u pi."""
-        # rho^j(pi) = t rho(t) ... rho^{j-1}(t) pi; then delta^i adds zeta^i
-        u = self.gr.one
-        for s in range(g.j):
-            u = self.gr.mul(u, self._rho_gr(self.t, s))
-        u = self.gr.mul(u, self.gr.pow(self.zeta, g.i))
-        return u
+        """The Teichmuller unit u with g(pi) = u pi, as a power of tau.
+
+        rho^j(pi) = t rho(t) ... rho^{j-1}(t) pi, and rho^s raises a
+        Teichmuller unit to the power p^{a(f-1)s mod d}; delta^i adds zeta^i."""
+        P, d = self.P, self.gr.d
+        S = sum(P.p ** (P.a * (P.f - 1) * s % d) for s in range(g.j))
+        return self.tau_power(self.t_exp * S + self.zeta_exp * g.i)
 
     def _galois_matrix(self, g: GalElt) -> List[List[int]]:
-        """The matrix of g on R over Z/p^r, from the current (zeta, t): the
-        coefficient of pi^i goes through rho^j and picks up u^i, where
-        g(pi) = u pi.  Row k holds the k-th coordinate of each basis image."""
+        """The matrix of g on R over Z/p^r: the coefficient of pi^i goes
+        through rho^j and picks up u^i, where g(pi) = u pi from
+        pi_multiplier.  Row k holds the k-th coordinate of each basis image."""
         gr = self.gr
         d = gr.d
         u = self.pi_multiplier(g)
@@ -616,9 +604,9 @@ def _verify_model(M: Model):
     # pi^e = c p, through the fold table Model.mul reads
     if M.pow(pi, P.e) != M.from_gr(gr.scalar(P.p, M.c)):
         raise VerificationError("pi^e is not c p")
-    # the matrices galois_act reads, built from the current (zeta, t); the
-    # action must be a group homomorphism on a generating pair, on every
-    # basis element
+    # the matrices galois_act reads, built from the current (zeta_exp,
+    # t_exp); the action must be a group homomorphism on a generating pair,
+    # on every basis element
     M._gal_mats = {g: M._galois_matrix(g) for g in gal_elements(P)}
     basis = [M.monomial(b, i) for i in range(P.e) for b in range(gr.d)]
     for g1 in (GalElt(1 % P.e, 0), GalElt(0, 1 % P.f)):
@@ -662,11 +650,11 @@ class UnitGroupPresentation:
     checked to multiply to |U|, and the Smith transforms are kept modulo
     (q_K - 1) one_unit_order(M, 1), a multiple of U's exponent.
 
-    Powers come from lists of repeated squares, one list per element,
-    extended only as far as an exponent needs: the raw generators share
-    theirs across all invariant generators inv_gens, and each inv_gens[k]
-    has its own for element_from_coords.  The lists live on this
-    presentation only.
+    Powers come from lists of repeated squares through exactnum.mul_power,
+    one list per element, extended only as far as an exponent needs: the
+    raw generators share theirs across all invariant generators inv_gens,
+    and each inv_gens[k] has its own for element_from_coords.  The lists
+    live on this presentation only.
     """
 
     def __init__(self, M: Model, N: int):
@@ -698,7 +686,7 @@ class UnitGroupPresentation:
             rows.append(row)
         # V and V^{-1} are read modulo orders dividing this multiple of U's exponent
         order = (M.P.q_K - 1) * M.P.q_K ** (N - 1)
-        s, self._v, vinv = smith_normal_form(rows, (M.P.q_K - 1) * one_unit_order(M, 1))
+        s, v, vinv = smith_normal_form(rows, (M.P.q_K - 1) * one_unit_order(M, 1))
         self.all_orders = [s[i][i] for i in range(len(gens))]
         if prod(self.all_orders) != order:
             raise VerificationError(
@@ -706,10 +694,10 @@ class UnitGroupPresentation:
                 f"not |U| = {order}")
         self._keep = [i for i, d in enumerate(self.all_orders) if d != 1]
         self.orders = [self.all_orders[i] for i in self._keep]
-        # gens[i] has raw exponents e_i, so its coordinates _coords(e_i) are
-        # row i of _v, reduced
+        # gens[i] has raw exponents e_i, so its coordinates are row i of v,
+        # reduced; _coords reads raw exponents through these rows
         self.gen_coords: List[List[int]] = [
-            [row[j] % self.all_orders[j] for j in self._keep] for row in self._v
+            [row[j] % self.all_orders[j] for j in self._keep] for row in v
         ]
         # generators of the invariant-factor coordinates.  The exponents are
         # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
@@ -722,29 +710,12 @@ class UnitGroupPresentation:
         for k in self._keep:
             h = M.one()
             for jj, ex in enumerate(vinv[k]):
-                h = self._mul_power(h, gen_squares[jj], ex % exps[jj])
+                h = mul_power(M.mul, h, gen_squares[jj], ex % exps[jj], M.one())
             self.inv_gens.append(h)
         self._inv_gen_squares: List[List[Elt]] = [[h] for h in self.inv_gens]
 
     def order(self) -> int:
         return prod(self.orders)
-
-    def _mul_power(self, acc: Elt, squares: List[Elt], ex: int) -> Elt:
-        """acc times g^ex, for ex >= 0 and squares = [g, g^2, g^4, ...],
-        which grows in place to the bit length of ex."""
-        if ex < 0:
-            raise ValueError("negative exponent")
-        M = self.M
-        one = M.one()
-        i = 0
-        while ex:
-            if i == len(squares):
-                squares.append(M.mul(squares[-1], squares[-1]))
-            if ex & 1:
-                acc = squares[i] if acc == one else M.mul(acc, squares[i])
-            ex >>= 1
-            i += 1
-        return acc
 
     # -- discrete logs -------------------------------------------------------
 
@@ -764,17 +735,15 @@ class UnitGroupPresentation:
         return table[c - 1]
 
     def _coords(self, w: Sequence[int]) -> List[int]:
-        """Invariant-factor coordinates of the raw exponents w."""
-        return [
-            sum(wi * self._v[i][j] for i, wi in enumerate(w)) % self.all_orders[j]
-            for j in self._keep
-        ]
+        """Invariant-factor coordinates of raw exponents w: sum w_i gen_coords[i]."""
+        return [sum(map(mul, w, col)) % d
+                for col, d in zip(zip(*self.gen_coords), self.orders)]
 
     def _raw_dlog(self, x: Elt) -> List[int]:
         """Exponents of x in self.gens, one digit per generator.
 
         The Teichmuller digit k0 = residue_log(x) is divided out by
-        tau^{L - k0}, L = q_K - 1 the exact order of tau.  Then each step of
+        tau_power(-k0).  Then each step of
         _plan reads level i = k e + j: once the digits below it are divided
         out, slice j of what is left (less 1 on slice 0) is p^k times the
         level's digits mod p, and one divmod by p^k gives both the
@@ -791,7 +760,7 @@ class UnitGroupPresentation:
         w[0] = k0
         cur = x
         if k0:
-            cur = M.mul(x, M.from_gr(M.gr.pow(M.tau, M.P.q_K - 1 - k0)))
+            cur = M.mul(x, M.from_gr(M.tau_power(-k0)))
         for i, off, pk, base in self._plan:
             coeff = cur[off:off + d]
             if not off:
@@ -820,9 +789,10 @@ class UnitGroupPresentation:
 
     def element_from_coords(self, coords: Sequence[int]) -> Elt:
         """The product of inv_gens[k]^coords[k]; coordinates are >= 0."""
-        out = self.M.one()
+        M = self.M
+        out = one = M.one()
         for squares, c in zip(self._inv_gen_squares, coords):
-            out = self._mul_power(out, squares, c)
+            out = mul_power(M.mul, out, squares, c, one)
         return out
 
     def enumerate(self, k: int):
@@ -920,9 +890,7 @@ def _flatten(x: Elt, mod: int) -> List[int]:
 def _is_generator(M: Model, beta: Elt) -> bool:
     """Nakayama test: {w^c beta^k} spans R/pR over F_p, w a basis of F_q."""
     P = M.P
-    gr = M.gr
-    qK = P.q_K
-    omega = M.from_gr(gr.pow(M.tau, (qK - 1) // (P.q - 1)))
+    omega = M.from_gr(M.tau_power((P.q_K - 1) // (P.q - 1)))
     vecs = []
     bpow = M.one()
     for k in range(P.n):
@@ -974,11 +942,8 @@ def centralizer_bruteforce(M: Model, beta: Elt, level: int) -> bool:
         powers.append(pw)
         pw = mat_mul_mod(pw, B)
     for code in range(mod ** n):
-        cc = code
         acc = [[0] * n for _ in range(n)]
-        for pk in powers:
-            lam = cc % mod
-            cc //= mod
+        for lam, pk in zip(_base_p_digits(code, mod, n), powers):
             for i in range(n):
                 for j in range(n):
                     acc[i][j] = (acc[i][j] + lam * pk[i][j]) % mod
@@ -986,12 +951,8 @@ def centralizer_bruteforce(M: Model, beta: Elt, level: int) -> bool:
 
     count = 0
     for code in range(mod ** (n * n)):
-        cc = code
-        X = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                X[i][j] = cc % mod
-                cc //= mod
+        digits = _base_p_digits(code, mod, n * n)
+        X = [digits[i * n:(i + 1) * n] for i in range(n)]
         if mat_mul_mod(X, B) == mat_mul_mod(B, X):
             count += 1
             if tuple(tuple(r) for r in X) not in span:

@@ -1,11 +1,14 @@
 """Tests for the exact scalar types: cyclotomic numbers, square roots of
-integers and the unit part of a Gauss sum.  An L-factor is a tuple of
-Fractions, tested with gamma_at_zero_abs in test_local_factors."""
+integers and the unit part of a Gauss sum, and for mul_power, the one
+power ladder.  An L-factor is a tuple of Fractions, tested with
+gamma_at_zero_abs in test_local_factors."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,9 +17,12 @@ from hypothesis import strategies as st
 from tame_llc.exactnum import (
     Cyclotomic,
     VerificationError,
+    mul_power,
     sqrt_as_cyclotomic,
     unit_part,
 )
+from tame_llc.ring_model import GaloisRing, build_model
+from tame_llc.tame_galois import params_from_q
 
 orders = st.integers(1, 24)
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -71,6 +77,64 @@ def test_sqrt_two_is_the_eighth_root_combination():
 def test_negative_powers_are_refused():
     with pytest.raises(ValueError, match="negative exponent"):
         Cyclotomic.root_of_unity(4) ** -1
+
+
+def _ladder_rings():
+    """(name, mul, one, g) for ints mod 1001, Q(zeta_12), GR(5^3, 2) and
+    the model ring of (3, 2, 1, 0, 4)."""
+    gr = GaloisRing(5, 3, 2)
+    M = build_model(params_from_q(3, 2, 1, 0, 4))
+    return [
+        ("int", lambda x, y: x * y % 1001, 1, 17),
+        ("cyclotomic", Cyclotomic.__mul__, Cyclotomic.one(),
+         Cyclotomic.root_of_unity(12, 5) + Fraction(1, 3)),
+        ("galois_ring", gr.mul, gr.one, (7, 11)),
+        ("model", M.mul, M.one(), M.add(M.from_gr(M.tau), M.pi())),
+    ]
+
+
+LADDER_RINGS = _ladder_rings()
+
+
+def _naive_power(mul, one, g, n):
+    out = one
+    for _ in range(n):
+        out = mul(out, g)
+    return out
+
+
+@pytest.mark.parametrize("ring", LADDER_RINGS, ids=[r[0] for r in LADDER_RINGS])
+def test_mul_power_is_the_naive_product(ring):
+    _, mul, one, g = ring
+    squares = [g]
+    acc = mul(g, g)
+    for n in list(range(21)) + [37, 64]:
+        naive = _naive_power(mul, one, g, n)
+        assert mul_power(mul, one, squares, n, one) == naive, n
+        assert mul_power(mul, acc, squares, n, one) == mul(acc, naive), n
+    assert len(squares) == 7  # g, g^2, ..., g^64
+
+
+@pytest.mark.parametrize("ring", LADDER_RINGS, ids=[r[0] for r in LADDER_RINGS])
+def test_mul_power_returns_acc_at_zero_and_refuses_negative_exponents(ring):
+    _, mul, one, g = ring
+    acc = mul(g, g)
+    assert mul_power(mul, acc, [g], 0, one) is acc
+    assert mul_power(mul, one, [g], 0, one) is one
+    with pytest.raises(ValueError, match="negative exponent"):
+        mul_power(mul, one, [g], -1, one)
+
+
+@pytest.mark.parametrize("ring", LADDER_RINGS, ids=[r[0] for r in LADDER_RINGS])
+def test_mul_power_shares_its_squares_in_any_order(ring):
+    _, mul, one, g = ring
+    exps = list(range(40)) + [63, 64, 65, 100]
+    fresh = {n: mul_power(mul, one, [g], n, one) for n in exps}
+    for seed in range(3):
+        random.Random(seed).shuffle(exps)
+        squares = [g]
+        for n in exps:
+            assert mul_power(mul, one, squares, n, one) == fresh[n], (seed, n)
 
 
 def test_cyclotomic_is_unhashable():

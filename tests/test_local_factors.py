@@ -15,6 +15,7 @@ from tame_llc.intlinalg import hnf_row
 from tame_llc.local_factors import (
     BruteForceUnsupported,
     _ad_degree,
+    _sym_matrix,
     gamma_at_zero_abs,
     induced_factor,
     lambda_tame,
@@ -482,6 +483,39 @@ def test_sym_pairing_invariance(n):
         [[one, one], [zero, one]],
     ]
     assert sym_pairing_check(n, gs)
+
+
+def _sym_matrix_by_dicts(n, g):
+    """Sym^n(g) on X^{n-i} Y^i, each column (aX + cY)^{n-i} (bX + dY)^i
+    expanded one linear factor at a time into a dict keyed by the power
+    of Y."""
+    (a, b), (c, d) = g
+    cols = []
+    for i in range(n + 1):
+        poly = {0: Cyclotomic.one()}
+        for fac0, fac1 in [(a, c)] * (n - i) + [(b, d)] * i:
+            nxt = {}
+            for k, coef in poly.items():
+                for dk, fac in ((0, fac0), (1, fac1)):
+                    nxt[k + dk] = nxt.get(k + dk, Cyclotomic.zero()) + coef * fac
+            poly = nxt
+        cols.append([poly.get(k, Cyclotomic.zero()) for k in range(n + 1)])
+    return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_sym_matrix_matches_the_dict_expansion(n):
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    z3, i = Cyclotomic.root_of_unity(3), Cyclotomic.root_of_unity(4)
+    gs = [
+        [[one, zero], [zero, one]],
+        [[zero, one], [-one, zero]],
+        [[i, zero], [zero, i.conj()]],
+        [[one, one], [zero, one]],
+        [[z3 + 2, i], [z3 * Fraction(1, 2), -z3 - i]],
+    ]
+    for g in gs:
+        assert _sym_matrix(n, g) == _sym_matrix_by_dicts(n, g), g
 
 
 def test_wd_assembly_of_the_principal_descriptor():

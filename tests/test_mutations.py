@@ -249,6 +249,28 @@ def _perturb_one_galois_matrix_entry(monkeypatch):
     monkeypatch.setattr(ring_model.Model, "_galois_matrix", mutated)
 
 
+def _f4_twisted_box():
+    """The tuples (q, 2, 4, 1, r) of q <= 11, r in 4..6: t != 1 at f = 4,
+    and at q = 9 also a = 2.  Of the 414 tuples with t != 1 in q <= 27,
+    n <= 8, r in 4..6 and q_K <= 10^6, only those with (e, f, m) =
+    (2, 4, 1) have a g(pi)/pi that moves when t^{p^{a(f-1)s}} is read as
+    t^{p^s}; on the others the order of t divides the difference of the
+    two exponents."""
+    box = [P for P in valid_tuples([3, 5, 7, 9, 11], 8, [4, 5, 6])
+           if (P.e, P.f, P.m) == (2, 4, 1)]
+    assert len(box) == 15
+    return box
+
+
+def _rho_raises_t_to_p_s(monkeypatch):
+    # g(pi)/pi with each rho^s(t) read as t^{p^s}, not t^{p^{a(f-1)s}}
+    def mutated(self, g):
+        S = sum(self.P.p ** s for s in range(g.j))
+        return self.tau_power(self.t_exp * S + self.zeta_exp * g.i)
+
+    monkeypatch.setattr(ring_model.Model, "pi_multiplier", mutated)
+
+
 def _perturb_one_frobenius_entry(monkeypatch):
     # entry (0, 0) of the Frobenius matrix plus one, at the binding
     # adjoint_L's matrix route reads; at f = 1 the matrix is empty
@@ -329,11 +351,11 @@ def _residue_log_plus_one(monkeypatch):
 
 def _inv_one_newton_step_short(monkeypatch):
     # Model.inv's iterate from one step before x y = 1: y (2 - x y) from
-    # the same start x_0^{q_K - 2}, stopped one step early
+    # the same start tau^{-residue_log(x)}, stopped one step early
     def mutated(self, x):
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        y = self.from_gr(self.gr.pow(x[:self.gr.d], self.P.q_K - 2))
+        y = self.from_gr(self.tau_power(-self.residue_log(x)))
         short = y
         while (xy := self.mul(x, y)) != self.one():
             short, y = y, self.mul(y, self.sub(self.from_int(2), xy))
@@ -393,6 +415,8 @@ ROWS = {
         (_perturb_one_cp_image, _ramified_root_number_box, verify_root_number),
     "Galois matrix: perturb one entry":
         (_perturb_one_galois_matrix_entry, _root_number_box, verify_root_number),
+    "pi_multiplier: rho^s raises t to p^s, not p^{a(f-1)s}":
+        (_rho_raises_t_to_p_s, _f4_twisted_box, verify_root_number),
     # |U| / p would survive: it is still a multiple of every order V and
     # V^{-1} are read by
     "UnitGroupPresentation: Smith transforms modulo q_K - 1":
@@ -454,6 +478,13 @@ def test_perturbed_fold_is_caught_by_the_pi_e_check(monkeypatch):
 def test_perturbed_galois_matrix_is_caught_by_the_homomorphism_check(monkeypatch):
     _perturb_one_galois_matrix_entry(monkeypatch)
     for P in _root_number_box():
+        with pytest.raises(VerificationError, match="action not a homomorphism"):
+            verify_root_number(P)
+
+
+def test_rho_raising_t_to_p_s_is_caught_by_the_homomorphism_check(monkeypatch):
+    _rho_raises_t_to_p_s(monkeypatch)
+    for P in _f4_twisted_box():
         with pytest.raises(VerificationError, match="action not a homomorphism"):
             verify_root_number(P)
 

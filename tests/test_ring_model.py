@@ -22,7 +22,7 @@ from tame_llc.ring_model import (
     UnitGroupPresentation,
     _base_p_digits,
     _fp_irreducible,
-    _fp_poly_powmod,
+    _fp_poly_mulmod,
     _least_irreducible,
     build_model,
     centralizer_bruteforce,
@@ -34,6 +34,7 @@ from tame_llc.ring_model import (
 )
 from tame_llc.tame_galois import GAL_ID, GalElt, gal_elements, norm_index, params_from_q
 from test_intlinalg import smith_over_z
+from test_mutations import _root_number_box
 
 RINGS = [(3, 2, 1), (3, 2, 2), (5, 2, 1), (5, 3, 2), (7, 2, 2), (3, 4, 3)]
 
@@ -126,6 +127,18 @@ def fp_poly_gcd(a, b, p):
     return a
 
 
+def fp_poly_powmod(a, n, h, p):
+    """a^n mod h over F_p by its own square-and-multiply loop."""
+    result = [1] + [0] * (len(h) - 2)
+    base = list(a)
+    while n:
+        if n & 1:
+            result = _fp_poly_mulmod(result, base, h, p)
+        base = _fp_poly_mulmod(base, base, h, p)
+        n >>= 1
+    return result
+
+
 def rabin_by_euclid(h, p):
     """Rabin's test with a gcd per prime l | d: h of degree d is irreducible
     iff x^{p^d} = x mod h and gcd(x^{p^{d/l}} - x, h) = 1."""
@@ -133,10 +146,10 @@ def rabin_by_euclid(h, p):
     if d == 1:
         return True
     x = [0, 1] + [0] * (d - 2)
-    if _fp_poly_powmod(x, p ** d, h, p) != x:
+    if fp_poly_powmod(x, p ** d, h, p) != x:
         return False
     for ell in _factorize(d):
-        g = _fp_poly_powmod(x, p ** (d // ell), h, p)
+        g = fp_poly_powmod(x, p ** (d // ell), h, p)
         g[1] -= 1
         if len(fp_poly_gcd(g, h, p)) != 1:
             return False
@@ -208,6 +221,27 @@ def _nested_mul(M, x, y):
                 k -= e
             acc[k] = gf.add(acc[k], prod)
     return _flat(acc)
+
+
+def _pi_multiplier_by_frobenius(M, g):
+    """g(pi)/pi as t rho(t) ... rho^{j-1}(t) zeta^i, each rho^s(t) through
+    the Frobenius matrix of the Galois ring and t = tau^t_exp."""
+    gf = M.gr
+    t = gf.pow(M.tau, M.t_exp)
+    u = gf.one
+    for s in range(g.j):
+        u = gf.mul(u, M._rho_gr(t, s))
+    return gf.mul(u, gf.pow(M.zeta, g.i))
+
+
+@pytest.mark.parametrize("tup", [(3, 2, 4, 1, 4), (9, 2, 2, 1, 4),
+                                 (5, 4, 3, 0, 12), (13, 4, 4, 0, 12)])
+def test_pi_multiplier_matches_the_frobenius_product(tup):
+    # t != 1 on the first two, at f = 4 and at a = 2
+    M = build_model(params_from_q(*tup))
+    assert (M.t_exp % (M.P.q_K - 1) != 0) == (tup[3] == 1)
+    for g in gal_elements(M.P):
+        assert M.pi_multiplier(g) == _pi_multiplier_by_frobenius(M, g), g
 
 
 def _coefficientwise_act(M, g, x):
@@ -500,6 +534,31 @@ def test_generator_coordinates_are_their_dlogs(model):
     assert U.gen_coords == [U.dlog(g) for g in U.gens]
 
 
+def test_dlog_matches_the_smith_transform(monkeypatch):
+    # the oracle reads raw exponents w through the Smith column transform
+    # V itself: coordinate j is sum_i w_i V[i][j] mod the j-th invariant
+    # factor, where dlog reads them through gen_coords
+    smith_normal_form = ring_model.smith_normal_form
+    results = []
+
+    def recorded(rows, modulus):
+        results.append(smith_normal_form(rows, modulus))
+        return results[-1]
+
+    monkeypatch.setattr(ring_model, "smith_normal_form", recorded)
+    for P in _root_number_box():
+        M = build_model(P)
+        U = UnitGroupPresentation(M, P.e * P.r)
+        _, v, _ = results[-1]
+        probes = U.gens + U.inv_gens + _random_units(M, 20, seed=P.q_K + P.r)
+        probes += [M.galois_act(g, h) for g in gal_elements(P) for h in U.inv_gens]
+        for x in probes:
+            w = U._raw_dlog(x)
+            by_v = [sum(wi * v[i][j] for i, wi in enumerate(w)) % U.all_orders[j]
+                    for j in U._keep]
+            assert U.dlog(x) == by_v, (P, x)
+
+
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 4), (3, 4, 2, 0, 3),
                                  (5, 2, 2, 1, 5), (7, 3, 1, 0, 3)])
 def test_invariant_generators_match_raw_exponents(tup, monkeypatch):
@@ -663,6 +722,19 @@ def test_residue_log_matches_the_power_table():
             assert M.residue_log(M.add(x, M.add(M.from_int(M.P.p), M.pi()))) == k
 
 
+def test_tau_power_reads_its_exponent_modulo_the_order_of_tau():
+    for M in _root_number_box_fields():
+        gr, L = M.gr, M.P.q_K - 1
+        assert M.tau_power(L) == gr.one
+        assert M.tau_power(0) == gr.one
+        ks = sorted({1, 2, L - 1, L // 2, L // 3 + 1, 7 % L, 100 % L})
+        for k in ks:
+            assert M.tau_power(k) == gr.pow(M.tau, k), (M.P, k)
+            assert M.tau_power(k + L) == M.tau_power(k) == M.tau_power(k - 3 * L)
+            assert gr.mul(M.tau_power(k), M.tau_power(-k)) == gr.one, (M.P, k)
+        assert (M.c, M.zeta) == (gr.pow(M.tau, M.c_exp), gr.pow(M.tau, M.zeta_exp))
+
+
 def test_residue_log_of_a_non_unit_raises():
     for M in _root_number_box_fields():
         for x in (M.zero(), M.pi(), M.from_int(M.P.p)):
@@ -695,7 +767,7 @@ def test_model_inv_of_a_non_unit_raises():
 def test_model_inv_checks_that_newton_converged(monkeypatch):
     # a first guess that is not an inverse mod pi: 1 - x y stays a unit
     M = build_model(params_from_q(3, 2, 1, 0, 8))
-    monkeypatch.setattr(M.gr, "pow", lambda x, n: M.gr.one)
+    monkeypatch.setattr(M, "tau_power", lambda k: M.gr.one)
     with pytest.raises(VerificationError, match="Newton's inverse did not converge"):
         M.inv(M.from_int(2))
 
@@ -779,16 +851,16 @@ def test_model_checks_survive_python_O():
 
         M = build_model(params_from_q(3, 2, 2, 0, 4))
         gr = M.gr
-        zeta, c, t = M.zeta, M.c, M.t
+        zeta, c, t_exp = M.zeta, M.c, M.t_exp
         M.zeta = gr.from_int(2)
         raises("zeta^e", lambda: _verify_model(M))
         M.zeta = gr.one
         raises("zeta order", lambda: _verify_model(M))
         M.zeta, M.c = zeta, gr.from_int(2)
         raises("pi^e", lambda: _verify_model(M))
-        M.c, M.t = c, gr.from_int(2)
+        M.c, M.t_exp = c, t_exp + 1
         raises("homomorphism", lambda: _verify_model(M))
-        M.t = t
+        M.t_exp = t_exp
         _verify_model(M)
         M.trace_K_F = lambda x: gr.one
         raises("beta trace", lambda: find_beta(M))
