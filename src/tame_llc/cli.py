@@ -1,8 +1,9 @@
 """Command-line interface: verification reports, sweeps, self-tests.
 
 Reports are deterministic: the same arguments produce byte-identical
-output. Measured timings are therefore opt-in (--timing); without the flag
-the timing_ms field is 0.
+output. Measured timings are therefore opt-in (--timing): with the flag,
+each JSON report's timing_ms is the wall time spent building that report,
+so a sweep times each tuple; without it, timing_ms is 0.
 
 The argument parser is built once per process, on the first call, and
 shared by every later call of `main`; it holds no result, model or report
@@ -19,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .conjectures import (
     PAPER_TYPO_NOTES,
@@ -117,8 +118,8 @@ def _parser() -> argparse.ArgumentParser:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_json(reports: List[ConjectureReport], timing_ms: int) -> str:
-    payload = [dict(r.to_json_dict(), timing_ms=timing_ms) for r in reports]
+def _render_json(reports: List[ConjectureReport], timing_ms: List[int]) -> str:
+    payload = [dict(r.to_json_dict(), timing_ms=ms) for r, ms in zip(reports, timing_ms)]
     body = payload[0] if len(payload) == 1 else payload
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
@@ -155,9 +156,9 @@ def _render_text(reports: List[ConjectureReport]) -> str:
 
 
 def _emit(reports: List[ConjectureReport], ns: argparse.Namespace,
-          timing_ms: int) -> bool:
-    """Write the rendered reports in ns.fmt; False, with one line on
-    stderr, if ns.out cannot be written."""
+          timing_ms: List[int]) -> bool:
+    """Write the rendered reports in ns.fmt, the JSON ones with their
+    timing_ms; False, with one line on stderr, if ns.out cannot be written."""
     if ns.fmt == "json":
         text = _render_json(reports, timing_ms)
     elif ns.fmt == "csv":
@@ -220,7 +221,7 @@ def _factors_report(P: TameParams) -> ConjectureReport:
     return rep
 
 
-def _selftest_reports() -> List[ConjectureReport]:
+def _selftest_reports() -> Iterator[ConjectureReport]:
     from .characters import (
         CharacterSystem,
         conductor_bruteforce,
@@ -240,7 +241,12 @@ def _selftest_reports() -> List[ConjectureReport]:
     from .ring_model import build_model, centralizer_bruteforce, find_beta, symplectic_check
     from .tame_galois import GAL_ID, gal_elements
 
-    reports = sweep_report([3, 5], 4, [2, 3])
+    yield from sweep_report([3, 5], 4, [2, 3])
+
+    def checks(rows):
+        return [CheckResult(name, {}, "OK" if passed else "FAIL")
+                for name, passed in rows]
+
     # quadratic Gauss sum law on small fields
     ok = True
     vals = {}
@@ -248,46 +254,44 @@ def _selftest_reports() -> List[ConjectureReport]:
         g2 = quadratic_gauss_sum_field(p, d) ** 2
         vals[f"q={p ** d}"] = g2.to_text()
         ok = ok and g2 == (-1) ** ((p ** d - 1) // 2)
-    extra = ConjectureReport(params_from_q(3, 2, 1, 0, 2))
-    extra.checks.append(CheckResult("quadratic_gauss_square", vals,
-                                    "OK" if ok else "FAIL"))
     # the paper's checks that neither identity runs, each on one small case,
-    # as (report, check name, passed)
-    M = build_model(extra.params)
+    # as (check name, passed)
+    P = params_from_q(3, 2, 1, 0, 2)
+    M = build_model(P)
     beta = find_beta(M)
     one, zero, i = Cyclotomic.one(), Cyclotomic.zero(), Cyclotomic.root_of_unity(4)
     sl2 = [[[one, zero], [zero, one]], [[zero, one], [-one, zero]],
            [[i, zero], [zero, i.conj()]], [[one, one], [zero, one]]]
     steinberg = principal_triple(4, 3)
+    yield ConjectureReport(P, [
+        CheckResult("quadratic_gauss_square", vals, "OK" if ok else "FAIL"),
+        *checks([
+            ("lambda_closed_vs_bruteforce", all(
+                lambda_tame(p, 1, 2, u0, "closed") == lambda_tame(p, 1, 2, u0, "bruteforce")
+                for p in (3, 5) for u0 in (0, 1))),
+            ("symplectic_check", symplectic_check(M, beta)[0]),
+            ("centralizer_bruteforce", centralizer_bruteforce(M, beta, 1)),
+            ("sym_pairing_check", sym_pairing_check(3, sl2)),
+            # the Steinberg side's eps is q^{a/2}: its root number is 1
+            ("wd_factors", wd_factors(principal_descriptor(4), 3)
+             == (steinberg.a, steinberg.l_inv, Cyclotomic.one())),
+        ]),
+    ])
     cs = CharacterSystem(build_model(params_from_q(3, 2, 1, 0, 4)))
     twists = [cs.theta_tilde_twist(g) for g in gal_elements(cs.P) if g != GAL_ID]
     conductors = [conductor_bruteforce(cs, tw) for tw in twists]
     units = [cs.M.one(), cs.M.add(cs.M.one(), cs.M.pi()), cs.M.from_gr(cs.M.tau)]
-    twist_report = ConjectureReport(cs.P)
-    rows = [
-        (extra, "lambda_closed_vs_bruteforce", all(
-            lambda_tame(p, 1, 2, u0, "closed") == lambda_tame(p, 1, 2, u0, "bruteforce")
-            for p in (3, 5) for u0 in (0, 1))),
-        (extra, "symplectic_check", symplectic_check(M, beta)[0]),
-        (extra, "centralizer_bruteforce", centralizer_bruteforce(M, beta, 1)),
-        (extra, "sym_pairing_check", sym_pairing_check(3, sl2)),
-        # the Steinberg side's eps is q^{a/2}: its root number is 1
-        (extra, "wd_factors", wd_factors(principal_descriptor(4), 3)
-         == (steinberg.a, steinberg.l_inv, Cyclotomic.one())),
-        (twist_report, "gauss_sum_literal", all(
+    yield ConjectureReport(cs.P, checks([
+        ("gauss_sum_literal", all(
             gauss_sum_literal(cs, tw, k) == gauss_sum(cs, tw, k)
             for tw, k in zip(twists, conductors))),
-        (twist_report, "ad_character_identity", all(
+        ("ad_character_identity", all(
             lhs == rhs for lhs, rhs in (ad_character_identity(cs, x) for x in units))),
-        (twist_report, "phi1_trace_off_identity", all(
+        ("phi1_trace_off_identity", all(
             phi1_trace(cs, g, x) == zero
             for g in gal_elements(cs.P) if g != GAL_ID for x in units)),
-        (twist_report, "regularity_check", regularity_check(cs, cs.theta_tilde)),
-    ]
-    for rep, name, passed in rows:
-        rep.checks.append(CheckResult(name, {}, "OK" if passed else "FAIL"))
-    reports += [extra, twist_report]
-    return reports
+        ("regularity_check", regularity_check(cs, cs.theta_tilde)),
+    ]))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -295,41 +299,45 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else EXIT_USAGE
-    if ns.command == "sweep":
+    # lazy: each report is built when the loop below asks for it, and timed
+    if ns.command == "selftest":
+        built = _selftest_reports()
+    elif ns.command == "sweep":
         try:
             q_values, r_values = _parse_int_list(ns.q), _parse_int_list(ns.r)
         except ValueError as ex:
             print(f"invalid box: {ex}", file=sys.stderr)
             return EXIT_USAGE
-    elif ns.command != "selftest":
+        built = sweep_report(q_values, ns.max_n, r_values,
+                             include_root_number=ns.root_number)
+    else:
         try:
             P = params_from_q(ns.q, ns.e, ns.f, ns.m, ns.r)
         except InvalidParams as ex:
             print(f"invalid parameters: {ex}", file=sys.stderr)
             return EXIT_USAGE
-    t0 = time.monotonic()
-    try:
-        if ns.command == "verify":
+        if ns.command == "factors":
+            built = map(_factors_report, [P])
+        else:
             verify = (verify_formal_degree if ns.which == "formal-degree"
                       else verify_root_number)
-            reports = [ConjectureReport(P, [verify(P)])]
-        elif ns.command == "factors":
-            reports = [_factors_report(P)]
-        elif ns.command == "sweep":
-            reports = sweep_report(q_values, ns.max_n, r_values,
-                                   include_root_number=ns.root_number)
-            if not reports:
-                print("no valid tuple in the box", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            reports = _selftest_reports()
+            built = (ConjectureReport(P, [verify(P)]) for P in [P])
+    reports, laps = [], [time.monotonic()]
+    try:
+        for rep in built:
+            reports.append(rep)
+            laps.append(time.monotonic())
     except TooLarge as ex:
         print(f"too large: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ArithmeticError, AssertionError, RuntimeError) as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
-    timing_ms = int((time.monotonic() - t0) * 1000) if ns.timing else 0
+    if not reports:
+        print("no valid tuple in the box", file=sys.stderr)
+        return EXIT_USAGE
+    timing_ms = [int((end - start) * 1000) if ns.timing else 0
+                 for start, end in zip(laps, laps[1:])]
     if not _emit(reports, ns, timing_ms):
         return EXIT_USAGE
     # a single root number the checker does not support is a refusal

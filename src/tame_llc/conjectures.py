@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .exactnum import Cyclotomic, VerificationError
 from .llc_parameters import (
@@ -236,13 +236,12 @@ def sweep_report(
     max_n: int,
     r_values: Sequence[int],
     include_root_number: bool = False,
-) -> List[ConjectureReport]:
-    reports = []
+) -> Iterator[ConjectureReport]:
+    """The report of each valid tuple of the box, built when it is asked for."""
     for P in valid_tuples(q_values, max_n, r_values):
         rep = ConjectureReport(P)
         rep.checks.append(verify_formal_degree(P))
         rep.checks.append(verify_dim_delta(P))
         if include_root_number:
             rep.checks.append(verify_root_number(P))
-        reports.append(rep)
-    return reports
+        yield rep

@@ -1,20 +1,21 @@
 """Assembly of the Langlands parameter data.
 
-The parameter is only ever handled through finite data: monomial matrices
-with opaque cocycle symbols, the adjoint decomposition into induced
-pieces, and the conductor / L-factor / gamma / root number computed by
+The parameter is only ever handled through finite data: the trace of
+phi_1 = Ind theta-tilde, the adjoint decomposition into induced pieces,
+and the conductor / L-factor / gamma / root number computed by
 independent methods that the tests compare.
 
-Cocycle units are never evaluated; any trace or product that still
-carries a symbol raises, so every number that leaves this module is
-provably cocycle-independent.
+The cocycle alpha of the induction is never evaluated.  The trace checks
+that sigma permutes the basis v_gamma and raises where a fixed basis
+vector would carry alpha(sigma, gamma) with sigma != 1, so every number
+that leaves this module is cocycle-independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .exactnum import Cyclotomic, VerificationError
 from .local_factors import (
@@ -38,105 +39,31 @@ from .tame_galois import (
 
 
 class CocycleDependent(ArithmeticError):
-    """A quantity failed to cancel its opaque cocycle symbols."""
+    """A quantity depends on the cocycle of the induction, never evaluated."""
 
 
 # ---------------------------------------------------------------------------
-# monomial matrices over the symbolic unit group
+# the induced representation phi_1 = Ind theta-tilde
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymbolicUnit:
-    """A cyclotomic number times a formal product of opaque cocycle symbols."""
-
-    coef: Cyclotomic
-    symbols: Tuple[Tuple[object, int], ...] = ()
-
-    def __mul__(self, other: "SymbolicUnit") -> "SymbolicUnit":
-        acc: Dict[object, int] = dict(self.symbols)
-        for s, k in other.symbols:
-            acc[s] = acc.get(s, 0) + k
-            if acc[s] == 0:
-                del acc[s]
-        return SymbolicUnit(
-            self.coef * other.coef, tuple(sorted(acc.items(), key=repr))
-        )
-
-    def value(self) -> Cyclotomic:
-        if self.symbols:
-            raise CocycleDependent(f"unresolved cocycle symbols {self.symbols}")
-        return self.coef
-
-    @classmethod
-    def of(cls, c: Cyclotomic) -> "SymbolicUnit":
-        return cls(c)
-
-    @classmethod
-    def symbol(cls, name: object) -> "SymbolicUnit":
-        return cls(Cyclotomic.one(), ((name, 1),))
-
-
-class MonomialMatrix:
-    """A monomial matrix on the basis v_gamma, gamma in Gal(K/F).
-
-    Stored as gamma -> (image index, entry): column v_gamma maps to
-    entry * v_image.
-    """
-
-    def __init__(self, P: TameParams, action: Dict[GalElt, Tuple[GalElt, SymbolicUnit]]):
-        self.P = P
-        self.action = action
-        targets = [t for t, _ in action.values()]
-        if len(set(targets)) != len(targets):
-            raise VerificationError("not a monomial matrix")
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        out = {}
-        for g, (mid, u1) in other.action.items():
-            tgt, u2 = self.action[mid]
-            out[g] = (tgt, u2 * u1)
-        return MonomialMatrix(self.P, out)
-
-    def trace(self) -> Cyclotomic:
-        total = Cyclotomic.zero()
-        for g, (tgt, u) in self.action.items():
-            if tgt == g:
-                total = total + u.value()
-        return total
-
-
-def phi1_of_sigma(P: TameParams, sigma: GalElt) -> MonomialMatrix:
-    """phi_1 on a Galois-section element: permutation gamma -> sigma gamma
-    with opaque cocycle entries alpha(sigma, gamma)."""
-    act = {}
-    for g in gal_elements(P):
-        # normalized cocycle: alpha(1, .) = 1
-        unit = (
-            SymbolicUnit.of(Cyclotomic.one())
-            if sigma == GAL_ID
-            else SymbolicUnit.symbol(("alpha", sigma, g))
-        )
-        act[g] = (gal_mul(sigma, g, P), unit)
-    return MonomialMatrix(P, act)
-
-
-def phi1_of_unit(sys, x) -> MonomialMatrix:
-    """phi_1 on x in the unit part of K^x: diagonal with entries
-    theta-tilde(x^gamma)."""
-    P = sys.P
-    act = {}
-    for g in gal_elements(P):
-        val = sys.theta_tilde.value_on_coords(sys.U.dlog(sys.M.galois_act(g, x)))
-        act[g] = (g, SymbolicUnit.of(val))
-    return MonomialMatrix(P, act)
-
 
 def phi1_trace(sys, sigma: GalElt, x) -> Cyclotomic:
-    """Trace of phi_1 at (sigma, x): zero off sigma = 1, else the sum of
-    theta-tilde over the Galois orbit of x.  Computed through the monomial
-    matrices so cocycle-independence is verified, not assumed."""
-    m = phi1_of_sigma(sys.P, sigma) * phi1_of_unit(sys, x)
-    return m.trace()
+    """Trace of phi_1 at (sigma, x) on the basis v_gamma of the induced
+    representation: sigma sends v_gamma to alpha(sigma, gamma) v_{sigma gamma}
+    and x scales it by theta-tilde(x^gamma).  Raises VerificationError if
+    gamma -> sigma gamma is no permutation, and CocycleDependent at a gamma
+    fixed by a sigma != 1, as the cocycle is never evaluated; alpha(1, .) = 1
+    is the stated normalization."""
+    P = sys.P
+    gammas = gal_elements(P)
+    images = [gal_mul(sigma, g, P) for g in gammas]
+    if set(images) != set(gammas):
+        raise VerificationError("not a monomial matrix")
+    fixed = [g for g, image in zip(gammas, images) if image == g]
+    if fixed and sigma != GAL_ID:
+        raise CocycleDependent(f"the trace at sigma = {sigma} carries the "
+                               f"cocycle alpha(sigma, {fixed[0]})")
+    return sum((sys.theta_tilde.value_on_coords(sys.U.dlog(sys.M.galois_act(g, x)))
+                for g in fixed), Cyclotomic.zero())
 
 
 # ---------------------------------------------------------------------------

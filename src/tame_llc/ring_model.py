@@ -429,8 +429,7 @@ class Model:
         return self._product(x, y)
 
     def pow(self, x: Elt, n: int) -> Elt:
-        if n < 0:
-            return self.pow(self.inv(x), -n)
+        """x^n for n >= 0; a negative n raises ValueError."""
         return mul_power(self.mul, self._one, [x], n, self._one)
 
     def tau_power(self, k: int) -> GRElt:
@@ -560,8 +559,19 @@ def _fold_images(gr: GaloisRing, e: int, cp: GRElt) -> List[List[Elt]]:
     return images
 
 
+# The most baby steps residue_log may keep.  Its table of ceil(sqrt(q_K - 1))
+# d-tuples is built before any answer, so past this bound a request exhausts
+# time or memory instead: (7,1,16,0,3) would need 5.8e6 steps, (3,1,32,0,3)
+# 4.3e7.  2^19 admits (5,1,16,0,3), at 390,625 steps.
+MAX_BABY_STEPS = 1 << 19
+
+
 def build_model(P: TameParams) -> Model:
-    """Deterministic lexicographic search for a consistent (c, zeta_e, t)."""
+    """Deterministic lexicographic search for a consistent (c, zeta_e, t).
+    Raises TooLarge, before any ring is built, past MAX_BABY_STEPS."""
+    steps = isqrt(P.q_K - 2) + 1  # Model's ceil(sqrt(q_K - 1))
+    if steps > MAX_BABY_STEPS:
+        raise TooLarge(f"residue_log needs {steps} baby steps, more than {MAX_BABY_STEPS}")
     gr = GaloisRing(P.p, P.r, P.a * P.f)
     qK = P.q_K
     # Teichmuller generator of order qK - 1

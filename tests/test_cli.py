@@ -3,12 +3,10 @@ exit codes."""
 
 import contextlib
 import csv
-import importlib.util
 import io
 import itertools
 import json
 import os
-import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -101,6 +99,18 @@ def test_timing_fills_timing_ms_and_changes_no_other_byte(monkeypatch, capsys):
         plain = run(argv + ["--format", fmt], capsys)
         timed = run(argv + ["--format", fmt, "--timing"], capsys)
         assert timed == plain, fmt
+
+
+def test_timing_ms_is_each_reports_own_time(monkeypatch, capsys):
+    # the k-th step between readings of the clock is k / 4 s, so the six
+    # reports of the sweep took 250, 500, ..., 1500 ms each
+    clock = itertools.accumulate(itertools.count(0.25, 0.25), initial=100.0)
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    argv = ["sweep", "--q", "3", "--max-n", "2", "--r", "3..4", "--root-number",
+            "--format", "json", "--timing"]
+    code, out, _ = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert [rep["timing_ms"] for rep in json.loads(out)] == [250 * k for k in range(1, 7)]
 
 
 def test_root_number_ok_on_reference_tuple(capsys):
@@ -253,18 +263,6 @@ def test_root_number_ok_for_q9(tup, capsys):
     assert vals["closed"] == vals["assembled"] == vals["theta_at_eps"]
 
 
-def test_root_number_survey_script_runs(capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "root_number_survey.py"
-    spec = importlib.util.spec_from_file_location("root_number_survey", path)
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
-    code = survey.main(["--q", "3", "--max-n", "2", "--r", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "(q=3, e=1, f=2, m=0, r=3)" in out and "  OK  " in out
-    assert out.rstrip().endswith("1 tuples, 0 failures")
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "formal-degree", "--q", "13", "--e", "1", "--f", "8", "--r", "160"],
     ["factors", "--q", "13", "--e", "1", "--f", "8", "--r", "160"],
@@ -274,6 +272,21 @@ def test_report_number_past_the_digit_limit_exits_3(argv, capsys):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert len(err.splitlines()) == 1 and "digits" in err
+
+
+@pytest.mark.parametrize("q,f,steps", [(7, 16, 5764801), (3, 32, 43046721)])
+def test_residue_field_past_the_baby_step_bound_exits_3(q, f, steps):
+    # refused before any ring is built: without the bound the baby-step
+    # table alone exhausts time or memory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-m", "tame_llc.cli", "verify", "root-number",
+         "--q", str(q), "--e", "1", "--f", str(f), "--r", "3"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == cli.EXIT_INTERNAL
+    assert out.stdout == ""
+    assert out.stderr == (f"too large: residue_log needs {steps} baby steps, "
+                          "more than 524288\n")
 
 
 def test_non_square_gamma_exits_3(monkeypatch, capsys):

@@ -148,7 +148,7 @@ def test_valid_tuples_is_deterministic_and_valid():
 
 
 def test_sweep_report_is_green_on_a_small_box():
-    reports = sweep_report([3], 3, [2, 3])
+    reports = list(sweep_report([3], 3, [2, 3]))
     assert reports
     assert all(rep.ok for rep in reports)
     payload = reports[0].to_json_dict()

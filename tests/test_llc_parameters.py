@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tame_llc import llc_parameters
+from tame_llc.characters import CharacterSystem
 from tame_llc.exactnum import Cyclotomic
 from tame_llc.intlinalg import mat_mul
 from tame_llc.llc_parameters import (
+    CocycleDependent,
     adjoint_conductor,
     adjoint_decompose,
     adjoint_gamma0_abs,
@@ -29,7 +31,15 @@ from tame_llc.llc_parameters import (
     model_lambda,
     phi1_trace,
 )
-from tame_llc.tame_galois import GAL_ID, GalElt, abelianization_orders, params_from_q
+from tame_llc.ring_model import build_model
+from tame_llc.tame_galois import (
+    GAL_ID,
+    GalElt,
+    abelianization_orders,
+    gal_elements,
+    gal_mul,
+    params_from_q,
+)
 
 BOX = [
     params_from_q(q, e, f, m, r)
@@ -135,24 +145,96 @@ def test_centralizer_check_survives_python_O():
 
 
 def test_monomial_check_survives_python_O():
-    # two basis vectors sent to one target is no monomial matrix, under -O too
+    # a gamma -> sigma gamma that sends two basis vectors to one target is
+    # no monomial matrix, under -O too
     code = textwrap.dedent("""
+        from tame_llc import llc_parameters
+        from tame_llc.characters import CharacterSystem
         from tame_llc.exactnum import VerificationError
-        from tame_llc.llc_parameters import MonomialMatrix, SymbolicUnit
-        from tame_llc.tame_galois import GAL_ID, GalElt, abelianization_orders, params_from_q
+        from tame_llc.ring_model import build_model
+        from tame_llc.tame_galois import GAL_ID, params_from_q
         assert False, "asserts are on"
-        P = params_from_q(3, 2, 1, 0, 2)
-        one = SymbolicUnit.symbol("u")
+        sys = CharacterSystem(build_model(params_from_q(3, 2, 1, 0, 4)))
+        llc_parameters.gal_mul = lambda sigma, gamma, P: GAL_ID
         try:
-            MonomialMatrix(P, {GAL_ID: (GAL_ID, one), GalElt(1, 0): (GAL_ID, one)})
-        except VerificationError:
-            print("raised")
+            llc_parameters.phi1_trace(sys, GAL_ID, sys.M.one())
+        except VerificationError as ex:
+            print(ex)
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\n"
+    assert out.stdout == "not a monomial matrix\n"
+
+
+class SymbolicUnit:
+    """A cyclotomic number times a product of opaque cocycle symbols."""
+
+    def __init__(self, coef, symbols=()):
+        self.coef, self.symbols = coef, tuple(symbols)
+
+    def __mul__(self, other):
+        return SymbolicUnit(self.coef * other.coef, self.symbols + other.symbols)
+
+    def value(self):
+        if self.symbols:
+            raise CocycleDependent(f"unresolved cocycle symbols {self.symbols}")
+        return self.coef
+
+
+def phi1_trace_oracle(sys, sigma, x):
+    """tr phi_1(sigma, x) as the trace of a product of monomial matrices,
+    each stored as gamma -> (image of v_gamma, entry): the permutation
+    gamma -> sigma gamma with opaque entries alpha(sigma, gamma) (1 at
+    sigma = 1), times the diagonal theta-tilde(x^gamma)."""
+    P, one = sys.P, Cyclotomic.one()
+    perm = {g: (gal_mul(sigma, g, P), SymbolicUnit(one) if sigma == GAL_ID
+                else SymbolicUnit(one, [("alpha", sigma, g)]))
+            for g in gal_elements(P)}
+    diag = {g: (g, SymbolicUnit(sys.theta_tilde.value_on_coords(
+                sys.U.dlog(sys.M.galois_act(g, x)))))
+            for g in gal_elements(P)}
+    product = {}
+    for g, (mid, u1) in diag.items():
+        target, u2 = perm[mid]
+        product[g] = (target, u2 * u1)
+    total = Cyclotomic.zero()
+    for g, (target, u) in product.items():
+        if target == g:
+            total = total + u.value()
+    return total
+
+
+@pytest.fixture(scope="module")
+def sys_root_number_box():
+    """Character system of (q=3, e=2, f=2, m=1, r=4), n = 4, from the
+    benchmark's root-number box."""
+    return CharacterSystem(build_model(params_from_q(3, 2, 2, 1, 4)))
+
+
+def test_phi1_trace_matches_the_monomial_product(sys_ramified, sys_unramified,
+                                                 sys_root_number_box):
+    for sys in (sys_ramified, sys_unramified, sys_root_number_box):
+        M = sys.M
+        units = [M.one(), M.add(M.one(), M.pi()), M.from_gr(M.tau),
+                 M.neg(M.one())]
+        for sigma in gal_elements(sys.P):
+            for x in units:
+                assert phi1_trace(sys, sigma, x) == phi1_trace_oracle(sys, sigma, x)
+
+
+def test_phi1_trace_at_a_fixed_point_off_identity_is_cocycle_dependent(
+        sys_ramified, monkeypatch):
+    # with sigma gamma = gamma for every pair, a sigma != 1 fixes a basis
+    # vector, whose entry alpha(sigma, gamma) is never evaluated
+    sys = sys_ramified
+    monkeypatch.setattr(llc_parameters, "gal_mul", lambda sigma, gamma, P: gamma)
+    assert phi1_trace(sys, GAL_ID, sys.M.one()) == Cyclotomic.from_rational(sys.P.n)
+    for sigma in gal_elements(sys.P):
+        if sigma != GAL_ID:
+            with pytest.raises(CocycleDependent):
+                phi1_trace(sys, sigma, sys.M.one())
 
 
 def centralizer_order_bruteforce(P):

@@ -17,8 +17,10 @@ from tame_llc.conjectures import root_number_supported, valid_tuples
 from tame_llc.exactnum import VerificationError, _factorize
 from tame_llc.intlinalg import SubgroupPresentation, kernel_subgroup
 from tame_llc.ring_model import (
+    MAX_BABY_STEPS,
     GaloisRing,
     Model,
+    TooLarge,
     UnitGroupPresentation,
     _base_p_digits,
     _fp_irreducible,
@@ -583,7 +585,7 @@ def test_invariant_generators_match_raw_exponents(tup, monkeypatch):
         for k in U._keep:
             h = M.one()
             for g, ex in zip(U.gens, vinv[k]):
-                h = M.mul(h, M.pow(g, ex))
+                h = M.mul(h, M.pow(g, ex) if ex >= 0 else M.pow(M.inv(g), -ex))
             raw.append(h)
         assert U.inv_gens == raw
         # a one-unit 1 + y at level i has order dividing p^t, t the number
@@ -762,6 +764,31 @@ def test_model_inv_of_a_non_unit_raises():
         for x in (M.zero(), M.pi(), M.from_int(M.P.p), M.add(M.pi(), M.from_int(M.P.p))):
             with pytest.raises(ZeroDivisionError):
                 M.inv(x)
+
+
+def test_baby_step_bound_is_checked_before_any_ring_is_built(monkeypatch):
+    # 5^16 needs 390,625 baby steps and passes the bound, so the build
+    # reaches the ring; 7^16 needs 5,764,801 and is refused before it
+    class RingBuilt(Exception):
+        pass
+
+    def ring(*args):
+        raise RingBuilt
+
+    monkeypatch.setattr(ring_model, "GaloisRing", ring)
+    assert 390625 <= MAX_BABY_STEPS < 5764801
+    with pytest.raises(RingBuilt):
+        build_model(params_from_q(5, 1, 16, 0, 3))
+    with pytest.raises(TooLarge, match="residue_log needs 5764801 baby steps"):
+        build_model(params_from_q(7, 1, 16, 0, 3))
+
+
+def test_model_pow_refuses_a_negative_exponent():
+    # like every other power, Model.pow takes n >= 0 and inverts nothing
+    for M in _INV_MODELS.values():
+        assert M.pow(M.one(), 0) == M.one()
+        with pytest.raises(ValueError):
+            M.pow(M.one(), -1)
 
 
 def test_model_inv_checks_that_newton_converged(monkeypatch):
