@@ -11,12 +11,12 @@ group are their Hermite rows, from which a character extends canonically.
 Each Galois action gamma != 1 is read once, as its matrix A_gamma on U's
 coordinates, when the system is built; the norm-one subgroup U-bar is the
 kernel of I + sum A_gamma.
-Gauss sums are evaluated by stationary phase.  At odd conductor the
-residue-field tail left over is a quadratic Gauss sum over F_p^d, summed
-in closed form from the prime-field sum g_p.  The literal sum over the
-units of R/pi^k is kept for small unit groups: `selftest` and the tests
-compare stationary phase against it.  The tests keep the term-by-term
-tail and field sums.
+Gauss sums are evaluated by stationary phase, as fractions of a turn.  At
+odd conductor the residue-field tail left over is a quadratic Gauss sum
+over F_p^d, whose phase is read off in closed form.  The literal sum over
+the units of R/pi^k, a Cyclotomic, is kept for small unit groups: `selftest`
+and the tests compare stationary phase against it.  The tests keep the
+term-by-term tail and field sums.
 The chi-data character of each order-two gamma is checked at -1 against
 the closed parity of (q_K - 1)/2 as it is built.
 """
@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, VerificationError, quadratic_gauss_sum_prime, unit_part
+from .exactnum import Cyclotomic, VerificationError, quadratic_gauss_phase, unit_part
 from .intlinalg import (
     extend_character,
     fp_echelon,
@@ -69,7 +69,7 @@ class MultCharacter:
 
     orders: Tuple[int, ...]
     exps: Tuple[int, ...]
-    value_at_uniformizer: Optional[Cyclotomic] = None
+    value_at_uniformizer: Optional[Fraction] = None
 
     @cached_property
     def _turn(self) -> Tuple[int, Tuple[int, ...]]:
@@ -253,7 +253,7 @@ class CharacterSystem:
             except ValueError as ex:
                 raise ExtensionObstruction(str(ex)) from ex
             self._theta_tilde = MultCharacter(
-                tuple(self.U.orders), tuple(exps), Cyclotomic.one()
+                tuple(self.U.orders), tuple(exps), Fraction(0)
             )
         return self._theta_tilde
 
@@ -274,8 +274,7 @@ class CharacterSystem:
             exps.append(int(ex) % d)
         u = self.U.dlog(self.M.from_gr(self.M.pi_multiplier(gamma)))
         fr = self.vartheta([-c % d for c, d in zip(u, orders)])
-        val = Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
-        return MultCharacter(tuple(orders), tuple(exps), val)
+        return MultCharacter(tuple(orders), tuple(exps), fr)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +326,16 @@ def _values_below(sys: CharacterSystem, chi: MultCharacter, k: int) -> List[Frac
     return vals
 
 
-def gauss_sum(sys: CharacterSystem, chi: MultCharacter, k: int) -> Cyclotomic:
+def gauss_sum(sys: CharacterSystem, chi: MultCharacter, k: int) -> Fraction:
     """Normalized Gauss sum q_K^{-k/2} sum chi^{-1}(t) psi_K(pi^{-(d_K+k)} t).
 
     chi is a character of U(er) trivial on (1 + pi^k); the sum runs over the
     units of R/pi^k and is evaluated by stationary phase, which needs
     k = 0 or k >= 2.  For chi of conductor exactly k it is the root number
-    of chi, of modulus 1.
+    of chi, a root of unity, returned as a fraction of a turn.
     """
     if k == 0:
-        return Cyclotomic.one()
+        return Fraction(0)
     vals = _values_below(sys, chi, k)
     if k < 2:
         raise VerificationError("stationary phase needs conductor at least 2")
@@ -429,20 +428,18 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
     return b
 
 
-def _gauss_stationary(sys, chi, vals, psi, lev, k) -> Cyclotomic:
+def _gauss_stationary(sys, chi, vals, psi, lev, k) -> Fraction:
     """Split t = b(1+v): the inner sum over v at half level kills everything
     except the critical point b with chi(1+v) = psi_K-shift(b v)."""
     P = sys.P
     l2 = -(-k // 2)  # ceil(k/2)
     l1 = k - l2
     b = _critical_point(sys, vals, psi, lev, l1, l2, k)
-    fr_b = -chi.fraction_on_coords(sys.U.dlog(b)) + Fraction(psi(b), P.p ** lev)
-    fr_b %= 1
-    head = Cyclotomic.root_of_unity(fr_b.denominator, fr_b.numerator)
-    if k % 2 == 0:
-        return head
-    # odd conductor: one residue-field Gauss sum remains
-    return head * unit_part(_closed_tail(sys, chi, psi, lev, b, l1), 1, P.q_K)
+    head = -chi.fraction_on_coords(sys.U.dlog(b)) + Fraction(psi(b), P.p ** lev)
+    if k % 2:
+        # odd conductor: one residue-field Gauss sum remains
+        head += _closed_tail(sys, chi, psi, lev, b, l1)
+    return head % 1
 
 
 def _tail_form(sys, chi, psi, lev, b, l1) -> Tuple[List[List[int]], List[int]]:
@@ -499,17 +496,22 @@ def _legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _closed_tail(sys, chi, psi, lev, b, l1) -> Cyclotomic:
-    """The sum of f(w) over w in F_{q_K} (see _tail_form), in closed form:
-    sum_y zeta_p^{y^T A y + l . y} = eta(det A) zeta_p^{-l^T A^{-1} l / 4}
-    g_p^d (diagonalize A; Lidl-Niederreiter, Finite Fields, 5.2), from d
-    dlogs instead of one per residue.
+def _tail_phase(p: int, d: int, const: int, eta: int) -> Fraction:
+    """eta zeta_p^const g_p^d p^(-d/2) as a turn, g_p^d = (-1)^{d-1} g(F_{p^d})."""
+    half_turns = (1 - eta) // 2 + d - 1
+    return (Fraction(const, p) + Fraction(half_turns, 2) + quadratic_gauss_phase(p, d)) % 1
+
+
+def _closed_tail(sys, chi, psi, lev, b, l1) -> Fraction:
+    """The sum of f(w) over w in F_{q_K} (see _tail_form) over sqrt(q_K), in
+    closed form: sum_y zeta_p^{y^T A y + l . y} = eta(det A)
+    zeta_p^{-l^T A^{-1} l / 4} g_p^d (diagonalize A; Lidl-Niederreiter,
+    Finite Fields, 5.2), from d dlogs instead of one per residue.
     """
     p = sys.P.p
     A, lin = _tail_form(sys, chi, psi, lev, b, l1)
     det, const = _complete_square(A, lin, p)
-    return (quadratic_gauss_sum_prime(p) ** len(A)
-            * Cyclotomic.root_of_unity(p, const) * _legendre(det, p))
+    return _tail_phase(p, len(A), const, _legendre(det, p))
 
 
 # ---------------------------------------------------------------------------

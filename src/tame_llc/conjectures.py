@@ -61,6 +61,9 @@ class ConjectureReport:
         }
 
 
+REFUSED = "SKIP: too large: "  # the status prefix of a check a resource bound refused
+
+
 def number_text(x) -> str:
     """str(x) of an int or a Fraction for a report.  Python refuses to print
     an int past its digit limit (4,300 digits by default) with a ValueError;
@@ -155,11 +158,11 @@ def verify_formal_degree(P: TameParams) -> CheckResult:
 # root number
 # ---------------------------------------------------------------------------
 
-def theta_at_eps(P: TameParams, sys) -> Cyclotomic:
-    """theta((-1)^{n-1}): 1 for odd n; a unit-group evaluation for even n."""
+def theta_at_eps(P: TameParams, sys) -> Fraction:
+    """theta((-1)^{n-1}) as a turn: 0 for odd n; a unit-group evaluation for even n."""
     if P.n % 2:
-        return Cyclotomic.one()
-    return sys.theta.value_on_coords(sys.ubar_coords(sys.minus_one_coords()))
+        return Fraction(0)
+    return sys.theta.fraction_on_coords(sys.ubar_coords(sys.minus_one_coords()))
 
 
 def root_number_supported(P: TameParams) -> Optional[str]:
@@ -183,19 +186,13 @@ def verify_root_number(P: TameParams, sys=None) -> CheckResult:
     if any(theta.fraction_on_coords(coords) != Fraction(*fr)
            for coords, fr in sys.chi_beta_on_h):
         raise VerificationError("theta does not extend chi_beta on H")
-    w_closed = adjoint_root_number(sys, "closed")
-    w_assembled = adjoint_root_number(sys, "assembled")
-    te = theta_at_eps(P, sys)
-    ok = w_closed == w_assembled == te
-    return CheckResult(
-        name="root_number",
-        method_values={
-            "closed": w_closed.to_text(),
-            "assembled": w_assembled.to_text(),
-            "theta_at_eps": te.to_text(),
-        },
-        status="OK" if ok else "FAIL",
-    )
+    turns = [adjoint_root_number(sys, "closed"), adjoint_root_number(sys, "assembled"),
+             theta_at_eps(P, sys)]
+    # each side is a fraction of a turn, printed as the root of unity it names
+    texts = [Cyclotomic.root_of_unity(t.denominator, t.numerator).to_text() for t in turns]
+    names = ("closed", "assembled", "theta_at_eps")
+    return CheckResult("root_number", dict(zip(names, texts)),
+                       "OK" if len(set(turns)) == 1 else "FAIL")
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +234,16 @@ def sweep_report(
     r_values: Sequence[int],
     include_root_number: bool = False,
 ) -> Iterator[ConjectureReport]:
-    """The report of each valid tuple of the box, built when it is asked for."""
+    """The report of each valid tuple of the box, built when it is asked for;
+    a check refused as TooLarge is a SKIP that starts with REFUSED."""
+    checks = [("formal_degree", verify_formal_degree), ("dim_delta", verify_dim_delta)]
+    if include_root_number:
+        checks.append(("root_number", verify_root_number))
     for P in valid_tuples(q_values, max_n, r_values):
         rep = ConjectureReport(P)
-        rep.checks.append(verify_formal_degree(P))
-        rep.checks.append(verify_dim_delta(P))
-        if include_root_number:
-            rep.checks.append(verify_root_number(P))
+        for name, verify in checks:
+            try:
+                rep.checks.append(verify(P))
+            except TooLarge as ex:
+                rep.checks.append(CheckResult(name, {}, REFUSED + str(ex)))
         yield rep

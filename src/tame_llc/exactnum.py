@@ -1,12 +1,12 @@
-"""Exact arithmetic substrate: rationals, cyclotomic numbers, the
-quadratic Gauss sums that give square roots of integers, the unit part
-w = total * q^(-k/2) of a Gauss sum, and mul_power, the one
-square-and-multiply ladder every power in the package goes through.
+"""Exact arithmetic substrate: rationals, mul_power, the one
+square-and-multiply ladder every power in the package goes through, and as
+oracles cyclotomic numbers, the quadratic Gauss sums that give square
+roots of integers and the unit part w = total * q^(-k/2) of a Gauss sum.
 
-Every quantity downstream (character values, Gauss sums, root numbers)
-is a Fraction or a Cyclotomic, and every L-factor is 1/P(u) with
-u = q^(-s), stored as the ascending coefficients of P, so no floating point
-ever enters a verification path.
+Every character value, Gauss sum and root number is a root of unity, a
+Fraction mod 1 (a turn) that becomes a Cyclotomic only to be printed, and
+every L-factor is 1/P(u), u = q^(-s), stored as the ascending coefficients
+of P, so no floating point ever enters a verification path.
 """
 
 from __future__ import annotations
@@ -246,11 +246,6 @@ class Cyclotomic:
         return " + ".join(parts)
 
 
-def cyc_conj_norm(x: Cyclotomic) -> Cyclotomic:
-    """x * conj(x); equals 1 for any root of unity."""
-    return x * x.conj()
-
-
 # perfbench/worker.py reports its size; no square root is memoized
 _SQRT_CACHE: Dict[int, Cyclotomic] = {}
 
@@ -299,7 +294,7 @@ def unit_part(total: Cyclotomic, k: int, q: int) -> Cyclotomic:
     if k % 2:
         # q^(-k/2) = q^(-(k+1)/2) q^(1/2)
         w = w * sqrt_as_cyclotomic(q)
-    if cyc_conj_norm(w) != Cyclotomic.one():
+    if w * w.conj() != Cyclotomic.one():
         raise VerificationError("a sum times %d^(-%d/2) does not have modulus 1"
                                 % (q, k))
     return w
@@ -310,3 +305,9 @@ def quadratic_gauss_sum_field(p: int, d: int) -> Cyclotomic:
     additive character, as a modulus-one value: by Davenport-Hasse,
     g(F_{p^d}) = (-1)^{d-1} g_p^d, times (p^d)^(-1/2)."""
     return unit_part(quadratic_gauss_sum_prime(p) ** d * (-1) ** (d - 1), 1, p ** d)
+
+
+def quadratic_gauss_phase(p: int, d: int) -> Fraction:
+    """quadratic_gauss_sum_field(p, d) as a fraction of a turn: g_p is
+    sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4 (Gauss)."""
+    return Fraction(2 * (d - 1) + (d if p % 4 == 3 else 0), 4) % 1

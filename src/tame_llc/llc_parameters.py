@@ -219,8 +219,8 @@ def adjoint_gamma0_abs(P: TameParams) -> Fraction:
     )
 
 
-def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
-    """w(Ad of phi), by the closed formula or assembled from Gauss sums.
+def adjoint_root_number(sys, method: str = "closed") -> Fraction:
+    """w(Ad of phi) as a turn, by the closed formula or assembled from Gauss sums.
 
     closed: vartheta((-1)^{n-1}) times (-1)^{(q-1)f/2} for e even (1 for e
     odd).  assembled: by additivity of eps and of the conductor over the
@@ -231,30 +231,24 @@ def adjoint_root_number(sys, method: str = "closed") -> Cyclotomic:
     filtration conductor a(Ad phi), or it raises.
     """
     P = sys.P
-    n = P.n
     if method == "closed":
-        if n % 2:
-            val = Cyclotomic.one()
-        else:
-            fr = sys.vartheta(sys.minus_one_coords())
-            val = Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
+        val = Fraction(0) if P.n % 2 else sys.vartheta(sys.minus_one_coords())
         if P.e % 2 == 0:
-            sign = (-1) ** (((P.q - 1) * P.f // 2) % 2)
-            val = val * sign
-        return val
+            val += Fraction((P.q - 1) * P.f // 2 % 2, 2)
+        return val % 1
     if method == "assembled":
         dec = adjoint_decompose(P)
         lam = model_lambda(sys)
         val, a = lam, dec.base_change_conductor
         for g in dec.induced:
             w, a_piece = induced_factor(sys, g, lam)
-            val = val * w
+            val += w
             a += a_piece
         expected = adjoint_conductor(P, "filtration")
         if a != expected:
             raise VerificationError(
                 f"twist conductors add up to {a}, not a(Ad phi) = {expected}")
-        return val
+        return val % 1
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -22,8 +22,7 @@ from .exactnum import (
     Cyclotomic,
     PoleAtPoint,
     VerificationError,
-    cyc_conj_norm,
-    quadratic_gauss_sum_field,
+    quadratic_gauss_phase,
     unit_part,
 )
 from .ring_model import GaloisRing, residue_generator
@@ -82,23 +81,21 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 # lambda factors of tame extensions
 # ---------------------------------------------------------------------------
 
-def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> Cyclotomic:
+def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed"):
     """lambda(K/K_0, psi_{K_0}) for the totally ramified degree-e piece.
 
     The base has residue field F_Q, Q = p^d, and d-valuation 0; the prime
     element below is pi_0 = u_0 * p with unit residue gen^u0_log.  Closed
-    form: 1 for e odd; for e even the parity sign times the Legendre symbol
-    of u_0 times the quadratic Gauss sum of F_Q.  Brute force: the
-    inductivity quotient eps(Ind 1)/eps(1_K), supported for e | Q - 1.
+    form, a fraction of a turn: 1 for e odd; for e even the parity sign times
+    the Legendre symbol of u_0 times the quadratic Gauss sum of F_Q.  Brute
+    force, a Cyclotomic: eps(Ind 1)/eps(1_K), supported for e | Q - 1.
     """
     Q = p ** d
     if method == "closed":
         if e % 2:
-            return Cyclotomic.one()
+            return Fraction(0)
         sign_exp = ((Q - 1) // e) * (e * (e + 2) // 8)
-        legendre = (-1) ** (u0_log % 2)
-        out = Cyclotomic.from_rational((-1) ** (sign_exp % 2) * legendre)
-        return out * quadratic_gauss_sum_field(p, d)
+        return (Fraction(sign_exp % 2 + u0_log % 2, 2) + quadratic_gauss_phase(p, d)) % 1
     if method != "bruteforce":
         raise ValueError(f"unknown method {method!r}")
     if e == 1:
@@ -127,8 +124,8 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed") -> 
     return out
 
 
-def model_lambda(sys) -> Cyclotomic:
-    """lambda(K/F, psi) evaluated on the ring model's uniformizer data."""
+def model_lambda(sys) -> Fraction:
+    """lambda(K/F, psi), a fraction of a turn, on the ring model's uniformizer data."""
     P = sys.P
     u0_log = (
         sys.M.zeta_exp * (P.e * (P.e - 1) // 2) + sys.M.c_exp
@@ -140,8 +137,8 @@ def model_lambda(sys) -> Cyclotomic:
 # induced characters
 # ---------------------------------------------------------------------------
 
-def induced_factor(sys, gamma, lam: Cyclotomic) -> Tuple[Cyclotomic, int]:
-    """(w, a) over F of Ind_K^F of the twist character attached to gamma.
+def induced_factor(sys, gamma, lam: Fraction) -> Tuple[Fraction, int]:
+    """(w, a) over F of Ind_K^F of the twist character attached to gamma, w a turn.
 
     Conductor by the conductor-discriminant formula a = f(e-1) + f n(twist);
     root number by inductivity: w(twist, psi_K) * lam, lam = lambda(K/F, psi),
@@ -154,9 +151,7 @@ def induced_factor(sys, gamma, lam: Cyclotomic) -> Tuple[Cyclotomic, int]:
     P = sys.P
     tw = sys.theta_tilde_twist(gamma)
     k = conductor_bruteforce(sys, tw)
-    w = gauss_sum(sys, tw, k) * tw.value_at_uniformizer ** (P.e - 1 + k) * lam
-    if cyc_conj_norm(w) != Cyclotomic.one():
-        raise VerificationError(f"twist root number {w.to_text()} does not have modulus 1")
+    w = (gauss_sum(sys, tw, k) + tw.value_at_uniformizer * (P.e - 1 + k) + lam) % 1
     return w, P.f * (P.e - 1 + k)
 
 

@@ -26,6 +26,7 @@ from tame_llc.local_factors import lambda_tame
 from tame_llc.ring_model import UnitGroupPresentation, build_model
 from tame_llc.tame_galois import GAL_ID, norm_index, order_two_set, params_from_q
 from test_conjectures import dim_delta_orbit
+from test_exactnum import turn_value
 from test_llc_parameters import centralizer_order_bruteforce
 from test_local_factors import lambda_chain
 from test_ring_model import norm_K_F
@@ -89,7 +90,7 @@ def test_gauss_sum_modulus_one(sys_ramified, sys_unramified):
                 continue
             tw = sys.theta_tilde_twist(gamma)
             k = conductor_bruteforce(sys, tw)
-            w = gauss_sum(sys, tw, k)
+            w = turn_value(gauss_sum(sys, tw, k))
             assert w * w.conj() == Cyclotomic.one()
 
 
@@ -117,7 +118,7 @@ def test_twist_root_number_against_value_at_minus_one():
         def w(gamma):
             tw = sys.theta_tilde_twist(gamma)
             k = conductor_bruteforce(sys, tw)
-            return gauss_sum(sys, tw, k) * tw.value_at_uniformizer ** (P.e - 1 + k)
+            return turn_value(gauss_sum(sys, tw, k) + tw.value_at_uniformizer * (P.e - 1 + k))
 
         dec = adjoint_decompose(P)
         theta_at_minus_one = sys.theta_tilde.value_on_coords(minus_one)
@@ -243,7 +244,7 @@ def test_centralizer_bruteforce_small_moduli(tup):
 def test_lambda_inductivity(p, e):
     for u0_log in (0, 1):
         assert lambda_tame(p, 1, e, u0_log, "bruteforce") == \
-            lambda_tame(p, 1, e, u0_log, "closed")
+            turn_value(lambda_tame(p, 1, e, u0_log, "closed"))
 
 
 @pytest.mark.parametrize("p,e,f", [(3, 2, 2), (5, 2, 2), (5, 4, 1)])

@@ -19,6 +19,7 @@ from tame_llc.characters import (
     _closed_tail,
     _critical_point,
     _psi_K_data,
+    _tail_phase,
     _values_below,
     chi_beta_fraction,
     conductor_bruteforce,
@@ -30,7 +31,9 @@ from tame_llc.conjectures import root_number_supported, valid_tuples, verify_roo
 from tame_llc.exactnum import (
     Cyclotomic,
     VerificationError,
+    quadratic_gauss_phase,
     quadratic_gauss_sum_field,
+    quadratic_gauss_sum_prime,
     unit_part,
 )
 from tame_llc.intlinalg import SubgroupPresentation, intersect_subgroups, kernel_subgroup
@@ -44,6 +47,8 @@ from tame_llc.ring_model import (
     residue_generator,
 )
 from tame_llc.tame_galois import GAL_ID, gal_elements, order_two_set, params_from_q
+
+from test_exactnum import turn_value
 
 
 def _systems(sys_ramified, sys_unramified):
@@ -256,7 +261,7 @@ def test_gauss_sum_methods_agree():
             cs = cs or CharacterSystem(build_model(P))
             tw = cs.theta_tilde_twist(gamma)
             assert conductor_bruteforce(cs, tw) == k, (P, gamma)
-            assert gauss_sum_literal(cs, tw, k) == gauss_sum(cs, tw, k), (P, gamma)
+            assert gauss_sum_literal(cs, tw, k) == turn_value(gauss_sum(cs, tw, k)), (P, gamma)
             with pytest.raises(VerificationError):
                 gauss_sum(cs, tw, 1)
             # conductor at most 1 leaves stationary phase no critical point
@@ -294,7 +299,7 @@ def _literal_tail(cs, chi, psi, lev, b, l1):
 
 def test_closed_tail_matches_literal_tail():
     # every odd-conductor twist of the supported box with q_K <= 81: the
-    # closed quadratic Gauss sum against the literal O(q_K) tail
+    # closed phase of the tail against the literal O(q_K) tail over sqrt(q_K)
     tuples, twists = set(), 0
     for P in valid_tuples([3, 5, 7, 9, 11, 13], 6, range(3, 9)):
         if root_number_supported(P) is not None or P.q_K > 81:
@@ -311,7 +316,8 @@ def test_closed_tail_matches_literal_tail():
             l1 = k // 2
             b = _critical_point(cs, _values_below(cs, tw, k), psi, lev, l1, l1 + 1, k)
             literal = _literal_tail(cs, tw, psi, lev, b, l1)
-            assert _closed_tail(cs, tw, psi, lev, b, l1) == literal, (P, gamma)
+            assert (turn_value(_closed_tail(cs, tw, psi, lev, b, l1))
+                    == unit_part(literal, 1, P.q_K)), (P, gamma)
             tuples.add((P.q, P.e, P.f, P.m, P.r))
             twists += 1
     assert (len(tuples), twists) == (65, 121)
@@ -382,7 +388,7 @@ def test_level_check_survives_python_O():
 def test_gauss_sum_at_conductor_zero_is_one(sys_ramified):
     sys = sys_ramified
     triv = MultCharacter(tuple(sys.U.orders), (0,) * len(sys.U.orders))
-    assert gauss_sum(sys, triv, 0) == Cyclotomic.one()
+    assert turn_value(gauss_sum(sys, triv, 0)) == Cyclotomic.one()
 
 
 def _quadratic_gauss_sum_literal(p, d):
@@ -400,6 +406,20 @@ def _quadratic_gauss_sum_literal(p, d):
         cur = gf.mul(cur, gen)
     total = Cyclotomic(N, {key: Fraction(v) for key, v in buckets.items()})
     return unit_part(total, 1, p ** d)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_closed_phases_match_the_cyclotomic_oracles(p):
+    # the phase of the odd tail eta zeta_p^c g_p^d p^{-d/2}, and of the
+    # normalized quadratic Gauss sum of F_{p^d}, against their Cyclotomic
+    # values: g_p summed term by term, divided by unit_part
+    g_p = quadratic_gauss_sum_prime(p)
+    for d in range(1, 7):
+        assert turn_value(quadratic_gauss_phase(p, d)) == quadratic_gauss_sum_field(p, d), (p, d)
+        for c in (0, 1, p - 1):
+            for eta in (1, -1):
+                oracle = unit_part(g_p ** d * Cyclotomic.root_of_unity(p, c) * eta, 1, p ** d)
+                assert turn_value(_tail_phase(p, d, c, eta)) == oracle, (p, d, c, eta)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (7, 1), (3, 2),
@@ -422,4 +442,4 @@ def test_frohlich_queyrut_value(sys_ramified, sys_unramified):
                 continue
             tw = sys.theta_tilde_twist(gamma)
             k = conductor_bruteforce(sys, tw)
-            assert gauss_sum(sys, tw, k) * tw.value_at_uniformizer ** (dK + k) == rhs
+            assert turn_value(gauss_sum(sys, tw, k) + tw.value_at_uniformizer * (dK + k)) == rhs

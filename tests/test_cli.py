@@ -289,6 +289,41 @@ def test_residue_field_past_the_baby_step_bound_exits_3(q, f, steps):
                           "more than 524288\n")
 
 
+@pytest.mark.parametrize("q,max_n,r,extra,refused,reason", [
+    # residue_log's baby-step bound: the root number of (2187,1,4,0,3) alone
+    ("2187", 4, "3", ["--root-number"], {(2187, 1, 4, 0, 3): ["root_number"]},
+     "residue_log needs 4782969 baby steps, more than 524288"),
+    # Python's int-to-str digit limit: both numbered checks of each n = 8 tuple
+    ("13", 8, "160", [], {(13, 1, 8, 0, 160): ["formal_degree", "dim_delta"],
+                          (13, 2, 4, 0, 160): ["formal_degree", "dim_delta"],
+                          (13, 2, 4, 1, 160): ["formal_degree", "dim_delta"],
+                          (13, 4, 2, 0, 160): ["formal_degree", "dim_delta"],
+                          (13, 4, 2, 1, 160): ["formal_degree", "dim_delta"],
+                          (13, 4, 2, 2, 160): ["formal_degree", "dim_delta"],
+                          (13, 4, 2, 3, 160): ["formal_degree", "dim_delta"]},
+     "a report number exceeds Python's limit on the digits of an int-to-str conversion"),
+])
+def test_sweep_answers_tuple_by_tuple_when_a_check_is_refused(q, max_n, r, extra, refused,
+                                                              reason, capsys):
+    # the refused checks are SKIPs with their reason, the other tuples'
+    # reports are those of the box without n = max_n, and the sweep exits 3
+    argv = ["sweep", "--q", q, "--r", r, "--format", "json"] + extra
+    code, out, err = run(argv + ["--max-n", str(max_n)], capsys)
+    assert (code, err) == (cli.EXIT_INTERNAL, "")
+    reports = json.loads(out)
+    skipped = {}
+    for rep in reports:
+        P = rep["params"]
+        for c in rep["checks"]:
+            if c["status"].startswith("SKIP: too large"):
+                assert (c["status"], c["method_values"]) == (f"SKIP: too large: {reason}", {})
+                skipped.setdefault((P["q"], P["e"], P["f"], P["m"], P["r"]), []).append(c["name"])
+    assert skipped == refused
+    code, out, _ = run(argv + ["--max-n", str(max_n - 1)], capsys)
+    assert code == cli.EXIT_OK
+    assert [rep for rep in reports if rep["params"]["n"] < max_n] == json.loads(out)
+
+
 def test_non_square_gamma_exits_3(monkeypatch, capsys):
     # |gamma(0)|^2 that is not a rational square must be a VerificationError
     fraction_sqrt = local_factors._fraction_sqrt

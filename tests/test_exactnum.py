@@ -28,6 +28,13 @@ orders = st.integers(1, 24)
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
+def turn_value(turn):
+    """The root of unity that a fraction of a turn names, through the one
+    edge helper, to compare with a Cyclotomic oracle: Cyclotomic.__eq__
+    reads a Fraction as a rational number, not as a turn."""
+    return Cyclotomic.root_of_unity(turn.denominator, turn.numerator)
+
+
 @given(orders, st.integers(-30, 30))
 def test_root_of_unity_has_exact_order(n, k):
     z = Cyclotomic.root_of_unity(n, k)

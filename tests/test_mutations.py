@@ -60,18 +60,21 @@ def _flip_eta(monkeypatch):
     monkeypatch.setattr(characters, "_legendre", lambda a, p: -legendre(a, p))
 
 
-def _unnormalized_odd_tail(monkeypatch):
-    # the odd-conductor tail without its q_K^{-1/2}, at the binding
-    # _gauss_stationary reads
-    unit_part = characters.unit_part
-    monkeypatch.setattr(characters, "unit_part",
-                        lambda total, k, q: unit_part(total, k - 1, q))
+def _gauss_prime_phase_one(monkeypatch):
+    # g_p/sqrt(p) taken as 1 in the odd-conductor tail, where it is i for
+    # p = 3 mod 4: the field sum (-1)^{d-1} g_p^d p^{-d/2} read as
+    # (-1)^{d-1}, at the binding _tail_phase reads
+    monkeypatch.setattr(characters, "quadratic_gauss_phase",
+                        lambda p, d: Fraction(d - 1, 2) % 1)
 
 
 def _negate_model_lambda(monkeypatch):
-    # -lambda(K/F), at the binding adjoint_root_number reads
+    # -lambda(K/F), half a turn added, at the binding adjoint_root_number
+    # reads; the negated fraction of a turn would be the conjugate, which
+    # equals lambda whenever lambda = +-1
     model_lambda = llc_parameters.model_lambda
-    monkeypatch.setattr(llc_parameters, "model_lambda", lambda sys: -model_lambda(sys))
+    monkeypatch.setattr(llc_parameters, "model_lambda",
+                        lambda sys: (model_lambda(sys) + Fraction(1, 2)) % 1)
 
 
 def _trivial_c_char(monkeypatch):
@@ -368,8 +371,8 @@ ROWS = {
     "gauss_sum: negate the tail constant":
         (_negate_tail_constant, _root_number_box, verify_root_number),
     "gauss_sum: flip eta": (_flip_eta, _root_number_box, verify_root_number),
-    "gauss_sum: leave the odd tail unnormalized":
-        (_unnormalized_odd_tail, _root_number_box, verify_root_number),
+    "gauss_sum: take g_p/sqrt(p) as 1 in the odd tail":
+        (_gauss_prime_phase_one, _root_number_box, verify_root_number),
     "model_lambda: negate it":
         (_negate_model_lambda, _root_number_box, verify_root_number),
     "c_char: make it trivial":

@@ -1,5 +1,6 @@
-"""Every public function of the package is reached by some command, and
-the formal-degree commands reach no function of intlinalg.
+"""Every public function of the package is reached by some command, the
+formal-degree commands reach no function of intlinalg, and the root-number
+command takes no Cyclotomic product.
 
 The commands below run in-process under sys.setprofile; each public
 (non-underscore) function, method and property of src/tame_llc must be
@@ -14,7 +15,7 @@ import pkgutil
 import sys
 
 import tame_llc
-from tame_llc import cli, intlinalg
+from tame_llc import cli, exactnum, intlinalg
 
 COMMANDS = [
     ["selftest"],
@@ -113,4 +114,37 @@ def test_formal_degree_commands_enter_no_intlinalg_function(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [cli.EXIT_OK] * len(FORMAL_DEGREE_COMMANDS)
+    assert not entered, sorted(entered)
+
+
+def test_root_numbers_take_no_cyclotomic_product(capsys):
+    # every value on the root-number path is a fraction of a turn: a
+    # Cyclotomic is made only to print it, and no product, sum, square root
+    # or unit part of one is taken, on the 28 supported tuples of q <= 7,
+    # n <= 4, r in {3, 4}
+    from tame_llc.conjectures import root_number_supported, valid_tuples
+
+    oracles = {(fn.__code__.co_filename, fn.__code__.co_firstlineno): name
+               for name, fn in [("Cyclotomic.__mul__", exactnum.Cyclotomic.__mul__),
+                                ("Cyclotomic.__add__", exactnum.Cyclotomic.__add__),
+                                ("unit_part", exactnum.unit_part),
+                                ("sqrt_as_cyclotomic", exactnum.sqrt_as_cyclotomic)]}
+    box = [P for P in valid_tuples([3, 5, 7], 4, [3, 4]) if root_number_supported(P) is None]
+    assert len(box) == 28
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_filename, code.co_firstlineno) in oracles:
+            entered.add(oracles[code.co_filename, code.co_firstlineno])
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(["verify", "root-number", "--q", str(P.q), "--e", str(P.e),
+                           "--f", str(P.f), "--m", str(P.m), "--r", str(P.r),
+                           "--format", "json"]) for P in box]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [cli.EXIT_OK] * len(box)
     assert not entered, sorted(entered)
