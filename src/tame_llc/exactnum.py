@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: rationals, mul_power, the one
-square-and-multiply ladder every power in the package goes through, and as
-oracles cyclotomic numbers, the quadratic Gauss sums that give square
-roots of integers and the unit part w = total * q^(-k/2) of a Gauss sum.
+square-and-multiply ladder every power in the package goes through,
+_prime_factors, the one trial division, and as oracles cyclotomic
+numbers, the quadratic Gauss sums that give square roots of integers and
+the unit part w = total * q^(-k/2) of a Gauss sum.
 
 Every character value, Gauss sum and root number is a root of unity, a
 Fraction mod 1 (a turn) that becomes a Cyclotomic only to be printed, and
@@ -12,7 +13,7 @@ of P, so no floating point ever enters a verification path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 import math
 
 
@@ -22,6 +23,10 @@ class PoleAtPoint(ArithmeticError):
 
 class VerificationError(ArithmeticError):
     """Raised when two computations that must agree do not."""
+
+
+class InvalidParams(ValueError):
+    """Raised when a parameter tuple violates a tameness constraint."""
 
 
 def mul_power(mul: Callable, acc, squares: List, n: int, one):
@@ -49,16 +54,29 @@ def mul_power(mul: Callable, acc, squares: List, n: int, one):
 # Cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of n >= 1, least first and with multiplicity, by
+    trial division up to 10^6.  A cofactor above 10^12 with no prime factor
+    that small raises InvalidParams when it is reached: trial division has
+    not decided whether it is prime."""
     d = 2
-    while d * d <= n:
+    while d <= 10 ** 6 and d * d <= n:
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            yield d
             n //= d
         d += 1
+    if n > 10 ** 12:
+        raise InvalidParams(f"{n} > 10^12 has no prime factor up to 10^6, "
+                            "the trial-division bound")
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        yield n
+
+
+def _factorize(n: int) -> Dict[int, int]:
+    """n >= 1 as {prime: exponent}, from _prime_factors."""
+    out: Dict[int, int] = {}
+    for ell in _prime_factors(n):
+        out[ell] = out.get(ell, 0) + 1
     return out
 
 
@@ -239,11 +257,12 @@ class Cyclotomic:
         return "Cyclotomic(%d, %s)" % (self.order, self.to_text())
 
     def to_text(self) -> str:
-        """Render as a sum of c*z^k terms (z = zeta_order)."""
+        """Render as a sum of c*z^k terms, named " (z = zeta_N)", N = order,
+        unless the number is rational (its one term is z^0)."""
         if not self.coeffs:
             return "0"
-        parts = ["%s*z^%d" % (c, k) for k, c in sorted(self.coeffs.items())]
-        return " + ".join(parts)
+        text = " + ".join("%s*z^%d" % (c, k) for k, c in sorted(self.coeffs.items()))
+        return text if self.is_rational() else f"{text} (z = zeta_{self.order})"
 
 
 # perfbench/worker.py reports its size; no square root is memoized

@@ -3,11 +3,13 @@
 The base is the Galois ring GR(p^r, af) (unramified coefficient ring with
 residue field F_{q^f}); the uniformizer pi carries the tame ramification.
 The Galois action is delta(pi) = zeta_e pi on pi and the identity on
-coefficients, while rho acts as the inverse Frobenius on coefficients and
-as pi -> t pi.  The triple (c, zeta_e, t) of Teichmuller units is found by
-a deterministic lexicographic search over the consistency congruences, as
-exponents of the Teichmuller generator tau.  A Teichmuller unit is raised
-by Model.tau_power of its exponent, every other power by exactnum.mul_power.
+coefficients, while rho acts as pi -> t pi and on coefficients as the
+inverse q-Frobenius, tau^k -> tau^{k q^{f-1}}, the one Galois action on
+coefficients, by a matrix read off the Teichmuller digits of x.  The
+triple (c, zeta_e, t) of Teichmuller units is found by a deterministic
+lexicographic search over the consistency congruences, as exponents of
+the Teichmuller generator tau.  A Teichmuller unit is raised by
+Model.tau_power of its exponent, every other power by exactnum.mul_power.
 
 An element is one flat tuple of e * d integers mod p^r, the pi^i
 coefficient in the slice [i d, (i + 1) d).  A product is straight-line
@@ -196,12 +198,13 @@ class GaloisRing:
     """GR(p^r, d) = (Z/p^r)[x]/(h) with h a fixed monic irreducible lift.
 
     Elements are coefficient tuples of length d with entries mod p^r; the
-    product is _product_kernel at e = 1.
+    product is _product_kernel at e = 1.  The ring keeps only arithmetic:
+    its one Galois action is rho's, which Model reads off the Teichmuller
+    digits of x as powers of tau, and its trace is that of multiplication.
     """
 
     def __init__(self, p: int, r: int, d: int):
         self.p = p
-        self.r = r
         self.d = d
         self.mod = p ** r
         self.h = _least_irreducible(p, d)  # monic lift, entries in [0, p)
@@ -219,11 +222,6 @@ class GaloisRing:
         self._product = _product_kernel(1, d, mod, [xpow])
         self.zero: GRElt = tuple([0] * d)
         self.one: GRElt = xpow[0]
-        self.gen: GRElt = tuple(([0, 1] + [0] * (d - 2))[:d])
-        self._frob_matrix: Optional[List[GRElt]] = None
-        self._teich_cache: Dict[GRElt, GRElt] = {}
-
-    # -- basic arithmetic ---------------------------------------------------
 
     def add(self, x: GRElt, y: GRElt) -> GRElt:
         mod = self.mod
@@ -253,73 +251,12 @@ class GaloisRing:
     def is_unit(self, x: GRElt) -> bool:
         return any(a % self.p for a in x)
 
-    # -- Teichmuller structure ---------------------------------------------
-
-    def teichmuller(self, x: GRElt) -> GRElt:
-        """The Teichmuller element congruent to x mod p."""
-        key = self.residue(x)
-        hit = self._teich_cache.get(key)
-        if hit is not None:
-            return hit
-        z = x
-        for _ in range(self.r):
-            z = self.pow(z, self.p ** self.d)
-        self._teich_cache[key] = z
-        return z
-
-    def digits(self, x: GRElt) -> List[GRElt]:
-        """Teichmuller digits: x = sum digits[i] * p^i."""
-        out = []
-        cur = x
-        for i in range(self.r):
-            t = self.teichmuller(cur)
-            out.append(t)
-            diff = self.sub(cur, t)
-            if any(a % self.p for a in diff):
-                raise VerificationError("Teichmuller digit is not congruent mod p")
-            cur = tuple(a // self.p for a in diff)
-        return out
-
-    def frobenius(self, x: GRElt, k: int = 1) -> GRElt:
-        """The ring automorphism acting as t -> t^{p^k} on Teichmuller digits."""
-        k %= self.d
-        if k == 0:
-            return x
-        if self._frob_matrix is None:
-            fx = self._frob_of_gen()
-            # image of basis monomial x^b is Frob(x)^b; Frobenius is additive
-            self._frob_matrix = [self.pow(fx, b) for b in range(self.d)]
-        out = x
-        for _ in range(k):
-            cols = self._frob_matrix
-            acc = [0] * self.d
-            for b, xb in enumerate(out):
-                if xb:
-                    col = cols[b]
-                    for i in range(self.d):
-                        acc[i] = (acc[i] + xb * col[i]) % self.mod
-            out = tuple(acc)
-        return out
-
-    def _frob_of_gen(self) -> GRElt:
-        digs = self.digits(self.gen)
-        out = self.zero
-        ppow = 1
-        for t in digs:
-            out = self.add(out, self.scalar(ppow, self.pow(t, self.p)))
-            ppow *= self.p
-        return out
-
-    def trace_abs(self, x: GRElt) -> int:
-        """Absolute trace to Z/p^r (sum of all Frobenius conjugates)."""
-        acc = self.zero
-        cur = x
-        for _ in range(self.d):
-            acc = self.add(acc, cur)
-            cur = self.frobenius(cur)
-        if any(acc[1:]):
-            raise VerificationError("trace did not land in Z/p^r")
-        return acc[0]
+    def trace_abs(self, z: GRElt) -> int:
+        """The absolute trace to Z/p^r, as the trace of multiplication by z:
+        Tr(x^b) = sum_j (x^{b+j} mod h)_j, read from _x_powers.  GR is
+        unramified over Z/p^r, so this is the sum of the Frobenius conjugates."""
+        xpow, d = self._x_powers, self.d
+        return sum(zb * xpow[b + j][j] for b, zb in enumerate(z) for j in range(d)) % self.mod
 
 
 def residue_generator(gr: GaloisRing) -> GRElt:
@@ -381,6 +318,8 @@ class Model:
             self._baby_steps[cur] = j
             cur = gr.residue(gr.mul(cur, tau_res))
         self._giant_step = gr.residue(self.tau_power(-m))
+        # read by _rho_gr; at f = 1, rho fixes the coefficients
+        self._rho_rows = self._rho_matrix() if self.P.f > 1 else []
 
     # -- element construction ----------------------------------------------
 
@@ -475,18 +414,38 @@ class Model:
 
     # -- Galois action -------------------------------------------------------
 
-    def _rho_gr(self, x: GRElt, j: int = 1) -> GRElt:
-        # rho acts on coefficients as the inverse q-Frobenius
-        return self.gr.frobenius(x, (self.P.a * (self.P.f - 1) * j) % self.gr.d)
+    def _rho_matrix(self) -> List[Tuple[int, ...]]:
+        """rho's matrix on GR over Z/p^r, row k the k-th coordinate of each
+        rho(x^b) = rho(x)^b.
+
+        x = sum_i p^i tau^{k_i} over its Teichmuller digits, k_i the
+        residue_log of what is left (no digit where that is 0 mod p), so
+        rho(x) = sum_i p^i tau^{k_i q^{f-1}}.  What a digit leaves must be
+        divisible by p, or VerificationError is raised."""
+        gr, P = self.gr, self.P
+        p = P.p
+        rest, rho_x = gr._x_powers[1], gr.zero
+        for i in range(P.r):
+            if gr.is_unit(rest):
+                k = self.residue_log(rest)
+                rest = gr.sub(rest, self.tau_power(k))
+                rho_x = gr.add(rho_x, gr.scalar(p ** i, self.tau_power(k * P.q ** (P.f - 1))))
+            if gr.is_unit(rest):
+                raise VerificationError("Teichmuller digit is not congruent mod p")
+            rest = tuple(a // p for a in rest)
+        return list(zip(*(gr.pow(rho_x, b) for b in range(gr.d))))
+
+    def _rho_gr(self, z: GRElt, j: int = 1) -> GRElt:
+        """rho^j on a coefficient: rho's matrix applied j mod f times."""
+        mod = self.gr.mod
+        for _ in range(j % self.P.f):
+            z = tuple([sum(map(mul, row, z)) % mod for row in self._rho_rows])
+        return z
 
     def pi_multiplier(self, g: GalElt) -> GRElt:
-        """The Teichmuller unit u with g(pi) = u pi, as a power of tau.
-
-        rho^j(pi) = t rho(t) ... rho^{j-1}(t) pi, and rho^s raises a
-        Teichmuller unit to the power p^{a(f-1)s mod d}; delta^i adds zeta^i."""
-        P, d = self.P, self.gr.d
-        S = sum(P.p ** (P.a * (P.f - 1) * s % d) for s in range(g.j))
-        return self.tau_power(self.t_exp * S + self.zeta_exp * g.i)
+        """The Teichmuller unit u with g(pi) = u pi, as a power of tau:
+        rho^j(pi) = t rho(t) ... rho^{j-1}(t) pi, and delta^i adds zeta^i."""
+        return self.tau_power(self.t_exp * _rho_sum(self.P, g.j) + self.zeta_exp * g.i)
 
     def _galois_matrix(self, g: GalElt) -> List[List[int]]:
         """The matrix of g on R over Z/p^r: the coefficient of pi^i goes
@@ -495,11 +454,12 @@ class Model:
         gr = self.gr
         d = gr.d
         u = self.pi_multiplier(g)
+        rho_basis = [self._rho_gr(xb, g.j) for xb in gr._x_powers[:d]]
         cols = []
         upow = gr.one
         for i in range(self.e):
-            for b in range(d):
-                img = gr.mul(self._rho_gr(gr._x_powers[b], g.j), upow)
+            for img in rho_basis:
+                img = gr.mul(img, upow)
                 cols.append(self._zero[:i * d] + img + self._zero[(i + 1) * d:])
             upow = gr.mul(upow, u)
         return [list(row) for row in zip(*cols)]
@@ -509,33 +469,27 @@ class Model:
         return tuple([sum(map(mul, row, x)) % mod for row in self._gal_mats[g]])
 
     def trace_K_F(self, x: Elt) -> GRElt:
-        """T_{K/F}(x), returned as its GR-coefficient (the F-subring part)."""
+        """T_{K/F}(x), returned as its GR-coefficient, which must lie in the
+        F-subring: the coefficients rho fixes."""
         acc = self.zero()
         for g in gal_elements(self.P):
             acc = self.add(acc, self.galois_act(g, x))
         d = self.gr.d
-        if any(acc[d:]) or self.gr.frobenius(acc[:d], self.P.a) != acc[:d]:
+        if any(acc[d:]) or self._rho_gr(acc[:d]) != acc[:d]:
             raise VerificationError("trace not in F")
         return acc[:d]
 
-    def psi_exponent(self, z: GRElt) -> int:
-        """Additive character exponent of z in the F-subring: T_{F/Q_p}(z) mod p^r.
-
-        The absolute GR-trace of an F-element counts each conjugate f times,
-        so divide by f (a unit mod p).
-        """
-        finv = pow(self.P.f, -1, self.gr.mod)
-        return (self.gr.trace_abs(z) * finv) % self.gr.mod
-
     def trace_functional(self) -> Callable[[Elt], int]:
-        """x -> T_{F/Q_p}(T_{K/F}(x)) mod p^r as a precomputed linear map."""
+        """x -> T_{F/Q_p}(T_{K/F}(x)) mod p^r as a precomputed linear map.
+        T_{F/Q_p} is the absolute GR-trace divided by f, since that trace
+        counts each conjugate of an F-element f times (f is a unit mod p)."""
+        gr = self.gr
+        mod = gr.mod
         if self._trace_vec is None:
-            self._trace_vec = [
-                self.psi_exponent(self.trace_K_F(self.monomial(b, i)))
-                for i in range(self.e) for b in range(self.gr.d)
-            ]
+            finv = pow(self.P.f, -1, mod)
+            self._trace_vec = [gr.trace_abs(self.trace_K_F(self.monomial(b, i))) * finv % mod
+                               for i in range(self.e) for b in range(gr.d)]
         vec = self._trace_vec
-        mod = self.gr.mod
 
         def func(x: Elt) -> int:
             return sum(map(mul, vec, x)) % mod
@@ -559,6 +513,13 @@ def _fold_images(gr: GaloisRing, e: int, cp: GRElt) -> List[List[Elt]]:
     return images
 
 
+def _rho_sum(P: TameParams, j: int) -> int:
+    """sum_{s < j} q^{(f-1)s} mod q_K - 1.  rho^s raises a Teichmuller unit
+    to the power q^{(f-1)s}, so t rho(t) ... rho^{j-1}(t) = t^{this sum}."""
+    L = P.q_K - 1
+    return sum(pow(P.q, (P.f - 1) * s, L) for s in range(j)) % L
+
+
 # The most baby steps residue_log may keep.  Its table of ceil(sqrt(q_K - 1))
 # d-tuples is built before any answer, so past this bound a request exhausts
 # time or memory instead: (7,1,16,0,3) would need 5.8e6 steps, (3,1,32,0,3)
@@ -574,11 +535,13 @@ def build_model(P: TameParams) -> Model:
         raise TooLarge(f"residue_log needs {steps} baby steps, more than {MAX_BABY_STEPS}")
     gr = GaloisRing(P.p, P.r, P.a * P.f)
     qK = P.q_K
-    # Teichmuller generator of order qK - 1
-    tau = gr.teichmuller(residue_generator(gr))
+    # the Teichmuller generator, of order qK - 1: the lift of a residue-field
+    # generator x is x^{qK^r}, since x^{qK} = x mod p and each p-th power
+    # makes a congruence hold one power of p higher
+    tau = gr.pow(residue_generator(gr), qK ** P.r)
     e, f, m, q = P.e, P.f, P.m, P.q
     L = qK - 1
-    S = sum(pow(q, s * (f - 1), L) for s in range(f)) % L
+    S = _rho_sum(P, f)
     for c_exp in range(L):
         rhs1 = (c_exp * (pow(q, f - 1, L) - 1)) % L
         g1 = gcd(e, L)

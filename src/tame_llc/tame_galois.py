@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from .exactnum import VerificationError
-
-
-class InvalidParams(ValueError):
-    """Raised when a parameter tuple violates a tameness constraint."""
+from .exactnum import InvalidParams, VerificationError, _prime_factors
 
 
 class OutOfRange(ValueError):
@@ -75,17 +71,6 @@ class TameParams:
         return t if t != 0 else self.e
 
 
-def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division up to 10^6.
-    InvalidParams when n > 10^12 has none that small: trial division has
-    not decided whether n is prime."""
-    d = next((d for d in range(2, min(isqrt(n), 10 ** 6) + 1) if n % d == 0), n)
-    if d == n and n > 10 ** 12:
-        raise InvalidParams(f"{n} > 10^12 has no prime factor up to 10^6, "
-                            "the trial-division bound")
-    return d
-
-
 def validate_tuple(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParams:
     """Check the tameness constraints on (e, f, m, r) over q = p^a, with
     (p, a) from prime_power_of_q; raise InvalidParams naming the violation."""
@@ -111,7 +96,7 @@ def validate_tuple(p: int, a: int, e: int, f: int, m: int, r: int) -> TameParams
 def prime_power_of_q(q: int) -> Tuple[int, int]:
     """(p, a) with q = p^a, a >= 1, for p the least prime factor of q,
     which must be odd.  A box factors each q once, not once per tuple."""
-    p = _least_prime_factor(q) if q >= 2 else 2  # no q < 2 is a power of 2
+    p = next(_prime_factors(q)) if q >= 2 else 2  # no q < 2 is a power of 2
     a = 1
     while p ** a < q:
         a += 1

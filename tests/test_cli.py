@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tame_llc import characters, cli, conjectures, local_factors
+from tame_llc import characters, cli, conjectures, llc_parameters, local_factors
 
 
 def run(argv, capsys):
@@ -370,6 +370,27 @@ def test_factors_gamma0_abs_is_checked(monkeypatch, capsys):
                         "--r", "3"], capsys)
     assert code == cli.EXIT_CHECK_FAILED
     assert "  gamma0_abs: FAIL  [value=12345]\n" in out
+
+
+def test_failing_root_number_names_the_order_of_z(monkeypatch, capsys):
+    # the first twist piece's root number a quarter turn off: the assembled
+    # side is -i, and its text names z; the +-1 sides print as before
+    induced_factor = llc_parameters.induced_factor
+    turned = []
+
+    def mutated(sys, gamma, lam):
+        w, a = induced_factor(sys, gamma, lam)
+        if not turned:
+            turned.append(gamma)
+            w = (w + Fraction(1, 4)) % 1
+        return w, a
+
+    monkeypatch.setattr(llc_parameters, "induced_factor", mutated)
+    code, out, _ = run(["verify", "root-number", "--q", "3", "--e", "1", "--f", "2",
+                        "--r", "3"], capsys)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert ("  root_number: FAIL  [assembled=-1*z^1 (z = zeta_4), closed=-1*z^0, "
+            "theta_at_eps=-1*z^0]\n") in out
 
 
 @pytest.mark.parametrize("where,reason", [

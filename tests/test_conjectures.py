@@ -137,6 +137,14 @@ def test_root_number_on_the_two_reference_tuples(sys_ramified, sys_unramified):
         assert verify_root_number(sys.P, sys).status == "OK"
 
 
+def test_root_numbers_at_a_3_hold():
+    # q = 27 and 125: rho is F^{-3} on the coefficients, not F^{-1}; the
+    # supported tuples of n <= 4 at r = 3 all have f > 1
+    box = [P for P in valid_tuples([27, 125], 4, [3]) if root_number_supported(P) is None]
+    assert len(box) == 5 and all(P.a == 3 and P.f > 1 for P in box)
+    assert all(verify_root_number(P).status == "OK" for P in box)
+
+
 def test_valid_tuples_is_deterministic_and_valid():
     a = valid_tuples([5, 3], 4, [3, 2])
     b = valid_tuples([3, 5], 4, [2, 3])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,10 @@ from hypothesis import strategies as st
 
 from tame_llc.exactnum import (
     Cyclotomic,
+    InvalidParams,
     VerificationError,
+    _factorize,
+    _prime_factors,
     mul_power,
     sqrt_as_cyclotomic,
     unit_part,
@@ -52,6 +56,34 @@ def test_roots_of_unity_multiply_by_adding_exponents(n, j, k):
 def test_conjugate_inverts_roots_of_unity(n, k):
     z = Cyclotomic.root_of_unity(n, k)
     assert z.conj() * z == Cyclotomic.one()
+
+
+def test_text_names_z_unless_the_number_is_rational():
+    # the roots of unity of order 3, 4 and 8 share the terms 1*z^1; +-1 and
+    # 0 print as bare rationals
+    assert [Cyclotomic.root_of_unity(n).to_text() for n in (3, 4, 8)] == [
+        "1*z^1 (z = zeta_3)", "1*z^1 (z = zeta_4)", "1*z^1 (z = zeta_8)"]
+    assert Cyclotomic.root_of_unity(4, 3).to_text() == "-1*z^1 (z = zeta_4)"
+    assert [Cyclotomic.root_of_unity(n, k).to_text() for n, k in ((1, 0), (2, 1), (8, 4))] == [
+        "1*z^0", "-1*z^0", "-1*z^0"]
+    assert Cyclotomic.zero().to_text() == "0"
+
+
+@given(st.integers(1, 3000))
+def test_prime_factors_multiply_back_least_first(n):
+    factors = list(_prime_factors(n))
+    assert prod(factors) == n and factors == sorted(factors)
+    assert all(all(ell % d for d in range(2, isqrt(ell) + 1)) for ell in factors)
+
+
+def test_prime_factors_refuse_a_cofactor_past_the_trial_bound_only_when_reached():
+    # 3 (2^61 - 1): the least factor is found; the cofactor is refused
+    factors = _prime_factors(3 * (2 ** 61 - 1))
+    assert next(factors) == 3
+    with pytest.raises(InvalidParams, match=r"2305843009213693951 > 10\^12 has no prime factor"):
+        next(factors)
+    assert _factorize(999983 ** 2) == {999983: 2}
+    assert _factorize(999999999989) == {999999999989: 1}
 
 
 @given(rationals, rationals, orders)

@@ -341,8 +341,9 @@ def _transforms_modulo_q_k_minus_one(monkeypatch):
 
 
 def _residue_log_plus_one(monkeypatch):
-    # one added to every nonzero residue-field logarithm; the Teichmuller
-    # digit of a dlog then leaves a unit that is not 1 mod pi
+    # one added to every nonzero residue-field logarithm; a Teichmuller
+    # digit of x, read for rho's matrix at f > 1, or of a dlog then leaves
+    # a remainder that is not 0 mod p, or a unit that is not 1 mod pi
     residue_log = ring_model.Model.residue_log
 
     def mutated(self, x):
@@ -500,10 +501,21 @@ def test_perturbed_piece_conductor_is_caught_by_the_conductor_sum(monkeypatch):
 
 
 def test_perturbed_residue_log_is_caught_by_the_digit_check(monkeypatch):
+    # at f > 1 the model reads the Teichmuller digits of x for rho's matrix
+    # and dies there; at f = 1, where rho fixes the coefficients, the first
+    # dlog's digit check does
     _residue_log_plus_one(monkeypatch)
+    messages = {}
     for P in _root_number_box():
-        with pytest.raises(VerificationError, match=r"dlog: level \d+ digit not divisible by p\^\d+"):
+        with pytest.raises(VerificationError) as ex:
             verify_root_number(P)
+        messages[P] = str(ex.value)
+    teichmuller = [P for P, m in messages.items()
+                   if m == "Teichmuller digit is not congruent mod p"]
+    dlog = [P for P, m in messages.items()
+            if re.fullmatch(r"dlog: level \d+ digit not divisible by p\^\d+", m)]
+    assert len(teichmuller) == 22 and all(P.f > 1 for P in teichmuller)
+    assert len(dlog) == 6 and all(P.f == 1 for P in dlog)
 
 
 def test_perturbed_frobenius_matrix_fails_every_tuple_with_f_at_least_2(monkeypatch):

@@ -32,6 +32,7 @@ from tame_llc.ring_model import (
     kernel_of_norm,
     one_unit_order,
     regular_rep_matrix,
+    residue_generator,
     symplectic_check,
 )
 from tame_llc.tame_galois import GAL_ID, GalElt, gal_elements, norm_index, params_from_q
@@ -62,6 +63,46 @@ def test_galois_ring_axioms(prd, data):
     assert gf.sub(gf.add(x, y), y) == x
 
 
+# -- the absolute Frobenius F as the oracle for rho and for the trace ---------
+
+def _teichmuller(gf, x):
+    """The Teichmuller element congruent to x mod p: x^{q_K^r} = x^{(p^r)^d}."""
+    return gf.pow(x, gf.mod ** gf.d)
+
+
+def _digits(gf, x):
+    """The Teichmuller digits t_i of x = sum p^i t_i, each taken by a power."""
+    out, ppow = [], 1
+    while ppow < gf.mod:
+        t = _teichmuller(gf, x)
+        diff = gf.sub(x, t)
+        assert not gf.is_unit(diff)
+        out.append(t)
+        x = tuple(a // gf.p for a in diff)
+        ppow *= gf.p
+    return out
+
+
+def _frobenius_matrix(gf):
+    """Columns F(x)^b of F, which raises each Teichmuller digit to the p-th
+    power: F(x) = sum p^i t_i^p over the digits t_i of x."""
+    if gf.d == 1:
+        return [gf.one]
+    fx = gf.zero
+    for i, t in enumerate(_digits(gf, gf._x_powers[1])):
+        fx = gf.add(fx, gf.scalar(gf.p ** i, gf.pow(t, gf.p)))
+    return [gf.pow(fx, b) for b in range(gf.d)]
+
+
+def _frobenius(gf, x, k=1, cols=None):
+    """F^k(x) by the Frobenius matrix, applied k mod d times."""
+    cols = cols or _frobenius_matrix(gf)
+    for _ in range(k % gf.d):
+        x = tuple(sum(xb * col[i] for xb, col in zip(x, cols)) % gf.mod
+                  for i in range(gf.d))
+    return x
+
+
 @given(st.sampled_from(RINGS), st.data())
 @settings(max_examples=30)
 def test_frobenius_is_a_ring_map_of_order_d(prd, data):
@@ -69,11 +110,16 @@ def test_frobenius_is_a_ring_map_of_order_d(prd, data):
     p, r, d = prd
     x = tuple(data.draw(st.integers(0, p ** r - 1)) for _ in range(d))
     y = tuple(data.draw(st.integers(0, p ** r - 1)) for _ in range(d))
-    assert gf.frobenius(gf.mul(x, y)) == gf.mul(gf.frobenius(x), gf.frobenius(y))
-    assert gf.frobenius(gf.add(x, y)) == gf.add(gf.frobenius(x), gf.frobenius(y))
+    cols = _frobenius_matrix(gf)
+
+    def frob(z):
+        return _frobenius(gf, z, 1, cols)
+
+    assert frob(gf.mul(x, y)) == gf.mul(frob(x), frob(y))
+    assert frob(gf.add(x, y)) == gf.add(frob(x), frob(y))
     z = x
     for _ in range(d):
-        z = gf.frobenius(z)
+        z = frob(z)
     assert z == x
 
 
@@ -83,14 +129,12 @@ def test_teichmuller_is_multiplicative_torsion(prd):
     p, r, d = prd
     q = p ** d
     for code in [1, 2, min(q - 1, 5)]:
-        coeffs = []
-        cc = code
-        for _ in range(d):
-            coeffs.append(cc % p)
-            cc //= p
-        t = gf.teichmuller(tuple(coeffs))
+        coeffs = tuple(_base_p_digits(code, p, d))
+        t = _teichmuller(gf, coeffs)
         assert gf.pow(t, q - 1) == gf.one
-        assert gf.residue(t) == gf.residue(tuple(coeffs))
+        assert gf.residue(t) == gf.residue(coeffs)
+        # F raises a Teichmuller element to the p-th power
+        assert _frobenius(gf, t) == gf.pow(t, p)
 
 
 @given(st.sampled_from(RINGS), st.data())
@@ -101,8 +145,51 @@ def test_trace_is_additive_and_frobenius_invariant(prd, data):
     x = tuple(data.draw(st.integers(0, p ** r - 1)) for _ in range(d))
     y = tuple(data.draw(st.integers(0, p ** r - 1)) for _ in range(d))
     mod = p ** r
-    assert gf.trace_abs(gf.add(x, y)) % mod == (gf.trace_abs(x) + gf.trace_abs(y)) % mod
-    assert gf.trace_abs(gf.frobenius(x)) % mod == gf.trace_abs(x) % mod
+    assert gf.trace_abs(gf.add(x, y)) == (gf.trace_abs(x) + gf.trace_abs(y)) % mod
+    assert gf.trace_abs(_frobenius(gf, x)) == gf.trace_abs(x)
+
+
+# (p, a, f, r) with q_K = p^{af} <= 3^9, and the model of its first valid
+# tuple (p^a, e, f, 0, r), e = 1 or, at f = 1, e = 2; d = af = 1 included
+RHO_CASES = [(p, a, f, r) for p in (3, 5, 7) for a in (1, 2, 3) for f in (1, 2, 3, 4)
+             for r in (2, 3) if p ** (a * f) <= 3 ** 9 and f % p]
+_RHO_MODELS = {}
+
+
+def _rho_model(case):
+    if case not in _RHO_MODELS:
+        p, a, f, r = case
+        _RHO_MODELS[case] = build_model(params_from_q(p ** a, 1 + (f == 1), f, 0, r))
+    return _RHO_MODELS[case]
+
+
+def test_rho_cases_cover_a_up_to_3_and_d_1():
+    assert {a for _, a, _, _ in RHO_CASES} == {1, 2, 3}
+    assert any(a * f == 1 for _, a, f, _ in RHO_CASES)
+    assert any(a == 3 and f > 1 for _, a, f, _ in RHO_CASES)
+
+
+@given(st.sampled_from(RHO_CASES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rho_is_the_inverse_q_frobenius_and_the_trace_sums_the_conjugates(case, data):
+    # rho^j = F^{a(f-1)j} on coefficients, and Tr = sum_s F^s
+    M = _rho_model(case)
+    p, a, f, r = case
+    gf = M.gr
+    cols = _frobenius_matrix(gf)
+    z = tuple(data.draw(st.integers(0, gf.mod - 1)) for _ in range(gf.d))
+    j = data.draw(st.integers(0, 2 * f))
+    assert M._rho_gr(z, j) == _frobenius(gf, z, a * (f - 1) * j, cols)
+    conjugates = gf.zero
+    for s in range(gf.d):
+        conjugates = gf.add(conjugates, _frobenius(gf, z, s, cols))
+    assert conjugates == gf.from_int(gf.trace_abs(z))
+
+
+def test_tau_is_the_teichmuller_lift_of_the_residue_generator():
+    for case in RHO_CASES[:8]:
+        M = _rho_model(case)
+        assert M.tau == _teichmuller(M.gr, residue_generator(M.gr)), case
 
 
 # -- Rabin's irreducibility test, with the polynomial Euclid as its oracle -----
@@ -891,10 +978,8 @@ def test_model_checks_survive_python_O():
         _verify_model(M)
         M.trace_K_F = lambda x: gr.one
         raises("beta trace", lambda: find_beta(M))
-        gr.teichmuller = lambda x: gr.zero
-        raises("digits", lambda: gr.digits(gr.one))
-        gr.frobenius = lambda x, k=1: x
-        raises("trace", lambda: gr.trace_abs(gr.gen))
+        M.residue_log = lambda x: 0
+        raises("Teichmuller digit", M._rho_matrix)
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -902,4 +987,4 @@ def test_model_checks_survive_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:-1] == [
         "zeta^e", "zeta order", "pi^e", "homomorphism", "beta trace",
-        "digits", "trace"]
+        "Teichmuller digit"]
