@@ -2,10 +2,11 @@
 Gauss sums.
 
 All multiplicative characters are stored as exponent vectors against the
-invariant-factor generators of a unit-group presentation, so values are
-exact fractions of a full turn and only become Cyclotomic numbers at the
-edges.  There is one presentation, U at level e*r: a character trivial on
-1 + pi^k is read through its values on U's generators below level k.
+invariant-factor generators of a unit-group presentation, so every value
+is a Fraction, a fraction of a full turn, and becomes a Cyclotomic only at
+the one edge, Cyclotomic.from_turn, to be printed or to meet an oracle.
+There is one presentation, U at level e*r: a character trivial on 1 + pi^k
+is read through its values on U's generators below level k.
 U and U-bar alone carry invariant-factor bases: H and each chi-data fixed
 group are their Hermite rows, from which a character extends canonically.
 Each Galois action gamma != 1 is read once, as its matrix A_gamma on U's
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,17 +83,16 @@ class MultCharacter:
         return Fraction(sum(map(mul, weights, coords)) % L, L)
 
     def value_on_coords(self, coords: Sequence[int]) -> Cyclotomic:
-        fr = self.fraction_on_coords(coords)
-        return Cyclotomic.root_of_unity(fr.denominator, fr.numerator)
+        return Cyclotomic.from_turn(self.fraction_on_coords(coords))
 
 
 # ---------------------------------------------------------------------------
 # theta: extension of chi_beta from the congruence subgroup to U-bar
 # ---------------------------------------------------------------------------
 
-def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Tuple[int, int]:
+def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Fraction:
     """chi_beta(x) = psi(varpi_F^{-l'} T_{K/F}(y beta)) for x = 1 + varpi_F^l y,
-    as a reduced fraction (num, den) of a full turn."""
+    as a fraction of a full turn."""
     P = M.P
     l, lp = P.level_l, P.level_l_prime
     pl = P.p ** l
@@ -101,10 +101,8 @@ def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Tuple[int, int]:
     if any(a % pl for a in diff):
         raise NotInSubgroup("x is not in 1 + p^l O_K")
     y = tuple(a // pl for a in diff)
-    val = M.trace_functional()(M.mul(y, beta)) % (P.p ** lp)
-    den = P.p ** lp
-    g = gcd(val, den) or 1
-    return val // g, den // g
+    plp = P.p ** lp
+    return Fraction(M.trace_functional()(M.mul(y, beta)) % plp, plp)
 
 
 class CharacterSystem:
@@ -126,12 +124,11 @@ class CharacterSystem:
         self.Ubar = kernel_of_norm(self.U, self.acts)
         self.beta = find_beta(M)
         self._theta: Optional[MultCharacter] = None
-        # (U-bar coordinates, chi_beta as a reduced fraction) of each
-        # generator b of H, filled with theta
-        self.chi_beta_on_h: List[Tuple[List[int], Tuple[int, int]]] = []
+        # (U-bar coordinates, chi_beta as a turn) of each generator b of H,
+        # filled with theta
+        self.chi_beta_on_h: List[Tuple[List[int], Fraction]] = []
         self._c_char: Optional[MultCharacter] = None
         self._theta_tilde: Optional[MultCharacter] = None
-        self._minus_one_coords: Optional[List[int]] = None
 
     # -- coordinates ---------------------------------------------------------
 
@@ -147,16 +144,15 @@ class CharacterSystem:
         return [chi.fraction_on_coords(c) for c in self.U.gen_coords]
 
     def minus_one_coords(self) -> List[int]:
-        if self._minus_one_coords is None:
-            self._minus_one_coords = self.U.dlog(self.M.neg(self.M.one()))
-        return self._minus_one_coords
+        """U coordinates of -1 = tau^{(q_K - 1)/2}."""
+        return self.U.tau_coords((self.P.q_K - 1) // 2)
 
     # -- theta ---------------------------------------------------------------
 
     def congruence_subgroup(self) -> List[List[int]]:
         """H = U-bar cap (1 + pi^{el}), as its Hermite rows in U coordinates."""
         el = self.P.e * self.P.level_l
-        rows = [c for c, (i, _) in zip(self.U.gen_coords, self.U.levels) if i >= el]
+        rows = [c for c, i in zip(self.U.gen_coords, self.U.levels) if i >= el]
         return intersect_subgroups(list(self.U.orders), self.Ubar.basis, rows)
 
     @property
@@ -168,8 +164,7 @@ class CharacterSystem:
                 if coords is None:
                     raise VerificationError("H must sit inside U-bar")
                 rows_sub.append(coords)
-                elt = self.U.element_from_coords(b)
-                fracs.append(chi_beta_fraction(self.M, self.beta, elt))
+                fracs.append(chi_beta_fraction(self.M, self.beta, self.U.element_from_coords(b)))
             try:
                 exps = extend_character(list(self.Ubar.orders), rows_sub, fracs)
             except ValueError as ex:
@@ -191,22 +186,19 @@ class CharacterSystem:
         P = self.P
         M = self.M
         U = self.U
-        o2 = order_two_set(P)
         total_exps = [0] * len(U.orders)
-        level2_rows = [c for c, (i, _) in zip(U.gen_coords, U.levels) if i >= 2]
+        level2_rows = [c for c, i in zip(U.gen_coords, U.levels) if i >= 2]
         # residue_log is a homomorphism into Z/(q_K - 1), q_K - 1 even: its
         # parity on U coordinates b is the sum of b_k residue_log(h_k) mod 2
         parities = [M.residue_log(h) % 2 for h in U.inv_gens]
-        for gamma in sorted(o2.elements):
-            if gamma == GAL_ID:
-                continue
-            ramified = o2.ramified[gamma]
+        for gamma in sorted(order_two_set(P) - {GAL_ID}):
+            ramified = gamma.j == 0  # K/K_gamma is ramified: gamma in <delta>
             fixed = kernel_subgroup(list(U.orders), [
                 [(a - (i == j)) % d for j, (a, d) in enumerate(zip(row, U.orders))]
                 for i, row in enumerate(self.acts[gamma])], list(U.orders))
             rows = fixed + level2_rows
-            fracs = [(1, 2) if ramified and sum(map(mul, b, parities)) % 2 else (0, 1)
-                     for b in fixed] + [(0, 1)] * len(level2_rows)
+            fracs = [Fraction(1, 2) if ramified and sum(map(mul, b, parities)) % 2
+                     else Fraction(0) for b in fixed] + [Fraction(0)] * len(level2_rows)
             try:
                 exps = extend_character(list(U.orders), rows, fracs)
             except ValueError as ex:
@@ -244,10 +236,7 @@ class CharacterSystem:
         """
         if self._theta_tilde is None:
             rows = [list(b) for b in self.Ubar.basis]
-            fracs = []
-            for b in rows:
-                fr = self.vartheta(b)
-                fracs.append((fr.numerator, fr.denominator))
+            fracs = [self.vartheta(b) for b in rows]
             try:
                 exps = extend_character(list(self.U.orders), rows, fracs)
             except ValueError as ex:
@@ -262,7 +251,7 @@ class CharacterSystem:
 
         This is canonical: x^{1-gamma} lies in ker(N), so no extension choice
         enters.  h_j^{1-gamma} has the U coordinates e_j - A_gamma[j].  The
-        value at pi is vartheta(u^{-1}) where gamma(pi) = u pi.
+        value at pi is vartheta(tau^{-k}) where gamma(pi) = tau^k pi.
         """
         orders = self.U.orders
         exps = []
@@ -272,8 +261,7 @@ class CharacterSystem:
             if ex.denominator != 1:
                 raise VerificationError("twist is not a character of U")
             exps.append(int(ex) % d)
-        u = self.U.dlog(self.M.from_gr(self.M.pi_multiplier(gamma)))
-        fr = self.vartheta([-c % d for c, d in zip(u, orders)])
+        fr = self.vartheta(self.U.tau_coords(-self.M.pi_multiplier(gamma)))
         return MultCharacter(tuple(orders), tuple(exps), fr)
 
 
@@ -288,7 +276,7 @@ def conductor_bruteforce(sys: CharacterSystem, chi: MultCharacter) -> int:
     the generators at levels >= k generate 1 + pi^k.
     """
     vals = sys.values_on_gens(chi)
-    return max((i + 1 for (i, _), v in zip(sys.U.levels, vals) if v), default=0)
+    return max((i + 1 for i, v in zip(sys.U.levels, vals) if v), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ def _psi_K_data(M: Model, k: int):
 def _values_below(sys: CharacterSystem, chi: MultCharacter, k: int) -> List[Fraction]:
     """chi on U's generators, checked to be trivial at levels >= k."""
     vals = sys.values_on_gens(chi)
-    if any(v for (i, _), v in zip(sys.U.levels, vals) if i >= k):
+    if any(v for i, v in zip(sys.U.levels, vals) if i >= k):
         raise VerificationError("character does not factor through level")
     return vals
 
@@ -386,7 +374,7 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
     plev = P.p ** lev
     test_gens = [
         (g, v)
-        for g, (i, _), v in zip(sys.U.gens, sys.U.levels, vals)
+        for g, i, v in zip(sys.U.gens, sys.U.levels, vals)
         if l2 <= i < k
     ]
     # additive basis of R/pi^{l1} with the p-precision of each line

@@ -248,16 +248,14 @@ def _selftest_reports() -> Iterator[ConjectureReport]:
         return [CheckResult(name, {}, "OK" if passed else "FAIL")
                 for name, passed in rows]
 
-    def at(turn):  # the root of unity a fraction of a turn names
-        return Cyclotomic.root_of_unity(turn.denominator, turn.numerator)
-
     # quadratic Gauss sum law on small fields, and its closed phase
     ok = True
     vals = {}
     for (p, d) in [(3, 1), (5, 1), (7, 1), (3, 2)]:
         g = quadratic_gauss_sum_field(p, d)
         vals[f"q={p ** d}"] = (g ** 2).to_text()
-        ok = ok and g ** 2 == (-1) ** (p ** d // 2) and g == at(quadratic_gauss_phase(p, d))
+        ok = (ok and g ** 2 == (-1) ** (p ** d // 2)
+              and g == Cyclotomic.from_turn(quadratic_gauss_phase(p, d)))
     # the paper's checks that neither identity runs, each on one small case,
     # as (check name, passed)
     P = params_from_q(3, 2, 1, 0, 2)
@@ -271,7 +269,8 @@ def _selftest_reports() -> Iterator[ConjectureReport]:
         CheckResult("quadratic_gauss_square", vals, "OK" if ok else "FAIL"),
         *checks([
             ("lambda_closed_vs_bruteforce", all(
-                at(lambda_tame(p, 1, 2, u0, "closed")) == lambda_tame(p, 1, 2, u0, "bruteforce")
+                Cyclotomic.from_turn(lambda_tame(p, 1, 2, u0, "closed"))
+                == lambda_tame(p, 1, 2, u0, "bruteforce")
                 for p in (3, 5) for u0 in (0, 1))),
             ("symplectic_check", symplectic_check(M, beta)[0]),
             ("centralizer_bruteforce", centralizer_bruteforce(M, beta, 1)),
@@ -287,7 +286,7 @@ def _selftest_reports() -> Iterator[ConjectureReport]:
     units = [cs.M.one(), cs.M.add(cs.M.one(), cs.M.pi()), cs.M.from_gr(cs.M.tau)]
     yield ConjectureReport(cs.P, checks([
         ("gauss_sum_literal", all(
-            gauss_sum_literal(cs, tw, k) == at(gauss_sum(cs, tw, k))
+            gauss_sum_literal(cs, tw, k) == Cyclotomic.from_turn(gauss_sum(cs, tw, k))
             for tw, k in zip(twists, conductors))),
         ("ad_character_identity", all(
             lhs == rhs for lhs, rhs in (ad_character_identity(cs, x) for x in units))),

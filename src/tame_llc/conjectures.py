@@ -183,13 +183,12 @@ def verify_root_number(P: TameParams, sys=None) -> CheckResult:
 
         sys = CharacterSystem(build_model(P))
     theta = sys.theta
-    if any(theta.fraction_on_coords(coords) != Fraction(*fr)
-           for coords, fr in sys.chi_beta_on_h):
+    if any(theta.fraction_on_coords(coords) != fr for coords, fr in sys.chi_beta_on_h):
         raise VerificationError("theta does not extend chi_beta on H")
     turns = [adjoint_root_number(sys, "closed"), adjoint_root_number(sys, "assembled"),
              theta_at_eps(P, sys)]
     # each side is a fraction of a turn, printed as the root of unity it names
-    texts = [Cyclotomic.root_of_unity(t.denominator, t.numerator).to_text() for t in turns]
+    texts = [Cyclotomic.from_turn(t).to_text() for t in turns]
     names = ("closed", "assembled", "theta_at_eps")
     return CheckResult("root_number", dict(zip(names, texts)),
                        "OK" if len(set(turns)) == 1 else "FAIL")

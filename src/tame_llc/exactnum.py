@@ -134,6 +134,11 @@ class Cyclotomic:
             order = 1
         return cls(order, {k: Fraction(1)})
 
+    @classmethod
+    def from_turn(cls, turn: Fraction) -> "Cyclotomic":
+        """The root of unity a turn names: the one place a turn becomes a Cyclotomic."""
+        return cls.root_of_unity(turn.denominator, turn.numerator)
+
     # -- canonical form -----------------------------------------------------
 
     def _bad_prime(self, k: int):

@@ -24,6 +24,7 @@ and `solve_left` returns its solution with the kernel of the same form.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
@@ -491,25 +492,26 @@ def intersect_subgroups(
 def extend_character(
     ambient_orders: Sequence[int],
     subgroup_rows: Sequence[Sequence[int]],
-    value_fracs: Sequence[Tuple[int, int]],
+    values: Sequence[Fraction],
 ) -> List[int]:
     """Extend a character from a subgroup to the whole group.
 
     The subgroup is generated by `subgroup_rows` (ambient coordinates); the
-    character takes value exp(2*pi*i*num/den) on each generator.  Returns the
-    exponent vector w (value zeta_{d_i}^{w_i} on e_i) of an extension, chosen
-    canonically (HNF-reduced representative of the solution coset).
+    character takes the value `values[j]`, a fraction of a turn read mod 1,
+    on generator j.  Returns the exponent vector w (value zeta_{d_i}^{w_i}
+    on e_i) of an extension, chosen canonically (HNF-reduced representative
+    of the solution coset).
 
     Raises ValueError if the prescribed values are inconsistent (not an
     actual character of the subgroup).
     """
     d = list(ambient_orders)
     s = len(d)
-    big = lcm(*d, *(den for _, den in value_fracs))
+    big = lcm(*d, *(v.denominator for v in values))
     # the character's graph in Z^s x Z/big: (b_j | value_j) and (d_i e_i | 0).
     # The values are a character exactly when it meets 0 x Z/big in 0 alone,
     # that is when the last pivot is big.
-    graph = [[*b, num * (big // den)] for b, (num, den) in zip(subgroup_rows, value_fracs)]
+    graph = [[*b, v.numerator * (big // v.denominator)] for b, v in zip(subgroup_rows, values)]
     graph += [row + [0] for row in diag(d)]
     h = hnf_mod(graph, big, s + 1)
     if h[s][s] != big:

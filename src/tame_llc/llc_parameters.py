@@ -95,7 +95,6 @@ class AdjointDecomposition:
 def adjoint_decompose(P: TameParams) -> AdjointDecomposition:
     f = P.f
     frob_vals = tuple(Cyclotomic.root_of_unity(f, j) for j in range(1, f))
-    o2 = order_two_set(P)
     induced = tuple(g for g in sorted(gal_elements(P)) if g != GAL_ID)
     paired = []
     order_two = []
@@ -111,7 +110,7 @@ def adjoint_decompose(P: TameParams) -> AdjointDecomposition:
             paired.append((g, gi))
             seen.add(g)
             seen.add(gi)
-    if set(order_two) != set(o2.elements) - {GAL_ID}:
+    if set(order_two) != order_two_set(P) - {GAL_ID}:
         raise VerificationError("self-inverse twists differ from the order-two set")
     dec = AdjointDecomposition(
         P=P,

@@ -127,9 +127,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed"):
 def model_lambda(sys) -> Fraction:
     """lambda(K/F, psi), a fraction of a turn, on the ring model's uniformizer data."""
     P = sys.P
-    u0_log = (
-        sys.M.zeta_exp * (P.e * (P.e - 1) // 2) + sys.M.c_exp
-    ) % (P.q_K - 1)
+    u0_log = (sys.M.zeta_exp * (P.e * (P.e - 1) // 2) + sys.M.c_exp) % (P.q_K - 1)
     return lambda_tame(P.p, P.a * P.f, P.e, u0_log, method="closed")
 
 
@@ -162,9 +160,15 @@ def induced_factor(sys, gamma, lam: Fraction) -> Tuple[Fraction, int]:
 @dataclass(frozen=True)
 class PrincipalData:
     a: int
-    l_inv: Tuple[Fraction, ...]  # 1/L, ascending in u = q^{-s}
+    coeffs: Tuple[int, ...]  # scale * (1/L), ascending in u = q^{-s}
+    scale: int
     gamma0: Fraction
     ad_eigen_exponents: Tuple[int, ...]  # Frobenius exponents on ker ad(N_0)
+
+    @property
+    def l_inv(self) -> Tuple[Fraction, ...]:
+        """1/L, ascending in u = q^{-s}, built only when it is read."""
+        return tuple(Fraction(c, self.scale) for c in self.coeffs)
 
 
 def _ad_degree(d: int, v: Sequence[int], diag: Sequence[int], up: Sequence,
@@ -273,15 +277,14 @@ def principal_triple(n: int, q: int) -> PrincipalData:
     ad_exps = tuple(range(1, n))
     # 1/L = prod (1 - q^{-k} u) = q^{-s} prod (q^k - u), s the sum of the k,
     # multiplied over Z.  gamma(0) reads the integer coefficients: the scale
-    # q^{-s} cancels in it
+    # q^{-s} cancels in it, so the Fractions of l_inv are built only when read
     coeffs = [1]
     for k in ad_exps:
         qk = q ** k
         coeffs = [qk * x - y for x, y in zip(coeffs + [0], [0] + coeffs)]
     scale = q ** sum(ad_exps)
     a = n * (n - 1)
-    return PrincipalData(a, tuple(Fraction(c, scale) for c in coeffs),
-                         gamma_at_zero_abs(q, a, coeffs), ad_exps)
+    return PrincipalData(a, tuple(coeffs), scale, gamma_at_zero_abs(q, a, coeffs), ad_exps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ coefficients, while rho acts as pi -> t pi and on coefficients as the
 inverse q-Frobenius, tau^k -> tau^{k q^{f-1}}, the one Galois action on
 coefficients, by a matrix read off the Teichmuller digits of x.  The
 triple (c, zeta_e, t) of Teichmuller units is found by a deterministic
-lexicographic search over the consistency congruences, as exponents of
-the Teichmuller generator tau.  A Teichmuller unit is raised by
-Model.tau_power of its exponent, every other power by exactnum.mul_power.
+lexicographic search over the consistency congruences, and kept only as
+exponents of the Teichmuller generator tau, as is g(pi)/pi.  A Teichmuller
+unit is raised by Model.tau_power of its exponent, every other power by
+exactnum.mul_power, and no discrete log solves for a known exponent.
 
 An element is one flat tuple of e * d integers mod p^r, the pi^i
 coefficient in the slice [i d, (i + 1) d).  A product is straight-line
@@ -26,7 +27,7 @@ conductor brute forcing and Gauss sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from operator import mod, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -284,27 +285,21 @@ class Model:
     P: TameParams
     gr: GaloisRing
     tau: GRElt                # Teichmuller generator of order q_K - 1
-    c_exp: int
+    c_exp: int                # pi^e = c p, c = tau^c_exp
     zeta_exp: int             # zeta_e = tau^zeta_exp
     t_exp: int                # t = tau^t_exp, read by pi_multiplier
-
-    # filled in __post_init__
-    c: GRElt = field(default=())
-    zeta: GRElt = field(default=())
 
     def __post_init__(self):
         gr = self.gr
         e, d = self.P.e, gr.d
         self._tau_squares: List[GRElt] = [self.tau]  # read by tau_power
-        self.c = self.tau_power(self.c_exp)
-        self.zeta = self.tau_power(self.zeta_exp)
         self.n = e * d
         self._pad = (0,) * (self.n - d)
         self._zero = (0,) * self.n
         self._one = gr.one + self._pad
         # at e = 1 the fold table is gr._x_powers, whose kernel gr already has
         self._product = gr._product if e == 1 else _product_kernel(
-            e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.c)))
+            e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.tau_power(self.c_exp))))
         self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
         self._trace_vec: Optional[List[int]] = None
         # residue_log's baby steps: residue of tau^j -> j for j < m, with
@@ -360,10 +355,6 @@ class Model:
         mod = self.gr.mod
         return tuple([(a - b) % mod for a, b in zip(x, y)])
 
-    def neg(self, x: Elt) -> Elt:
-        mod = self.gr.mod
-        return tuple([(-a) % mod for a in x])
-
     def mul(self, x: Elt, y: Elt) -> Elt:
         return self._product(x, y)
 
@@ -397,13 +388,13 @@ class Model:
         raise VerificationError("residue_log of a non-unit")
 
     def inv(self, x: Elt) -> Elt:
-        """The inverse of a unit by Newton's step y <- y (2 - x y), from
-        y = tau^{-residue_log(x)}, which is 1 for a one-unit.  Then 1 - x y
-        lies in pi R, and each step squares it, so bit_length(e r) steps
-        reach pi^{er} = 0; an x y != 1 after them raises VerificationError."""
-        if not self.is_unit(x):
-            raise ZeroDivisionError("not a unit")
-        y = self.from_gr(self.tau_power(-self.residue_log(x)))
+        """The inverse of a one-unit by Newton's step y <- y (2 - x y) from
+        y = 1 (an x != 1 mod pi raises ValueError, as a negative exponent does
+        in mul_power).  Each step squares 1 - x y in pi R, so bit_length(e r)
+        steps reach pi^{er} = 0; an x y != 1 after them raises VerificationError."""
+        if any(a % self.P.p for a in self.sub(x, self._one)[:self.gr.d]):
+            raise ValueError("not a one-unit")
+        y = self._one
         two = self.from_int(2)
         for _ in range((self.e * self.P.r).bit_length() + 1):
             xy = self.mul(x, y)
@@ -442,18 +433,18 @@ class Model:
             z = tuple([sum(map(mul, row, z)) % mod for row in self._rho_rows])
         return z
 
-    def pi_multiplier(self, g: GalElt) -> GRElt:
-        """The Teichmuller unit u with g(pi) = u pi, as a power of tau:
+    def pi_multiplier(self, g: GalElt) -> int:
+        """The exponent k < q_K - 1 with g(pi) = tau^k pi:
         rho^j(pi) = t rho(t) ... rho^{j-1}(t) pi, and delta^i adds zeta^i."""
-        return self.tau_power(self.t_exp * _rho_sum(self.P, g.j) + self.zeta_exp * g.i)
+        return (self.t_exp * _rho_sum(self.P, g.j) + self.zeta_exp * g.i) % (self.P.q_K - 1)
 
     def _galois_matrix(self, g: GalElt) -> List[List[int]]:
         """The matrix of g on R over Z/p^r: the coefficient of pi^i goes
-        through rho^j and picks up u^i, where g(pi) = u pi from
-        pi_multiplier.  Row k holds the k-th coordinate of each basis image."""
+        through rho^j and picks up u^i, u = tau^pi_multiplier(g) = g(pi)/pi.
+        Row k holds the k-th coordinate of each basis image."""
         gr = self.gr
         d = gr.d
-        u = self.pi_multiplier(g)
+        u = self.tau_power(self.pi_multiplier(g))
         rho_basis = [self._rho_gr(xb, g.j) for xb in gr._x_powers[:d]]
         cols = []
         upow = gr.one
@@ -568,14 +559,15 @@ def _verify_model(M: Model):
     P = M.P
     gr = M.gr
     # zeta_e has exact order e
-    if gr.pow(M.zeta, P.e) != gr.one:
+    zeta = M.tau_power(M.zeta_exp)
+    if gr.pow(zeta, P.e) != gr.one:
         raise VerificationError("zeta^e is not 1")
     for ell in _factorize(P.e):
-        if gr.pow(M.zeta, P.e // ell) == gr.one:
+        if gr.pow(zeta, P.e // ell) == gr.one:
             raise VerificationError("zeta order too small")
     pi = M.pi()
     # pi^e = c p, through the fold table Model.mul reads
-    if M.pow(pi, P.e) != M.from_gr(gr.scalar(P.p, M.c)):
+    if M.pow(pi, P.e) != M.from_gr(gr.scalar(P.p, M.tau_power(M.c_exp))):
         raise VerificationError("pi^e is not c p")
     # the matrices galois_act reads, built from the current (zeta_exp,
     # t_exp); the action must be a group homomorphism on a generating pair,
@@ -636,11 +628,11 @@ class UnitGroupPresentation:
         self.M = M
         self.N = N
         gens: List[Elt] = [M.from_gr(M.tau)]
-        self.levels: List[Tuple[int, int]] = [(0, 0)]
+        self.levels: List[int] = [0]  # the level of each generator
         for i in range(1, N):
             for b in range(M.gr.d):
                 gens.append(M.add(M.one(), M.monomial(b, i)))
-                self.levels.append((i, b))
+                self.levels.append(i)
         self.gens = gens
         self._inv_pows: Dict[int, List[Elt]] = {}  # filled by _inverse_power
         # _raw_dlog's plan: level i = k e + j reads slice j of the flat tuple,
@@ -677,7 +669,7 @@ class UnitGroupPresentation:
         # so each h is the same element as with the raw exponents: tau has
         # exact order q_K - 1, and a one-unit at level i has order dividing
         # one_unit_order(M, i).
-        exps = [M.P.q_K - 1] + [one_unit_order(M, i) for i, _ in self.levels[1:]]
+        exps = [M.P.q_K - 1] + [one_unit_order(M, i) for i in self.levels[1:]]
         gen_squares: List[List[Elt]] = [[g] for g in gens]
         self.inv_gens: List[Elt] = []
         for k in self._keep:
@@ -689,6 +681,11 @@ class UnitGroupPresentation:
 
     def order(self) -> int:
         return prod(self.orders)
+
+    def tau_coords(self, k: int) -> List[int]:
+        """Coordinates of tau^k: k times those of tau = gens[0], so no
+        Teichmuller unit of known exponent is solved for by dlog."""
+        return [k * c % d for c, d in zip(self.gen_coords[0], self.orders)]
 
     # -- discrete logs -------------------------------------------------------
 

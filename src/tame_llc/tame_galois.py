@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from .exactnum import InvalidParams, VerificationError, _prime_factors
 
@@ -147,22 +147,10 @@ def gal_elements(P: TameParams) -> List[GalElt]:
     return [GalElt(i, j) for i in range(P.e) for j in range(P.f)]
 
 
-@dataclass(frozen=True)
-class OrderTwoData:
-    """The elements gamma with gamma^2 = 1, by enumeration."""
-
-    elements: FrozenSet[GalElt]
-    # gamma -> True iff K/K_gamma is ramified, i.e. gamma lies in <delta>
-    ramified: Dict[GalElt, bool]
-
-
-def order_two_set(P: TameParams) -> OrderTwoData:
-    """All gamma with gamma^2 = 1, by enumeration."""
-    enumerated = frozenset(
-        g for g in gal_elements(P) if gal_mul(g, g, P) == GAL_ID
-    )
-    ramified = {g: g.j == 0 for g in enumerated if g != GAL_ID}
-    return OrderTwoData(elements=enumerated, ramified=ramified)
+def order_two_set(P: TameParams) -> FrozenSet[GalElt]:
+    """All gamma with gamma^2 = 1, the identity included, by enumeration.
+    K/K_gamma is ramified exactly when gamma lies in <delta>: gamma.j == 0."""
+    return frozenset(g for g in gal_elements(P) if gal_mul(g, g, P) == GAL_ID)
 
 
 def commutator_subgroup(P: TameParams) -> FrozenSet[GalElt]:

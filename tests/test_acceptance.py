@@ -85,7 +85,7 @@ def test_adjoint_l_factor_three_ways():
 #    classical square of the quadratic sum, all by literal summation
 def test_gauss_sum_modulus_one(sys_ramified, sys_unramified):
     for sys in (sys_ramified, sys_unramified):
-        for gamma in sorted(order_two_set(sys.P).elements):
+        for gamma in sorted(order_two_set(sys.P)):
             if gamma == GAL_ID:
                 continue
             tw = sys.theta_tilde_twist(gamma)
@@ -177,7 +177,7 @@ def test_twist_conductor_breaks():
     ]
     for P in tuples:
         sys = CharacterSystem(build_model(P))
-        for gamma in sorted(order_two_set(P).elements):
+        for gamma in sorted(order_two_set(P)):
             if gamma == GAL_ID:
                 continue
             tw = sys.theta_tilde_twist(gamma)
@@ -210,8 +210,8 @@ def test_order_two_elements_are_central_when_the_table_applies():
         data = order_two_set(P)
         applicable, predicted = order_two_prediction(P)
         if applicable:
-            assert data.elements == predicted, P
-            assert data.elements <= center(P), P
+            assert data == predicted, P
+            assert data <= center(P), P
 
 
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 2), (3, 1, 2, 0, 2),

@@ -34,9 +34,17 @@ rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 def turn_value(turn):
     """The root of unity that a fraction of a turn names, through the one
-    edge helper, to compare with a Cyclotomic oracle: Cyclotomic.__eq__
-    reads a Fraction as a rational number, not as a turn."""
-    return Cyclotomic.root_of_unity(turn.denominator, turn.numerator)
+    edge, Cyclotomic.from_turn, to compare with a Cyclotomic oracle:
+    Cyclotomic.__eq__ reads a Fraction as a rational number, not as a turn."""
+    return Cyclotomic.from_turn(turn)
+
+
+@given(orders, st.integers(-30, 30), st.integers(-3, 3))
+def test_from_turn_agrees_with_root_of_unity(n, k, j):
+    # k/n of a turn, and the same turn plus j whole turns, is zeta_n^k
+    z = Cyclotomic.root_of_unity(n, k)
+    assert Cyclotomic.from_turn(Fraction(k, n)) == z
+    assert Cyclotomic.from_turn(Fraction(k, n) + j) == z
 
 
 @given(orders, st.integers(-30, 30))

@@ -472,10 +472,12 @@ def test_extend_character_matches_the_two_hnf_route(orders, data):
         for _ in rows:
             den = data.draw(st.integers(1, 12))
             fracs.append((data.draw(st.integers(0, den - 1)), den))
+    # extend_character takes each value as a Fraction, the oracle as a pair
     outcomes = []
-    for fn in (extend_character, _extend_character_two_hnf):
+    for fn, values in ((extend_character, [Fraction(num, den) for num, den in fracs]),
+                       (_extend_character_two_hnf, fracs)):
         try:
-            outcomes.append(fn(orders, rows, fracs))
+            outcomes.append(fn(orders, rows, values))
         except ValueError:
             outcomes.append(ValueError)
     assert outcomes[0] == outcomes[1]
@@ -494,7 +496,7 @@ def test_extend_character_does_not_depend_on_the_generating_set(orders, data):
     w0 = [data.draw(st.integers(0, d - 1)) for d in orders]
 
     def value(row):
-        return sum(a * b * (den // d) for a, b, d in zip(w0, row, orders)) % den, den
+        return Fraction(sum(a * b * (den // d) for a, b, d in zip(w0, row, orders)) % den, den)
 
     count = data.draw(st.integers(2, 4))
     rows = [[data.draw(st.integers(0, d - 1)) for d in orders] for _ in range(count)]
@@ -532,16 +534,36 @@ def test_intersection_is_contained_in_both():
 def test_extend_character_reproduces_prescribed_values():
     ambient = [4, 2]
     rows = [[2, 0], [0, 1]]
-    values = [(1, 2), (0, 1)]  # -1 on the first generator, +1 on the second
+    values = [Fraction(1, 2), Fraction(0)]  # -1 on the first generator, +1 on the second
     exps = extend_character(ambient, rows, values)
-    from fractions import Fraction
 
-    for row, (num, den) in zip(rows, values):
+    for row, value in zip(rows, values):
         frac = sum(Fraction(e * x, d) for e, x, d in zip(exps, row, ambient))
-        assert frac % 1 == Fraction(num, den)
+        assert frac % 1 == value
 
 
 def test_extend_character_rejects_inconsistent_values():
     with pytest.raises(ValueError):
         # the generator has order 2 but is sent to a primitive 4th root
-        extend_character([4], [[2]], [(1, 4)])
+        extend_character([4], [[2]], [Fraction(1, 4)])
+
+
+@given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9]), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_extend_character_reads_a_value_modulo_one(orders, data):
+    # a value is a turn: a Fraction outside [0, 1) gives the exponents of
+    # its residue mod 1, and those are the pair route's on the unreduced
+    # pair (c num, c den)
+    count = data.draw(st.integers(1, 3))
+    rows = [[data.draw(st.integers(0, d - 1)) for d in orders] for _ in range(count)]
+    den = lcm(*orders)
+    w0 = [data.draw(st.integers(0, d - 1)) for d in orders]
+    nums = [sum(a * b * (den // d) for a, b, d in zip(w0, row, orders)) % den for row in rows]
+    shifts = [data.draw(st.integers(-3, 3)) for _ in rows]
+    scale = data.draw(st.integers(1, 4))
+    expected = extend_character(orders, rows, [Fraction(num, den) for num in nums])
+    assert extend_character(
+        orders, rows, [Fraction(num, den) + k for num, k in zip(nums, shifts)]) == expected
+    assert _extend_character_two_hnf(
+        orders, rows, [(scale * num, scale * den) for num in nums]) == expected

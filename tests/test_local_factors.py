@@ -95,7 +95,7 @@ def test_induced_factor_shapes(sys_ramified, sys_unramified):
     for sys in (sys_ramified, sys_unramified):
         P = sys.P
         o2 = order_two_set(P)
-        for gamma in sorted(o2.elements):
+        for gamma in sorted(o2):
             if gamma == GAL_ID:
                 continue
             w, a = induced_factor(sys, gamma, model_lambda(sys))

@@ -139,8 +139,10 @@ def _drop_top_principal_exponent(monkeypatch):
         l_inv = (Fraction(1),)
         for k in exps:
             l_inv = tuple(c - Fraction(d, q ** k) for c, d in zip(l_inv + (0,), (0,) + l_inv))
-        return replace(data, l_inv=l_inv, gamma0=gamma_at_zero_abs(q, data.a, l_inv),
-                       ad_eigen_exponents=exps)
+        # PrincipalData keeps 1/L as integer coefficients over one scale
+        scale = q ** sum(exps)
+        return replace(data, coeffs=tuple(int(c * scale) for c in l_inv), scale=scale,
+                       gamma0=gamma_at_zero_abs(q, data.a, l_inv), ad_eigen_exponents=exps)
 
     monkeypatch.setattr(conjectures, "principal_triple", mutated)
 
@@ -266,10 +268,10 @@ def _f4_twisted_box():
 
 
 def _rho_raises_t_to_p_s(monkeypatch):
-    # g(pi)/pi with each rho^s(t) read as t^{p^s}, not t^{p^{a(f-1)s}}
+    # g(pi)/pi = tau^k with each rho^s(t) read as t^{p^s}, not t^{p^{a(f-1)s}}
     def mutated(self, g):
         S = sum(self.P.p ** s for s in range(g.j))
-        return self.tau_power(self.t_exp * S + self.zeta_exp * g.i)
+        return (self.t_exp * S + self.zeta_exp * g.i) % (self.P.q_K - 1)
 
     monkeypatch.setattr(ring_model.Model, "pi_multiplier", mutated)
 
@@ -355,11 +357,11 @@ def _residue_log_plus_one(monkeypatch):
 
 def _inv_one_newton_step_short(monkeypatch):
     # Model.inv's iterate from one step before x y = 1: y (2 - x y) from
-    # the same start tau^{-residue_log(x)}, stopped one step early
+    # the same start y = 1, stopped one step early
     def mutated(self, x):
-        if not self.is_unit(x):
-            raise ZeroDivisionError("not a unit")
-        y = self.from_gr(self.tau_power(-self.residue_log(x)))
+        if any(a % self.P.p for a in self.sub(x, self.one())[:self.gr.d]):
+            raise ValueError("not a one-unit")
+        y = self.one()
         short = y
         while (xy := self.mul(x, y)) != self.one():
             short, y = y, self.mul(y, self.sub(self.from_int(2), xy))

@@ -9,7 +9,7 @@ import textwrap
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tame_llc import intlinalg, ring_model
@@ -299,7 +299,7 @@ def _nested_mul(M, x, y):
     """The product on the nested layout, one GR product per pair of pi^i
     coefficients, folding pi^{e+i} into c p pi^i."""
     gf, e = M.gr, M.e
-    cp = gf.scalar(M.P.p, M.c)
+    cp = gf.scalar(M.P.p, M.tau_power(M.c_exp))
     acc = [gf.zero] * e
     for i, xi in enumerate(_nested(M, x)):
         for j, yj in enumerate(_nested(M, y)):
@@ -320,7 +320,7 @@ def _pi_multiplier_by_frobenius(M, g):
     u = gf.one
     for s in range(g.j):
         u = gf.mul(u, M._rho_gr(t, s))
-    return gf.mul(u, gf.pow(M.zeta, g.i))
+    return gf.mul(u, gf.pow(M.tau_power(M.zeta_exp), g.i))
 
 
 @pytest.mark.parametrize("tup", [(3, 2, 4, 1, 4), (9, 2, 2, 1, 4),
@@ -330,13 +330,15 @@ def test_pi_multiplier_matches_the_frobenius_product(tup):
     M = build_model(params_from_q(*tup))
     assert (M.t_exp % (M.P.q_K - 1) != 0) == (tup[3] == 1)
     for g in gal_elements(M.P):
-        assert M.pi_multiplier(g) == _pi_multiplier_by_frobenius(M, g), g
+        k = M.pi_multiplier(g)
+        assert 0 <= k < M.P.q_K - 1, g
+        assert M.tau_power(k) == _pi_multiplier_by_frobenius(M, g), g
 
 
 def _coefficientwise_act(M, g, x):
     """g(x): rho^j on each pi^i coefficient, times u^i, where g(pi) = u pi."""
     gf = M.gr
-    u = M.pi_multiplier(g)
+    u = M.tau_power(M.pi_multiplier(g))
     out = []
     upow = gf.one
     for xi in _nested(M, x):
@@ -419,7 +421,7 @@ def test_galois_ring_product_past_the_int_str_limit():
 def test_large_flat_product_matches_the_nested_product(tup):
     M = build_model(params_from_q(*tup))
     assert M.n == tup[1] * tup[2]
-    images = ring_model._fold_images(M.gr, M.e, M.gr.scalar(M.P.p, M.c))
+    images = ring_model._fold_images(M.gr, M.e, M.gr.scalar(M.P.p, M.tau_power(M.c_exp)))
     builds = []
     for _ in range(3):
         start = time.perf_counter()
@@ -464,7 +466,7 @@ def test_pi_power_is_unit_times_p(model):
     M = model
     P = M.P
     pe = M.pow(M.pi(), P.e)
-    assert pe == M.mul(M.from_gr(M.c), M.from_int(P.p))
+    assert pe == M.mul(M.from_gr(M.tau_power(M.c_exp)), M.from_int(P.p))
 
 
 def test_unramified_model_is_the_galois_ring():
@@ -530,7 +532,7 @@ def test_unit_presentation_round_trip(model):
     # dlog and element_from_coords are mutually inverse
     for probe in [M.add(M.one(), M.pi()),
                   M.add(M.from_int(2), M.pow(M.pi(), 3)),
-                  M.neg(M.one())]:
+                  M.sub(M.zero(), M.one())]:
         w = U.dlog(probe)
         assert U.element_from_coords(w) == probe
 
@@ -668,16 +670,18 @@ def test_invariant_generators_match_raw_exponents(tup, monkeypatch):
         U = UnitGroupPresentation(M, N)
         # the exact V^{-1}: the product keeps it modulo |U| only
         _, _, vinv = smith_over_z(relations[-1])
+        # tau = gens[0] is raised by tau_power, which reads a negative
+        # exponent; Model.inv inverts the one-units only
         raw = []
         for k in U._keep:
-            h = M.one()
-            for g, ex in zip(U.gens, vinv[k]):
+            h = M.from_gr(M.tau_power(vinv[k][0]))
+            for g, ex in zip(U.gens[1:], vinv[k][1:]):
                 h = M.mul(h, M.pow(g, ex) if ex >= 0 else M.pow(M.inv(g), -ex))
             raw.append(h)
         assert U.inv_gens == raw
         # a one-unit 1 + y at level i has order dividing p^t, t the number
         # of steps of v -> min(v + e, p v) from i to er
-        for g, (i, _) in zip(U.gens[1:], U.levels[1:]):
+        for g, i in zip(U.gens[1:], U.levels[1:]):
             v, t = i, 0
             while v < top:
                 v, t = min(v + P.e, P.p * v), t + 1
@@ -821,7 +825,26 @@ def test_tau_power_reads_its_exponent_modulo_the_order_of_tau():
             assert M.tau_power(k) == gr.pow(M.tau, k), (M.P, k)
             assert M.tau_power(k + L) == M.tau_power(k) == M.tau_power(k - 3 * L)
             assert gr.mul(M.tau_power(k), M.tau_power(-k)) == gr.one, (M.P, k)
-        assert (M.c, M.zeta) == (gr.pow(M.tau, M.c_exp), gr.pow(M.tau, M.zeta_exp))
+        # c and zeta_e are the powers of tau at their exponents: pi^e = c p
+        # and delta(pi) = zeta_e pi
+        c, zeta = gr.pow(M.tau, M.c_exp), gr.pow(M.tau, M.zeta_exp)
+        assert M.pow(M.pi(), M.e) == M.from_gr(gr.scalar(M.P.p, c)), M.P
+        assert M.galois_act(GalElt(1 % M.e, 0), M.pi()) == M.mul(M.from_gr(zeta), M.pi()), M.P
+
+
+def test_tau_coords_match_the_dlog_of_a_power_of_tau():
+    # the dlog of tau^k is the oracle, and -1 = tau^{(q_K - 1)/2}; k is read
+    # modulo q_K - 1, negative k included
+    for P in _root_number_box():
+        M = build_model(P)
+        U = UnitGroupPresentation(M, P.e * P.r)
+        L = P.q_K - 1
+        rng = random.Random(L)
+        ks = {0, 1, -1, L // 2, L - 1, L + 2, -3 * L - 5,
+              *(rng.randrange(-2 * L, 2 * L) for _ in range(5))}
+        for k in sorted(ks):
+            assert U.tau_coords(k) == U.dlog(M.from_gr(M.tau_power(k))), (P, k)
+        assert U.tau_coords(L // 2) == U.dlog(M.sub(M.zero(), M.one())), P
 
 
 def test_residue_log_of_a_non_unit_raises():
@@ -838,18 +861,22 @@ _INV_MODELS = {tup: build_model(params_from_q(*tup))
 @given(st.sampled_from(sorted(_INV_MODELS)), st.data())
 @settings(max_examples=60, deadline=None)
 def test_model_inv_round_trip(tup, data):
+    # Model.inv inverts one-units: x = 1 + pi z for any z
     M = _INV_MODELS[tup]
-    x = tuple(data.draw(st.integers(0, M.gr.mod - 1)) for _ in range(M.e * M.gr.d))
-    assume(M.is_unit(x))
+    z = tuple(data.draw(st.integers(0, M.gr.mod - 1)) for _ in range(M.e * M.gr.d))
+    x = M.add(M.one(), M.mul(M.pi(), z))
     y = M.inv(x)
     assert M.mul(x, y) == M.one()
     assert M.inv(y) == x
 
 
 def test_model_inv_of_a_non_unit_raises():
+    # a non-unit, and a unit that is not 1 mod pi, are no one-units: like
+    # a negative exponent of mul_power, they raise ValueError
     for M in _INV_MODELS.values():
-        for x in (M.zero(), M.pi(), M.from_int(M.P.p), M.add(M.pi(), M.from_int(M.P.p))):
-            with pytest.raises(ZeroDivisionError):
+        for x in (M.zero(), M.pi(), M.from_int(M.P.p), M.add(M.pi(), M.from_int(M.P.p)),
+                  M.from_int(2), M.from_gr(M.tau), M.sub(M.zero(), M.one())):
+            with pytest.raises(ValueError, match="not a one-unit"):
                 M.inv(x)
 
 
@@ -879,11 +906,13 @@ def test_model_pow_refuses_a_negative_exponent():
 
 
 def test_model_inv_checks_that_newton_converged(monkeypatch):
-    # a first guess that is not an inverse mod pi: 1 - x y stays a unit
+    # Newton's step read as y (3 - x y): x y = 2 mod pi after the first
+    # step, so 1 - x y stays a unit
     M = build_model(params_from_q(3, 2, 1, 0, 8))
-    monkeypatch.setattr(M, "tau_power", lambda k: M.gr.one)
+    from_int = M.from_int
+    monkeypatch.setattr(M, "from_int", lambda c: from_int(c + 1))
     with pytest.raises(VerificationError, match="Newton's inverse did not converge"):
-        M.inv(M.from_int(2))
+        M.inv(M.add(M.one(), M.pi()))
 
 
 def _pi_valuation(M, x):
@@ -965,14 +994,14 @@ def test_model_checks_survive_python_O():
 
         M = build_model(params_from_q(3, 2, 2, 0, 4))
         gr = M.gr
-        zeta, c, t_exp = M.zeta, M.c, M.t_exp
-        M.zeta = gr.from_int(2)
+        zeta_exp, c_exp, t_exp = M.zeta_exp, M.c_exp, M.t_exp
+        M.zeta_exp = 1  # tau has order q_K - 1 = 8, not e = 2
         raises("zeta^e", lambda: _verify_model(M))
-        M.zeta = gr.one
+        M.zeta_exp = 0
         raises("zeta order", lambda: _verify_model(M))
-        M.zeta, M.c = zeta, gr.from_int(2)
+        M.zeta_exp, M.c_exp = zeta_exp, c_exp + 1
         raises("pi^e", lambda: _verify_model(M))
-        M.c, M.t_exp = c, t_exp + 1
+        M.c_exp, M.t_exp = c_exp, t_exp + 1
         raises("homomorphism", lambda: _verify_model(M))
         M.t_exp = t_exp
         _verify_model(M)

@@ -205,9 +205,9 @@ def test_element_orders_divide_group_order(P, data):
 @pytest.mark.parametrize("P", POOL)
 def test_order_two_elements_square_to_identity(P):
     data = order_two_set(P)
-    for g in data.elements:
+    for g in data:
         assert gal_mul(g, g, P) == GAL_ID
-    assert GAL_ID in data.elements
+    assert GAL_ID in data
 
 
 @pytest.mark.parametrize("P", POOL)
@@ -215,8 +215,8 @@ def test_order_two_case_table_when_applicable(P):
     data = order_two_set(P)
     applicable, predicted = order_two_prediction(P)
     if applicable:
-        assert data.elements == predicted
-        assert data.elements <= center(P)
+        assert data == predicted
+        assert data <= center(P)
 
 
 def test_case_table_hypothesis_can_fail():
@@ -225,7 +225,7 @@ def test_case_table_hypothesis_can_fail():
     P = params_from_q(5, 3, 2, 0, 2)
     applicable, predicted = order_two_prediction(P)
     assert not applicable
-    assert order_two_set(P).elements != predicted
+    assert order_two_set(P) != predicted
 
 
 @pytest.mark.parametrize("P", POOL)
