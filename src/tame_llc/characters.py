@@ -184,13 +184,13 @@ class CharacterSystem:
 
     def _build_chi_data(self):
         P = self.P
-        M = self.M
         U = self.U
         total_exps = [0] * len(U.orders)
         level2_rows = [c for c, i in zip(U.gen_coords, U.levels) if i >= 2]
         # residue_log is a homomorphism into Z/(q_K - 1), q_K - 1 even: its
-        # parity on U coordinates b is the sum of b_k residue_log(h_k) mod 2
-        parities = [M.residue_log(h) % 2 for h in U.inv_gens]
+        # parity on U coordinates b is the sum of b_k residue_log(h_k) mod 2,
+        # and residue_log(h_k) is U.tau_exps[k]
+        parities = [t % 2 for t in U.tau_exps]
         for gamma in sorted(order_two_set(P) - {GAL_ID}):
             ramified = gamma.j == 0  # K/K_gamma is ramified: gamma in <delta>
             fixed = kernel_subgroup(list(U.orders), [

@@ -6,9 +6,10 @@ Only ring_model and characters import it: the formal-degree path does
 not enter it.
 
 Group computations stay at the size of their group.  A Hermite form is
-unique for its lattice, so every lattice that holds d*Z^m (a subgroup with
-diag(d), a kernel's or an intersection's graph, a character's graph) takes
-`hnf_mod` modulo d, and no entry exceeds d.  `smith_normal_form` keeps S
+unique for its lattice, so a lattice that holds diag(n), n its columns'
+orders (a subgroup, a kernel's, an intersection's or a character's graph),
+takes `hnf_mod` with column j modulo n_j and no row of diag(n) written
+out, and no entry exceeds its column's order.  `smith_normal_form` keeps S
 exact, so its pivots are those of the elimination over Z, and keeps its
 transforms modulo an order that every order they are read by divides.  Each
 Euclid step divides by the smallest entry, in `hnf_row` (kept for the
@@ -130,45 +131,47 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return a, x0, y0
 
 
-def hnf_mod(rows: Sequence[Sequence[int]], d: int, m: int) -> Matrix:
+def hnf_mod(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> Matrix:
     """The square row Hermite normal form of the lattice spanned by `rows`
-    and d*Z^m (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
+    and diag(moduli) (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.4.8).
 
     The form is unique for its lattice, so it is the nonzero part of
-    hnf_row(rows + d*I).  Every row is kept modulo d, which moves it by a
-    vector of d*Z^m, inside the lattice; so each pivot divides d and every
-    other entry lies in [0, d).
+    hnf_row(rows + diag(moduli)).  Entry j of every row is kept modulo
+    moduli[j], which moves the row by a vector of diag(moduli), inside the
+    lattice; so each pivot divides its column's modulus and every other
+    entry lies in [0, moduli[j]).
     """
-    if d < 1:
-        raise ValueError("a Hermite form modulo d needs d >= 1")
-    live = [[x % d for x in r] for r in rows]
+    if any(n < 1 for n in moduli):
+        raise ValueError("a Hermite form modulo n needs every n >= 1")
+    m = len(moduli)
+    live = [[x % n for x, n in zip(r, moduli)] for r in rows]
     h: Matrix = []
     for c in range(m):
-        # d e_c lies in the lattice: fold every live row with a nonzero in
-        # column c into it by an extended gcd, a unimodular 2x2 step
+        # moduli[c] e_c lies in the lattice: fold every live row with a
+        # nonzero in column c into it by an extended gcd, a unimodular 2x2 step
         piv = [0] * m
-        piv[c] = d
+        piv[c] = moduli[c]
         rest = []
         for r in live:
             x, a = r[c], piv[c]
             if x % a == 0:
                 q = x // a
                 if q:
-                    r = [(z - q * y) % d for y, z in zip(piv, r)]
+                    r = [(z - q * y) % n for y, z, n in zip(piv, r, moduli)]
             else:
                 g, u, w = _xgcd(a, x)
                 ag, xg = a // g, x // g
-                piv, r = ([(u * y + w * z) % d for y, z in zip(piv, r)],
-                          [(ag * z - xg * y) % d for y, z in zip(piv, r)])
+                piv, r = ([(u * y + w * z) % n for y, z, n in zip(piv, r, moduli)],
+                          [(ag * z - xg * y) % n for y, z, n in zip(piv, r, moduli)])
             if any(r):
                 rest.append(r)
         live = rest
         # reduce column c above the pivot; columns left of c are untouched
-        for i, hi in enumerate(h):
+        for hi in h:
             q = hi[c] // piv[c]
             if q:
-                h[i] = hi[:c] + [(y - q * z) % d for y, z in zip(hi[c:], piv[c:])]
+                hi[c:] = [(y - q * z) % n for y, z, n in zip(hi[c:], piv[c:], moduli[c:])]
         h.append(piv)
     return h
 
@@ -414,7 +417,7 @@ class SubgroupPresentation:
         self.ambient_orders = list(ambient_orders)
         s = len(self.ambient_orders)
         exponent = lcm(*self.ambient_orders)
-        basis_m = hnf_mod([*gen_rows, *diag(self.ambient_orders)], exponent, s)
+        basis_m = hnf_mod(gen_rows, self.ambient_orders)
         self._m = basis_m  # lattice basis rows, HNF: square, upper triangular
         # relation lattice of the generators y -> y*M mod diag(d); the
         # subgroup's invariant factors divide the exponent of the ambient group
@@ -458,15 +461,13 @@ def kernel_subgroup(
     """Generator rows of the kernel of a homomorphism (+) Z/s_i -> (+) Z/t_j.
 
     Row i of map_rows is the image of the i-th source generator in
-    destination coordinates.  The graph lattice, spanned by (A_i | e_i),
-    (t_j e_j | 0) and (0 | s_i e_i), meets 0 x Z^s in 0 x (the kernel's
-    lattice): its Hermite rows with their pivot among the last s columns.
+    destination coordinates.  The graph lattice, spanned by (A_i | e_i) and
+    diag(t | s), meets 0 x Z^s in 0 x (the kernel's lattice): its Hermite
+    rows with their pivot among the last s columns.
     """
     s, t = len(src_orders), len(dst_orders)
     graph = [list(row) + unit for row, unit in zip(map_rows, identity_matrix(s))]
-    graph += [row + [0] * s for row in diag(dst_orders)]
-    graph += [[0] * t + row for row in diag(src_orders)]
-    h = hnf_mod(graph, lcm(*src_orders, *dst_orders), t + s)
+    h = hnf_mod(graph, [*dst_orders, *src_orders])
     return _generators(src_orders, [row[t:] for row in h[t:]])
 
 
@@ -477,15 +478,13 @@ def intersect_subgroups(
 ) -> Matrix:
     """Generator rows of the intersection of two subgroups given by theirs.
 
-    The Zassenhaus lattice, spanned by (a | a) over A's generators and
-    (b | 0) over B's, diag(d) joined to each, meets 0 x Z^s in 0 x (A cap B):
-    its Hermite rows with their pivot among the last s columns.
+    The Zassenhaus lattice, spanned by (a | a) over A's generators, (b | 0)
+    over B's and diag(d | d), meets 0 x Z^s in 0 x (A cap B): its Hermite
+    rows with their pivot among the last s columns.
     """
     s = len(ambient_orders)
-    d_rows = diag(ambient_orders)
-    graph = [list(a) * 2 for a in [*rows1, *d_rows]]
-    graph += [list(b) + [0] * s for b in [*rows2, *d_rows]]
-    h = hnf_mod(graph, lcm(*ambient_orders), 2 * s)
+    graph = [[*a, *a] for a in rows1] + [[*b, *[0] * s] for b in rows2]
+    h = hnf_mod(graph, [*ambient_orders, *ambient_orders])
     return _generators(ambient_orders, [row[s:] for row in h[s:]])
 
 
@@ -508,12 +507,11 @@ def extend_character(
     d = list(ambient_orders)
     s = len(d)
     big = lcm(*d, *(v.denominator for v in values))
-    # the character's graph in Z^s x Z/big: (b_j | value_j) and (d_i e_i | 0).
+    # the character's graph in Z^s x Z/big: (b_j | value_j) and diag(d | big).
     # The values are a character exactly when it meets 0 x Z/big in 0 alone,
     # that is when the last pivot is big.
     graph = [[*b, v.numerator * (big // v.denominator)] for b, v in zip(subgroup_rows, values)]
-    graph += [row + [0] for row in diag(d)]
-    h = hnf_mod(graph, big, s + 1)
+    h = hnf_mod(graph, [*d, big])
     if h[s][s] != big:
         raise ValueError("prescribed values are not a character of the subgroup")
     # an extension x -> sum_i x_i u_i / big must take the value h_{ks} / big
@@ -535,6 +533,6 @@ def extend_character(
     # subgroup, {w : M diag(d)^{-1} w integral} for its Hermite basis M,
     # which the columns of diag(d) M^{-1} span
     rel = _diag_over([row[:s] for row in h[:s]], d)
-    ann = hnf_mod([list(col) for col in zip(*rel)], lcm(*d), s)
+    ann = hnf_mod([list(col) for col in zip(*rel)], [lcm(*d)] * s)
     w = reduce_mod_lattice(ann, w)
     return [w[i] % d[i] for i in range(s)]

@@ -619,7 +619,8 @@ class UnitGroupPresentation:
     one list per element, extended only as far as an exponent needs: the
     raw generators share theirs across all invariant generators inv_gens,
     and each inv_gens[k] has its own for element_from_coords.  The lists
-    live on this presentation only.
+    live on this presentation only.  A discrete log takes a ring product
+    per digit below level ceil(N/2) only, and subtracts the digits above it.
     """
 
     def __init__(self, M: Model, N: int):
@@ -670,6 +671,9 @@ class UnitGroupPresentation:
         # exact order q_K - 1, and a one-unit at level i has order dividing
         # one_unit_order(M, i).
         exps = [M.P.q_K - 1] + [one_unit_order(M, i) for i in self.levels[1:]]
+        # the one-unit generators add no Teichmuller digit, so inv_gens[k]
+        # is tau^{tau_exps[k]} mod pi
+        self.tau_exps = [vinv[k][0] % exps[0] for k in self._keep]
         gen_squares: List[List[Elt]] = [[g] for g in gens]
         self.inv_gens: List[Elt] = []
         for k in self._keep:
@@ -713,12 +717,15 @@ class UnitGroupPresentation:
         """Exponents of x in self.gens, one digit per generator.
 
         The Teichmuller digit k0 = residue_log(x) is divided out by
-        tau_power(-k0).  Then each step of
-        _plan reads level i = k e + j: once the digits below it are divided
-        out, slice j of what is left (less 1 on slice 0) is p^k times the
-        level's digits mod p, and one divmod by p^k gives both the
-        divisibility check and a digit c, divided out by gens[idx]^{-c} from
-        _inverse_power.  So no digit inverts anything.
+        tau_power(-k0).  Then each step of _plan reads level i = k e + j:
+        once the digits below it are divided out, slice j of what is left
+        (less 1 on slice 0) is p^k times the level's digits mod p, and one
+        divmod by p^k gives both the divisibility check and a digit c.
+        Below level ceil(N/2), c is divided out by gens[idx]^{-c} from
+        _inverse_power, so no digit inverts anything.  From there on what
+        is left is 1 + y with 2 v(y) >= N, and (1 + y)(1 + m)^{-c} =
+        1 + y - c m modulo pi^N for a generator 1 + m of the level: c p^k
+        is subtracted from the coefficient, with no ring product.
         """
         M = self.M
         d = M.gr.d
@@ -731,10 +738,13 @@ class UnitGroupPresentation:
         cur = x
         if k0:
             cur = M.mul(x, M.from_gr(M.tau_power(-k0)))
+        half = (self.N + 1) // 2
         for i, off, pk, base in self._plan:
+            if i == half:
+                cur = list(cur)
             coeff = cur[off:off + d]
             if not off:
-                coeff = (coeff[0] - 1,) + coeff[1:]
+                coeff = [coeff[0] - 1, *coeff[1:]]
             for b, a in enumerate(coeff):
                 c, rest = divmod(a, pk)
                 if rest:
@@ -743,7 +753,10 @@ class UnitGroupPresentation:
                 c %= p
                 if c:
                     w[base + b] = c
-                    cur = M.mul(cur, self._inverse_power(base + b, c))
+                    if i < half:
+                        cur = M.mul(cur, self._inverse_power(base + b, c))
+                    else:
+                        cur[off + b] -= c * pk  # additive above half level
         if not self._is_one_mod(cur):
             raise VerificationError("dlog failed to terminate")
         return w
@@ -751,7 +764,7 @@ class UnitGroupPresentation:
     def _is_one_mod(self, x: Elt) -> bool:
         """x = 1 mod pi^N: each coefficient of x - 1 is divisible by its
         slice's modulus."""
-        return not any(map(mod, (x[0] - 1,) + x[1:], self._one_mods))
+        return not any(map(mod, (x[0] - 1, *x[1:]), self._one_mods))
 
     def dlog(self, x: Elt) -> List[int]:
         """Coordinates of x in the invariant-factor basis."""

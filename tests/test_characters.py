@@ -186,11 +186,12 @@ def test_character_is_regular(sys_ramified, sys_unramified):
 
 
 def test_residue_parity_on_coordinates(sys_ramified, sys_unramified):
-    # the chi-data reads the parity of residue_log on U coordinates; the
-    # element itself, built by element_from_coords, is the oracle
+    # the chi-data reads the parity of residue_log on U coordinates off
+    # U.tau_exps; the element itself, built by element_from_coords, is the
+    # oracle
     for sys in (sys_ramified, sys_unramified):
         U, M = sys.U, sys.M
-        parities = [M.residue_log(h) % 2 for h in U.inv_gens]
+        parities = [t % 2 for t in U.tau_exps]
         for w in [*map(list, sys.Ubar.basis), sys.minus_one_coords(),
                   *(c for c in U.gen_coords if any(c))]:
             assert (sum(a * b for a, b in zip(w, parities)) % 2
@@ -235,17 +236,18 @@ def test_twist_conductors_match_prediction(tup):
 
 def test_chi_data_hnf_entries_stay_small(monkeypatch):
     # every Hermite form taken while the chi-data is built is taken modulo
-    # the exponent of its lattice, and no entry but a pivot equal to the
-    # modulus reaches it: a deterministic bound, never wall time
+    # the orders of its lattice's columns, and no entry but a pivot equal
+    # to its column's modulus reaches it: a deterministic bound, never wall
+    # time
     from tame_llc import intlinalg
 
     inner = intlinalg.hnf_mod
     sizes = []
 
-    def measured(rows, d, m):
-        h = inner(rows, d, m)
-        sizes.append(all(0 <= x < d or (i == j and x == d)
-                         for i, row in enumerate(h) for j, x in enumerate(row)))
+    def measured(rows, moduli):
+        h = inner(rows, moduli)
+        sizes.append(all(0 <= x < n or (i == j and x == n)
+                         for i, row in enumerate(h) for j, (x, n) in enumerate(zip(row, moduli))))
         return h
 
     monkeypatch.setattr(intlinalg, "hnf_mod", measured)

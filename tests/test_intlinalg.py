@@ -4,11 +4,13 @@ subgroup presentations."""
 import itertools
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tame_llc import intlinalg
 from tame_llc.exactnum import VerificationError
 from tame_llc.intlinalg import (
     SubgroupPresentation,
@@ -244,17 +246,27 @@ def test_hnf_is_the_canonical_form(mat):
     assert h == _hnf_slot_euclid(mat)
 
 
-@given(st.one_of(small_matrices, tall_matrices), st.integers(1, 60))
+matrices_with_moduli = st.one_of(small_matrices, tall_matrices).flatmap(
+    lambda mat: st.tuples(st.just(mat), st.lists(
+        st.integers(1, 60), min_size=len(mat[0]), max_size=len(mat[0]))))
+
+
+@given(matrices_with_moduli)
+@example(([[3, -7, 5], [4, 2, -9]], [1, 6, 4]))
+@example(([[5, 10], [-3, 12], [7, 1]], [12, 1]))
 @settings(max_examples=300, deadline=None)
-def test_hnf_mod_is_the_hermite_form_of_the_lattice(mat, d):
-    # rows and d*Z^m span a lattice holding diag(d); its unique Hermite
-    # form is hnf_row's nonzero rows, and every entry stays below d
-    m = len(mat[0])
-    h = hnf_mod(mat, d, m)
-    assert h == [r for r in hnf_row(mat + diag([d] * m))[0] if any(r)]
-    assert all(d % h[i][i] == 0 for i in range(m))
-    assert all(0 <= x < d for i, r in enumerate(h) for j, x in enumerate(r) if j != i)
-    assert hnf_mod([], d, m) == diag([d] * m)
+def test_hnf_mod_is_the_hermite_form_of_the_lattice(mat_moduli):
+    # rows and diag(moduli) span a lattice; its unique Hermite form is
+    # hnf_row's nonzero rows, each pivot divides its column's modulus, and
+    # every other entry stays below it, a modulus of 1 or one below the
+    # lcm of the others included
+    mat, moduli = mat_moduli
+    m = len(moduli)
+    h = hnf_mod(mat, moduli)
+    assert h == [r for r in hnf_row(mat + diag(moduli))[0] if any(r)]
+    assert all(moduli[i] % h[i][i] == 0 for i in range(m))
+    assert all(0 <= x < moduli[j] for i, r in enumerate(h) for j, x in enumerate(r) if j != i)
+    assert hnf_mod([], moduli) == diag(moduli)
 
 
 @given(small_matrices)
@@ -509,6 +521,73 @@ def test_extend_character_does_not_depend_on_the_generating_set(orders, data):
     other[k] = [-a % d for a, d in zip(other[k], orders)]
     assert (extend_character(orders, rows, [value(r) for r in rows])
             == extend_character(orders, other, [value(r) for r in other]))
+
+
+def _hermite_forms(fn):
+    """The Hermite forms fn() takes through hnf_mod, in order."""
+    forms = []
+
+    def recording(rows, moduli):
+        forms.append(hnf_mod(rows, moduli))
+        return forms[-1]
+
+    with patch.object(intlinalg, "hnf_mod", recording):
+        try:
+            fn()
+        except ValueError:
+            pass
+    return forms
+
+
+@st.composite
+def plumbing_inputs(draw):
+    """Orders src and dst, a map src -> dst, two generating sets in src and
+    values on the first: a character's or arbitrary fractions."""
+    src, dst = draw(group_orders), draw(group_orders)
+
+    def rows(orders, count):
+        return [[draw(st.integers(-20, 20)) for _ in orders] for _ in range(count)]
+
+    map_rows = rows(dst, len(src))
+    a, b = rows(src, draw(st.integers(0, 3))), rows(src, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        den = lcm(*src)
+        w0 = [draw(st.integers(0, d - 1)) for d in src]
+        fracs = [Fraction(sum(x * y * (den // d) for x, y, d in zip(w0, g, src)), den)
+                 for g in a]
+    else:
+        fracs = [Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12))) for _ in a]
+    return src, dst, map_rows, a, b, fracs
+
+
+@given(plumbing_inputs())
+# a map that is no homomorphism, and generating sets that do not hold
+# diag(d): there a caller that passed the wrong orders would meet another
+# lattice
+@example(([2, 4], [4], [[1], [1]], [[1, 1]], [[1, 1]], [Fraction(1, 2)]))
+@settings(max_examples=150, deadline=None)
+def test_group_plumbing_matches_the_diag_row_construction(inputs):
+    # the oracle is each caller's lattice as it was built with the rows of
+    # diag(orders) written out and one modulus, their lcm; a Hermite form
+    # is unique for its lattice, and each caller reads only its forms, so
+    # equal forms give equal kernels, intersections, extensions and bases
+    src, dst, map_rows, a, b, fracs = inputs
+    s, t = len(src), len(dst)
+
+    graph = [[*row, *unit] for row, unit in zip(map_rows, identity_matrix(s))]
+    graph += [[*row, *[0] * s] for row in diag(dst)] + [[*[0] * t, *row] for row in diag(src)]
+    kernel = _hermite_forms(lambda: kernel_subgroup(src, map_rows, dst))
+    assert kernel == [hnf_mod(graph, [lcm(*src, *dst)] * (t + s))]
+    graph = [[*x, *x] for x in [*a, *diag(src)]] + [[*x, *[0] * s] for x in [*b, *diag(src)]]
+    cap = _hermite_forms(lambda: intersect_subgroups(src, a, b))
+    assert cap == [hnf_mod(graph, [lcm(*src)] * 2 * s)]
+    big = lcm(*src, *(v.denominator for v in fracs))
+    graph = [[*g, v.numerator * (big // v.denominator)] for g, v in zip(a, fracs)]
+    graph += [[*row, 0] for row in diag(src)]
+    ext = _hermite_forms(lambda: extend_character(src, a, fracs))
+    assert ext[0] == hnf_mod(graph, [big] * (s + 1))
+    sub = _hermite_forms(lambda: SubgroupPresentation(src, a))
+    assert sub == [hnf_mod([*a, *diag(src)], [lcm(*src)] * s)]
 
 
 def test_kernel_subgroup_members_map_to_zero():

@@ -688,12 +688,11 @@ def test_dropped_fixed_group_generator_is_caught_at_minus_one(monkeypatch):
 
 
 def test_inverse_one_newton_step_short_is_caught_by_dlog(monkeypatch):
-    # U's dlog divides out each digit by a power of a generator's inverse;
-    # with the inverses wrong, a digit is left undivisible or 1 + pi^N R
-    # is never reached
+    # U's dlog divides out each digit below half level by a power of a
+    # generator's inverse, and subtracts the digits above it.  An inverse
+    # one Newton step short is wrong only from about half level on, so the
+    # dlog still terminates, but on wrong coordinates: the Galois matrices,
+    # and with them U-bar, are wrong, and a norm-one element falls outside
     _inv_one_newton_step_short(monkeypatch)
     messages = _messages(_root_number_box())
-    assert len(messages) == 28
-    assert messages.count("dlog failed to terminate") == 8, messages
-    assert all(re.fullmatch(r"dlog: level \d+ digit not divisible by p\^\d+", m)
-               for m in messages if m != "dlog failed to terminate"), messages
+    assert messages == ["element is not norm-one"] * 28, messages

@@ -3,6 +3,7 @@ its Galois action, and unit-group presentations."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -784,6 +785,93 @@ def test_dlog_inverts_once_per_generator(monkeypatch):
     calls["Model.inv"] = 0
     assert [U.dlog(x) for x in units] == logs
     assert calls == {"Model.inv": 0}
+
+
+def _raw_dlog_multiplicative(U, x):
+    """_raw_dlog with every digit divided out by a ring product, at every
+    level: the oracle for the additive digits above half level."""
+    M = U.M
+    d, p = M.gr.d, M.P.p
+    w = [0] * len(U.gens)
+    w[0] = k0 = M.residue_log(x)
+    cur = M.mul(x, M.from_gr(M.tau_power(-k0))) if k0 else x
+    for i, off, pk, base in U._plan:
+        coeff = cur[off:off + d]
+        if not off:
+            coeff = (coeff[0] - 1,) + coeff[1:]
+        for b, a in enumerate(coeff):
+            c, rest = divmod(a, pk)
+            if rest:
+                raise VerificationError(f"dlog: level {i} digit not divisible by p^{i // M.e}")
+            c %= p
+            if c:
+                w[base + b] = c
+                cur = M.mul(cur, U._inverse_power(base + b, c))
+    if not U._is_one_mod(cur):
+        raise VerificationError("dlog failed to terminate")
+    return w
+
+
+def _chi_data_heavy():
+    """The chi-data-heavy tuples: the supported q <= 7, e = f = 2, r in
+    5..8, and (11,2,2,1,8)."""
+    box = [P for P in valid_tuples([3, 5, 7], 4, range(5, 9))
+           if root_number_supported(P) is None and P.e == 2 and P.f == 2]
+    box.append(params_from_q(11, 2, 2, 1, 8))
+    assert len(box) == 25
+    return box
+
+
+def test_additive_digits_match_the_multiplicative_digits():
+    # above half level a digit is subtracted from its coefficient, below
+    # it divided out by a product; the all-product loop is the oracle, at
+    # every level N, odd N and N < e r included
+    for P in _root_number_box() + _chi_data_heavy():
+        M = build_model(P)
+        units = _random_units(M, 3, seed=P.q_K + P.r)
+        for N in range(1, P.e * P.r + 1):
+            U = UnitGroupPresentation(M, N)
+            probes = U.gens + U.inv_gens + units
+            probes += [M.galois_act(g, h) for g in gal_elements(P) if g != GAL_ID
+                       for h in U.inv_gens]
+            for x in probes:
+                assert U._raw_dlog(x) == _raw_dlog_multiplicative(U, x), (P, N, x)
+
+
+@pytest.mark.parametrize("tup", [(3, 1, 2, 0, 3), (3, 2, 1, 0, 4), (5, 2, 2, 1, 5),
+                                 (7, 3, 1, 0, 3)])
+def test_undivisible_digit_above_half_level_raises(tup):
+    # a level i below half level left out of the plan leaves its digit in
+    # the coefficient, which level i + e, above half level, cannot divide
+    P = params_from_q(*tup)
+    M = build_model(P)
+    levels = 0
+    for N in range(3, P.e * P.r + 1):
+        U = UnitGroupPresentation(M, N)
+        i = (N + 1) // 2 - 1
+        if i + P.e >= N:
+            continue
+        levels += 1
+        entry = next(t for t in U._plan if t[0] == i)
+        U._plan.remove(entry)
+        x = U.gens[entry[3]]
+        for dlog in (U._raw_dlog, lambda y: _raw_dlog_multiplicative(U, y)):
+            with pytest.raises(VerificationError, match=re.escape(
+                    f"dlog: level {i + P.e} digit not divisible by p^{(i + P.e) // P.e}")):
+                dlog(x)
+    assert levels
+
+
+def test_tau_exponents_are_the_residue_logs_of_the_invariant_generators():
+    # the chi-data reads each inv_gens[k]'s parity off tau_exps[k]; its
+    # residue_log is the oracle, on the root-number box
+    for P in _root_number_box():
+        M = build_model(P)
+        U = UnitGroupPresentation(M, P.e * P.r)
+        assert len(U.tau_exps) == len(U.inv_gens)
+        for h, t in zip(U.inv_gens, U.tau_exps):
+            assert 0 <= t < P.q_K - 1
+            assert M.residue_log(h) == t, P
 
 
 def _root_number_box_fields():
