@@ -60,10 +60,6 @@ class PrecisionTooLow(RuntimeError):
     pass
 
 
-class ExtensionObstruction(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class MultCharacter:
     """Character of (+) Z/d_i by exponents: value on e_i is zeta_{d_i}^{w_i}."""
@@ -165,10 +161,7 @@ class CharacterSystem:
                     raise VerificationError("H must sit inside U-bar")
                 rows_sub.append(coords)
                 fracs.append(chi_beta_fraction(self.M, self.beta, self.U.element_from_coords(b)))
-            try:
-                exps = extend_character(list(self.Ubar.orders), rows_sub, fracs)
-            except ValueError as ex:
-                raise ExtensionObstruction(str(ex)) from ex
+            exps = extend_character(list(self.Ubar.orders), rows_sub, fracs)
             self._theta = MultCharacter(tuple(self.Ubar.orders), tuple(exps))
             self.chi_beta_on_h = list(zip(rows_sub, fracs))
         return self._theta
@@ -199,12 +192,7 @@ class CharacterSystem:
             rows = fixed + level2_rows
             fracs = [Fraction(1, 2) if ramified and sum(map(mul, b, parities)) % 2
                      else Fraction(0) for b in fixed] + [Fraction(0)] * len(level2_rows)
-            try:
-                exps = extend_character(list(U.orders), rows, fracs)
-            except ValueError as ex:
-                raise ExtensionObstruction(
-                    f"chi-data character for {gamma}: {ex}"
-                ) from ex
+            exps = extend_character(list(U.orders), rows, fracs)
             # chi_gamma(-1) must be the closed parity of (q_K - 1)/2 when
             # K/K_gamma is ramified, and trivial when it is not
             chi_gamma = MultCharacter(tuple(U.orders), tuple(exps))
@@ -237,10 +225,7 @@ class CharacterSystem:
         if self._theta_tilde is None:
             rows = [list(b) for b in self.Ubar.basis]
             fracs = [self.vartheta(b) for b in rows]
-            try:
-                exps = extend_character(list(self.U.orders), rows, fracs)
-            except ValueError as ex:
-                raise ExtensionObstruction(str(ex)) from ex
+            exps = extend_character(list(self.U.orders), rows, fracs)
             self._theta_tilde = MultCharacter(
                 tuple(self.U.orders), tuple(exps), Fraction(0)
             )

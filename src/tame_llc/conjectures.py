@@ -174,14 +174,13 @@ def root_number_supported(P: TameParams) -> Optional[str]:
     return None
 
 
-def verify_root_number(P: TameParams, sys=None) -> CheckResult:
+def verify_root_number(P: TameParams) -> CheckResult:
     reason = root_number_supported(P)
     if reason is not None:
         return CheckResult("root_number", {}, f"SKIP: {reason}")
-    if sys is None:
-        from .characters import CharacterSystem
+    from .characters import CharacterSystem
 
-        sys = CharacterSystem(build_model(P))
+    sys = CharacterSystem(build_model(P))
     theta = sys.theta
     if any(theta.fraction_on_coords(coords) != fr for coords, fr in sys.chi_beta_on_h):
         raise VerificationError("theta does not extend chi_beta on H")

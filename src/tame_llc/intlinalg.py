@@ -239,21 +239,27 @@ def fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
     return rows, pivots, det
 
 
-def _back_substitute(h: Matrix, target: Sequence[int]) -> Optional[List[int]]:
-    """The row y with y*h = target, for h square, upper triangular and of
-    full rank, or None when y is not integral (target outside the row
-    lattice of h).  Exact back-substitution; y is unique."""
-    t = list(target)
+def _divmod_lattice(h: Matrix, x: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(y, r) with x = y*h + r and 0 <= r_i < h_ii, for h square, upper
+    triangular with positive diagonal: the quotient by each pivot in turn.
+    r is the canonical representative of x modulo the row lattice of h."""
+    r = list(x)
     y = []
     for i, hi in enumerate(h):
-        c, rem = divmod(t[i], hi[i])
-        if rem:
-            return None
+        c, r[i] = divmod(r[i], hi[i])
         y.append(c)
         if c:
-            for j in range(i + 1, len(t)):
-                t[j] -= c * hi[j]
-    return y
+            for j in range(i + 1, len(r)):
+                r[j] -= c * hi[j]
+    return y, r
+
+
+def _back_substitute(h: Matrix, target: Sequence[int]) -> Optional[List[int]]:
+    """The row y with y*h = target, for h a square Hermite basis, or None
+    when y is not integral (target outside the row lattice of h).  Exact
+    back-substitution; y is unique."""
+    y, r = _divmod_lattice(h, target)
+    return None if any(r) else y
 
 
 def _least_nonzero(row: List[int], lo: int, hi: int) -> Optional[Tuple[int, int]]:
@@ -377,13 +383,7 @@ def smith_normal_form(mat: Matrix, modulus: int) -> Tuple[Matrix, Matrix, Matrix
 def reduce_mod_lattice(h: Matrix, x: Sequence[int]) -> List[int]:
     """Canonical representative of x modulo the full-rank row lattice with
     row-HNF basis h (square, upper triangular, positive diagonal)."""
-    out = list(x)
-    n = len(h)
-    for i in range(n):
-        q = out[i] // h[i][i]
-        if q:
-            out = [a - q * b for a, b in zip(out, h[i])]
-    return out
+    return _divmod_lattice(h, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +501,8 @@ def extend_character(
     on e_i) of an extension, chosen canonically (HNF-reduced representative
     of the solution coset).
 
-    Raises ValueError if the prescribed values are inconsistent (not an
-    actual character of the subgroup).
+    Raises VerificationError if the prescribed values are inconsistent (not
+    an actual character of the subgroup).
     """
     d = list(ambient_orders)
     s = len(d)
@@ -513,7 +513,7 @@ def extend_character(
     graph = [[*b, v.numerator * (big // v.denominator)] for b, v in zip(subgroup_rows, values)]
     h = hnf_mod(graph, [*d, big])
     if h[s][s] != big:
-        raise ValueError("prescribed values are not a character of the subgroup")
+        raise VerificationError("prescribed values are not a character of the subgroup")
     # an extension x -> sum_i x_i u_i / big must take the value h_{ks} / big
     # on each Hermite row k; back-substitute u up the triangular rows
     u = [0] * s

@@ -1,9 +1,11 @@
 """Assembly of the Langlands parameter data.
 
 The parameter is only ever handled through finite data: the trace of
-phi_1 = Ind theta-tilde, the adjoint decomposition into induced pieces,
-and the conductor / L-factor / gamma / root number computed by
-independent methods that the tests compare.
+phi_1 = Ind theta-tilde, and the conductor / L-factor / gamma / root
+number of Ad phi computed by independent methods that the tests compare.
+Ad phi = (Ind_K^F 1 - 1) + sum over gamma != 1 of Ind_K^F chi_gamma, so
+its pieces are read straight off Gamma: the nontrivial f-th roots of
+unity for the unramified part, and one twist chi_gamma per gamma != 1.
 
 The cocycle alpha of the induction is never evaluated.  The trace checks
 that sigma permutes the basis v_gamma and raises where a fixed basis
@@ -13,7 +15,6 @@ that leaves this module is cocycle-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -30,10 +31,8 @@ from .tame_galois import (
     TameParams,
     abelianization_order,
     gal_elements,
-    gal_inv,
     gal_mul,
     norm_index,
-    order_two_set,
     weighted_conductor_sum,
 )
 
@@ -67,65 +66,6 @@ def phi1_trace(sys, sigma: GalElt, x) -> Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# adjoint decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdjointDecomposition:
-    """Pieces of Ad of phi: (Ind_K^F 1 - 1) plus Ind of each twist character.
-
-    unramified_frob_values are the Frobenius eigenvalues of the inertia-fixed
-    part (the nontrivial characters of the unramified quotient); paired lists
-    each {gamma, gamma^{-1}} orbit once; order_two are the self-paired gamma.
-    """
-
-    P: TameParams
-    unramified_frob_values: Tuple[Cyclotomic, ...]
-    base_change_conductor: int
-    induced: Tuple[GalElt, ...]
-    paired: Tuple[Tuple[GalElt, GalElt], ...]
-    order_two: Tuple[GalElt, ...]
-
-    @property
-    def total_dim(self) -> int:
-        n = self.P.n
-        return (n - 1) + n * len(self.induced)
-
-
-def adjoint_decompose(P: TameParams) -> AdjointDecomposition:
-    f = P.f
-    frob_vals = tuple(Cyclotomic.root_of_unity(f, j) for j in range(1, f))
-    induced = tuple(g for g in sorted(gal_elements(P)) if g != GAL_ID)
-    paired = []
-    order_two = []
-    seen = set()
-    for g in induced:
-        if g in seen:
-            continue
-        gi = gal_inv(g, P)
-        if gi == g:
-            order_two.append(g)
-            seen.add(g)
-        else:
-            paired.append((g, gi))
-            seen.add(g)
-            seen.add(gi)
-    if set(order_two) != order_two_set(P) - {GAL_ID}:
-        raise VerificationError("self-inverse twists differ from the order-two set")
-    dec = AdjointDecomposition(
-        P=P,
-        unramified_frob_values=frob_vals,
-        base_change_conductor=f * (P.e - 1),
-        induced=induced,
-        paired=tuple(paired),
-        order_two=tuple(order_two),
-    )
-    if dec.total_dim != P.n * P.n - 1:
-        raise VerificationError(f"decomposition has dimension {dec.total_dim}")
-    return dec
-
-
-# ---------------------------------------------------------------------------
 # adjoint L-factor: three methods
 # ---------------------------------------------------------------------------
 
@@ -142,8 +82,8 @@ def adjoint_L(P: TameParams, method: str = "closed") -> Tuple[Fraction, ...]:
     """L(s, Ad phi) = 1/P(u), u = q^{-s}, as the ascending coefficients of P.
 
     closed: P = 1 + u + ... + u^{f-1}.  decomposition: P = prod (1 - z u)
-    over the Frobenius eigenvalues z on the inertia-fixed part; the z are
-    f-th roots of unity, so the product is taken over Cyclotomic
+    over the Frobenius eigenvalues z = zeta_f^j, j = 1..f-1, on the
+    inertia-fixed part, so the product is taken over Cyclotomic
     coefficients and only then recognized as rational.  matrix:
     P = det(1 - u M) for the Frobenius matrix M.
     """
@@ -152,8 +92,8 @@ def adjoint_L(P: TameParams, method: str = "closed") -> Tuple[Fraction, ...]:
         return (Fraction(1),) * f
     if method == "decomposition":
         poly = (Cyclotomic.one(),)
-        for val in adjoint_decompose(P).unramified_frob_values:
-            poly = _poly_mul(poly, (Cyclotomic.one(), -val))
+        for j in range(1, f):
+            poly = _poly_mul(poly, (Cyclotomic.one(), -Cyclotomic.root_of_unity(f, j)))
         if not all(c.is_rational() for c in poly):
             raise VerificationError("L-factor has irrational coefficients: %s"
                                     % [c.to_text() for c in poly])
@@ -223,9 +163,9 @@ def adjoint_root_number(sys, method: str = "closed") -> Fraction:
 
     closed: vartheta((-1)^{n-1}) times (-1)^{(q-1)f/2} for e even (1 for e
     odd).  assembled: by additivity of eps and of the conductor over the
-    pieces of adjoint_decompose, lambda(K/F) for Ind_K^F 1 - 1 (whose
-    unramified characters have eps = 1) times the root number of each
-    induced twist piece (lambda(K/F) times its Gauss-sum value, by
+    pieces of Ad phi, lambda(K/F) for Ind_K^F 1 - 1 (whose unramified
+    characters have eps = 1) times the root number of the twist piece of
+    each gamma != 1 (lambda(K/F) times its Gauss-sum value, by
     inductivity).  f(e - 1) and the pieces' conductors must add up to the
     filtration conductor a(Ad phi), or it raises.
     """
@@ -236,10 +176,11 @@ def adjoint_root_number(sys, method: str = "closed") -> Fraction:
             val += Fraction((P.q - 1) * P.f // 2 % 2, 2)
         return val % 1
     if method == "assembled":
-        dec = adjoint_decompose(P)
         lam = model_lambda(sys)
-        val, a = lam, dec.base_change_conductor
-        for g in dec.induced:
+        val, a = lam, P.f * (P.e - 1)
+        for g in gal_elements(P):
+            if g == GAL_ID:
+                continue
             w, a_piece = induced_factor(sys, g, lam)
             val += w
             a += a_piece

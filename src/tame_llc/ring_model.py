@@ -45,14 +45,6 @@ from .tame_galois import GalElt, TameParams, gal_elements, gal_mul
 GRElt = Tuple[int, ...]
 
 
-class NoConsistentModel(RuntimeError):
-    pass
-
-
-class NoGenerator(RuntimeError):
-    pass
-
-
 class TooLarge(RuntimeError):
     pass
 
@@ -552,7 +544,7 @@ def build_model(P: TameParams) -> Model:
                     )
                     _verify_model(model)
                     return model
-    raise NoConsistentModel(f"no (c, zeta, t) for {P}")
+    raise VerificationError(f"no (c, zeta, t) for {P}")
 
 
 def _verify_model(M: Model):
@@ -861,7 +853,7 @@ def find_beta(M: Model) -> Elt:
     if M.trace_K_F(beta) != gr.zero:
         raise VerificationError("beta has nonzero trace")
     if not _is_generator(M, beta):
-        raise NoGenerator(f"search produced a non-generator for {P}")
+        raise VerificationError(f"search produced a non-generator for {P}")
     return beta
 
 

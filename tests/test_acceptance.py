@@ -18,13 +18,19 @@ from tame_llc.exactnum import Cyclotomic, quadratic_gauss_sum_field
 from tame_llc.llc_parameters import (
     adjoint_conductor,
     adjoint_L,
-    adjoint_decompose,
     centralizer_order,
     twist_conductor_predicted,
 )
 from tame_llc.local_factors import lambda_tame
 from tame_llc.ring_model import UnitGroupPresentation, build_model
-from tame_llc.tame_galois import GAL_ID, norm_index, order_two_set, params_from_q
+from tame_llc.tame_galois import (
+    GAL_ID,
+    gal_elements,
+    gal_inv,
+    norm_index,
+    order_two_set,
+    params_from_q,
+)
 from test_conjectures import dim_delta_orbit
 from test_exactnum import turn_value
 from test_llc_parameters import centralizer_order_bruteforce
@@ -120,13 +126,18 @@ def test_twist_root_number_against_value_at_minus_one():
             k = conductor_bruteforce(sys, tw)
             return turn_value(gauss_sum(sys, tw, k) + tw.value_at_uniformizer * (P.e - 1 + k))
 
-        dec = adjoint_decompose(P)
         theta_at_minus_one = sys.theta_tilde.value_on_coords(minus_one)
-        for gamma in dec.order_two:
-            assert w(gamma) == theta_at_minus_one, (P, gamma)
-        for gamma, gamma_inv in dec.paired:
-            chi_at_minus_one = sys.theta_tilde_twist(gamma).value_on_coords(minus_one)
-            assert w(gamma) * w(gamma_inv) == chi_at_minus_one, (P, gamma)
+        seen = {GAL_ID}
+        for gamma in gal_elements(P):
+            if gamma in seen:
+                continue
+            gamma_inv = gal_inv(gamma, P)
+            seen |= {gamma, gamma_inv}
+            if gamma_inv == gamma:
+                assert w(gamma) == theta_at_minus_one, (P, gamma)
+            else:
+                chi_at_minus_one = sys.theta_tilde_twist(gamma).value_on_coords(minus_one)
+                assert w(gamma) * w(gamma_inv) == chi_at_minus_one, (P, gamma)
 
 
 # 6. root number identity on every supported ring-model tuple with

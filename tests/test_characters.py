@@ -133,9 +133,9 @@ def test_theta_and_c_do_not_depend_on_the_generators_of_h_and_the_fixed_groups(
 @pytest.mark.parametrize("tup", [(3, 1, 4, 0, 3), (3, 2, 2, 0, 4)])
 def test_root_number_builds_each_level_once(tup, monkeypatch):
     # every twist is read on U's own generators, whatever its level: at
-    # e = 1 the Gauss sums sit at level e r, at (3, 2, 2, 0, 4) below it
+    # e = 1 the Gauss sums sit at level e r, at (3, 2, 2, 0, 4) below it.
+    # So the request builds one presentation, U at level e r
     P = params_from_q(*tup)
-    sys = CharacterSystem(build_model(P))
     built = []
     init = UnitGroupPresentation.__init__
 
@@ -144,8 +144,8 @@ def test_root_number_builds_each_level_once(tup, monkeypatch):
         init(self, M, N)
 
     monkeypatch.setattr(UnitGroupPresentation, "__init__", counted)
-    assert verify_root_number(P, sys).status == "OK"
-    assert built == []
+    assert verify_root_number(P).status == "OK"
+    assert built == [P.e * P.r]
 
 
 @pytest.mark.parametrize("tup", [(5, 2, 1, 1, 4), (5, 1, 2, 0, 3)])

@@ -350,6 +350,19 @@ def test_element_outside_the_norm_one_subgroup_exits_3(monkeypatch, capsys):
     assert err == "internal error: NotInSubgroup: element is not norm-one\n"
 
 
+def test_failed_character_extension_exits_3(monkeypatch, capsys):
+    # H is a 5-group at (5,2,1,0,4), so a third of a turn on each of its
+    # generators is no character of H, and theta cannot extend it
+    monkeypatch.setattr(characters, "chi_beta_fraction",
+                        lambda M, beta, x: Fraction(1, 3))
+    code, out, err = run(["verify", "root-number", "--q", "5", "--e", "2",
+                          "--f", "1", "--r", "4"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == ("internal error: VerificationError: prescribed values are "
+                   "not a character of the subgroup\n")
+
+
 def test_factors_dim_delta_needs_an_integer(monkeypatch, capsys):
     dim_delta = conjectures.dim_delta
     monkeypatch.setattr(conjectures, "dim_delta",

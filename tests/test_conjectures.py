@@ -132,9 +132,10 @@ def test_root_number_skips_below_supported_depth():
     assert root_number_supported(params_from_q(3, 2, 1, 0, 2)) is not None
 
 
-def test_root_number_on_the_two_reference_tuples(sys_ramified, sys_unramified):
-    for sys in (sys_ramified, sys_unramified):
-        assert verify_root_number(sys.P, sys).status == "OK"
+def test_root_number_on_the_two_reference_tuples():
+    # the tuples of the sys_ramified and sys_unramified fixtures
+    for tup in [(3, 2, 1, 0, 4), (3, 1, 2, 0, 3)]:
+        assert verify_root_number(params_from_q(*tup)).status == "OK"
 
 
 def test_root_numbers_at_a_3_hold():

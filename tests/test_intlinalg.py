@@ -394,6 +394,56 @@ def test_subgroup_coords_match_the_stacked_solve(orders, data):
     assert members == sub.order
 
 
+def _back_substitute_two_loops(h, target):
+    """_back_substitute before it shared reduce_mod_lattice's loop: it stops
+    at the first pivot that leaves a remainder."""
+    t = list(target)
+    y = []
+    for i, hi in enumerate(h):
+        c, rem = divmod(t[i], hi[i])
+        if rem:
+            return None
+        y.append(c)
+        if c:
+            for j in range(i + 1, len(t)):
+                t[j] -= c * hi[j]
+    return y
+
+
+def _reduce_mod_lattice_two_loops(h, x):
+    """reduce_mod_lattice before it shared _back_substitute's loop."""
+    out = list(x)
+    for i in range(len(h)):
+        q = out[i] // h[i][i]
+        if q:
+            out = [a - q * b for a, b in zip(out, h[i])]
+    return out
+
+
+@st.composite
+def triangular_systems(draw):
+    """A square upper-triangular h with positive diagonal, and a target
+    in its row lattice or shifted off it."""
+    n = draw(st.integers(1, 4))
+    h = [[0] * i + [draw(st.integers(1, 9))] + [draw(st.integers(-9, 9)) for _ in range(n - i - 1)]
+         for i in range(n)]
+    x = vec_mat([draw(st.integers(-9, 9)) for _ in range(n)], h)
+    if draw(st.booleans()):
+        x = [a + draw(st.integers(-3, 3)) for a in x]
+    return h, x
+
+
+@given(triangular_systems())
+@settings(max_examples=300, deadline=None)
+def test_one_triangular_loop_matches_the_two_it_replaces(system):
+    h, x = system
+    assert intlinalg._back_substitute(h, x) == _back_substitute_two_loops(h, x)
+    assert reduce_mod_lattice(h, x) == _reduce_mod_lattice_two_loops(h, x)
+
+
+NOT_A_CHARACTER = "prescribed values are not a character of the subgroup"
+
+
 def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
     """extend_character over Z, before the modular Hermite forms: one
     Hermite form of the transposed system stacked on big*I gives a
@@ -408,7 +458,7 @@ def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
     stacked = at + diag([big] * k)
     y, kernel = solve_left(stacked, rhs)
     if y is None:
-        raise ValueError("prescribed values are not a character of the subgroup")
+        raise ValueError(NOT_A_CHARACTER)
     hom_w = [row[:s] for row in kernel] + diag(d)
     h = [r for r in hnf_row(hom_w)[0] if any(r)]
     if len(h) != s:
@@ -484,15 +534,17 @@ def test_extend_character_matches_the_two_hnf_route(orders, data):
         for _ in rows:
             den = data.draw(st.integers(1, 12))
             fracs.append((data.draw(st.integers(0, den - 1)), den))
-    # extend_character takes each value as a Fraction, the oracle as a pair
-    outcomes = []
-    for fn, values in ((extend_character, [Fraction(num, den) for num, den in fracs]),
-                       (_extend_character_two_hnf, fracs)):
-        try:
-            outcomes.append(fn(orders, rows, values))
-        except ValueError:
-            outcomes.append(ValueError)
-    assert outcomes[0] == outcomes[1]
+    # extend_character takes each value as a Fraction and rejects with
+    # VerificationError; the oracle takes a pair and rejects with ValueError
+    try:
+        got = extend_character(orders, rows, [Fraction(num, den) for num, den in fracs])
+    except VerificationError as ex:
+        got = str(ex)
+    try:
+        expected = _extend_character_two_hnf(orders, rows, fracs)
+    except ValueError as ex:
+        expected = str(ex)
+    assert got == expected
 
 
 @given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4),
@@ -534,8 +586,9 @@ def _hermite_forms(fn):
     with patch.object(intlinalg, "hnf_mod", recording):
         try:
             fn()
-        except ValueError:
-            pass
+        except VerificationError as ex:
+            if str(ex) != NOT_A_CHARACTER:
+                raise
     return forms
 
 
@@ -622,7 +675,7 @@ def test_extend_character_reproduces_prescribed_values():
 
 
 def test_extend_character_rejects_inconsistent_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError, match=NOT_A_CHARACTER):
         # the generator has order 2 but is sent to a primitive 4th root
         extend_character([4], [[2]], [Fraction(1, 4)])
 

@@ -21,7 +21,6 @@ from tame_llc.intlinalg import mat_mul
 from tame_llc.llc_parameters import (
     CocycleDependent,
     adjoint_conductor,
-    adjoint_decompose,
     adjoint_gamma0_abs,
     adjoint_L,
     adjoint_root_number,
@@ -50,12 +49,6 @@ BOX = [
         (7, 3, 1, 0, 2), (7, 1, 3, 0, 3), (9, 2, 2, 0, 2), (7, 6, 1, 3, 2),
     ]
 ]
-
-
-@pytest.mark.parametrize("P", BOX)
-def test_adjoint_dimension(P):
-    dec = adjoint_decompose(P)
-    assert dec.total_dim == P.n ** 2 - 1
 
 
 @pytest.mark.parametrize("P", BOX)

@@ -32,7 +32,7 @@ from tame_llc.conjectures import (
 )
 from tame_llc.exactnum import VerificationError
 from tame_llc.local_factors import gamma_at_zero_abs
-from tame_llc.tame_galois import GalElt
+from tame_llc.tame_galois import GAL_ID, GalElt, gal_elements
 
 
 def _root_number_box():
@@ -108,13 +108,13 @@ def _conductor_plus_one(monkeypatch):
 
 
 def _one_conductor_plus_f(monkeypatch):
-    # f added to the conductor a of the first twist piece, its root number
-    # left as it is, at the binding adjoint_root_number reads
+    # f added to the conductor a of the twist piece of the least gamma != 1,
+    # its root number left as it is, at the binding adjoint_root_number reads
     induced_factor = llc_parameters.induced_factor
 
     def mutated(sys, gamma, lam):
         w, a = induced_factor(sys, gamma, lam)
-        if gamma != llc_parameters.adjoint_decompose(sys.P).induced[0]:
+        if gamma != min(g for g in gal_elements(sys.P) if g != GAL_ID):
             return w, a
         return w, a + sys.P.f
 
