@@ -10,23 +10,24 @@ unique for its lattice, so a lattice that holds diag(n), n its columns'
 orders (a subgroup, a kernel's, an intersection's or a character's graph),
 takes `hnf_mod` with column j modulo n_j and no row of diag(n) written
 out, and no entry exceeds its column's order.  `smith_normal_form` keeps S
-exact, so its pivots are those of the elimination over Z, and keeps its
-transforms modulo an order that every order they are read by divides.  Each
-Euclid step divides by the smallest entry, in `hnf_row` (kept for the
-stationary-phase solve) and in the Smith form alike.
+exact, so its pivots are those of the elimination over Z, and logs its
+column steps instead of updating two transforms.  Each Euclid step divides
+by the smallest entry, in `hnf_row` (kept for the stationary-phase solve)
+and in the Smith form alike.
 
 Each lattice is factored once, and only U-bar's `SubgroupPresentation`
 takes a Smith form of a subgroup: a kernel or an intersection is the
 Hermite rows that generate it, since `extend_character` is canonical for
-the subgroup it is given.  `smith_normal_form` returns V with its inverse;
-a subgroup solves against its square Hermite basis by back-substitution,
-and `solve_left` returns its solution with the kernel of the same form.
+the subgroup it is given.  `smith_normal_form` returns only the parts of V
+and V^{-1} an invariant-factor basis reads; a subgroup solves against its
+square Hermite basis by back-substitution, and `solve_left` returns its
+solution with the kernel of the same form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import VerificationError
@@ -272,34 +273,34 @@ def _least_nonzero(row: List[int], lo: int, hi: int) -> Optional[Tuple[int, int]
 
 
 def smith_normal_form(mat: Matrix, modulus: int) -> Tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (S, V, V^{-1}) with S = U*mat*V diagonal
-    for some unimodular U and V, the diagonal entries nonnegative with
-    d1 | d2 | ...  V^{-1} is kept alongside V: each column operation on V
-    is one row operation on V^{-1}.
+    """Smith normal form: returns (S, V, W) with S = U*mat*T diagonal for
+    some unimodular U and T, the diagonal entries nonnegative with
+    d1 | d2 | ...  V is T without its columns j with d_j = 1, and W is
+    T^{-1} without its rows j with d_j = 1: the parts an invariant-factor
+    basis reads.  The divisibility chain puts those d_j first, so V and W
+    keep the last columns and rows; a column j >= len(mat) is kept.
 
-    S is exact, so the pivots depend on mat alone.  V and V^{-1} are the
-    exact transforms modulo `modulus`, which every order they are read by
-    must divide: an entry is reduced into [0, modulus) once its absolute
-    value reaches the modulus, and not before, so small entries keep their
-    sign."""
+    S is exact, so the pivots depend on mat alone.  Each column step is
+    logged rather than applied to T and T^{-1}; a kept column of T (a row
+    of T^{-1}) replays the log backwards on a unit vector (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.4.14).  V and W are
+    the exact transforms' entries reduced into [0, modulus), which every
+    order they are read by must divide."""
     s = [list(r) for r in mat]
     n = len(s)
     m = len(s[0]) if s else 0
-    vt = identity_matrix(m)  # V transposed: a column step on V is a row step
-    vinv = identity_matrix(m)
     mod = modulus
+    log = []  # (t, js, qs): column js[k] -= qs[k] * column t; (i, j, None): a swap
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        vt[i], vt[j] = vt[j], vt[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        log.append((i, j, None))
 
     def clear_col_steps(t, hi_c):
         # column j -= q_j * column t for every j > t in the block, with q_j
         # from row t.  Column t is the only source and no step changes it,
         # so the quotients are those of the steps taken one at a time.
-        # V (I - q E_{t,j}) has inverse (I + q E_{t,j}) V^{-1}.
         piv = s[t][t]
         steps = [(j, q) for j in range(t + 1, hi_c) for q in (s[t][j] // piv,) if q]
         if not steps:
@@ -309,18 +310,8 @@ def smith_normal_form(mat: Matrix, modulus: int) -> Tuple[Matrix, Matrix, Matrix
             if x:
                 for j, q in steps:
                     row[j] -= q * x
-        nz = [(k, b) for k, b in enumerate(vt[t]) if b]
-        for j, q in steps:
-            row = vt[j]
-            for k, b in nz:
-                y = row[k] - q * b
-                row[k] = y if -mod < y < mod else y % mod
-        acc = list(vinv[t])
-        for j, q in steps:
-            for k, b in enumerate(vinv[j]):
-                if b:
-                    acc[k] += q * b
-        vinv[t] = [a if -mod < a < mod else a % mod for a in acc]
+        js, qs = zip(*steps)
+        log.append((t, js, tuple(q % mod for q in qs)))
 
     def diagonalize(lo, hi_r, hi_c):
         # Diagonalize the block [lo:hi_r] x [lo:hi_c].  At each pivot step
@@ -377,7 +368,27 @@ def smith_normal_form(mat: Matrix, modulus: int) -> Tuple[Matrix, Matrix, Matrix
             break
         s[bad] = [x + y for x, y in zip(s[bad], s[bad + 1])]
         diagonalize(bad, bad + 2, bad + 2)
-    return s, [list(r) for r in zip(*vt)], vinv
+    kept = [j for j in range(m) if j >= n or s[j][j] != 1]
+    # T = E_1 ... E_K and T^{-1} = E_K^{-1} ... E_1^{-1} over the logged
+    # steps E_k = I - sum q E_{t,j}: column j of T is E_1 (... (E_K e_j)),
+    # and row j of T^{-1} is ((e_j E_K^{-1}) ...) E_1^{-1}
+    cols, rows = [], []
+    for j in kept:
+        x = [0] * m
+        y = [0] * m
+        x[j] = y[j] = 1
+        for t, js, qs in reversed(log):
+            if qs is None:
+                x[t], x[js], y[t], y[js] = x[js], x[t], y[js], y[t]
+                continue
+            x[t] = (x[t] - sum(q * x[k] for k, q in zip(js, qs))) % mod
+            yt = y[t] % mod  # y is reduced where it is read, and at the end
+            if yt:
+                for k, q in zip(js, qs):
+                    y[k] += q * yt
+        cols.append(x)
+        rows.append([c % mod for c in y])
+    return s, [[c[i] for c in cols] for i in range(m)], rows
 
 
 def reduce_mod_lattice(h: Matrix, x: Sequence[int]) -> List[int]:
@@ -407,32 +418,20 @@ class SubgroupPresentation:
     for a subgroup whose coordinates reach the output (U-bar).
 
     Attributes:
-        ambient_orders: the d_i of the ambient group.
-        orders: invariant factors of the subgroup (trivial factors dropped).
+        orders: invariant factors of the subgroup, none of them 1.
         basis: rows expressing each subgroup basis element in ambient coords.
-        order: the subgroup's cardinality.
     """
 
     def __init__(self, ambient_orders: Sequence[int], gen_rows: Sequence[Sequence[int]]):
-        self.ambient_orders = list(ambient_orders)
-        s = len(self.ambient_orders)
-        exponent = lcm(*self.ambient_orders)
-        basis_m = hnf_mod(gen_rows, self.ambient_orders)
+        basis_m = hnf_mod(gen_rows, ambient_orders)
         self._m = basis_m  # lattice basis rows, HNF: square, upper triangular
         # relation lattice of the generators y -> y*M mod diag(d); the
         # subgroup's invariant factors divide the exponent of the ambient group
-        snf, v, vinv = smith_normal_form(_diag_over(basis_m, self.ambient_orders), exponent)
-        self._v = v
-        self._snf_orders = [snf[i][i] for i in range(s)]
-        self.basis: List[List[int]] = []
-        self.orders: List[int] = []
-        for j in range(s):
-            if self._snf_orders[j] == 1:
-                continue
-            row = vec_mat(vinv[j], basis_m)
-            self.basis.append([c % d for c, d in zip(row, self.ambient_orders)])
-            self.orders.append(self._snf_orders[j])
-        self.order = prod(self.orders)
+        snf, self._v, w = smith_normal_form(_diag_over(basis_m, ambient_orders),
+                                            lcm(*ambient_orders))
+        self.orders: List[int] = [snf[j][j] for j in range(len(snf) - len(w), len(snf))]
+        self.basis: List[List[int]] = [
+            [c % d for c, d in zip(vec_mat(row, basis_m), ambient_orders)] for row in w]
 
     def coords(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of ambient element x in the subgroup basis, or None.
@@ -444,8 +443,7 @@ class SubgroupPresentation:
         y = _back_substitute(self._m, x)
         if y is None:
             return None
-        w = vec_mat(y, self._v)
-        return [c % d for c, d in zip(w, self._snf_orders) if d != 1]
+        return [c % d for c, d in zip(vec_mat(y, self._v), self.orders)]
 
 
 def _generators(orders: Sequence[int], rows: Matrix) -> Matrix:

@@ -604,8 +604,10 @@ class UnitGroupPresentation:
     p-th power written in the generators) has determinant equal to the
     group order |U| = (q_K - 1) q_K^{N-1}, so it is the full lattice and
     Smith normal form yields the group structure; the invariant factors are
-    checked to multiply to |U|, and the Smith transforms are kept modulo
-    (q_K - 1) one_unit_order(M, 1), a multiple of U's exponent.
+    checked to multiply to |U|.  The Smith form hands back only the columns
+    of V and the rows of V^{-1} at the invariant factors other than 1, read
+    as gen_coords and inv_gens, modulo (q_K - 1) one_unit_order(M, 1), a
+    multiple of U's exponent.
 
     Powers come from lists of repeated squares through exactnum.mul_power,
     one list per element, extended only as far as an exponent needs: the
@@ -644,19 +646,16 @@ class UnitGroupPresentation:
             rows.append(row)
         # V and V^{-1} are read modulo orders dividing this multiple of U's exponent
         order = (M.P.q_K - 1) * M.P.q_K ** (N - 1)
-        s, v, vinv = smith_normal_form(rows, (M.P.q_K - 1) * one_unit_order(M, 1))
-        self.all_orders = [s[i][i] for i in range(len(gens))]
-        if prod(self.all_orders) != order:
+        s, v, w = smith_normal_form(rows, (M.P.q_K - 1) * one_unit_order(M, 1))
+        # the invariant factors other than 1 are the last len(w)
+        self.orders = [s[j][j] for j in range(len(gens) - len(w), len(gens))]
+        if prod(self.orders) != order:
             raise VerificationError(
-                f"unit group invariant factors multiply to {prod(self.all_orders)}, "
+                f"unit group invariant factors multiply to {prod(self.orders)}, "
                 f"not |U| = {order}")
-        self._keep = [i for i, d in enumerate(self.all_orders) if d != 1]
-        self.orders = [self.all_orders[i] for i in self._keep]
         # gens[i] has raw exponents e_i, so its coordinates are row i of v,
         # reduced; _coords reads raw exponents through these rows
-        self.gen_coords: List[List[int]] = [
-            [row[j] % self.all_orders[j] for j in self._keep] for row in v
-        ]
+        self.gen_coords = [[x % d for x, d in zip(row, self.orders)] for row in v]
         # generators of the invariant-factor coordinates.  The exponents are
         # reduced by orders that hold exactly in the model ring O_K/p_K^{er},
         # so each h is the same element as with the raw exponents: tau has
@@ -665,12 +664,12 @@ class UnitGroupPresentation:
         exps = [M.P.q_K - 1] + [one_unit_order(M, i) for i in self.levels[1:]]
         # the one-unit generators add no Teichmuller digit, so inv_gens[k]
         # is tau^{tau_exps[k]} mod pi
-        self.tau_exps = [vinv[k][0] % exps[0] for k in self._keep]
+        self.tau_exps = [row[0] % exps[0] for row in w]
         gen_squares: List[List[Elt]] = [[g] for g in gens]
         self.inv_gens: List[Elt] = []
-        for k in self._keep:
+        for row in w:
             h = M.one()
-            for jj, ex in enumerate(vinv[k]):
+            for jj, ex in enumerate(row):
                 h = mul_power(M.mul, h, gen_squares[jj], ex % exps[jj], M.one())
             self.inv_gens.append(h)
         self._inv_gen_squares: List[List[Elt]] = [[h] for h in self.inv_gens]

@@ -3,7 +3,7 @@ subgroup presentations."""
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from unittest.mock import patch
 
 import pytest
@@ -32,7 +32,7 @@ from tame_llc.intlinalg import (
 
 def invert_unimodular(mat):
     """Inverse of a unimodular integer matrix, via HNF against the identity:
-    an oracle for the inverse that smith_normal_form keeps alongside V."""
+    an oracle for the inverse whose rows smith_normal_form returns in part."""
     h, u = hnf_row(mat)
     if h != identity_matrix(len(mat)):
         raise ValueError("matrix is not unimodular")
@@ -47,9 +47,9 @@ def left_kernel_basis(mat):
 
 
 def smith_over_z(mat):
-    """smith_normal_form with exact transforms, pivot by pivot as the
-    product takes it: the oracle for its S and, modulo the modulus, for its
-    V and V^{-1}."""
+    """smith_normal_form with exact, full transforms, pivot by pivot as the
+    product takes it: the oracle for its S and, modulo the modulus, for the
+    columns of V and rows of V^{-1} it returns."""
     s = [list(r) for r in mat]
     n = len(s)
     m = len(s[0]) if s else 0
@@ -158,8 +158,8 @@ tall_matrices = st.integers(1, 8).flatmap(
 
 @given(small_matrices)
 def test_smith_normal_form_is_a_change_of_basis(mat):
-    # the exact oracle: the product's S and, modulo the modulus, its V and
-    # V^{-1} are checked against it below
+    # the exact oracle: the product's S and, modulo the modulus, its parts
+    # of V and V^{-1} are checked against it below
     s, v, vinv = smith_over_z(mat)
     m = len(mat[0])
     # V is invertible over the integers, and the returned inverse is exact
@@ -173,12 +173,17 @@ def test_smith_normal_form_is_a_change_of_basis(mat):
 @given(st.one_of(small_matrices, tall_matrices), st.integers(2, 10 ** 6))
 @settings(max_examples=300, deadline=None)
 def test_smith_normal_form_takes_the_exact_path_modulo(mat, modulus):
-    # the same pivots, so the same S; V and V^{-1} agree with the exact
-    # transforms modulo the modulus, and no entry reaches it
+    # the same pivots, so the same S; V's columns and V^{-1}'s rows at the
+    # invariant factors other than 1 agree with the exact transforms'
+    # modulo the modulus, and no entry reaches it
     s, v, vinv = smith_normal_form(mat, modulus)
     s_z, v_z, vinv_z = smith_over_z(mat)
     assert s == s_z
-    for got, exact in ((v, v_z), (vinv, vinv_z)):
+    kept = [j for j in range(len(mat[0])) if j >= len(mat) or s_z[j][j] != 1]
+    v_kept = [[row[j] for j in kept] for row in v_z]
+    vinv_kept = [vinv_z[j] for j in kept]
+    assert (len(v), len(v[0]) if v else 0, len(vinv)) == (len(v_z), len(kept), len(kept))
+    for got, exact in ((v, v_kept), (vinv, vinv_kept)):
         assert all((x - y) % modulus == 0 for r, rz in zip(got, exact) for x, y in zip(r, rz))
         assert all(abs(x) < modulus for r in got for x in r)
 
@@ -335,7 +340,7 @@ def test_solve_left_detects_unsolvable():
 def test_subgroup_of_z6_z4():
     ambient = [6, 4]
     sub = SubgroupPresentation(ambient, [[2, 0], [0, 2]])
-    assert sub.order == 6
+    assert prod(sub.orders) == 6
     assert sub.coords([4, 2]) is not None
     assert sub.coords([1, 0]) is None
     coords = sub.coords([2, 2])
@@ -364,15 +369,17 @@ def test_subgroup_coords_invert_membership(orders, data):
     assert rebuilt == combo
 
 
-def _coords_by_stacked_solve(sub, x):
+def _coords_by_stacked_solve(ambient_orders, sub, x):
     """SubgroupPresentation.coords by the former route: solve against the
-    Hermite basis stacked on diag(d), then apply the SNF transform V."""
-    s = len(sub.ambient_orders)
-    y, _ = solve_left(sub._m + diag(sub.ambient_orders), list(x))
+    Hermite basis stacked on diag(d), then apply the exact SNF transform V
+    of smith_over_z at the invariant factors other than 1."""
+    s = len(ambient_orders)
+    y, _ = solve_left(sub._m + diag(ambient_orders), list(x))
     if y is None:
         return None
-    w = vec_mat(y[:s], sub._v)
-    return [w[j] % d for j, d in enumerate(sub._snf_orders) if d != 1]
+    snf, v, _ = smith_over_z([solve_left(sub._m, t)[0] for t in diag(ambient_orders)])
+    w = vec_mat(y[:s], v)
+    return [w[j] % snf[j][j] for j in range(s) if snf[j][j] != 1]
 
 
 @given(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=1, max_size=3),
@@ -389,9 +396,9 @@ def test_subgroup_coords_match_the_stacked_solve(orders, data):
         shift = [data.draw(st.integers(-2, 2)) * d for d in orders]
         x = [a + b for a, b in zip(x, shift)]
         coords = sub.coords(x)
-        assert coords == _coords_by_stacked_solve(sub, x)
+        assert coords == _coords_by_stacked_solve(orders, sub, x)
         members += coords is not None
-    assert members == sub.order
+    assert members == prod(sub.orders)
 
 
 def _back_substitute_two_loops(h, target):
@@ -648,7 +655,7 @@ def test_kernel_subgroup_members_map_to_zero():
     src = [8, 4]
     rows = [[1], [2]]
     ker = SubgroupPresentation(src, kernel_subgroup(src, rows, [4]))
-    assert ker.order == 8
+    assert prod(ker.orders) == 8
     for b in ker.basis:
         assert (b[0] * 1 + b[1] * 2) % 4 == 0
 
@@ -658,7 +665,7 @@ def test_intersection_is_contained_in_both():
     a = SubgroupPresentation(ambient, [[2]])
     b = SubgroupPresentation(ambient, [[3]])
     cap = SubgroupPresentation(ambient, intersect_subgroups(ambient, a.basis, b.basis))
-    assert cap.order == 2
+    assert prod(cap.orders) == 2
     for row in cap.basis:
         assert a.coords(row) is not None and b.coords(row) is not None
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -584,7 +585,7 @@ def test_norm_kernel_is_the_whole_kernel():
         M = build_model(P)
         U = UnitGroupPresentation(M, P.e * P.r)
         Ubar = norm_one_subgroup(U)
-        assert (Ubar.order * (P.q - 1) * P.q ** (P.r - 1)
+        assert (prod(Ubar.orders) * (P.q - 1) * P.q ** (P.r - 1)
                 == U.order() * norm_index(P)), P
 
 
@@ -627,27 +628,28 @@ def test_generator_coordinates_are_their_dlogs(model):
 
 
 def test_dlog_matches_the_smith_transform(monkeypatch):
-    # the oracle reads raw exponents w through the Smith column transform
-    # V itself: coordinate j is sum_i w_i V[i][j] mod the j-th invariant
-    # factor, where dlog reads them through gen_coords
+    # the oracle reads raw exponents w through the exact Smith column
+    # transform V of smith_over_z: coordinate j is sum_i w_i V[i][j] mod the
+    # j-th invariant factor other than 1, where dlog reads them through
+    # gen_coords
     smith_normal_form = ring_model.smith_normal_form
-    results = []
+    relations = []
 
     def recorded(rows, modulus):
-        results.append(smith_normal_form(rows, modulus))
-        return results[-1]
+        relations.append(rows)
+        return smith_normal_form(rows, modulus)
 
     monkeypatch.setattr(ring_model, "smith_normal_form", recorded)
     for P in _root_number_box():
         M = build_model(P)
         U = UnitGroupPresentation(M, P.e * P.r)
-        _, v, _ = results[-1]
+        s, v, _ = smith_over_z(relations[-1])
+        kept = [j for j in range(len(s)) if s[j][j] != 1]
         probes = U.gens + U.inv_gens + _random_units(M, 20, seed=P.q_K + P.r)
         probes += [M.galois_act(g, h) for g in gal_elements(P) for h in U.inv_gens]
         for x in probes:
             w = U._raw_dlog(x)
-            by_v = [sum(wi * v[i][j] for i, wi in enumerate(w)) % U.all_orders[j]
-                    for j in U._keep]
+            by_v = [sum(wi * v[i][j] for i, wi in enumerate(w)) % s[j][j] for j in kept]
             assert U.dlog(x) == by_v, (P, x)
 
 
@@ -669,12 +671,13 @@ def test_invariant_generators_match_raw_exponents(tup, monkeypatch):
     monkeypatch.setattr(ring_model, "smith_normal_form", recorded)
     for N in range(1, top + 1):
         U = UnitGroupPresentation(M, N)
-        # the exact V^{-1}: the product keeps it modulo |U| only
-        _, _, vinv = smith_over_z(relations[-1])
+        # the exact V^{-1}: the product keeps its rows at the invariant
+        # factors other than 1, modulo a multiple of U's exponent only
+        s, _, vinv = smith_over_z(relations[-1])
         # tau = gens[0] is raised by tau_power, which reads a negative
         # exponent; Model.inv inverts the one-units only
         raw = []
-        for k in U._keep:
+        for k in (k for k in range(len(s)) if s[k][k] != 1):
             h = M.from_gr(M.tau_power(vinv[k][0]))
             for g, ex in zip(U.gens[1:], vinv[k][1:]):
                 h = M.mul(h, M.pow(g, ex) if ex >= 0 else M.pow(M.inv(g), -ex))
