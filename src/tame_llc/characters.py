@@ -7,8 +7,9 @@ is a Fraction, a fraction of a full turn, and becomes a Cyclotomic only at
 the one edge, Cyclotomic.from_turn, to be printed or to meet an oracle.
 There is one presentation, U at level e*r: a character trivial on 1 + pi^k
 is read through its values on U's generators below level k.
-U and U-bar alone carry invariant-factor bases: H and each chi-data fixed
-group are their Hermite rows, from which a character extends canonically.
+U and U-bar alone carry invariant-factor bases: H is its Hermite rows, from
+which theta extends canonically.  The chi-data sign c needs no extension:
+each chi_gamma is eta o res or trivial, read off U's tau-exponents.
 Each Galois action gamma != 1 is read once, as its matrix A_gamma on U's
 coordinates, when the system is built; the norm-one subgroup U-bar is the
 kernel of I + sum A_gamma.
@@ -32,13 +33,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import Cyclotomic, VerificationError, quadratic_gauss_phase, unit_part
-from .intlinalg import (
-    extend_character,
-    fp_echelon,
-    intersect_subgroups,
-    kernel_subgroup,
-    solve_left,
-)
+from .intlinalg import extend_character, fp_echelon, intersect_subgroups, solve_left
 from .ring_model import (
     Elt,
     Model,
@@ -175,38 +170,33 @@ class CharacterSystem:
 
     # -- chi-data ------------------------------------------------------------
 
-    def _build_chi_data(self):
-        P = self.P
+    def chi_gamma(self, gamma: GalElt) -> MultCharacter:
+        """chi_gamma of an order-two gamma != 1, on U: eta o res when K/K_gamma
+        is ramified (gamma in <delta>; K and K_gamma share their residue
+        field), trivial when it is not.  h_k is tau^{tau_exps[k]} mod pi, so
+        eta is half a turn on h_k exactly when tau_exps[k] is odd."""
         U = self.U
-        total_exps = [0] * len(U.orders)
-        level2_rows = [c for c, i in zip(U.gen_coords, U.levels) if i >= 2]
-        # residue_log is a homomorphism into Z/(q_K - 1), q_K - 1 even: its
-        # parity on U coordinates b is the sum of b_k residue_log(h_k) mod 2,
-        # and residue_log(h_k) is U.tau_exps[k]
-        parities = [t % 2 for t in U.tau_exps]
+        odd = [t % 2 * (gamma.j == 0) for t in U.tau_exps]
+        if any(o and d % 2 for o, d in zip(odd, U.orders)):
+            raise VerificationError("eta o res is not a character of U: "
+                                    "an odd tau-exponent on an odd order")
+        return MultCharacter(tuple(U.orders), tuple(d // 2 * o for o, d in zip(odd, U.orders)))
+
+    def _build_chi_data(self):
+        """c = prod chi_gamma^{-1}.  Each chi_gamma(-1) reads U's V at -1 and
+        its V^{-1} through tau_exps, and must be the closed parity of
+        (q_K - 1)/2 when K/K_gamma is ramified, and trivial when it is not."""
+        P, U = self.P, self.U
+        exps = [0] * len(U.orders)
         for gamma in sorted(order_two_set(P) - {GAL_ID}):
-            ramified = gamma.j == 0  # K/K_gamma is ramified: gamma in <delta>
-            fixed = kernel_subgroup(list(U.orders), [
-                [(a - (i == j)) % d for j, (a, d) in enumerate(zip(row, U.orders))]
-                for i, row in enumerate(self.acts[gamma])], list(U.orders))
-            rows = fixed + level2_rows
-            fracs = [Fraction(1, 2) if ramified and sum(map(mul, b, parities)) % 2
-                     else Fraction(0) for b in fixed] + [Fraction(0)] * len(level2_rows)
-            exps = extend_character(list(U.orders), rows, fracs)
-            # chi_gamma(-1) must be the closed parity of (q_K - 1)/2 when
-            # K/K_gamma is ramified, and trivial when it is not
-            chi_gamma = MultCharacter(tuple(U.orders), tuple(exps))
+            chi_gamma = self.chi_gamma(gamma)
             at_minus_one = chi_gamma.fraction_on_coords(self.minus_one_coords())
-            closed = Fraction((P.q_K - 1) // 2 % 2, 2) if ramified else 0
+            closed = Fraction((P.q_K - 1) // 2 % 2, 2) if gamma.j == 0 else 0
             if at_minus_one != closed:
-                raise VerificationError(
-                    f"chi-data character for {gamma} has value "
-                    f"{at_minus_one} at -1, not {closed}"
-                )
-            total_exps = [
-                (t - a) % d for t, a, d in zip(total_exps, exps, U.orders)
-            ]
-        self._c_char = MultCharacter(tuple(U.orders), tuple(total_exps))
+                raise VerificationError(f"chi-data character for {gamma} has value "
+                                        f"{at_minus_one} at -1, not {closed}")
+            exps = [(t - a) % d for t, a, d in zip(exps, chi_gamma.exps, U.orders)]
+        self._c_char = MultCharacter(tuple(U.orders), tuple(exps))
 
     def c_char(self) -> MultCharacter:
         if self._c_char is None:
@@ -382,14 +372,14 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
     if all(t.denominator == 1 for t in targets):
         sol, kernel = solve_left(rows + slack, [int(t) % plev for t in targets])
     if sol is None:
-        raise ArithmeticError(
+        raise VerificationError(
             "stationary phase found 0 critical points; "
             "character is not primitive at this level"
         )
     # the critical point is unique when every homogeneous solution is zero
     # in R/pi^{l1}: each kernel row vanishes modulo the basis precisions
     if any(c % prec for row in kernel for c, (_, prec) in zip(row, basis)):
-        raise ArithmeticError(
+        raise VerificationError(
             "stationary phase found more than one critical point; "
             "character is not primitive at this level"
         )

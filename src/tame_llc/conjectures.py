@@ -1,9 +1,12 @@
 """Both sides of the formal degree identity and the root number identity.
 
-The left sides come from counting (dimensions, orbit sizes, unit-group
-indices); the right sides from the factor assembly in local_factors and
-llc_parameters.  The two pipelines share no intermediate quantities, so
-agreement is a genuine cross-check.
+The formal degree's counting side (dimensions, unit-group indices) reads
+the norm index; its gamma side, assembled in local_factors and
+llc_parameters, reads |Gamma^ab|, which must equal the norm index times f.
+The root number's routes share theta and c: once c(-1) passes its check,
+the closed route theta(-1) + c(-1) + [e even] (q - 1) f / 4 is theta(-1) =
+theta_at_eps, so the one independent comparison is assembled (lambda(K/F)
+and the twists' Gauss sums) against theta(-1).
 """
 
 from __future__ import annotations

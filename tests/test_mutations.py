@@ -325,12 +325,20 @@ def _drop_last_h_generator(monkeypatch):
                         lambda self: congruence_subgroup(self)[:-1])
 
 
-def _drop_last_fixed_generator(monkeypatch):
-    # each chi-data fixed group without its last Hermite row, at the
-    # binding _build_chi_data reads
-    kernel_subgroup = characters.kernel_subgroup
-    monkeypatch.setattr(characters, "kernel_subgroup",
-                        lambda *args: kernel_subgroup(*args)[:-1])
+def _flip_eta_on_even_orders(monkeypatch):
+    # eta o res with its parity flipped on each invariant generator h_k of
+    # even order: times the character that is half a turn on every such
+    # h_k, so still a character of U, wherever K/K_gamma is ramified
+    chi_gamma = characters.CharacterSystem.chi_gamma
+
+    def mutated(self, gamma):
+        chi = chi_gamma(self, gamma)
+        if gamma.j:
+            return chi
+        return replace(chi, exps=tuple((w + d // 2) % d if d % 2 == 0 else w
+                                       for w, d in zip(chi.exps, chi.orders)))
+
+    monkeypatch.setattr(characters.CharacterSystem, "chi_gamma", mutated)
 
 
 def _transforms_modulo_q_k_minus_one(monkeypatch):
@@ -433,8 +441,8 @@ ROWS = {
         (_theta_exponent_plus_one, _root_number_box, verify_root_number),
     "congruence_subgroup: drop its last generator":
         (_drop_last_h_generator, _root_number_box, verify_root_number),
-    "chi-data fixed group: drop its last generator":
-        (_drop_last_fixed_generator, _root_number_box, verify_root_number),
+    "chi_gamma: flip eta on the generators of even order":
+        (_flip_eta_on_even_orders, _root_number_box, verify_root_number),
     "Model.inv: one Newton step short":
         (_inv_one_newton_step_short, _root_number_box, verify_root_number),
 }
@@ -680,8 +688,11 @@ def test_dropped_h_generator_is_caught_by_the_conductor_sum(monkeypatch):
     assert all(m.startswith("twist conductors add up to") for m in messages), messages
 
 
-def test_dropped_fixed_group_generator_is_caught_at_minus_one(monkeypatch):
-    _drop_last_fixed_generator(monkeypatch)
+def test_eta_flipped_on_even_orders_is_caught_at_minus_one(monkeypatch):
+    # the flipped chi_gamma is still a character of U, so the odd-order
+    # check passes it; the check at -1 catches it where the flip moves
+    # chi_gamma(-1), at q = 3 and 7 with e = 2, f = 1
+    _flip_eta_on_even_orders(monkeypatch)
     messages = _messages(_root_number_box())
     assert len(messages) == 4
     assert all(re.match(r"chi-data character for .* at -1, not ", m) for m in messages), messages
