@@ -32,12 +32,11 @@ from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Cyclotomic, VerificationError, quadratic_gauss_phase, unit_part
+from .exactnum import Cyclotomic, TooLarge, VerificationError, quadratic_gauss_phase, unit_part
 from .intlinalg import extend_character, fp_echelon, intersect_subgroups, solve_left
 from .ring_model import (
     Elt,
     Model,
-    TooLarge,
     UnitGroupPresentation,
     find_beta,
     kernel_of_norm,
@@ -48,10 +47,6 @@ LITERAL_GAUSS_THRESHOLD = 20000
 
 
 class NotInSubgroup(VerificationError):
-    pass
-
-
-class PrecisionTooLow(RuntimeError):
     pass
 
 
@@ -93,7 +88,7 @@ def chi_beta_fraction(M: Model, beta: Elt, x: Elt) -> Fraction:
         raise NotInSubgroup("x is not in 1 + p^l O_K")
     y = tuple(a // pl for a in diff)
     plp = P.p ** lp
-    return Fraction(M.trace_functional()(M.mul(y, beta)) % plp, plp)
+    return Fraction(M.trace(M.mul(y, beta)) % plp, plp)
 
 
 class CharacterSystem:
@@ -259,24 +254,25 @@ def conductor_bruteforce(sys: CharacterSystem, chi: MultCharacter) -> int:
 # ---------------------------------------------------------------------------
 
 def _psi_K_data(M: Model, k: int):
-    """Precompute the additive character t -> psi_K(pi^{-(d_K+k)} t).
+    """The additive character t -> psi_K(pi^{-(d_K+k)} t), psi_K = psi_F o T_{K/F}.
 
-    Returns (level, func) with func giving the exponent mod p^level.
+    Returns (level, func): func(t) is T_{K/Q_p}(pi^{-(d_K+k)} t p^level)
+    mod p^level, read through Model.trace, the exponent of that value over
+    p^level.  A level past the model's precision r raises TooLarge.
     """
     P = M.P
     dK = P.e - 1  # valuation of the different of K/F (tame, d(F) = 0)
     shift = dK + k
     lev = -(-shift // P.e)  # ceil
     if lev > P.r:
-        raise PrecisionTooLow(f"need p-level {lev} > r = {P.r}")
+        raise TooLarge(f"need p-level {lev} > r = {P.r}")
     pi_pow = P.e * lev - shift
     # c^{-lev} = tau^{-c_exp lev}
     prefac = M.mul(M.pow(M.pi(), pi_pow), M.from_gr(M.tau_power(-M.c_exp * lev)))
-    tracef = M.trace_functional()
     plev = P.p ** lev
 
     def func(t: Elt) -> int:
-        return tracef(M.mul(prefac, t)) % plev
+        return M.trace(M.mul(prefac, t)) % plev
 
     return lev, func
 

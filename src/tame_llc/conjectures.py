@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from .exactnum import Cyclotomic, VerificationError
+from .exactnum import Cyclotomic, InvalidParams, TooLarge, VerificationError
 from .llc_parameters import (
     adjoint_gamma0_abs,
     adjoint_root_number,
     centralizer_order,
 )
 from .local_factors import principal_triple
-from .ring_model import TooLarge, build_model
-from .tame_galois import InvalidParams, TameParams, norm_index
+from .ring_model import build_model
+from .tame_galois import TameParams, norm_index
 
 PAPER_TYPO_NOTES = [
     "dimension product: the source's (1-k^-k) factor is read as (1-q^-k), "

@@ -1,8 +1,8 @@
-"""Exact arithmetic substrate: rationals, mul_power, the one
-square-and-multiply ladder every power in the package goes through,
-_prime_factors, the one trial division, and as oracles cyclotomic
-numbers, the quadratic Gauss sums that give square roots of integers and
-the unit part w = total * q^(-k/2) of a Gauss sum.
+"""The package's three exception types and its exact arithmetic substrate:
+rationals, mul_power, the one square-and-multiply ladder every power in
+the package goes through, _prime_factors, the one trial division, and as
+oracles cyclotomic numbers, the quadratic Gauss sums that give square
+roots of integers and the unit part w = total * q^(-k/2) of a Gauss sum.
 
 Every character value, Gauss sum and root number is a root of unity, a
 Fraction mod 1 (a turn) that becomes a Cyclotomic only to be printed, and
@@ -17,16 +17,16 @@ from typing import Callable, Dict, Iterator, List, Tuple
 import math
 
 
-class PoleAtPoint(ArithmeticError):
-    """Raised when an L-factor is evaluated at one of its poles."""
-
-
 class VerificationError(ArithmeticError):
-    """Raised when two computations that must agree do not."""
+    """A failed claim: two computations that must agree do not."""
 
 
 class InvalidParams(ValueError):
-    """Raised when a parameter tuple violates a tameness constraint."""
+    """A usage error: a parameter tuple violates a tameness constraint."""
+
+
+class TooLarge(RuntimeError):
+    """A stated refusal: a request is past a size or precision bound."""
 
 
 def mul_power(mul: Callable, acc, squares: List, n: int, one):

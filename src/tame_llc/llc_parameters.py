@@ -37,10 +37,6 @@ from .tame_galois import (
 )
 
 
-class CocycleDependent(ArithmeticError):
-    """A quantity depends on the cocycle of the induction, never evaluated."""
-
-
 # ---------------------------------------------------------------------------
 # the induced representation phi_1 = Ind theta-tilde
 # ---------------------------------------------------------------------------
@@ -49,8 +45,9 @@ def phi1_trace(sys, sigma: GalElt, x) -> Cyclotomic:
     """Trace of phi_1 at (sigma, x) on the basis v_gamma of the induced
     representation: sigma sends v_gamma to alpha(sigma, gamma) v_{sigma gamma}
     and x scales it by theta-tilde(x^gamma).  Raises VerificationError if
-    gamma -> sigma gamma is no permutation, and CocycleDependent at a gamma
-    fixed by a sigma != 1, as the cocycle is never evaluated; alpha(1, .) = 1
+    gamma -> sigma gamma is no permutation, or if a sigma != 1 fixes a
+    gamma: the group law gal_mul claims allows no such pair, and the trace
+    there would carry the cocycle, which is never evaluated.  alpha(1, .) = 1
     is the stated normalization."""
     P = sys.P
     gammas = gal_elements(P)
@@ -59,8 +56,8 @@ def phi1_trace(sys, sigma: GalElt, x) -> Cyclotomic:
         raise VerificationError("not a monomial matrix")
     fixed = [g for g, image in zip(gammas, images) if image == g]
     if fixed and sigma != GAL_ID:
-        raise CocycleDependent(f"the trace at sigma = {sigma} carries the "
-                               f"cocycle alpha(sigma, {fixed[0]})")
+        raise VerificationError(f"the trace at sigma = {sigma} carries the "
+                                f"cocycle alpha(sigma, {fixed[0]})")
     return sum((sys.theta_tilde.value_on_coords(sys.U.dlog(sys.M.galois_act(g, x)))
                 for g in fixed), Cyclotomic.zero())
 

@@ -20,16 +20,12 @@ from typing import List, Sequence, Tuple
 
 from .exactnum import (
     Cyclotomic,
-    PoleAtPoint,
+    TooLarge,
     VerificationError,
     quadratic_gauss_phase,
     unit_part,
 )
 from .ring_model import GaloisRing, residue_generator
-
-
-class BruteForceUnsupported(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +47,9 @@ def gamma_at_zero_abs(q: int, a: int, l_inv: Sequence[Fraction]) -> Fraction:
     where l_inv holds the rational coefficients of P, ascending.
 
     s = 1 is u = 1/q and s = 0 is u = 1, so L(1)/L(0) = P(1)/P(1/q); a zero
-    of P at either point is a pole of L.  Over a common denominator the
-    coefficients are integers c_0..c_k, and P(1)/P(1/q) = q^k A/B with
+    of P at either point is a pole of L, a VerificationError: L(s, Ad phi) of
+    a discrete parameter has no pole at s = 0 or 1.  Over a common denominator
+    the coefficients are integers c_0..c_k, and P(1)/P(1/q) = q^k A/B with
     A = sum c_i and B = sum c_i q^{k-i}, both by integer Horner.
     |eps| = q^{a/2} must be rational: q^a is a square.
     """
@@ -60,12 +57,12 @@ def gamma_at_zero_abs(q: int, a: int, l_inv: Sequence[Fraction]) -> Fraction:
     coeffs = [c.numerator * (den // c.denominator) for c in l_inv]
     A = sum(coeffs)
     if not A:
-        raise PoleAtPoint("L has a pole at u = 1")
+        raise VerificationError("L has a pole at u = 1")
     B = 0
     for c in coeffs:
         B = B * q + c
     if not B:
-        raise PoleAtPoint(f"L has a pole at u = {Fraction(1, q)}")
+        raise VerificationError(f"L has a pole at u = {Fraction(1, q)}")
     return Fraction(q ** (len(coeffs) - 1) * abs(A), abs(B)) * _fraction_sqrt(q ** a)
 
 
@@ -88,7 +85,8 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed"):
     element below is pi_0 = u_0 * p with unit residue gen^u0_log.  Closed
     form, a fraction of a turn: 1 for e odd; for e even the parity sign times
     the Legendre symbol of u_0 times the quadratic Gauss sum of F_Q.  Brute
-    force, a Cyclotomic: eps(Ind 1)/eps(1_K), supported for e | Q - 1.
+    force, a Cyclotomic: eps(Ind 1)/eps(1_K), for e | Q - 1; refused
+    (TooLarge) otherwise.
     """
     Q = p ** d
     if method == "closed":
@@ -101,9 +99,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed"):
     if e == 1:
         return Cyclotomic.one()
     if (Q - 1) % e != 0:
-        raise BruteForceUnsupported(
-            f"e = {e} does not divide Q - 1 = {Q - 1}: extension is not cyclic"
-        )
+        raise TooLarge(f"e = {e} does not divide Q - 1 = {Q - 1}: extension is not cyclic")
     gf = GaloisRing(p, 1, d)
     gen = residue_generator(gf)
     u0inv = gf.pow(gen, -u0_log % (Q - 1))

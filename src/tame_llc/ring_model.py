@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from operator import mod, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exactnum import VerificationError, _factorize, mul_power
+from .exactnum import TooLarge, VerificationError, _factorize, mul_power
 from .intlinalg import (
     SubgroupPresentation,
     fp_echelon,
@@ -43,10 +43,6 @@ from .intlinalg import (
 from .tame_galois import GalElt, TameParams, gal_elements, gal_mul
 
 GRElt = Tuple[int, ...]
-
-
-class TooLarge(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +111,14 @@ def _base_p_digits(code: int, p: int, d: int) -> List[int]:
 def _least_irreducible(p: int, d: int) -> List[int]:
     """Lexicographically least monic irreducible of degree d over F_p.
 
-    Coefficient tuples (c_0, ..., c_{d-1}) are ordered as base-p counters.
+    Coefficient tuples (c_0, ..., c_{d-1}) are ordered as base-p counters;
+    one of degree d >= 2 with a root in F_p is reducible and takes no Rabin test.
     """
     for code in range(p ** d):
         h = _base_p_digits(code, p, d) + [1]
+        if d >= 2 and any(sum(c * t ** k for k, c in enumerate(h)) % p == 0
+                          for t in range(p)):
+            continue
         if _fp_irreducible(h, p):
             return h
     raise VerificationError("no irreducible polynomial found")
@@ -183,6 +183,16 @@ def _product_kernel(e: int, d: int, mod: int,
     return bound["product"]
 
 
+def _trace_vector(e: int, d: int, mod: int,
+                  images: Sequence[Sequence[Tuple[int, ...]]]) -> List[int]:
+    """Entry i d + b: the trace over Z/mod of multiplication by x^b pi^i,
+    from the fold table _product_kernel reads.  x^b pi^i sends the basis
+    element x^c pi^j to images[i + j][b + c], whose diagonal entry is its
+    (j d + c)-th."""
+    return [sum(images[i + j][b + c][j * d + c] for j in range(e) for c in range(d)) % mod
+            for i in range(e) for b in range(d)]
+
+
 # ---------------------------------------------------------------------------
 # Galois ring GR(p^r, d)
 # ---------------------------------------------------------------------------
@@ -213,6 +223,7 @@ class GaloisRing:
                               for b in range(d)))
         self._x_powers: List[GRElt] = xpow
         self._product = _product_kernel(1, d, mod, [xpow])
+        self._trace_vec = _trace_vector(1, d, mod, [xpow])
         self.zero: GRElt = tuple([0] * d)
         self.one: GRElt = xpow[0]
 
@@ -245,11 +256,10 @@ class GaloisRing:
         return any(a % self.p for a in x)
 
     def trace_abs(self, z: GRElt) -> int:
-        """The absolute trace to Z/p^r, as the trace of multiplication by z:
-        Tr(x^b) = sum_j (x^{b+j} mod h)_j, read from _x_powers.  GR is
-        unramified over Z/p^r, so this is the sum of the Frobenius conjugates."""
-        xpow, d = self._x_powers, self.d
-        return sum(zb * xpow[b + j][j] for b, zb in enumerate(z) for j in range(d)) % self.mod
+        """The absolute trace to Z/p^r, as the trace of multiplication by z.
+        GR is unramified over Z/p^r, so this is the sum of the Frobenius
+        conjugates."""
+        return sum(map(mul, self._trace_vec, z)) % self.mod
 
 
 def residue_generator(gr: GaloisRing) -> GRElt:
@@ -289,11 +299,11 @@ class Model:
         self._pad = (0,) * (self.n - d)
         self._zero = (0,) * self.n
         self._one = gr.one + self._pad
+        images = _fold_images(gr, e, gr.scalar(self.P.p, self.tau_power(self.c_exp)))
         # at e = 1 the fold table is gr._x_powers, whose kernel gr already has
-        self._product = gr._product if e == 1 else _product_kernel(
-            e, d, gr.mod, _fold_images(gr, e, gr.scalar(self.P.p, self.tau_power(self.c_exp))))
+        self._product = gr._product if e == 1 else _product_kernel(e, d, gr.mod, images)
+        self._trace_vec = _trace_vector(e, d, gr.mod, images)
         self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
-        self._trace_vec: Optional[List[int]] = None
         # residue_log's baby steps: residue of tau^j -> j for j < m, with
         # m = ceil(sqrt(q_K - 1)); and its giant step, tau^{-m} mod p
         L = self.P.q_K - 1
@@ -462,22 +472,10 @@ class Model:
             raise VerificationError("trace not in F")
         return acc[:d]
 
-    def trace_functional(self) -> Callable[[Elt], int]:
-        """x -> T_{F/Q_p}(T_{K/F}(x)) mod p^r as a precomputed linear map.
-        T_{F/Q_p} is the absolute GR-trace divided by f, since that trace
-        counts each conjugate of an F-element f times (f is a unit mod p)."""
-        gr = self.gr
-        mod = gr.mod
-        if self._trace_vec is None:
-            finv = pow(self.P.f, -1, mod)
-            self._trace_vec = [gr.trace_abs(self.trace_K_F(self.monomial(b, i))) * finv % mod
-                               for i in range(self.e) for b in range(gr.d)]
-        vec = self._trace_vec
-
-        def func(x: Elt) -> int:
-            return sum(map(mul, vec, x)) % mod
-
-        return func
+    def trace(self, x: Elt) -> int:
+        """T_{K/Q_p}(x) mod p^r, the trace of multiplication by x on R over
+        Z/p^r, by transitivity T_{F/Q_p}(T_{K/F}(x))."""
+        return sum(map(mul, self._trace_vec, x)) % self.gr.mod
 
 
 def _fold_images(gr: GaloisRing, e: int, cp: GRElt) -> List[List[Elt]]:

@@ -18,10 +18,6 @@ from typing import FrozenSet, List, NamedTuple, Tuple
 from .exactnum import InvalidParams, VerificationError, _prime_factors
 
 
-class OutOfRange(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TameParams:
     """The defining tuple (p, a, q=p^a, e, f, m, r) plus derived data.
@@ -211,7 +207,7 @@ def filtration_data(P: TameParams, k: int) -> Tuple[int, int]:
     """
     q, n, r, e, f = P.q, P.n, P.r, P.e, P.f
     if not 0 <= k <= e * r:
-        raise OutOfRange(f"k = {k} outside [0, {e * r}]")
+        raise ValueError(f"k = {k} outside [0, {e * r}]")
     if k == 0:
         return e * q ** (n * r - f) * (q ** f - 1), f - 1
     size = q ** (n * r - f * k)

@@ -30,6 +30,7 @@ from tame_llc.characters import (
 from tame_llc.conjectures import root_number_supported, valid_tuples, verify_root_number
 from tame_llc.exactnum import (
     Cyclotomic,
+    TooLarge,
     VerificationError,
     quadratic_gauss_phase,
     quadratic_gauss_sum_field,
@@ -45,7 +46,6 @@ from tame_llc.intlinalg import (
 from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.ring_model import (
     GaloisRing,
-    TooLarge,
     UnitGroupPresentation,
     build_model,
     find_beta,

@@ -363,6 +363,38 @@ def test_failed_character_extension_exits_3(monkeypatch, capsys):
                    "not a character of the subgroup\n")
 
 
+def test_any_other_exception_is_an_internal_error(monkeypatch, capsys):
+    # an exception outside the error model, here pow's ValueError, is
+    # answered like a failed claim: exit 3 and one line, never a traceback
+    def fault(self, w):
+        raise ValueError("base is not invertible for the given modulus")
+
+    monkeypatch.setattr(characters.CharacterSystem, "ubar_coords", fault)
+    code, out, err = run(["verify", "root-number", "--q", "3", "--e", "2",
+                          "--f", "1", "--r", "4"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == ("internal error: ValueError: base is not invertible for "
+                   "the given modulus\n")
+
+
+def test_a_precision_refusal_skips_one_tuple_of_a_sweep(monkeypatch, capsys):
+    # a conductor of e r asks psi_K for p-level r + 1 at e = 2: each such
+    # tuple's root number is refused, and the box still answers
+    monkeypatch.setattr(characters, "conductor_bruteforce",
+                        lambda sys, chi: sys.P.e * sys.P.r)
+    code, out, err = run(["sweep", "--q", "3,5", "--max-n", "2", "--r", "4..5",
+                          "--root-number", "--format", "json"], capsys)
+    assert (code, err) == (cli.EXIT_INTERNAL, "")
+    statuses = {(rep["params"]["q"], rep["params"]["e"], rep["params"]["m"],
+                 rep["params"]["r"]): rep["checks"][-1]["status"]
+                for rep in json.loads(out)}
+    assert len(statuses) == 12
+    for (q, e, m, r), status in statuses.items():
+        if e == 2:
+            assert status == f"SKIP: too large: need p-level {r + 1} > r = {r}"
+
+
 def test_factors_dim_delta_needs_an_integer(monkeypatch, capsys):
     dim_delta = conjectures.dim_delta
     monkeypatch.setattr(conjectures, "dim_delta",
@@ -433,21 +465,63 @@ def test_selftest_runs_every_row(capsys):
     assert set(status.values()) == {"OK"}
 
 
+def answers_0_2_or_3(argv):
+    """Run argv with JSON output and check the exit-code contract: 0, 2 or
+    3, never 1 or a traceback.  An empty stdout comes with one line on
+    stderr and a nonzero code; a report comes with no stderr and no FAIL,
+    and exits 3 exactly when a check is refused (any SKIP of `verify`)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--format", "json"])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INTERNAL), (argv, err.getvalue())
+    if not out.getvalue():
+        assert code != cli.EXIT_OK
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+        return code
+    assert err.getvalue() == ""
+    reports = json.loads(out.getvalue())
+    statuses = [c["status"] for rep in (reports if argv[0] == "sweep" else [reports])
+                for c in rep["checks"]]
+    assert "FAIL" not in statuses, argv
+    refusal = "SKIP" if argv[0] == "verify" else conjectures.REFUSED
+    refused = any(s.startswith(refusal) for s in statuses)
+    assert code == (cli.EXIT_INTERNAL if refused else cli.EXIT_OK), (argv, statuses)
+    return code
+
+
+def tuple_args(q, e, f, m, r):
+    return ["--q", str(q), "--e", str(e), "--f", str(f), "--m", str(m), "--r", str(r)]
+
+
 @settings(max_examples=200, deadline=5000)
 @given(st.integers(-3, 130) | st.sampled_from([243, 343, 625]),
        st.integers(-1, 9), st.integers(-1, 9), st.integers(-1, 9), st.integers(-1, 12))
 def test_generated_formal_degree_argv_answers_0_2_or_3(q, e, f, m, r):
     # every input gets a result, a usage error or a refusal: no traceback,
     # no FAIL, and one line on stderr whenever stdout is empty
-    argv = ["verify", "formal-degree", "--q", str(q), "--e", str(e), "--f", str(f),
-            "--m", str(m), "--r", str(r), "--format", "json"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INTERNAL)
-    if code == cli.EXIT_OK:
-        assert [c["status"] for c in json.loads(out.getvalue())["checks"]] == ["OK"]
-        assert err.getvalue() == ""
-    else:
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    answers_0_2_or_3(["verify", "formal-degree"] + tuple_args(q, e, f, m, r))
+
+
+# the generated root-number, factors and sweep requests: q up to 31 with
+# non-prime-powers among them, e, f, m in -1..4 and r in -1..8; the slowest
+# supported tuple of that box, (27,2,4,1,8), takes about 2.4 s
+# Each is drawn half the time from its valid values, so that about a
+# third of the generated tuples are valid
+SMALL_Q = st.sampled_from([3, 5, 7, 9, 11, 13, 25, 27, 31]) | st.integers(-3, 31)
+SMALL = st.integers(1, 4) | st.integers(-1, 4)
+SMALL_M = st.just(0) | st.integers(-1, 4)
+SMALL_R = st.integers(3, 8) | st.integers(-1, 8)
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.sampled_from([["verify", "root-number"], ["factors"]]),
+       SMALL_Q, SMALL, SMALL, SMALL_M, SMALL_R)
+def test_generated_root_number_and_factors_argv_answer_0_2_or_3(command, q, e, f, m, r):
+    answers_0_2_or_3(command + tuple_args(q, e, f, m, r))
+
+
+@settings(max_examples=60, deadline=5000)
+@given(SMALL_Q, SMALL, SMALL_R, st.booleans())
+def test_generated_sweep_argv_answers_0_2_or_3(q, max_n, r, root_number):
+    answers_0_2_or_3(["sweep", "--q", str(q), "--max-n", str(max_n), "--r", str(r)]
+                     + ["--root-number"] * root_number)

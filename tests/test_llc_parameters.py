@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from tame_llc import llc_parameters
 from tame_llc.characters import CharacterSystem
-from tame_llc.exactnum import Cyclotomic
+from tame_llc.exactnum import Cyclotomic, VerificationError
 from tame_llc.intlinalg import mat_mul
 from tame_llc.llc_parameters import (
-    CocycleDependent,
     adjoint_conductor,
     adjoint_gamma0_abs,
     adjoint_L,
@@ -174,7 +173,7 @@ class SymbolicUnit:
 
     def value(self):
         if self.symbols:
-            raise CocycleDependent(f"unresolved cocycle symbols {self.symbols}")
+            raise VerificationError(f"unresolved cocycle symbols {self.symbols}")
         return self.coef
 
 
@@ -228,7 +227,7 @@ def test_phi1_trace_at_a_fixed_point_off_identity_is_cocycle_dependent(
     assert phi1_trace(sys, GAL_ID, sys.M.one()) == Cyclotomic.from_rational(sys.P.n)
     for sigma in gal_elements(sys.P):
         if sigma != GAL_ID:
-            with pytest.raises(CocycleDependent):
+            with pytest.raises(VerificationError, match="carries the cocycle"):
                 phi1_trace(sys, sigma, sys.M.one())
 
 

@@ -30,7 +30,7 @@ from tame_llc.conjectures import (
     verify_formal_degree,
     verify_root_number,
 )
-from tame_llc.exactnum import VerificationError
+from tame_llc.exactnum import TooLarge, VerificationError
 from tame_llc.local_factors import gamma_at_zero_abs
 from tame_llc.tame_galois import GAL_ID, GalElt, gal_elements
 
@@ -451,16 +451,17 @@ ROWS = {
 def _status(verify, P):
     """The check's status, or the name of the error it raises.
 
-    Only VerificationError, subclasses included, counts as killing a row.
-    PrecisionTooLow (a perturbed conductor can ask for more p-adic precision
-    than r gives) is recorded so that the rest of the box still runs, but
-    kills nothing.
+    Only VerificationError, subclasses included, counts as killing a row: a
+    failed claim, a pole of L(s, Ad phi) at s = 0 or 1 and a trace that
+    carries the cocycle among them.  TooLarge (a perturbed conductor can ask
+    for more p-adic precision than r gives) is recorded so that the rest of
+    the box still runs, but kills nothing.
     """
     try:
         return verify(P).status
     except VerificationError:
         return "VerificationError"
-    except characters.PrecisionTooLow as ex:
+    except TooLarge as ex:
         return type(ex).__name__
 
 
@@ -563,7 +564,7 @@ def test_perturbed_theta_is_caught_on_h(monkeypatch):
     for P in _root_number_box():
         try:
             verify_root_number(P)
-        except (VerificationError, characters.PrecisionTooLow) as ex:
+        except (VerificationError, TooLarge) as ex:
             messages.append(str(ex))
     assert messages.count("theta does not extend chi_beta on H") == 27, messages
 

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 from tame_llc import intlinalg, ring_model
 from tame_llc.conjectures import root_number_supported, valid_tuples
-from tame_llc.exactnum import VerificationError, _factorize
+from tame_llc.exactnum import TooLarge, VerificationError, _factorize
 from tame_llc.intlinalg import SubgroupPresentation, kernel_subgroup
 from tame_llc.ring_model import (
     MAX_BABY_STEPS,
     GaloisRing,
     Model,
-    TooLarge,
     UnitGroupPresentation,
     _base_p_digits,
     _fp_irreducible,
@@ -521,6 +520,28 @@ def test_norm_and_trace_land_in_the_base(model):
     y = M.add(M.from_int(1), M.pow(M.pi(), 2))
     assert norm_K_F(M, M.mul(x, y)) == M.gr.mul(nx, norm_K_F(M, y))
     assert M.trace_K_F(M.add(x, y)) == M.gr.add(tx, M.trace_K_F(y))
+
+
+def trace_by_galois_sums(M, x):
+    """T_{K/Q_p}(x) mod p^r through the tower: the n Galois conjugates of x
+    summed to T_{K/F}(x), then GR's absolute trace, which counts each
+    conjugate of an element of F f times, times f^{-1}."""
+    gr = M.gr
+    return gr.trace_abs(M.trace_K_F(x)) * pow(M.P.f, -1, gr.mod) % gr.mod
+
+
+def test_trace_of_multiplication_matches_the_galois_sums():
+    # both sides are Z/p^r-linear, so the basis monomials decide; q = 25
+    # and 27 put a >= 2 in, where F is not Q_p
+    rng = random.Random(5)
+    tuples = valid_tuples([3, 5, 7, 9, 11, 13, 25, 27], 4, range(3, 7))
+    assert len(tuples) == 312
+    for P in tuples:
+        M = build_model(P)
+        basis = [M.monomial(b, i) for i in range(P.e) for b in range(M.gr.d)]
+        x = tuple(rng.randrange(M.gr.mod) for _ in range(M.n))
+        for y in basis + [x]:
+            assert M.trace(y) == trace_by_galois_sums(M, y), (P, y)
 
 
 def test_unit_presentation_round_trip(model):
