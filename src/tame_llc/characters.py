@@ -258,14 +258,16 @@ def _psi_K_data(M: Model, k: int):
 
     Returns (level, func): func(t) is T_{K/Q_p}(pi^{-(d_K+k)} t p^level)
     mod p^level, read through Model.trace, the exponent of that value over
-    p^level.  A level past the model's precision r raises TooLarge.
+    p^level.  A level past the model's precision r is a failed claim, a
+    VerificationError: a twist conductor is at most e(r - 1) + 1, so the
+    level it needs is at most r.
     """
     P = M.P
     dK = P.e - 1  # valuation of the different of K/F (tame, d(F) = 0)
     shift = dK + k
     lev = -(-shift // P.e)  # ceil
     if lev > P.r:
-        raise TooLarge(f"need p-level {lev} > r = {P.r}")
+        raise VerificationError(f"need p-level {lev} > r = {P.r}")
     pi_pow = P.e * lev - shift
     # c^{-lev} = tau^{-c_exp lev}
     prefac = M.mul(M.pow(M.pi(), pi_pow), M.from_gr(M.tau_power(-M.c_exp * lev)))

@@ -26,7 +26,7 @@ class InvalidParams(ValueError):
 
 
 class TooLarge(RuntimeError):
-    """A stated refusal: a request is past a size or precision bound."""
+    """A stated refusal: a request is past a size bound."""
 
 
 def mul_power(mul: Callable, acc, squares: List, n: int, one):

@@ -20,7 +20,6 @@ from typing import List, Sequence, Tuple
 
 from .exactnum import (
     Cyclotomic,
-    TooLarge,
     VerificationError,
     quadratic_gauss_phase,
     unit_part,
@@ -85,8 +84,8 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed"):
     element below is pi_0 = u_0 * p with unit residue gen^u0_log.  Closed
     form, a fraction of a turn: 1 for e odd; for e even the parity sign times
     the Legendre symbol of u_0 times the quadratic Gauss sum of F_Q.  Brute
-    force, a Cyclotomic: eps(Ind 1)/eps(1_K), for e | Q - 1; refused
-    (TooLarge) otherwise.
+    force, a Cyclotomic: eps(Ind 1)/eps(1_K), for e | Q - 1 only, where the
+    extension is cyclic; a ValueError otherwise.
     """
     Q = p ** d
     if method == "closed":
@@ -99,7 +98,7 @@ def lambda_tame(p: int, d: int, e: int, u0_log: int, method: str = "closed"):
     if e == 1:
         return Cyclotomic.one()
     if (Q - 1) % e != 0:
-        raise TooLarge(f"e = {e} does not divide Q - 1 = {Q - 1}: extension is not cyclic")
+        raise ValueError(f"e = {e} does not divide Q - 1 = {Q - 1}: extension is not cyclic")
     gf = GaloisRing(p, 1, d)
     gen = residue_generator(gf)
     u0inv = gf.pow(gen, -u0_log % (Q - 1))

@@ -111,14 +111,10 @@ def _base_p_digits(code: int, p: int, d: int) -> List[int]:
 def _least_irreducible(p: int, d: int) -> List[int]:
     """Lexicographically least monic irreducible of degree d over F_p.
 
-    Coefficient tuples (c_0, ..., c_{d-1}) are ordered as base-p counters;
-    one of degree d >= 2 with a root in F_p is reducible and takes no Rabin test.
+    Coefficient tuples (c_0, ..., c_{d-1}) are ordered as base-p counters.
     """
     for code in range(p ** d):
         h = _base_p_digits(code, p, d) + [1]
-        if d >= 2 and any(sum(c * t ** k for k, c in enumerate(h)) % p == 0
-                          for t in range(p)):
-            continue
         if _fp_irreducible(h, p):
             return h
     raise VerificationError("no irreducible polynomial found")
@@ -299,10 +295,14 @@ class Model:
         self._pad = (0,) * (self.n - d)
         self._zero = (0,) * self.n
         self._one = gr.one + self._pad
-        images = _fold_images(gr, e, gr.scalar(self.P.p, self.tau_power(self.c_exp)))
-        # at e = 1 the fold table is gr._x_powers, whose kernel gr already has
-        self._product = gr._product if e == 1 else _product_kernel(e, d, gr.mod, images)
-        self._trace_vec = _trace_vector(e, d, gr.mod, images)
+        # at e = 1 the fold table is gr._x_powers, whose kernel and trace gr
+        # already has
+        if e == 1:
+            self._product, self._trace_vec = gr._product, gr._trace_vec
+        else:
+            images = _fold_images(gr, e, gr.scalar(self.P.p, self.tau_power(self.c_exp)))
+            self._product = _product_kernel(e, d, gr.mod, images)
+            self._trace_vec = _trace_vector(e, d, gr.mod, images)
         self._gal_mats: Dict[GalElt, List[List[int]]] = {}  # filled by _verify_model
         # residue_log's baby steps: residue of tau^j -> j for j < m, with
         # m = ceil(sqrt(q_K - 1)); and its giant step, tau^{-m} mod p

@@ -378,21 +378,16 @@ def test_any_other_exception_is_an_internal_error(monkeypatch, capsys):
                    "the given modulus\n")
 
 
-def test_a_precision_refusal_skips_one_tuple_of_a_sweep(monkeypatch, capsys):
-    # a conductor of e r asks psi_K for p-level r + 1 at e = 2: each such
-    # tuple's root number is refused, and the box still answers
+def test_a_conductor_past_the_precision_is_a_failed_claim(monkeypatch, capsys):
+    # a twist conductor is at most e(r - 1) + 1; one of e r asks psi_K for
+    # p-level r + 1 at e = 2, a failed claim that stops the sweep, never a
+    # refusal that would skip the tuple
     monkeypatch.setattr(characters, "conductor_bruteforce",
                         lambda sys, chi: sys.P.e * sys.P.r)
     code, out, err = run(["sweep", "--q", "3,5", "--max-n", "2", "--r", "4..5",
                           "--root-number", "--format", "json"], capsys)
-    assert (code, err) == (cli.EXIT_INTERNAL, "")
-    statuses = {(rep["params"]["q"], rep["params"]["e"], rep["params"]["m"],
-                 rep["params"]["r"]): rep["checks"][-1]["status"]
-                for rep in json.loads(out)}
-    assert len(statuses) == 12
-    for (q, e, m, r), status in statuses.items():
-        if e == 2:
-            assert status == f"SKIP: too large: need p-level {r + 1} > r = {r}"
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal error: VerificationError: need p-level 5 > r = 4\n"
 
 
 def test_factors_dim_delta_needs_an_integer(monkeypatch, capsys):
@@ -465,11 +460,18 @@ def test_selftest_runs_every_row(capsys):
     assert set(status.values()) == {"OK"}
 
 
+# the one stderr line of a request that prints no report: a usage error or a
+# stated refusal; "internal error: ..." is a fault and fails the contract
+ANSWERS_WITHOUT_A_REPORT = ("invalid parameters: ", "invalid box: ", "too large: ",
+                            "no valid tuple in the box")
+
+
 def answers_0_2_or_3(argv):
     """Run argv with JSON output and check the exit-code contract: 0, 2 or
     3, never 1 or a traceback.  An empty stdout comes with one line on
-    stderr and a nonzero code; a report comes with no stderr and no FAIL,
-    and exits 3 exactly when a check is refused (any SKIP of `verify`)."""
+    stderr and a nonzero code, and that line is a usage error or a stated
+    refusal, never an internal error; a report comes with no stderr and no
+    FAIL, and exits 3 exactly when a check is refused (any SKIP of `verify`)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv + ["--format", "json"])
@@ -477,6 +479,7 @@ def answers_0_2_or_3(argv):
     if not out.getvalue():
         assert code != cli.EXIT_OK
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+        assert err.getvalue().startswith(ANSWERS_WITHOUT_A_REPORT), (argv, err.getvalue())
         return code
     assert err.getvalue() == ""
     reports = json.loads(out.getvalue())

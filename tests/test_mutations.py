@@ -452,10 +452,10 @@ def _status(verify, P):
     """The check's status, or the name of the error it raises.
 
     Only VerificationError, subclasses included, counts as killing a row: a
-    failed claim, a pole of L(s, Ad phi) at s = 0 or 1 and a trace that
-    carries the cocycle among them.  TooLarge (a perturbed conductor can ask
-    for more p-adic precision than r gives) is recorded so that the rest of
-    the box still runs, but kills nothing.
+    failed claim, a pole of L(s, Ad phi) at s = 0 or 1, a trace that
+    carries the cocycle and a conductor that asks for more p-adic precision
+    than r gives among them.  TooLarge (a refused size) is recorded so that
+    the rest of the box still runs, but kills nothing.
     """
     try:
         return verify(P).status
@@ -564,7 +564,7 @@ def test_perturbed_theta_is_caught_on_h(monkeypatch):
     for P in _root_number_box():
         try:
             verify_root_number(P)
-        except (VerificationError, TooLarge) as ex:
+        except VerificationError as ex:
             messages.append(str(ex))
     assert messages.count("theta does not extend chi_beta on H") == 27, messages
 
