@@ -1,7 +1,10 @@
-"""Small exact linear algebra: Hermite and Smith normal forms with
-transforms, integer linear solving, the one row echelon form over F_p, the
-one matrix product, and finite-abelian-group plumbing (subgroup
-presentations, homomorphism kernels, character extension).
+"""Small exact linear algebra, one copy of each piece: the matrix product
+`mat_mul`, the Hermite forms `hnf_row` (with its transform, for
+`solve_left`) and `hnf_mod`, the Smith form `smith_normal_form`, the
+triangular solve `_divmod_lattice`, the reduced echelon form over F_p
+`fp_echelon`, and finite-abelian-group plumbing: `SubgroupPresentation`,
+`kernel_subgroup` and `intersect_subgroups` (both read a graph lattice's
+lower Hermite block, `_lower_block`) and `extend_character`.
 Only ring_model and characters import it: the formal-degree path does
 not enter it.
 
@@ -12,16 +15,14 @@ takes `hnf_mod` with column j modulo n_j and no row of diag(n) written
 out, and no entry exceeds its column's order.  `smith_normal_form` keeps S
 exact, so its pivots are those of the elimination over Z, and logs its
 column steps instead of updating two transforms.  Each Euclid step divides
-by the smallest entry, in `hnf_row` (kept for the stationary-phase solve)
-and in the Smith form alike.
+by the smallest entry, in `hnf_row` and in the Smith form alike.
 
 Each lattice is factored once, and only U-bar's `SubgroupPresentation`
 takes a Smith form of a subgroup: a kernel or an intersection is the
 Hermite rows that generate it, since `extend_character` is canonical for
-the subgroup it is given.  `smith_normal_form` returns only the parts of V
-and V^{-1} an invariant-factor basis reads; a subgroup solves against its
-square Hermite basis by back-substitution, and `solve_left` returns its
-solution with the kernel of the same form.
+the subgroup it is given.  A subgroup solves against its square Hermite
+basis by `_divmod_lattice`, which also gives the canonical representative
+modulo a lattice.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ Matrix = List[List[int]]
 def diag(d: Sequence[int]) -> Matrix:
     """The square diagonal matrix with diagonal d."""
     return [[d[i] if j == i else 0 for j in range(len(d))] for i in range(len(d))]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return diag([1] * n)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -61,19 +58,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def vec_mat(v: Sequence[int], a: Matrix) -> List[int]:
-    if not a:
-        return []
-    cols = len(a[0])
-    out = [0] * cols
-    for i, c in enumerate(v):
-        if c:
-            ai = a[i]
-            for j in range(cols):
-                out[j] += c * ai[j]
-    return out
-
-
 def hnf_row(mat: Matrix) -> Tuple[Matrix, Matrix]:
     """Row Hermite normal form.
 
@@ -84,7 +68,7 @@ def hnf_row(mat: Matrix) -> Tuple[Matrix, Matrix]:
     h = [list(r) for r in mat]
     n = len(h)
     m = len(h[0]) if h else 0
-    u = identity_matrix(n)
+    u = diag([1] * n)
     row = 0
     for col in range(m):
         # Euclid on the whole column: move the smallest nonzero |entry| to
@@ -198,7 +182,7 @@ def solve_left(mat: Matrix, target: Sequence[int]) -> Tuple[Optional[List[int]],
             y[i] = c
     if any(t):
         return None, kernel
-    return vec_mat(y, u), kernel
+    return mat_mul([y], u)[0], kernel
 
 
 def fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
@@ -206,21 +190,12 @@ def fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
 
     Returns (reduced rows, pivot columns, det); the rank is the number of
     pivots.  det is the determinant of the first ncols columns mod p when
-    there are ncols rows (0 when a column has no pivot).  Rows are cleared
-    below each pivot first and above it afterwards, last pivot first, so
-    a banded matrix stays banded until the echelon form is reached.
+    there are ncols rows (0 when a column has no pivot).  Each pivot clears
+    its column in every other row when it is taken.
     """
     rows = [list(r) for r in rows]
     pivots: List[int] = []
     det = 1
-
-    def clear(rr, c, others):
-        # subtract multiples of pivot row rr to zero column c in the others
-        for r2 in others:
-            fac = rows[r2][c] % p
-            if fac:
-                rows[r2] = [(x - fac * y) % p for x, y in zip(rows[r2], rows[rr])]
-
     for c in range(ncols):
         rr = len(pivots)
         piv = next((r2 for r2 in range(rr, len(rows)) if rows[r2][c] % p), None)
@@ -232,11 +207,12 @@ def fp_echelon(rows: Sequence[Sequence[int]], p: int, ncols: int):
             det = -det
         det = det * rows[rr][c] % p
         inv = pow(rows[rr][c], -1, p)
-        rows[rr] = [(x * inv) % p for x in rows[rr]]
-        clear(rr, c, range(rr + 1, len(rows)))
+        pr = rows[rr] = [(x * inv) % p for x in rows[rr]]
+        for r2, row in enumerate(rows):
+            fac = row[c] % p
+            if fac and r2 != rr:
+                rows[r2] = [(x - fac * y) % p for x, y in zip(row, pr)]
         pivots.append(c)
-    for rr in reversed(range(len(pivots))):
-        clear(rr, pivots[rr], range(rr))
     return rows, pivots, det
 
 
@@ -253,14 +229,6 @@ def _divmod_lattice(h: Matrix, x: Sequence[int]) -> Tuple[List[int], List[int]]:
             for j in range(i + 1, len(r)):
                 r[j] -= c * hi[j]
     return y, r
-
-
-def _back_substitute(h: Matrix, target: Sequence[int]) -> Optional[List[int]]:
-    """The row y with y*h = target, for h a square Hermite basis, or None
-    when y is not integral (target outside the row lattice of h).  Exact
-    back-substitution; y is unique."""
-    y, r = _divmod_lattice(h, target)
-    return None if any(r) else y
 
 
 def _least_nonzero(row: List[int], lo: int, hi: int) -> Optional[Tuple[int, int]]:
@@ -391,12 +359,6 @@ def smith_normal_form(mat: Matrix, modulus: int) -> Tuple[Matrix, Matrix, Matrix
     return s, [[c[i] for c in cols] for i in range(m)], rows
 
 
-def reduce_mod_lattice(h: Matrix, x: Sequence[int]) -> List[int]:
-    """Canonical representative of x modulo the full-rank row lattice with
-    row-HNF basis h (square, upper triangular, positive diagonal)."""
-    return _divmod_lattice(h, x)[1]
-
-
 # ---------------------------------------------------------------------------
 # Finite abelian groups presented as Z^s / diag(d) with extra relations
 # ---------------------------------------------------------------------------
@@ -406,8 +368,8 @@ def _diag_over(h: Matrix, d: Sequence[int]) -> Matrix:
     Hermite basis of a lattice that holds diag(d), so that it is integral."""
     rows = []
     for target in diag(d):
-        y = _back_substitute(h, target)
-        if y is None:
+        y, r = _divmod_lattice(h, target)
+        if any(r):
             raise VerificationError("diag(d) must lie in the subgroup lattice")
         rows.append(y)
     return rows
@@ -431,7 +393,7 @@ class SubgroupPresentation:
                                             lcm(*ambient_orders))
         self.orders: List[int] = [snf[j][j] for j in range(len(snf) - len(w), len(snf))]
         self.basis: List[List[int]] = [
-            [c % d for c, d in zip(vec_mat(row, basis_m), ambient_orders)] for row in w]
+            [c % d for c, d in zip(row, ambient_orders)] for row in mat_mul(w, basis_m)]
 
     def coords(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of ambient element x in the subgroup basis, or None.
@@ -440,15 +402,20 @@ class SubgroupPresentation:
         contains diag(d); its unique lattice coordinates then come by
         back-substitution.
         """
-        y = _back_substitute(self._m, x)
-        if y is None:
+        y, r = _divmod_lattice(self._m, x)
+        if any(r):
             return None
-        return [c % d for c, d in zip(vec_mat(y, self._v), self.orders)]
+        return [c % d for c, d in zip(mat_mul([y], self._v)[0], self.orders)]
 
 
-def _generators(orders: Sequence[int], rows: Matrix) -> Matrix:
-    """rows reduced modulo the orders, zero rows dropped."""
-    return [r for r in ([x % d for x, d in zip(row, orders)] for row in rows) if any(r)]
+def _lower_block(graph: Matrix, top: Sequence[int], orders: Sequence[int]) -> Matrix:
+    """Generator rows of the subgroup in which the lattice spanned by graph
+    and diag(top | orders) meets 0 x Z^s, s = len(orders): its Hermite rows
+    past the top block, cut to the last s columns, reduced modulo the
+    orders, zero rows dropped."""
+    t = len(top)
+    h = hnf_mod(graph, [*top, *orders])
+    return [r for r in ([x % d for x, d in zip(row[t:], orders)] for row in h[t:]) if any(r)]
 
 
 def kernel_subgroup(
@@ -463,10 +430,8 @@ def kernel_subgroup(
     diag(t | s), meets 0 x Z^s in 0 x (the kernel's lattice): its Hermite
     rows with their pivot among the last s columns.
     """
-    s, t = len(src_orders), len(dst_orders)
-    graph = [list(row) + unit for row, unit in zip(map_rows, identity_matrix(s))]
-    h = hnf_mod(graph, [*dst_orders, *src_orders])
-    return _generators(src_orders, [row[t:] for row in h[t:]])
+    graph = [list(row) + unit for row, unit in zip(map_rows, diag([1] * len(src_orders)))]
+    return _lower_block(graph, dst_orders, src_orders)
 
 
 def intersect_subgroups(
@@ -480,10 +445,9 @@ def intersect_subgroups(
     over B's and diag(d | d), meets 0 x Z^s in 0 x (A cap B): its Hermite
     rows with their pivot among the last s columns.
     """
-    s = len(ambient_orders)
-    graph = [[*a, *a] for a in rows1] + [[*b, *[0] * s] for b in rows2]
-    h = hnf_mod(graph, [*ambient_orders, *ambient_orders])
-    return _generators(ambient_orders, [row[s:] for row in h[s:]])
+    zero = [0] * len(ambient_orders)
+    graph = [[*a, *a] for a in rows1] + [[*b, *zero] for b in rows2]
+    return _lower_block(graph, ambient_orders, ambient_orders)
 
 
 def extend_character(
@@ -532,5 +496,5 @@ def extend_character(
     # which the columns of diag(d) M^{-1} span
     rel = _diag_over([row[:s] for row in h[:s]], d)
     ann = hnf_mod([list(col) for col in zip(*rel)], [lcm(*d)] * s)
-    w = reduce_mod_lattice(ann, w)
+    w = _divmod_lattice(ann, w)[1]
     return [w[i] % d[i] for i in range(s)]

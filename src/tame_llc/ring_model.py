@@ -264,7 +264,9 @@ def residue_generator(gr: GaloisRing) -> GRElt:
     order = gr.p ** gr.d - 1
     one = gr.residue(gr.one)
     primes = list(_factorize(order))
-    for code in range(1, order + 1):
+    # at d >= 2 the p - 1 constants (codes below p) lie in F_p^x, whose
+    # order p - 1 is below p^d - 1, so none of them generates
+    for code in range(1 if gr.d == 1 else gr.p, order + 1):
         cand = tuple(_base_p_digits(code, gr.p, gr.d))
         if all(gr.residue(gr.pow(cand, order // ell)) != one for ell in primes):
             return cand
@@ -883,7 +885,7 @@ def regular_rep_matrix(M: Model, beta: Elt, level: int) -> List[List[int]]:
     """
     P = M.P
     if P.a != 1:
-        raise TooLarge("regular representation matrix needs a = 1")
+        raise ValueError("regular representation matrix needs a = 1")
     n = P.n
     # basis of R over Z/p^r: x^b pi^i flattens to the standard basis
     cols = [
@@ -940,7 +942,7 @@ def symplectic_check(M: Model, beta: Elt) -> Tuple[bool, int]:
     """
     P = M.P
     if P.a != 1:
-        raise TooLarge("symplectic check needs a = 1")
+        raise ValueError("symplectic check needs a = 1")
     p = P.p
     n = P.n
     B = [[x % p for x in row] for row in regular_rep_matrix(M, beta, 1)]

@@ -234,15 +234,6 @@ def test_odd_tau_exponent_on_an_odd_order_raises(sys_ramified):
         sys.c_char()
 
 
-def _chi_data_heavy():
-    """The benchmark's chi-data workload: the supported tuples of e = f = 2
-    in q <= 7, n <= 4, r in 5..8, and (11, 2, 2, 1, 8)."""
-    box = [P for P in valid_tuples([3, 5, 7], 4, range(5, 9))
-           if (P.e, P.f) == (2, 2) and root_number_supported(P) is None]
-    assert len(box) == 24
-    return box + [params_from_q(11, 2, 2, 1, 8)]
-
-
 def _fixed_group_chi_gamma(sys, gamma):
     """chi_gamma by extension from the fixed group, an oracle for eta o res:
     the quadratic character of the residue field on the fixed group
@@ -272,7 +263,7 @@ def _fixed_group_c_char(sys):
     return MultCharacter(tuple(sys.U.orders), tuple(total))
 
 
-def test_closed_chi_data_matches_the_fixed_group_extensions(monkeypatch):
+def test_closed_chi_data_matches_the_fixed_group_extensions(monkeypatch, chi_data_heavy):
     # eta o res against the extension of the fixed groups, on the
     # root-number box and the chi-data workload: each chi_gamma agrees on
     # U^gamma (1 + pi^2), the rows the extension was prescribed on; c(-1)
@@ -281,7 +272,7 @@ def test_closed_chi_data_matches_the_fixed_group_extensions(monkeypatch):
     box = [P for P in valid_tuples([3, 5, 7], 4, [3, 4]) if root_number_supported(P) is None]
     assert len(box) == 28
     reports = {}
-    for P in box + _chi_data_heavy():
+    for P in box + chi_data_heavy:
         sys = CharacterSystem(build_model(P))
         for gamma in sorted(order_two_set(P) - {GAL_ID}):
             oracle, rows = _fixed_group_chi_gamma(sys, gamma)

@@ -106,24 +106,10 @@ def test_dimension_spot_values(tup, expected):
     assert dim_delta(P, "index") == expected
 
 
-@pytest.mark.parametrize("tup,expected", [
-    ((3, 2, 1, 0, 4), Fraction(18)),
-    ((3, 1, 2, 0, 2), Fraction(3)),
-    ((5, 1, 2, 0, 2), Fraction(5)),
-])
-def test_formal_degree_spot_values(tup, expected):
-    assert formal_degree_EP(params_from_q(*tup)) == expected
-
-
 @pytest.mark.parametrize("tup", [(3, 2, 1, 0, 2), (5, 1, 2, 0, 2)])
 def test_dimension_orbit_bruteforce(tup):
     P = params_from_q(*tup)
     assert dim_delta_orbit(P) == dim_delta(P, "closed")
-
-
-def test_formal_degree_identity_on_a_sample():
-    for tup in [(3, 2, 1, 0, 4), (7, 1, 3, 0, 2), (9, 2, 2, 0, 3)]:
-        assert verify_formal_degree(params_from_q(*tup)).status == "OK"
 
 
 def test_root_number_skips_below_supported_depth():

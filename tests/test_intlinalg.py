@@ -19,14 +19,11 @@ from tame_llc.intlinalg import (
     fp_echelon,
     hnf_mod,
     hnf_row,
-    identity_matrix,
     intersect_subgroups,
     kernel_subgroup,
     mat_mul,
-    reduce_mod_lattice,
     smith_normal_form,
     solve_left,
-    vec_mat,
 )
 
 
@@ -34,7 +31,7 @@ def invert_unimodular(mat):
     """Inverse of a unimodular integer matrix, via HNF against the identity:
     an oracle for the inverse whose rows smith_normal_form returns in part."""
     h, u = hnf_row(mat)
-    if h != identity_matrix(len(mat)):
+    if h != diag([1] * len(mat)):
         raise ValueError("matrix is not unimodular")
     return u
 
@@ -53,8 +50,8 @@ def smith_over_z(mat):
     s = [list(r) for r in mat]
     n = len(s)
     m = len(s[0]) if s else 0
-    v = identity_matrix(m)
-    vinv = identity_matrix(m)
+    v = diag([1] * m)
+    vinv = diag([1] * m)
 
     def swap_cols(i, j):
         for row in s:
@@ -130,7 +127,7 @@ def presentation_over_z(ambient_orders, gen_rows):
     basis, orders = [], []
     for j in range(s):
         if snf[j][j] != 1:
-            row = vec_mat(vinv[j], h)
+            row = mat_mul([vinv[j]], h)[0]
             basis.append([c % d for c, d in zip(row, ambient_orders)])
             orders.append(snf[j][j])
     return h, basis, orders
@@ -163,8 +160,8 @@ def test_smith_normal_form_is_a_change_of_basis(mat):
     s, v, vinv = smith_over_z(mat)
     m = len(mat[0])
     # V is invertible over the integers, and the returned inverse is exact
-    assert mat_mul(v, vinv) == identity_matrix(m)
-    assert mat_mul(v, invert_unimodular(v)) == identity_matrix(m)
+    assert mat_mul(v, vinv) == diag([1] * m)
+    assert mat_mul(v, invert_unimodular(v)) == diag([1] * m)
     assert vinv == invert_unimodular(v)
     # U*A*V = S for a unimodular U: A*V and S have one row lattice
     assert hnf_row(mat_mul(mat, v))[0] == hnf_row(s)[0]
@@ -238,7 +235,7 @@ def _hnf_slot_euclid(mat):
 def test_hnf_is_the_canonical_form(mat):
     h, u = hnf_row(mat)
     assert mat_mul(u, mat) == h
-    assert mat_mul(invert_unimodular(u), u) == identity_matrix(len(mat))
+    assert mat_mul(invert_unimodular(u), u) == diag([1] * len(mat))
     nonzero = [r for r in h if any(r)]
     # zero rows last, then echelon form with positive, reduced pivots
     assert h[: len(nonzero)] == nonzero
@@ -277,7 +274,7 @@ def test_hnf_mod_is_the_hermite_form_of_the_lattice(mat_moduli):
 @given(small_matrices)
 def test_left_kernel_annihilates(mat):
     for row in left_kernel_basis(mat):
-        assert all(x == 0 for x in vec_mat(row, mat))
+        assert all(x == 0 for x in mat_mul([row], mat)[0])
 
 
 def _rank_over_q(mat):
@@ -299,13 +296,13 @@ def _rank_over_q(mat):
 @given(small_matrices, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
 def test_solve_left_round_trip(mat, coeffs):
     coeffs = (coeffs + [0] * len(mat))[: len(mat)]
-    target = vec_mat(coeffs, mat)
+    target = mat_mul([coeffs], mat)[0]
     sol, kernel = solve_left(mat, target)
     assert sol is not None
-    assert vec_mat(sol, mat) == list(target)
+    assert mat_mul([sol], mat)[0] == list(target)
     # the kernel returned beside the solution: k*mat = 0, rows - rank of them
     for row in kernel:
-        assert all(x == 0 for x in vec_mat(row, mat))
+        assert all(x == 0 for x in mat_mul([row], mat)[0])
     assert len(kernel) == len(mat) - _rank_over_q(mat)
 
 
@@ -329,6 +326,46 @@ def _det_over_q(mat):
         return mat[0][0]
     return sum((-1) ** j * mat[0][j] * _det_over_q([r[:j] + r[j + 1:] for r in mat[1:]])
                for j in range(len(mat)))
+
+
+def _fp_echelon_two_passes(rows, p, ncols):
+    """fp_echelon before it cleared each pivot's column in every row at
+    once: below each pivot first, then above, last pivot first."""
+    rows = [list(r) for r in rows]
+    pivots, det = [], 1
+
+    def clear(rr, c, others):
+        for r2 in others:
+            fac = rows[r2][c] % p
+            if fac:
+                rows[r2] = [(x - fac * y) % p for x, y in zip(rows[r2], rows[rr])]
+
+    for c in range(ncols):
+        rr = len(pivots)
+        piv = next((r2 for r2 in range(rr, len(rows)) if rows[r2][c] % p), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rr:
+            rows[rr], rows[piv] = rows[piv], rows[rr]
+            det = -det
+        det = det * rows[rr][c] % p
+        inv = pow(rows[rr][c], -1, p)
+        rows[rr] = [(x * inv) % p for x in rows[rr]]
+        clear(rr, c, range(rr + 1, len(rows)))
+        pivots.append(c)
+    for rr in reversed(range(len(pivots))):
+        clear(rr, pivots[rr], range(rr))
+    return rows, pivots, det
+
+
+@given(small_matrices, st.sampled_from([2, 3, 5, 7]), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_pass_matches_the_two_it_replaces(mat, p, extra):
+    # a small p leaves rank-deficient blocks, and the columns past ncols
+    # (an augmented right-hand side) carry what the non-pivot rows keep
+    ncols = max(1, len(mat[0]) - extra)
+    assert fp_echelon(mat, p, ncols) == _fp_echelon_two_passes(mat, p, ncols)
 
 
 def test_solve_left_detects_unsolvable():
@@ -378,7 +415,7 @@ def _coords_by_stacked_solve(ambient_orders, sub, x):
     if y is None:
         return None
     snf, v, _ = smith_over_z([solve_left(sub._m, t)[0] for t in diag(ambient_orders)])
-    w = vec_mat(y[:s], v)
+    w = mat_mul([y[:s]], v)[0]
     return [w[j] % snf[j][j] for j in range(s) if snf[j][j] != 1]
 
 
@@ -402,8 +439,8 @@ def test_subgroup_coords_match_the_stacked_solve(orders, data):
 
 
 def _back_substitute_two_loops(h, target):
-    """_back_substitute before it shared reduce_mod_lattice's loop: it stops
-    at the first pivot that leaves a remainder."""
+    """The solve y*h = target before it shared the reduction's loop in
+    _divmod_lattice: it stops at the first pivot that leaves a remainder."""
     t = list(target)
     y = []
     for i, hi in enumerate(h):
@@ -418,7 +455,8 @@ def _back_substitute_two_loops(h, target):
 
 
 def _reduce_mod_lattice_two_loops(h, x):
-    """reduce_mod_lattice before it shared _back_substitute's loop."""
+    """The remainder of x modulo the row lattice of h before it shared the
+    solve's loop in _divmod_lattice."""
     out = list(x)
     for i in range(len(h)):
         q = out[i] // h[i][i]
@@ -434,7 +472,7 @@ def triangular_systems(draw):
     n = draw(st.integers(1, 4))
     h = [[0] * i + [draw(st.integers(1, 9))] + [draw(st.integers(-9, 9)) for _ in range(n - i - 1)]
          for i in range(n)]
-    x = vec_mat([draw(st.integers(-9, 9)) for _ in range(n)], h)
+    x = mat_mul([[draw(st.integers(-9, 9)) for _ in range(n)]], h)[0]
     if draw(st.booleans()):
         x = [a + draw(st.integers(-3, 3)) for a in x]
     return h, x
@@ -444,8 +482,9 @@ def triangular_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_one_triangular_loop_matches_the_two_it_replaces(system):
     h, x = system
-    assert intlinalg._back_substitute(h, x) == _back_substitute_two_loops(h, x)
-    assert reduce_mod_lattice(h, x) == _reduce_mod_lattice_two_loops(h, x)
+    y, r = intlinalg._divmod_lattice(h, x)
+    assert (None if any(r) else y) == _back_substitute_two_loops(h, x)
+    assert r == _reduce_mod_lattice_two_loops(h, x)
 
 
 NOT_A_CHARACTER = "prescribed values are not a character of the subgroup"
@@ -470,7 +509,7 @@ def _extend_character_two_hnf(ambient_orders, subgroup_rows, value_fracs):
     h = [r for r in hnf_row(hom_w)[0] if any(r)]
     if len(h) != s:
         raise VerificationError("solution lattice is not full rank")
-    w = reduce_mod_lattice(h, y[:s])
+    w = intlinalg._divmod_lattice(h, y[:s])[1]
     return [w[i] % d[i] for i in range(s)]
 
 
@@ -479,7 +518,7 @@ def kernel_subgroup_over_z(src_orders, map_rows, dst_orders):
     the map stacked on diag(t), over Z, presented by presentation_over_z."""
     s = len(src_orders)
     if not dst_orders:
-        return presentation_over_z(src_orders, identity_matrix(s))
+        return presentation_over_z(src_orders, diag([1] * s))
     ker = left_kernel_basis([list(r) for r in map_rows] + diag(dst_orders))
     return presentation_over_z(src_orders, [row[:s] for row in ker])
 
@@ -491,7 +530,7 @@ def intersect_subgroups_over_z(ambient_orders, rows1, rows2):
     ha = [r for r in hnf_row([list(r) for r in rows1] + d_rows)[0] if any(r)]
     hb = [r for r in hnf_row([list(r) for r in rows2] + d_rows)[0] if any(r)]
     ker = left_kernel_basis(ha + [[-x for x in r] for r in hb])
-    return presentation_over_z(ambient_orders, [vec_mat(row[:len(ha)], ha) for row in ker])
+    return presentation_over_z(ambient_orders, mat_mul([row[:len(ha)] for row in ker], ha))
 
 
 group_orders = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=3)
@@ -634,7 +673,7 @@ def test_group_plumbing_matches_the_diag_row_construction(inputs):
     src, dst, map_rows, a, b, fracs = inputs
     s, t = len(src), len(dst)
 
-    graph = [[*row, *unit] for row, unit in zip(map_rows, identity_matrix(s))]
+    graph = [[*row, *unit] for row, unit in zip(map_rows, diag([1] * s))]
     graph += [[*row, *[0] * s] for row in diag(dst)] + [[*[0] * t, *row] for row in diag(src)]
     kernel = _hermite_forms(lambda: kernel_subgroup(src, map_rows, dst))
     assert kernel == [hnf_mod(graph, [lcm(*src, *dst)] * (t + s))]

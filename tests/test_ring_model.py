@@ -417,6 +417,38 @@ def test_galois_ring_product_past_the_int_str_limit():
         assert gf.mul(x, y) == _schoolbook_gr_mul(gf, x, y)
 
 
+def _residue_generator_from_one(gr):
+    """residue_generator's walk from code 1, constants included: the oracle
+    for the walk that skips them at d >= 2."""
+    order = gr.p ** gr.d - 1
+    one = gr.residue(gr.one)
+    primes = list(_factorize(order))
+    for code in range(1, order + 1):
+        cand = tuple(_base_p_digits(code, gr.p, gr.d))
+        if all(gr.residue(gr.pow(cand, order // ell)) != one for ell in primes):
+            return cand
+
+
+@pytest.mark.parametrize("pd", [(3, 4), (7, 2), (11, 2), (13, 6), (10007, 2), (5, 1), (13, 1)])
+def test_residue_generator_powers_no_constant(pd, monkeypatch):
+    # at d >= 2 no constant can generate F_{p^d}^x, so none is powered;
+    # at d = 1 the walk is the one from code 1
+    p, d = pd
+    gr = GaloisRing(p, 1, d)
+    expected = _residue_generator_from_one(gr)
+    powered = []
+    pow_ = GaloisRing.pow
+
+    def recording(self, x, n):
+        powered.append(x)
+        return pow_(self, x, n)
+
+    monkeypatch.setattr(GaloisRing, "pow", recording)
+    assert residue_generator(gr) == expected
+    if d >= 2:
+        assert powered and not any(any(x[1:]) == 0 for x in powered)
+
+
 @pytest.mark.parametrize("tup", [(13, 12, 1, 0, 3), (13, 12, 2, 0, 2)],
                          ids=["n12", "n24"])
 def test_large_flat_product_matches_the_nested_product(tup):
@@ -628,6 +660,18 @@ def test_symplectic_pairing_is_nondegenerate(tup):
     assert ok
 
 
+def test_brute_force_checks_refuse_a_above_one_as_a_broken_precondition():
+    # q = 9 has a = 2: O_F/p is not the prime field, which these checks
+    # assume; that is a wrong call, not a refused size
+    M = build_model(params_from_q(9, 2, 1, 0, 2))
+    assert M.P.a == 2
+    beta = find_beta(M)
+    for check in (lambda: symplectic_check(M, beta), lambda: regular_rep_matrix(M, beta, 1),
+                  lambda: centralizer_bruteforce(M, beta, 1)):
+        with pytest.raises(ValueError, match="needs a = 1"):
+            check()
+
+
 @pytest.mark.parametrize("tup", [(3, 1, 2, 0, 3), (3, 2, 1, 0, 4)])
 def test_enumerate_yields_each_unit_once(tup):
     P = params_from_q(*tup)
@@ -836,21 +880,11 @@ def _raw_dlog_multiplicative(U, x):
     return w
 
 
-def _chi_data_heavy():
-    """The chi-data-heavy tuples: the supported q <= 7, e = f = 2, r in
-    5..8, and (11,2,2,1,8)."""
-    box = [P for P in valid_tuples([3, 5, 7], 4, range(5, 9))
-           if root_number_supported(P) is None and P.e == 2 and P.f == 2]
-    box.append(params_from_q(11, 2, 2, 1, 8))
-    assert len(box) == 25
-    return box
-
-
-def test_additive_digits_match_the_multiplicative_digits():
+def test_additive_digits_match_the_multiplicative_digits(chi_data_heavy):
     # above half level a digit is subtracted from its coefficient, below
     # it divided out by a product; the all-product loop is the oracle, at
     # every level N, odd N and N < e r included
-    for P in _root_number_box() + _chi_data_heavy():
+    for P in _root_number_box() + chi_data_heavy:
         M = build_model(P)
         units = _random_units(M, 3, seed=P.q_K + P.r)
         for N in range(1, P.e * P.r + 1):
