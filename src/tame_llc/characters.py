@@ -350,16 +350,18 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
         for g, i, v in zip(sys.U.gens, sys.U.levels, vals)
         if l2 <= i < k
     ]
-    # additive basis of R/pi^{l1} with the p-precision of each line
+    # additive basis x^s pi^i, i < e, of R/pi^{l1}: the flat coordinate
+    # i d + s, with the p-precision of each line
+    d = M.gr.d
     basis = []
     for i in range(P.e):
         prec = -(-(l1 - i) // P.e)
         if prec <= 0:
             continue
-        for s in range(M.gr.d):
-            basis.append((M.monomial(s, i), P.p ** prec))
+        for s in range(d):
+            basis.append((i * d + s, M.monomial(s, i), P.p ** prec))
     vs = [M.sub(g, M.one()) for g, _ in test_gens]
-    rows = [[psi(M.mul(m, v)) for v in vs] for m, _ in basis]
+    rows = [[psi(M.mul(m, v)) for v in vs] for _, m, _ in basis]
     slack = [
         [plev if t == g else 0 for t in range(len(vs))]
         for g in range(len(vs))
@@ -376,14 +378,15 @@ def _critical_point(sys, vals, psi, lev, l1, l2, k):
         )
     # the critical point is unique when every homogeneous solution is zero
     # in R/pi^{l1}: each kernel row vanishes modulo the basis precisions
-    if any(c % prec for row in kernel for c, (_, prec) in zip(row, basis)):
+    if any(c % prec for row in kernel for c, (_, _, prec) in zip(row, basis)):
         raise VerificationError(
             "stationary phase found more than one critical point; "
             "character is not primitive at this level"
         )
-    b = M.zero()
-    for c, (m, prec) in zip(sol, basis):
-        b = M.add(b, M.mul(M.from_int(c % prec), m))
+    b = [0] * M.n
+    for c, (pos, _, prec) in zip(sol, basis):
+        b[pos] = c % prec
+    b = tuple(b)
     if not M.is_unit(b):
         raise VerificationError("critical point must be a unit")
     return b

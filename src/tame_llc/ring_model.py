@@ -28,6 +28,7 @@ conductor brute forcing and Gauss sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, isqrt, prod
 from operator import mod, mul
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -609,10 +610,11 @@ class UnitGroupPresentation:
     as gen_coords and inv_gens, modulo (q_K - 1) one_unit_order(M, 1), a
     multiple of U's exponent.
 
-    Powers come from lists of repeated squares through exactnum.mul_power,
-    one list per element, extended only as far as an exponent needs: the
-    raw generators share theirs across all invariant generators inv_gens,
-    and each inv_gens[k] has its own for element_from_coords.  The lists
+    Every product of generator powers is _product over lists of repeated
+    squares [g, g^2, g^4, ...], extended by exactnum.mul_power only as far
+    as an exponent needs: _gen_squares, one list per raw generator, gives
+    each relation's p-th power, inv_gens and enumerate; _inv_gen_squares,
+    one list per invariant generator, gives element_from_coords.  The lists
     live on this presentation only.  A discrete log takes a ring product
     per digit below level ceil(N/2) only, and subtracts the digits above it.
     """
@@ -629,6 +631,7 @@ class UnitGroupPresentation:
                 gens.append(M.add(M.one(), M.monomial(b, i)))
                 self.levels.append(i)
         self.gens = gens
+        self._gen_squares: List[List[Elt]] = [[g] for g in gens]
         self._inv_pows: Dict[int, List[Elt]] = {}  # filled by _inverse_power
         # _raw_dlog's plan: level i = k e + j reads slice j of the flat tuple,
         # whose coefficients are p^k times the digits of gens[base:base + d];
@@ -641,7 +644,7 @@ class UnitGroupPresentation:
         # relations: tau^{q_K - 1} = 1, and gens[i]^p written in the gens
         rows: List[List[int]] = [[M.P.q_K - 1] + [0] * (len(gens) - 1)]
         for idx in range(1, len(gens)):
-            row = [-x for x in self._raw_dlog(M.pow(gens[idx], p))]
+            row = [-x for x in self._raw_dlog(self._product([self._gen_squares[idx]], [p]))]
             row[idx] += p
             rows.append(row)
         # V and V^{-1} are read modulo orders dividing this multiple of U's exponent
@@ -665,14 +668,17 @@ class UnitGroupPresentation:
         # the one-unit generators add no Teichmuller digit, so inv_gens[k]
         # is tau^{tau_exps[k]} mod pi
         self.tau_exps = [row[0] % exps[0] for row in w]
-        gen_squares: List[List[Elt]] = [[g] for g in gens]
-        self.inv_gens: List[Elt] = []
-        for row in w:
-            h = M.one()
-            for jj, ex in enumerate(row):
-                h = mul_power(M.mul, h, gen_squares[jj], ex % exps[jj], M.one())
-            self.inv_gens.append(h)
+        self.inv_gens: List[Elt] = [
+            self._product(self._gen_squares, [x % n for x, n in zip(row, exps)]) for row in w]
         self._inv_gen_squares: List[List[Elt]] = [[h] for h in self.inv_gens]
+
+    def _product(self, squares: Sequence[List[Elt]], exps: Sequence[int]) -> Elt:
+        """prod g_k^{exps[k]}, exps >= 0, where squares[k] = [g_k, g_k^2, ...]."""
+        M = self.M
+        out = one = M.one()
+        for sq, n in zip(squares, exps):
+            out = mul_power(M.mul, out, sq, n, one)
+        return out
 
     def order(self) -> int:
         return prod(self.orders)
@@ -763,51 +769,22 @@ class UnitGroupPresentation:
 
     def element_from_coords(self, coords: Sequence[int]) -> Elt:
         """The product of inv_gens[k]^coords[k]; coordinates are >= 0."""
-        M = self.M
-        out = one = M.one()
-        for squares, c in zip(self._inv_gen_squares, coords):
-            out = mul_power(M.mul, out, squares, c, one)
-        return out
+        return self._product(self._inv_gen_squares, coords)
 
     def enumerate(self, k: int):
         """Yield (digits, element) once for each unit of R/pi^k.
 
         The element is tau^{d_0} times gens[i]^{d_i} over the one-unit
-        generators below level k, with d_0 < q_K - 1 and d_i < p, so
-        _raw_dlog(element) is the digits padded with zeros.  The digits run
-        as an odometer: a carry into digit j resets every d_i, i < j, from
-        its top t_i to 0, so the step multiplies by gens[j] times each
-        gens[i]^{-t_i}, one multiplication per element.  Once the last
-        element is out, it times every reset must be exactly 1, or
-        VerificationError is raised.
+        generators below level k, with d_0 < q_K - 1 and d_i < p, built by
+        _product from positive powers, so _raw_dlog(element) is the digits
+        padded with zeros.
         """
         if not 1 <= k <= self.N:
             raise ValueError("level out of range")
-        M = self.M
-        p = M.P.p
-        count = 1 + (k - 1) * M.gr.d
-        tops = [M.P.q_K - 2] + [p - 1] * (count - 1)
-        # tau^{-(q_K - 2)} = tau, since tau^{q_K - 1} = 1
-        resets = [self.gens[0]]
-        resets += [self._inverse_power(i, p - 1) for i in range(1, count)]
-        steps = []
-        acc = M.one()
-        for g, reset in zip(self.gens, resets):
-            steps.append(M.mul(acc, g))
-            acc = M.mul(acc, reset)
-        digits = [0] * count
-        elt = M.one()
-        yield tuple(digits), elt
-        for _ in range(prod(t + 1 for t in tops) - 1):
-            j = 0
-            while digits[j] == tops[j]:
-                digits[j] = 0
-                j += 1
-            digits[j] += 1
-            elt = M.mul(elt, steps[j])
-            yield tuple(digits), elt
-        if M.mul(elt, acc) != M.one():
-            raise VerificationError("unit-group enumeration did not close up")
+        P = self.M.P
+        ranges = [range(P.q_K - 1)] + [range(P.p)] * ((k - 1) * self.M.gr.d)
+        for digits in product(*ranges):
+            yield digits, self._product(self._gen_squares, digits)
 
     def act_matrix(self, g: GalElt) -> List[List[int]]:
         """Matrix of the Galois action of g in invariant coordinates."""

@@ -46,6 +46,7 @@ from tame_llc.intlinalg import (
 from tame_llc.llc_parameters import twist_conductor_predicted
 from tame_llc.ring_model import (
     GaloisRing,
+    Model,
     UnitGroupPresentation,
     build_model,
     find_beta,
@@ -347,6 +348,29 @@ def test_gauss_sum_methods_agree():
             tuples.add((P.q, P.e, P.f, P.m, P.r))
             twists += 1
     assert (len(tuples), twists) == (9, 9)
+
+
+def test_literal_gauss_sum_takes_no_inverse(monkeypatch):
+    # the oracle builds each unit from positive powers of U's generators,
+    # so it reads no inverse table of the discrete logs that the
+    # stationary route it checks takes
+    P = params_from_q(3, 2, 1, 0, 4)
+    cs = CharacterSystem(build_model(P))
+    cases = []
+    for gamma in sorted(gal_elements(P)):
+        if gamma != GAL_ID:
+            tw = cs.theta_tilde_twist(gamma)
+            k = conductor_bruteforce(cs, tw)
+            cases.append((tw, k, gauss_sum(cs, tw, k)))
+
+    def refused(*args):
+        raise RuntimeError("an inverse on the literal route")
+
+    monkeypatch.setattr(UnitGroupPresentation, "_inverse_power", refused)
+    monkeypatch.setattr(Model, "inv", refused)
+    assert cases
+    for tw, k, stationary in cases:
+        assert gauss_sum_literal(cs, tw, k) == turn_value(stationary)
 
 
 def _literal_tail(cs, chi, psi, lev, b, l1):
